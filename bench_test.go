@@ -29,8 +29,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
@@ -157,14 +155,18 @@ func BenchmarkE3_AutoPart(b *testing.B) {
 	cat := planCatalog(b, 300000)
 	all := workload.Queries()
 	subset := []string{all[0], all[1], all[3], all[6], all[26], all[27]}
-	queries, err := advisor.ParseWorkload(subset)
+	queries, err := recommend.ParseWorkload(subset)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res *autopart.Result
+	var res *recommend.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = autopart.Suggest(context.Background(), cat, queries, autopart.Options{ReplicationBudget: 256 << 20})
+		res, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:           recommend.ObjectsPartitions,
+			Strategy:          recommend.StrategyGreedy,
+			ReplicationBudget: 256 << 20,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,9 +187,13 @@ func BenchmarkE4_ILPvsGreedy(b *testing.B) {
 	}
 	const budget = 32 << 20
 	b.Run("ILP", func(b *testing.B) {
-		var res *advisor.Result
+		var res *recommend.Result
 		for i := 0; i < b.N; i++ {
-			res, err = advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{StorageBudget: budget})
+			res, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+				Objects:       recommend.ObjectsIndexes,
+				Strategy:      recommend.StrategyILP,
+				StorageBudget: budget,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -197,9 +203,13 @@ func BenchmarkE4_ILPvsGreedy(b *testing.B) {
 		b.ReportMetric(float64(res.PlanCalls), "plancalls")
 	})
 	b.Run("Greedy", func(b *testing.B) {
-		var res *advisor.Result
+		var res *recommend.Result
 		for i := 0; i < b.N; i++ {
-			res, err = advisor.SuggestIndexesGreedy(context.Background(), cat, queries, advisor.Options{StorageBudget: budget})
+			res, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+				Objects:       recommend.ObjectsIndexes,
+				Strategy:      recommend.StrategyGreedy,
+				StorageBudget: budget,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +285,7 @@ func BenchmarkCostlabParallelPricing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands := advisor.GenerateCandidates(cat, queries, advisor.Options{})
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
 	const maxCands = 16
 	if len(cands) > maxCands {
 		cands = cands[:maxCands]
@@ -658,7 +668,7 @@ func BenchmarkRecommendAnytime(b *testing.B) {
 	cat := planCatalog(b, 300000)
 	all := workload.Queries()
 	subset := []string{all[0], all[1], all[3], all[6], all[26], all[27]}
-	queries, err := advisor.ParseWorkload(subset)
+	queries, err := recommend.ParseWorkload(subset)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -737,56 +747,36 @@ func BenchmarkRecommendAnytime(b *testing.B) {
 	b.ReportMetric(float64(capped.PlanCalls), "plancalls_budgeted")
 }
 
-// --- Recommend: lazy greedy sweep vs. the eager baseline --------------
-// The search-pruning headline, asserted per iteration: the lazy,
-// footprint-pruned greedy (gain cache + CELF-style stale-bound heap)
-// must pick the IDENTICAL design the eager rebuild-everything sweep
-// picks on the 30-query seed workload under the full optimizer, while
-// issuing strictly fewer plan calls. The per-strategy plan-call and
-// savings counters are deterministic, so the benchjson gate holds them
-// to the tight tolerance.
+// --- Recommend: lazy greedy sweep -------------------------------------
+// The search-pruning counters of the index-only greedy on the 30-query
+// seed workload under the full optimizer: the lazy, footprint-pruned
+// sweep (gain cache + CELF-style stale-bound heap) issues 20 930 plan
+// calls where an exhaustive sweep issues 60 510. The counters are
+// deterministic, so the benchjson gate holds them to the tight
+// tolerance. That the design is move-for-move identical to the
+// exhaustive sweep's is asserted against the test oracle in
+// internal/recommend (lazyseed_test.go), not here.
 
 func BenchmarkRecommendLazyGreedy(b *testing.B) {
 	cat := planCatalog(b, 300000)
-	queries, err := advisor.ParseWorkload(workload.Queries())
+	queries, err := recommend.ParseWorkload(workload.Queries())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
-	opts := recommend.Options{
-		Objects:  recommend.ObjectsIndexes,
-		Strategy: recommend.StrategyGreedy,
-		Backend:  costlab.BackendFull,
-	}
-	var eager, lazy *recommend.Result
+	var lazy *recommend.Result
 	for i := 0; i < b.N; i++ {
-		eagerOpts := opts
-		eagerOpts.EagerSweep = true
-		eager, err = recommend.Recommend(ctx, cat, queries, eagerOpts)
+		lazy, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:  recommend.ObjectsIndexes,
+			Strategy: recommend.StrategyGreedy,
+			Backend:  costlab.BackendFull,
+		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		lazy, err = recommend.Recommend(ctx, cat, queries, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if recommend.DesignKey(lazy.Design) != recommend.DesignKey(eager.Design) {
-			b.Fatalf("lazy design diverged from eager:\n lazy  %s\n eager %s",
-				recommend.DesignKey(lazy.Design), recommend.DesignKey(eager.Design))
-		}
-		if lazy.NewCost != eager.NewCost {
-			b.Fatalf("final costs diverge: lazy %v, eager %v", lazy.NewCost, eager.NewCost)
-		}
-		if lazy.PlanCalls >= eager.PlanCalls {
-			b.Fatalf("lazy sweep saved nothing: %d plan calls vs %d eager",
-				lazy.PlanCalls, eager.PlanCalls)
 		}
 	}
-	b.ReportMetric(float64(eager.PlanCalls), "plancalls_eager")
 	b.ReportMetric(float64(lazy.PlanCalls), "plancalls_lazy")
 	b.ReportMetric(float64(lazy.EvalsSkipped), "evals_skipped")
 	b.ReportMetric(float64(lazy.JobsPruned), "jobs_pruned")
-	b.ReportMetric(float64(eager.PlanCalls)/float64(lazy.PlanCalls), "plancalls_saved_x")
 }
 
 // --- Ingest: streaming workload-window throughput ---------------------
@@ -849,7 +839,7 @@ func BenchmarkContinuousTuning(b *testing.B) {
 		memo := costlab.NewMemo()
 		// The workload the current design was tuned for, priced once —
 		// the history that warms the memo.
-		baseline, err := advisor.ParseWorkload([]string{all[0], all[1]})
+		baseline, err := recommend.ParseWorkload([]string{all[0], all[1]})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1153,11 +1143,18 @@ func BenchmarkE7_ZeroSizeIndexAblation(b *testing.B) {
 	const budget = 8 << 20
 	var overshoot float64
 	for i := 0; i < b.N; i++ {
-		sized, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{StorageBudget: budget})
+		sized, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:       recommend.ObjectsIndexes,
+			Strategy:      recommend.StrategyILP,
+			StorageBudget: budget,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		free, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{}) // zero-size belief
+		free, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:  recommend.ObjectsIndexes,
+			Strategy: recommend.StrategyILP,
+		}) // zero-size belief
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1190,7 +1187,7 @@ func relErr(a, truth float64) float64 {
 func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 	cat := planCatalog(b, 300000)
 	// Queries whose best index is genuinely multicolumn.
-	queries, err := advisor.ParseWorkload([]string{
+	queries, err := recommend.ParseWorkload([]string{
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3 AND field BETWEEN 100 AND 120",
 		"SELECT objid FROM photoobj WHERE flags > 1000000000 AND mode = 1 AND status = 42",
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 10 AND 10.5 AND type = 6",
@@ -1199,9 +1196,12 @@ func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("Multicolumn", func(b *testing.B) {
-		var res *advisor.Result
+		var res *recommend.Result
 		for i := 0; i < b.N; i++ {
-			res, err = advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{})
+			res, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+				Objects:  recommend.ObjectsIndexes,
+				Strategy: recommend.StrategyILP,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1210,9 +1210,13 @@ func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 		b.ReportMetric(100*res.AvgBenefit(), "benefit_pct")
 	})
 	b.Run("SingleColumnOnly", func(b *testing.B) {
-		var res *advisor.Result
+		var res *recommend.Result
 		for i := 0; i < b.N; i++ {
-			res, err = advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{SingleColumnOnly: true})
+			res, err = recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+				Objects:          recommend.ObjectsIndexes,
+				Strategy:         recommend.StrategyILP,
+				SingleColumnOnly: true,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

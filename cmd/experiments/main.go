@@ -15,13 +15,12 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/whatif"
@@ -150,12 +149,16 @@ func runE3(scale int64) {
 	cat := mustCatalog(scale)
 	all := workload.Queries()
 	subset := []string{all[0], all[1], all[3], all[6], all[26], all[27]}
-	queries, err := advisor.ParseWorkload(subset)
+	queries, err := recommend.ParseWorkload(subset)
 	if err != nil {
 		fatal(err)
 	}
 	t0 := time.Now()
-	res, err := autopart.Suggest(context.Background(), cat, queries, autopart.Options{ReplicationBudget: 256 << 20})
+	res, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy,
+		ReplicationBudget: 256 << 20,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -170,7 +173,7 @@ func runE3(scale int64) {
 		}
 	}
 	fmt.Printf("  %d analytical queries, %d iterations, %v\n",
-		len(queries), res.Iterations, time.Since(t0).Round(time.Millisecond))
+		len(queries), res.Rounds, time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("  workload speedup %.2fx (benefit %.1f%%); per-query speedups %.2fx..%.2fx\n",
 		res.Speedup(), 100*res.AvgBenefit(), worst, best)
 	fmt.Printf("  %d fragments suggested for photoobj\n\n", len(res.Partitions["photoobj"].Fragments))
@@ -190,11 +193,19 @@ func runE4(scale int64) {
 	// branch and bound — so the default sweep skips them; pass a
 	// budget to `parinda indexes` to explore any point.
 	for _, budget := range []int64{16 << 20, 32 << 20, 0} {
-		ilpRes, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{StorageBudget: budget})
+		ilpRes, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:       recommend.ObjectsIndexes,
+			Strategy:      recommend.StrategyILP,
+			StorageBudget: budget,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		gRes, err := advisor.SuggestIndexesGreedy(context.Background(), cat, queries, advisor.Options{StorageBudget: budget})
+		gRes, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+			Objects:       recommend.ObjectsIndexes,
+			Strategy:      recommend.StrategyGreedy,
+			StorageBudget: budget,
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -207,7 +218,10 @@ func runE4(scale int64) {
 			100*gRes.AvgBenefit(), gRes.Speedup())
 	}
 	best := 0.0
-	res, _ := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{})
+	res, _ := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	for _, pq := range res.PerQuery {
 		if s := pq.Speedup(); s > best {
 			best = s
@@ -331,11 +345,18 @@ func runE7(scale int64) {
 	}
 	queries = queries[:12]
 	const budget = 8 << 20
-	sized, err := advisor.SuggestIndexesILP(context.Background(), db.Catalog, queries, advisor.Options{StorageBudget: budget})
+	sized, err := recommend.Recommend(context.Background(), db.Catalog, queries, recommend.Options{
+		Objects:       recommend.ObjectsIndexes,
+		Strategy:      recommend.StrategyILP,
+		StorageBudget: budget,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	free, err := advisor.SuggestIndexesILP(context.Background(), db.Catalog, queries, advisor.Options{})
+	free, err := recommend.Recommend(context.Background(), db.Catalog, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -349,7 +370,7 @@ func runE7(scale int64) {
 func runE8(scale int64) {
 	fmt.Println("== E8 (ablation): multicolumn vs single-column candidates ==")
 	cat := mustCatalog(scale)
-	queries, err := advisor.ParseWorkload([]string{
+	queries, err := recommend.ParseWorkload([]string{
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3 AND field BETWEEN 100 AND 120",
 		"SELECT objid FROM photoobj WHERE flags > 1000000000 AND mode = 1 AND status = 42",
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 10 AND 10.5 AND type = 6",
@@ -357,11 +378,18 @@ func runE8(scale int64) {
 	if err != nil {
 		fatal(err)
 	}
-	multi, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{})
+	multi, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	single, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{SingleColumnOnly: true})
+	single, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:          recommend.ObjectsIndexes,
+		Strategy:         recommend.StrategyILP,
+		SingleColumnOnly: true,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -384,7 +412,7 @@ func runE9(scale int64) {
 	if err != nil {
 		fatal(err)
 	}
-	cands := advisor.GenerateCandidates(cat, queries, advisor.Options{})
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
 	var jobs []costlab.Job
 	for _, q := range queries {
 		for _, spec := range cands {

@@ -50,13 +50,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 	"repro/internal/workload"
 )
@@ -312,7 +311,9 @@ func cmdPartitions(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.New(cat).SuggestPartitions(queries, autopart.Options{
+	res, err := core.New(cat).Recommend(context.Background(), queries, recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy,
 		ReplicationBudget: *replication,
 		Workers:           *workers,
 	})
@@ -320,7 +321,7 @@ func cmdPartitions(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "Automatic partition suggestion (%d queries, %d iterations)\n",
-		len(queries), res.Iterations)
+		len(queries), res.Rounds)
 	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx\n",
 		100*res.AvgBenefit(), res.Speedup())
 	for table, part := range res.Partitions {
@@ -365,27 +366,27 @@ func cmdIndexes(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := advisor.Options{
+	opts := recommend.Options{
+		Objects:          recommend.ObjectsIndexes,
+		Strategy:         recommend.StrategyILP,
 		StorageBudget:    *budget,
 		SingleColumnOnly: *single,
 		Backend:          *backend,
 		Workers:          *workers,
 	}
-	parsed, err := advisor.ParseWorkload(queries)
+	if *greedy {
+		opts.Strategy = recommend.StrategyGreedy
+	}
+	parsed, err := recommend.ParseWorkload(queries)
 	if err != nil {
 		return err
 	}
 	if *compress > 0 {
 		before := len(parsed)
-		parsed = advisor.CompressWorkload(cat, parsed, *compress)
+		parsed = recommend.CompressWorkload(cat, parsed, *compress)
 		fmt.Fprintf(stdout, "workload compressed: %d queries -> %d templates\n", before, len(parsed))
 	}
-	var res *advisor.Result
-	if *greedy {
-		res, err = advisor.SuggestIndexesGreedy(context.Background(), cat, parsed, opts)
-	} else {
-		res, err = advisor.SuggestIndexesILP(context.Background(), cat, parsed, opts)
-	}
+	res, err := recommend.Recommend(context.Background(), cat, parsed, opts)
 	if err != nil {
 		return err
 	}
@@ -398,7 +399,7 @@ func cmdIndexes(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx   size: %.1f MB\n",
 		100*res.AvgBenefit(), res.Speedup(), float64(res.SizeBytes)/(1<<20))
 	fmt.Fprintln(stdout, "  suggested indexes:")
-	for _, stmt := range advisor.MaterializeStatements(res.Indexes) {
+	for _, stmt := range recommend.MaterializeStatements(res.Design.Indexes) {
 		fmt.Fprintf(stdout, "    %s;\n", stmt)
 	}
 	fmt.Fprintln(stdout, "  per-query benefits:")

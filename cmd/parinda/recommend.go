@@ -16,7 +16,6 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/advisor"
 	"repro/internal/recommend"
 )
 
@@ -47,7 +46,7 @@ func cmdRecommend(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	parsed, err := advisor.ParseWorkload(queries)
+	parsed, err := recommend.ParseWorkload(queries)
 	if err != nil {
 		return err
 	}
@@ -97,7 +96,7 @@ func cmdRecommend(args []string, stdout, stderr io.Writer) error {
 		float64(res.SizeBytes)/(1<<20), float64(res.ReplicationBytes)/(1<<20))
 	if len(res.Design.Indexes) > 0 {
 		fmt.Fprintln(stdout, "  suggested indexes:")
-		for _, stmt := range advisor.MaterializeStatements(res.Design.Indexes) {
+		for _, stmt := range recommend.MaterializeStatements(res.Design.Indexes) {
 			fmt.Fprintf(stdout, "    %s;\n", stmt)
 		}
 	}

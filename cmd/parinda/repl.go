@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/ingest"
 	"repro/internal/recommend"
 	"repro/internal/session"
@@ -314,7 +313,7 @@ func replSuggest(s *session.DesignSession, rest string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "%s (%d candidates, %d rounds, %d evaluations, warm start: %d priced jobs reused):\n",
 		kind, res.Candidates, res.Rounds, res.Evaluations, res.MemoHits)
-	for _, stmt := range advisor.MaterializeStatements(res.Design.Indexes) {
+	for _, stmt := range recommend.MaterializeStatements(res.Design.Indexes) {
 		fmt.Fprintf(out, "  %s;\n", stmt)
 	}
 	for _, def := range res.Design.Partitions {

@@ -14,9 +14,9 @@
 //	internal/whatif     what-if sessions: hypothetical indexes/tables
 //	internal/inum       INUM scenario cache (single-session core)
 //	internal/intern     lock-free-read interning: canonical strings →
-//	                    dense uint32 ids (Table), an atomic-snapshot
-//	                    insert-once map (Map), and its sharded, optionally
-//	                    capped sibling (Bounded) with CLOCK eviction —
+//	                    dense uint32 ids (Table) and a sharded
+//	                    atomic-snapshot insert-once map, optionally
+//	                    capped with CLOCK eviction (Bounded) —
 //	                    the hot-path keying under costlab's memo, the
 //	                    SharedMemo and the ingest window, so steady-state
 //	                    pricing hashes two uint32s instead of printed SQL
@@ -30,20 +30,19 @@
 //	                    INUM backends, pooled sessions, parallel
 //	                    EvaluateAll batch driver
 //	internal/ilp        exact branch-and-bound ILP solver
-//	internal/recommend  unified joint physical-design recommender:
-//	                    candidate generators (index mining, atomic
-//	                    fragments), shared pruning/compression,
-//	                    interchangeable search strategies (greedy,
-//	                    ILP, budgeted anytime with best-so-far
-//	                    results), one evaluation core, and the lazy
+//	internal/recommend  the automatic components as one pipeline —
+//	                    index suggestion, AutoPart partition
+//	                    suggestion and the joint search: candidate
+//	                    generators (index mining, atomic fragments),
+//	                    shared pruning/compression, one greedy loop
+//	                    (budgeted anytime with best-so-far results;
+//	                    "greedy" is the same loop unbudgeted),
+//	                    AutoPart's refinement loop, the exact ILP
+//	                    strategy, one evaluation core, and the lazy
 //	                    candidate scorer (lazy.go) — per-candidate
 //	                    gain caching with footprint invalidation plus
-//	                    a CELF-style stale-bound heap — that the
-//	                    greedy and anytime sweeps price through
-//	internal/advisor    index advisor — thin wrapper over recommend;
-//	                    owns and registers the ILP strategy
-//	internal/autopart   AutoPart vertical partitioner — thin wrapper
-//	                    over recommend's partition-only greedy
+//	                    a CELF-style stale-bound heap — that the loop's
+//	                    index sweep prices through
 //	internal/rewrite    workload rewriting onto partition fragments
 //	internal/workload   SDSS-like schema, 30-query workload, generator
 //	internal/session    incremental design sessions: delta re-pricing,
@@ -56,6 +55,7 @@
 //	                    and idle-TTL eviction, asynchronous cancellable
 //	                    recommend jobs (one-shot and continuous),
 //	                    per-session streaming ingest endpoints,
+//	                    read-header/idle connection timeouts,
 //	                    graceful shutdown, and opt-in snapshot + WAL
 //	                    durability with op-log replay on boot — the
 //	                    `parinda serve` subcommand
@@ -81,7 +81,9 @@
 //	                    spans attributing plan calls and memo outcomes,
 //	                    log/slog construction helpers — behind GET
 //	                    /metrics and the serve middleware
-//	internal/core       PARINDA facade tying the components together
+//	internal/core       PARINDA facade: one-shot EvaluateDesign, a
+//	                    workload-parsing Recommend, and the what-if vs.
+//	                    materialized accuracy check
 //
 // See README.md for the layout and the session REPL commands, and
 // bench_test.go for the experiment harness (E1–E9).

@@ -6,11 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/advisor"
 	"repro/internal/core"
+	"repro/internal/recommend"
 	"repro/internal/workload"
 )
 
@@ -29,22 +30,25 @@ func main() {
 	fmt.Printf("workload: %d queries, index storage budget %d MB\n\n",
 		len(queries), budget>>20)
 
-	ilpRes, err := p.SuggestIndexes(queries, advisor.Options{StorageBudget: budget})
+	opts := recommend.Options{Objects: recommend.ObjectsIndexes, StorageBudget: budget}
+	opts.Strategy = recommend.StrategyILP
+	ilpRes, err := p.Recommend(context.Background(), queries, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedyRes, err := p.SuggestIndexesGreedy(queries, advisor.Options{StorageBudget: budget})
+	opts.Strategy = recommend.StrategyGreedy
+	greedyRes, err := p.Recommend(context.Background(), queries, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	show := func(name string, r *advisor.Result) {
+	show := func(name string, r *recommend.Result) {
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("  candidates considered: %d, solver work: %d, optimizer calls: %d\n",
 			r.Candidates, r.SolverWork, r.PlanCalls)
 		fmt.Printf("  workload cost %.0f -> %.0f  benefit %.1f%%  speedup %.2fx  size %.1f MB\n",
 			r.BaseCost, r.NewCost, 100*r.AvgBenefit(), r.Speedup(), float64(r.SizeBytes)/(1<<20))
-		for _, stmt := range advisor.MaterializeStatements(r.Indexes) {
+		for _, stmt := range recommend.MaterializeStatements(r.Design.Indexes) {
 			fmt.Printf("  %s;\n", stmt)
 		}
 		fmt.Println()

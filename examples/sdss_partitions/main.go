@@ -6,12 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
-	"repro/internal/autopart"
 	"repro/internal/core"
+	"repro/internal/recommend"
 	"repro/internal/workload"
 )
 
@@ -32,14 +33,16 @@ func main() {
 		all[25], all[26], all[27], // aggregates & pixel coords
 	}
 
-	res, err := p.SuggestPartitions(queries, autopart.Options{
-		ReplicationBudget: 256 << 20, // 256 MB of replicated columns
+	res, err := p.Recommend(context.Background(), queries, recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy, // partitions-only greedy is AutoPart
+		ReplicationBudget: 256 << 20,                // 256 MB of replicated columns
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("AutoPart finished after %d iterations\n", res.Iterations)
+	fmt.Printf("AutoPart finished after %d iterations\n", res.Rounds)
 	fmt.Printf("workload cost %.0f -> %.0f  benefit %.1f%%  speedup %.2fx\n\n",
 		res.BaseCost, res.NewCost, 100*res.AvgBenefit(), res.Speedup())
 

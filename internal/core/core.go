@@ -1,13 +1,13 @@
-// Package core is the PARINDA facade: the three components of Figure 1
-// behind one API.
+// Package core is the PARINDA facade over a schema catalog: the three
+// components of Figure 1 behind one type.
 //
 //   - Interactive partitioning/indexing: EvaluateDesign simulates a
 //     DBA-supplied design with what-if features and reports average and
 //     per-query benefit (§4, scenario 1).
-//   - Automatic index suggestion: SuggestIndexes / SuggestIndexesGreedy
-//     (§3.4, scenario 3).
-//   - Automatic partition suggestion: SuggestPartitions (§3.3,
-//     scenario 2).
+//   - Automatic index and partition suggestion: Recommend runs the
+//     unified pipeline of internal/recommend — index-only (§3.4,
+//     scenario 3), partition-only AutoPart (§3.3, scenario 2), or
+//     joint — selected by its Options.
 //
 // MaterializeAndCompare builds a design for real in a storage.Database
 // and verifies the what-if plans against the materialized plans — the
@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
@@ -72,43 +70,10 @@ func (p *PARINDA) EvaluateDesign(workloadSQL []string, d Design) (*InteractiveRe
 	return s.ApplyDesign(d)
 }
 
-// NewSession opens an incremental design session over the workload —
-// the stateful engine behind the `parinda session` REPL.
-func (p *PARINDA) NewSession(workloadSQL []string, opts session.Options) (*session.DesignSession, error) {
-	return session.New(p.cat, workloadSQL, opts)
-}
-
-// SuggestIndexes runs the ILP index advisor (scenario 3).
-func (p *PARINDA) SuggestIndexes(workloadSQL []string, opts advisor.Options) (*advisor.Result, error) {
-	queries, err := advisor.ParseWorkload(workloadSQL)
-	if err != nil {
-		return nil, err
-	}
-	return advisor.SuggestIndexesILP(context.Background(), p.cat, queries, opts)
-}
-
-// SuggestIndexesGreedy runs the greedy baseline advisor.
-func (p *PARINDA) SuggestIndexesGreedy(workloadSQL []string, opts advisor.Options) (*advisor.Result, error) {
-	queries, err := advisor.ParseWorkload(workloadSQL)
-	if err != nil {
-		return nil, err
-	}
-	return advisor.SuggestIndexesGreedy(context.Background(), p.cat, queries, opts)
-}
-
-// SuggestPartitions runs the AutoPart advisor (scenario 2).
-func (p *PARINDA) SuggestPartitions(workloadSQL []string, opts autopart.Options) (*autopart.Result, error) {
-	queries, err := advisor.ParseWorkload(workloadSQL)
-	if err != nil {
-		return nil, err
-	}
-	return autopart.Suggest(context.Background(), p.cat, queries, opts)
-}
-
-// Recommend runs the unified joint recommender (indexes and
-// partitions through one budgeted pipeline).
+// Recommend parses the workload and runs the unified recommender:
+// indexes, partitions or both through one budgeted pipeline.
 func (p *PARINDA) Recommend(ctx context.Context, workloadSQL []string, opts recommend.Options) (*recommend.Result, error) {
-	queries, err := advisor.ParseWorkload(workloadSQL)
+	queries, err := recommend.ParseWorkload(workloadSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +193,7 @@ func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d Design)
 	}
 
 	planner := optimizer.New(db.Catalog)
-	queries, err := advisor.ParseWorkload(workloadSQL)
+	queries, err := recommend.ParseWorkload(workloadSQL)
 	if err != nil {
 		return nil, err
 	}

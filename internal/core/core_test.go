@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/inum"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -111,40 +111,51 @@ func TestEvaluateDesignErrors(t *testing.T) {
 	}
 }
 
-func TestSuggestIndexesViaFacade(t *testing.T) {
+// TestRecommendViaFacade: the facade's single Recommend parses the
+// workload and reaches all three automatic scenarios — ILP and greedy
+// index suggestion (§3.4) and AutoPart (§3.3) — by its Options.
+func TestRecommendViaFacade(t *testing.T) {
 	p := planningPARINDA(t)
+	ctx := context.Background()
 	wl := []string{
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 179.9 AND 180.0",
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3 AND field BETWEEN 100 AND 110",
 	}
-	res, err := p.SuggestIndexes(wl, advisor.Options{})
+	res, err := p.Recommend(ctx, wl, recommend.Options{
+		Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Indexes) == 0 || res.Speedup() <= 1 {
-		t.Errorf("suggestion weak: %d indexes, speedup %.2f", len(res.Indexes), res.Speedup())
+	if len(res.Design.Indexes) == 0 || res.Speedup() <= 1 {
+		t.Errorf("suggestion weak: %d indexes, speedup %.2f", len(res.Design.Indexes), res.Speedup())
 	}
-	greedy, err := p.SuggestIndexesGreedy(wl, advisor.Options{})
+	greedy, err := p.Recommend(ctx, wl, recommend.Options{
+		Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyGreedy,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(greedy.Indexes) == 0 {
+	if len(greedy.Design.Indexes) == 0 {
 		t.Error("greedy suggested nothing")
 	}
-}
 
-func TestSuggestPartitionsViaFacade(t *testing.T) {
-	p := planningPARINDA(t)
-	wl := []string{
+	parts, err := p.Recommend(ctx, []string{
 		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 150",
 		"SELECT objid, u, g FROM photoobj WHERE u BETWEEN 14 AND 15",
-	}
-	res, err := p.SuggestPartitions(wl, autopart.Options{ReplicationBudget: 1 << 30})
+	}, recommend.Options{
+		Objects: recommend.ObjectsPartitions, Strategy: recommend.StrategyGreedy,
+		ReplicationBudget: 1 << 30,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup() <= 1 {
-		t.Errorf("partition speedup = %.2f", res.Speedup())
+	if parts.Speedup() <= 1 {
+		t.Errorf("partition speedup = %.2f", parts.Speedup())
+	}
+
+	if _, err := p.Recommend(ctx, []string{"SELECT nope FROM"}, recommend.Options{}); err == nil {
+		t.Error("bad workload accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Tests for the unified cost-estimation layer. They live in an
 // external test package so the seed workload and its catalog can be
-// reused without an import cycle (workload → advisor → costlab).
+// reused without an import cycle (workload → recommend → costlab).
 package costlab_test
 
 import (
@@ -12,10 +12,10 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/advisor"
 	"repro/internal/catalog"
 	"repro/internal/costlab"
 	"repro/internal/inum"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 	"repro/internal/workload"
 )
@@ -29,7 +29,7 @@ func seedCatalog(t testing.TB, scale int64) *catalog.Catalog {
 	return cat
 }
 
-func seedQueries(t testing.TB) []advisor.Query {
+func seedQueries(t testing.TB) []recommend.Query {
 	t.Helper()
 	qs, err := workload.ParseQueries()
 	if err != nil {
@@ -41,9 +41,9 @@ func seedQueries(t testing.TB) []advisor.Query {
 // pricingJobs builds the agreement/concurrency workload: every seed
 // query under the empty configuration and under a handful of mined
 // candidate indexes.
-func pricingJobs(t testing.TB, cat *catalog.Catalog, queries []advisor.Query, perQuery int) []costlab.Job {
+func pricingJobs(t testing.TB, cat *catalog.Catalog, queries []recommend.Query, perQuery int) []costlab.Job {
 	t.Helper()
-	cands := advisor.GenerateCandidates(cat, queries, advisor.Options{})
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
 	if len(cands) == 0 {
 		t.Fatal("no candidates mined from the seed workload")
 	}
@@ -324,7 +324,7 @@ func TestFullPlanNamesAlignWithConfig(t *testing.T) {
 func TestEvaluateMatrixShape(t *testing.T) {
 	cat := seedCatalog(t, 50000)
 	queries := seedQueries(t)[:5]
-	cands := advisor.GenerateCandidates(cat, queries, advisor.Options{})
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
 	cfgs := []costlab.Config{nil, {cands[0]}, {cands[len(cands)/2]}}
 	stmts := make([]*sql.Select, len(queries))
 	for i, q := range queries {

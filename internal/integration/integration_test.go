@@ -9,12 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/advisor"
-	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
+	"repro/internal/recommend"
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -46,15 +45,18 @@ func parse(t testing.TB, q string) *sql.Select {
 func TestSuggestedIndexReducesRealIO(t *testing.T) {
 	db := populate(t, 20000)
 	wl := []string{"SELECT objid FROM photoobj WHERE ra BETWEEN 100 AND 100.5"}
-	queries, err := advisor.ParseWorkload(wl)
+	queries, err := recommend.ParseWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := advisor.SuggestIndexesILP(context.Background(), db.Catalog, queries, advisor.Options{})
+	res, err := recommend.Recommend(context.Background(), db.Catalog, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Indexes) == 0 {
+	if len(res.Design.Indexes) == 0 {
 		t.Fatal("advisor found nothing for a selective range query")
 	}
 
@@ -68,7 +70,7 @@ func TestSuggestedIndexReducesRealIO(t *testing.T) {
 	}
 	missesBefore := run()
 
-	for i, spec := range res.Indexes {
+	for i, spec := range res.Design.Indexes {
 		ci := &sql.CreateIndex{
 			Name: "int_ix" + string(rune('a'+i)), Table: spec.Table, Columns: spec.Columns,
 		}
@@ -94,11 +96,14 @@ func TestEstimatedAndRealSpeedupAgreeInDirection(t *testing.T) {
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3",
 		"SELECT run, COUNT(*) FROM photoobj GROUP BY run", // unindexable
 	}
-	queries, err := advisor.ParseWorkload(wl)
+	queries, err := recommend.ParseWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := advisor.SuggestIndexesILP(context.Background(), db.Catalog, queries, advisor.Options{})
+	res, err := recommend.Recommend(context.Background(), db.Catalog, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +120,7 @@ func TestEstimatedAndRealSpeedupAgreeInDirection(t *testing.T) {
 	for i, q := range wl {
 		before[i] = missesFor(q)
 	}
-	for i, spec := range res.Indexes {
+	for i, spec := range res.Design.Indexes {
 		ci := &sql.CreateIndex{
 			Name: "dir_ix" + string(rune('a'+i)), Table: spec.Table, Columns: spec.Columns,
 		}
@@ -144,11 +149,13 @@ func TestAutoPartRewrittenWorkloadEquivalentOnRealData(t *testing.T) {
 		"SELECT objid, u, g FROM photoobj WHERE u BETWEEN 14 AND 16 ORDER BY objid",
 		"SELECT run, COUNT(*) AS n FROM photoobj GROUP BY run ORDER BY run",
 	}
-	queries, err := advisor.ParseWorkload(wl)
+	queries, err := recommend.ParseWorkload(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := autopart.Suggest(context.Background(), db.Catalog, queries, autopart.Options{
+	res, err := recommend.Recommend(context.Background(), db.Catalog, queries, recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy,
 		ReplicationBudget: 1 << 30,
 		Tables:            []string{"photoobj"},
 	})
@@ -257,7 +264,11 @@ func TestFullDemoPipeline(t *testing.T) {
 		t.Error("interactive scenario found no benefit")
 	}
 
-	parts, err := p.SuggestPartitions(wl[:6], autopart.Options{ReplicationBudget: 1 << 30})
+	parts, err := p.Recommend(context.Background(), wl[:6], recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy,
+		ReplicationBudget: 1 << 30,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +276,10 @@ func TestFullDemoPipeline(t *testing.T) {
 		t.Error("partition scenario regressed")
 	}
 
-	idx, err := p.SuggestIndexes(wl[:6], advisor.Options{})
+	idx, err := p.Recommend(context.Background(), wl[:6], recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +308,9 @@ func TestRewriterCoverageOfFullWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := autopart.Suggest(context.Background(), cat, queries, autopart.Options{
+	res, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:           recommend.ObjectsPartitions,
+		Strategy:          recommend.StrategyGreedy,
 		ReplicationBudget: 1 << 30,
 		Tables:            []string{"photoobj"},
 		MaxIterations:     3,

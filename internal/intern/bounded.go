@@ -10,16 +10,16 @@ import (
 // that per-shard snapshots stay dense.
 const DefaultShards = 16
 
-// Bounded is a sharded, optionally capped variant of Map: keys hash
-// onto a fixed power-of-two number of shards, each shard keeps the
-// same lock-free snapshot / mutex-guarded dirty-tier read path as Map,
-// and an optional per-map entry cap evicts cold entries with a CLOCK
-// (second-chance) sweep when a shard fills. With cap 0 it behaves like
-// a sharded Map: insert-once, never evicting.
+// Bounded is a sharded, optionally capped concurrent map: keys hash
+// onto a fixed power-of-two number of shards, each shard serves reads
+// lock-free from an immutable snapshot and takes writes in a
+// mutex-guarded dirty tier, and an optional per-map entry cap evicts
+// cold entries with a CLOCK (second-chance) sweep when a shard fills.
+// With cap 0 it is insert-once and never evicts.
 //
-// Eviction relaxes Map's "published entries are forever" contract to
-// "a present entry never changes, but may disappear": readers still
-// never observe a torn or stale value, only a miss where there was
+// Eviction relaxes the uncapped "published entries are forever"
+// contract to "a present entry never changes, but may disappear":
+// readers still never observe a torn or stale value, only a miss where there was
 // once a hit — callers must treat any miss as re-computable, which the
 // pricing memos this backs always could. Reads keep an entry warm by
 // setting its reference bit (one lock-free atomic store on the hit
@@ -220,7 +220,7 @@ func (b *Bounded[K, V]) evictLocked(sh *boundedShard[K, V]) {
 }
 
 // promoteLocked merges the dirty tier into a fresh snapshot using the
-// same growth policy as Map.promoteLocked. Callers hold sh.mu.
+// same growth policy as Table.promoteLocked. Callers hold sh.mu.
 func (sh *boundedShard[K, V]) promoteLocked() {
 	var snapLen int
 	snap := sh.snap.Load()

@@ -3,7 +3,7 @@
 // hot path compares and hashes two machine words instead of re-hashing
 // multi-hundred-byte keys on every memo probe.
 //
-// The package provides three building blocks:
+// The package provides two building blocks:
 //
 //   - Table interns strings to ids. Ids are dense, start at 1 (0 is
 //     reserved as "unset" so a zero-valued id field is never a valid
@@ -12,21 +12,18 @@
 //     makes "probe a memo with a key nobody ever stored" a guaranteed
 //     miss instead of interner pollution.
 //
-//   - Map is a read-optimized concurrent map: reads hit an immutable
-//     snapshot behind an atomic.Pointer without locking, writes go to
-//     a small mutex-guarded dirty tier that is merged into a fresh
-//     snapshot once it grows past a fraction of the snapshot (the same
+//   - Bounded is a read-optimized concurrent map, sharded by key
+//     hash: reads hit an immutable per-shard snapshot behind an
+//     atomic.Pointer without locking, writes go to a small
+//     mutex-guarded dirty tier that is merged into a fresh snapshot
+//     once it grows past a fraction of the snapshot (the same
 //     copy-on-write publication pattern ingest.Tuner uses for designs,
-//     generalized to a map). Values are insert-once: PutIfAbsent is
-//     the only write, so a published entry never changes and readers
-//     can never observe a torn or stale value.
-//
-//   - Bounded is Map sharded by key hash, with an optional entry cap
-//     enforced by CLOCK (second-chance) eviction — the bounded form
-//     the shared pricing memo runs under `serve -memo-cap`. Each shard
-//     keeps Map's lock-free snapshot read path; eviction relaxes
-//     insert-once to "an entry never changes while present, but a cold
-//     one may disappear".
+//     generalized to a map). PutIfAbsent is the only write, so a
+//     present entry never changes and readers can never observe a torn
+//     or stale value. An optional entry cap is enforced by CLOCK
+//     (second-chance) eviction — the form the shared pricing memo runs
+//     under `serve -memo-cap` — which relaxes insert-once to "an entry
+//     never changes while present, but a cold one may disappear".
 //
 // All types are safe for concurrent use by any number of readers and
 // writers. Ids are table-specific: never mix ids across tables.

@@ -99,75 +99,3 @@ func TestTableConcurrentAgreement(t *testing.T) {
 		t.Fatalf("Len = %d, want %d (no duplicate ids under contention)", tb.Len(), keys)
 	}
 }
-
-func TestMapInsertOnce(t *testing.T) {
-	var m Map[[2]uint32, float64]
-	k := [2]uint32{1, 2}
-	if _, ok := m.Get(k); ok {
-		t.Fatal("Get on empty map hit")
-	}
-	if !m.PutIfAbsent(k, 42) {
-		t.Fatal("first PutIfAbsent did not store")
-	}
-	if m.PutIfAbsent(k, 99) {
-		t.Fatal("second PutIfAbsent overwrote")
-	}
-	if v, ok := m.Get(k); !ok || v != 42 {
-		t.Fatalf("Get = %v,%v, want 42,true (first writer wins)", v, ok)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-}
-
-// Readers racing with writers across snapshot republications must only
-// ever observe complete entries: a value, once visible, matches what
-// its key's first writer stored and never disappears.
-func TestMapConcurrentVisibility(t *testing.T) {
-	var m Map[uint64, uint64]
-	const (
-		writers = 4
-		perW    = 400
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				k := uint64(w*perW + i)
-				m.PutIfAbsent(k, k*3+1)
-			}
-		}()
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seen := map[uint64]bool{}
-			for pass := 0; pass < 50; pass++ {
-				for k := uint64(0); k < writers*perW; k++ {
-					v, ok := m.Get(k)
-					if ok {
-						if v != k*3+1 {
-							panic(fmt.Sprintf("torn read: Get(%d) = %d, want %d", k, v, k*3+1))
-						}
-						seen[k] = true
-					} else if seen[k] {
-						panic(fmt.Sprintf("entry %d vanished after being visible", k))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Len() != writers*perW {
-		t.Fatalf("Len = %d, want %d", m.Len(), writers*perW)
-	}
-	for k := uint64(0); k < writers*perW; k++ {
-		if v, ok := m.Get(k); !ok || v != k*3+1 {
-			t.Fatalf("final Get(%d) = %v,%v, want %d,true", k, v, ok, k*3+1)
-		}
-	}
-}

@@ -3,27 +3,46 @@ package recommend
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/inum"
 )
 
-// defaultJointIterations bounds the joint loop when the caller sets no
-// explicit iteration limit; greedy acceptance converges far earlier on
-// real workloads.
+// defaultJointIterations bounds the loop when partition moves are in
+// play and the caller sets no explicit iteration limit; greedy
+// acceptance converges far earlier on real workloads.
 const defaultJointIterations = 64
 
-// searchAnytime is the budgeted anytime strategy: a joint greedy loop
-// in which every round may pick an index or a partitioning move —
-// splitting a table into its atomic fragments, or adding a composite
-// fragment to an existing split — scored by benefit per byte against
-// one storage budget shared across index bytes and partition
-// replication. The search honours ctx cancellation and the
-// max-evaluations/wall-clock budget in Options.Budget, checking
-// between candidate-design trials, and always returns the best design
-// found so far: the accepted design is best-so-far by construction
-// (only improving moves are applied), so the workload cost recorded in
-// CostTrace is monotonically non-increasing across rounds.
+// maxRounds resolves the loop's round cap: Options.MaxIterations, or a
+// bound derived from the problem. With index moves only, every round
+// consumes a candidate, so the candidate count bounds the search.
+func maxRounds(p *Problem) int {
+	switch {
+	case p.Opts.MaxIterations > 0:
+		return p.Opts.MaxIterations
+	case len(p.PartitionTables) == 0:
+		return len(p.IndexCandidates)
+	default:
+		return defaultJointIterations
+	}
+}
+
+// searchAnytime is the pipeline's one greedy loop — the "anytime"
+// strategy, and "greedy" for every search space but partitions-only
+// (see searchGreedy). Every round may pick an index or a partitioning
+// move — splitting a table into its atomic fragments, or adding a
+// composite fragment to an existing split — scored by benefit per byte
+// against one storage budget shared across index bytes and partition
+// replication. Without a partition generator it is the classic greedy
+// index advisor PARINDA's ILP is compared against (§1–2): that baseline
+// prunes the combination space aggressively, which is exactly the
+// behaviour whose lost opportunities the ILP strategy recovers.
+//
+// The search honours ctx cancellation and the max-evaluations /
+// wall-clock budget in Options.Budget, checking between candidate-design
+// trials, and always returns the best design found so far: the accepted
+// design is best-so-far by construction (only improving moves are
+// applied), so the workload cost recorded in CostTrace is monotonically
+// non-increasing across rounds.
 //
 // In the spirit of anytime approximation for decision procedures, the
 // quality of the answer degrades gracefully with the budget instead of
@@ -38,10 +57,7 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 		ctx, cancel = context.WithTimeout(ctx, opts.Budget.MaxDuration)
 		defer cancel()
 	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = defaultJointIterations
-	}
+	maxIter := maxRounds(p)
 
 	basePer, err := ev.BaseCosts(ctx)
 	if err != nil {
@@ -49,17 +65,17 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 	}
 	base := ev.WeightedTotal(basePer)
 
-	// The index-move sweep runs through the lazy scorer unless the
-	// caller asked for the eager baseline. Partitioning moves are
-	// always priced eagerly (each one re-plans the rewritten workload);
-	// the scorer is still told about them so its caches stay exact.
-	var ls *lazyScorer
-	if !opts.EagerSweep {
-		if ls, err = newLazyScorer(p); err != nil {
-			return nil, err
-		}
-		ls.setBase(basePer)
+	// Index moves are swept through the lazy scorer (lazy.go): gains
+	// stay cached across rounds, only footprint-stale queries are
+	// re-priced, and the CELF heap ends each sweep as soon as the best
+	// candidate is exactly known. Partitioning moves are priced over the
+	// full workload (each one re-plans the rewritten queries); the
+	// scorer is told about them so its caches stay exact.
+	ls, err := newLazyScorer(p)
+	if err != nil {
+		return nil, err
 	}
+	ls.setBase(basePer)
 
 	// Search state: the accepted design, which is also the best-so-far
 	// design at every point in time.
@@ -107,19 +123,6 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 	}
 
 	report(p, 0, base, current, "")
-	remaining := append([]inum.IndexSpec(nil), p.IndexCandidates...)
-	// Candidate sizes are design-independent: computed once here for
-	// the eager sweep (the lazy scorer holds its own copy), aligned
-	// with remaining.
-	var remSizes []int64
-	if opts.EagerSweep {
-		remSizes = make([]int64, len(remaining))
-		for i, spec := range remaining {
-			if remSizes[i], err = ev.SpecSizeBytes(spec); err != nil {
-				return nil, err
-			}
-		}
-	}
 
 	for rounds < maxIter {
 		if !budgetLeft() {
@@ -127,17 +130,12 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 			break
 		}
 		var best *move
-		stopped := false // budget ran out mid-sweep
 		bestScore := 0.0
 		consider := func(m *move) {
-			if m.gain <= 1e-9 {
+			if m.gain <= gainEps {
 				return
 			}
-			bytes := m.bytes
-			if bytes < 1 {
-				bytes = 1 // free moves score by raw gain
-			}
-			if score := m.gain / float64(bytes); score > bestScore {
+			if score := scoreOf(m.gain, m.bytes); score > bestScore {
 				bestScore, best = score, m
 			}
 		}
@@ -159,89 +157,45 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 
 		// Index moves. Candidates on currently partitioned tables are
 		// skipped: the rewritten workload no longer references the
-		// parent, so such an index can never be used. Lazy by default —
-		// the scorer re-prices only footprint-stale queries of
-		// candidates whose optimistic bound can still win the round.
-		if opts.EagerSweep {
-			for i, spec := range remaining {
-				if stopped {
-					break
+		// parent, so such an index can never be used.
+		res, err := ls.sweep(sweepHooks{
+			fits: func(c *lazyCand) bool {
+				if sel[c.spec.Table] != nil {
+					return false
 				}
-				if sel[spec.Table] != nil {
-					continue
-				}
-				sz := remSizes[i]
-				if opts.StorageBudget > 0 && ixSize+repl+sz > opts.StorageBudget {
-					continue
-				}
-				per, err := trial(designFromSelection(append(append(inum.Config(nil), chosen...), spec), sel))
+				return opts.StorageBudget <= 0 || ixSize+repl+c.size <= opts.StorageBudget
+			},
+			stop: func() bool { return !budgetLeft() },
+			price: func(c *lazyCand, sub []int) ([]float64, bool, error) {
+				d := designFromSelection(append(append(inum.Config(nil), chosen...), c.spec), sel)
+				per, err := ev.DesignCostsAt(ctx, d, sub)
 				if err != nil {
-					return nil, err
-				}
-				if per == nil {
-					stopped = true
-					break
-				}
-				cost := ev.WeightedTotal(per)
-				mc := MaintenanceCost(spec, sz, opts.UpdateRates)
-				consider(&move{
-					desc: "index " + spec.Key(),
-					per:  per, cost: cost,
-					gain:  current - cost - mc,
-					bytes: sz,
-					apply: func() {
-						chosen = append(chosen, remaining[i])
-						ixMeta[spec.Key()] = ixCost{size: sz, maint: mc}
-						ixSize += sz
-						maint += mc
-						remaining = append(remaining[:i], remaining[i+1:]...)
-						remSizes = append(remSizes[:i], remSizes[i+1:]...)
-					},
-				})
-			}
-		} else {
-			res, err := ls.sweep(sweepHooks{
-				fits: func(c *lazyCand) bool {
-					if sel[c.spec.Table] != nil {
-						return false
+					if budgetStopped(err) {
+						return nil, true, nil
 					}
-					return opts.StorageBudget <= 0 || ixSize+repl+c.size <= opts.StorageBudget
-				},
-				stop: func() bool { return !budgetLeft() },
-				price: func(c *lazyCand, sub []int) ([]float64, bool, error) {
-					d := designFromSelection(append(append(inum.Config(nil), chosen...), c.spec), sel)
-					per, err := ev.DesignCostsAt(ctx, d, sub)
-					if err != nil {
-						if budgetStopped(err) {
-							return nil, true, nil
-						}
-						return nil, false, err
-					}
-					return per, false, nil
+					return nil, false, err
+				}
+				return per, false, nil
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		stopped := res.stopped // budget ran out mid-sweep
+		if c := res.winner; c != nil {
+			consider(&move{
+				desc: "index " + c.spec.Key(),
+				per:  ls.patched(c), cost: res.cost,
+				gain:  res.gain,
+				bytes: c.size,
+				apply: func() {
+					chosen = append(chosen, c.spec)
+					ixMeta[c.spec.Key()] = ixCost{size: c.size, maint: c.maint}
+					ixSize += c.size
+					maint += c.maint
+					ls.applyIndex(c)
 				},
 			})
-			if err != nil {
-				return nil, err
-			}
-			if res.stopped {
-				stopped = true
-			}
-			if c := res.winner; c != nil {
-				spec, sz, mc := c.spec, c.size, c.maint
-				consider(&move{
-					desc: "index " + spec.Key(),
-					per:  ls.patched(c), cost: res.cost,
-					gain:  res.gain,
-					bytes: sz,
-					apply: func() {
-						chosen = append(chosen, spec)
-						ixMeta[spec.Key()] = ixCost{size: sz, maint: mc}
-						ixSize += sz
-						maint += mc
-						ls.applyIndex(c)
-					},
-				})
-			}
 		}
 
 		// Partitioning moves: split an intact table into its atomic
@@ -250,39 +204,7 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 			if stopped {
 				break
 			}
-			var cands [][][]string // each candidate is t's whole new selection
-			var descs []string
-			if sel[t] == nil {
-				if len(p.Atomic[t]) >= 2 {
-					cands = append(cands, append([][]string(nil), p.Atomic[t]...))
-					descs = append(descs, fmt.Sprintf("partition %s into %d atomic fragments", t, len(p.Atomic[t])))
-				}
-			} else {
-				have := map[string]bool{}
-				for _, f := range sel[t] {
-					have[fragKey(f)] = true
-				}
-				tried := map[string]bool{}
-				addCand := func(frag []string) {
-					k := fragKey(frag)
-					if have[k] || tried[k] {
-						return
-					}
-					tried[k] = true
-					cands = append(cands, append(append([][]string(nil), sel[t]...), frag))
-					descs = append(descs, fmt.Sprintf("fragment %s(%s)", t, k))
-				}
-				for _, s := range sel[t] {
-					for _, a := range p.Atomic[t] {
-						addCand(unionCols(s, a))
-					}
-				}
-				for i := range p.Atomic[t] {
-					for j := i + 1; j < len(p.Atomic[t]); j++ {
-						addCand(unionCols(p.Atomic[t][i], p.Atomic[t][j]))
-					}
-				}
-			}
+			cands, descs := partitionMoves(t, sel[t], p.Atomic[t])
 			// Partitioning t evicts its (now dead) chosen indexes, so
 			// their bytes count as freed in the shared-budget check.
 			var freed int64
@@ -340,12 +262,10 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 							kept = append(kept, spec)
 						}
 						chosen = kept
-						if ls != nil {
-							// The scorer absorbs the externally-priced
-							// move: candidates on t are dead, cached
-							// entries for queries touching t go stale.
-							ls.applyExternal(t, per)
-						}
+						// The scorer absorbs the externally-priced move:
+						// candidates on t are dead, cached entries for
+						// queries touching t go stale.
+						ls.applyExternal(t, per)
 					},
 				})
 			}

@@ -151,11 +151,11 @@ func capCandidates(cands []inum.IndexSpec, n int) []inum.IndexSpec {
 	return out
 }
 
-// SargableCandidates returns the indices of candidates whose leading
+// sargableCandidates returns the indices of candidates whose leading
 // column carries an equality or range predicate of q — the indexes a
 // bitmap-AND could combine for that query. The ILP advisor's pair
 // pricing is built on it.
-func SargableCandidates(cat *catalog.Catalog, q Query, candidates []inum.IndexSpec) []int {
+func sargableCandidates(cat *catalog.Catalog, q Query, candidates []inum.IndexSpec) []int {
 	uses := analyzeQuery(cat, q.Stmt)
 	var out []int
 	for ji, spec := range candidates {

@@ -1,11 +1,13 @@
 package recommend
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/costlab"
 	"repro/internal/inum"
+	"repro/internal/sql"
 )
 
 // Partition is one table's vertical partitioning: the column groups of
@@ -23,6 +25,21 @@ type Partition struct {
 type Design struct {
 	Indexes    []inum.IndexSpec `json:"indexes,omitempty"`
 	Partitions []Partition      `json:"partitions,omitempty"`
+}
+
+// MaterializeStatements renders a design's indexes as CREATE INDEX
+// DDL, for the "physically create the suggested set" GUI action.
+func MaterializeStatements(specs []inum.IndexSpec) []string {
+	out := make([]string, 0, len(specs))
+	for i, s := range specs {
+		ci := &sql.CreateIndex{
+			Name:    fmt.Sprintf("parinda_ix%d_%s", i+1, s.Table),
+			Table:   s.Table,
+			Columns: s.Columns,
+		}
+		out = append(out, sql.Print(ci))
+	}
+	return out
 }
 
 // selection returns the design's partitionings as the table → fragment
@@ -62,7 +79,7 @@ func designFromSelection(indexes []inum.IndexSpec, sel map[string][][]string) De
 
 // DesignKey canonicalizes a joint design for memoization. For a pure
 // index design it equals costlab.ConfigKey of the index set, so joint
-// pricing shares memo entries with advisor pricing jobs and the
+// pricing shares memo entries with index-only pricing jobs and the
 // cross-session SharedMemo cost tier.
 func DesignKey(d Design) string {
 	key := costlab.ConfigKey(costlab.Config(d.Indexes))

@@ -16,9 +16,7 @@ import (
 
 // Evaluator is the pipeline's single evaluation core: every candidate
 // design — an index configuration, a partition selection, or a joint
-// design mixing both — prices through it. It replaced the duplicated
-// workloadBaseCost/evaluateDesign loops the advisor and AutoPart each
-// carried.
+// design mixing both — prices through it.
 //
 // Index-only designs price through the selected costlab backend (INUM
 // or full optimizer) with memo-served warm starts; designs carrying
@@ -105,7 +103,7 @@ func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
 	for i, stmt := range ev.stmts {
 		jobs[i] = costlab.Job{Stmt: stmt, StmtID: ev.stmtIDs[i], CfgID: emptyCfg}
 	}
-	costs, err := ev.EvaluateJobs(ctx, jobs, 0)
+	costs, err := ev.evaluateJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -115,10 +113,9 @@ func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
 	return costs, nil
 }
 
-// EvaluateJobs prices a batch of (statement, index configuration)
-// jobs through the backend, serving repeats from the memo, and counts
-// trials candidate designs against the evaluation budget.
-func (ev *Evaluator) EvaluateJobs(ctx context.Context, jobs []costlab.Job, trials int) ([]float64, error) {
+// evaluateJobs prices a batch of (statement, index configuration)
+// jobs through the backend, serving repeats from the memo.
+func (ev *Evaluator) evaluateJobs(ctx context.Context, jobs []costlab.Job) ([]float64, error) {
 	costs, stats, err := costlab.EvaluateDelta(ctx, ev.est, jobs, ev.memo, ev.workers)
 	if err != nil {
 		return nil, err
@@ -127,15 +124,7 @@ func (ev *Evaluator) EvaluateJobs(ctx context.Context, jobs []costlab.Job, trial
 	// waited — no estimator call paid here, so they count as hits.
 	ev.memoHits.Add(int64(stats.Hits + stats.Coalesced))
 	ev.memoMisses.Add(int64(stats.Misses))
-	ev.trials.Add(int64(trials))
 	return costs, nil
-}
-
-// EvaluateGrouped prices a batch with shard-aware scheduling and no
-// memo — the ILP advisor's benefit-matrix sweep shape, where every job
-// is distinct by construction.
-func (ev *Evaluator) EvaluateGrouped(ctx context.Context, jobs []costlab.Job, group func(i int) int) ([]float64, error) {
-	return costlab.EvaluateAllGrouped(ctx, ev.est, jobs, group, ev.workers)
 }
 
 // DesignCosts prices every workload query under one joint design and
@@ -152,7 +141,7 @@ func (ev *Evaluator) DesignCosts(ctx context.Context, d Design) ([]float64, erro
 		for i, stmt := range ev.stmts {
 			jobs[i] = costlab.Job{Stmt: stmt, Config: cfg, StmtID: ev.stmtIDs[i], CfgID: cfgID}
 		}
-		return ev.EvaluateJobs(ctx, jobs, 0)
+		return ev.evaluateJobs(ctx, jobs)
 	}
 	return ev.partitionCosts(ctx, d)
 }
@@ -170,7 +159,7 @@ func (ev *Evaluator) DesignCostsAt(ctx context.Context, d Design, qs []int) ([]f
 		for p, i := range qs {
 			jobs[p] = costlab.Job{Stmt: ev.stmts[i], Config: cfg, StmtID: ev.stmtIDs[i], CfgID: cfgID}
 		}
-		return ev.EvaluateJobs(ctx, jobs, 0)
+		return ev.evaluateJobs(ctx, jobs)
 	}
 	return ev.partitionCostsAt(ctx, d, qs)
 }
@@ -322,8 +311,7 @@ type Report struct {
 }
 
 // Report prices every query under the chosen design with the full
-// optimizer (not the cache), producing the per-query report — the one
-// implementation behind the advisor's and AutoPart's result panels.
+// optimizer (not the cache), producing the per-query report.
 func (ev *Evaluator) Report(ctx context.Context, d Design) (*Report, error) {
 	base, err := ev.reportBaseCosts(ctx)
 	if err != nil {

@@ -12,9 +12,8 @@ import (
 
 // This file is the pipeline's partition-candidate machinery: atomic
 // fragments (AutoPart step 1), composite-fragment generation, fragment
-// naming, replication sizing, and selection pruning. It was hoisted
-// from internal/autopart so the joint recommender and the AutoPart
-// wrapper share one implementation.
+// naming, replication sizing, and selection pruning — one
+// implementation shared by the AutoPart loop and the joint search.
 
 // fragKey canonicalizes a column set.
 func fragKey(cols []string) string {
@@ -67,6 +66,54 @@ func AtomicFragments(tab *catalog.Table, queries []Query) [][]string {
 		return fragKey(fragments[i]) < fragKey(fragments[j])
 	})
 	return fragments
+}
+
+// compositeFragments generates one refinement step's candidates for a
+// table (AutoPart step 2): every selected ∪ atomic and atomic ∪ atomic
+// union that is not already selected, each column set once, in
+// generation order.
+func compositeFragments(selected, atomic [][]string) [][]string {
+	seen := map[string]bool{}
+	for _, f := range selected {
+		seen[fragKey(f)] = true
+	}
+	var out [][]string
+	add := func(frag []string) {
+		if k := fragKey(frag); !seen[k] {
+			seen[k] = true
+			out = append(out, frag)
+		}
+	}
+	for _, s := range selected {
+		for _, a := range atomic {
+			add(unionCols(s, a))
+		}
+	}
+	for i := range atomic {
+		for j := i + 1; j < len(atomic); j++ {
+			add(unionCols(atomic[i], atomic[j]))
+		}
+	}
+	return out
+}
+
+// partitionMoves lists table t's partitioning moves from its current
+// selection cur (nil = unpartitioned): splitting the intact table into
+// its atomic fragments, or adding one composite fragment to a split
+// one. Each move is t's whole new selection, with its progress label.
+func partitionMoves(t string, cur, atomic [][]string) (moves [][][]string, descs []string) {
+	if cur == nil {
+		if len(atomic) >= 2 {
+			moves = append(moves, append([][]string(nil), atomic...))
+			descs = append(descs, fmt.Sprintf("partition %s into %d atomic fragments", t, len(atomic)))
+		}
+		return moves, descs
+	}
+	for _, frag := range compositeFragments(cur, atomic) {
+		moves = append(moves, append(append([][]string(nil), cur...), frag))
+		descs = append(descs, fmt.Sprintf("fragment %s(%s)", t, fragKey(frag)))
+	}
+	return moves, descs
 }
 
 // QueryColumnsOnTable returns the set of tab's columns referenced by

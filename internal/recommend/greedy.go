@@ -3,224 +3,19 @@ package recommend
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/costlab"
-	"repro/internal/inum"
 )
 
-// searchGreedy is the classic run-to-convergence strategy. Its
-// index-only mode is the greedy baseline advisor PARINDA's ILP is
-// compared against (§1–2) and reproduces the legacy
-// advisor.SuggestIndexesGreedy round for round; its partition-only
-// mode is the AutoPart refinement loop (§3.3); the joint mode is the
-// budgeted anytime loop with no budget.
+// searchGreedy is the classic run-to-convergence strategy. For index
+// and joint searches it is the pipeline's one greedy loop
+// (searchAnytime), which with a zero Budget runs to convergence — so
+// "greedy" and "anytime" are the same search there. Partitions-only is
+// the exception: it runs AutoPart's own refinement loop (§3.3), a
+// different algorithm (mandatory atomic start, lowest-cost objective).
 func searchGreedy(ctx context.Context, p *Problem) (*Outcome, error) {
-	switch p.Opts.Objects {
-	case ObjectsIndexes:
-		return searchGreedyIndexes(ctx, p)
-	case ObjectsPartitions:
+	if p.Opts.Objects == ObjectsPartitions {
 		return searchAutoPart(ctx, p)
-	default:
-		return searchAnytime(ctx, p)
 	}
-}
-
-// searchGreedyIndexes: starting from the empty design, repeatedly add
-// the candidate with the highest benefit-per-byte that fits the
-// remaining budget, re-pricing the workload through the backend after
-// every addition, until no candidate improves the workload.
-//
-// By default the per-round sweep runs through the lazy scorer
-// (lazy.go): candidate gains stay cached across rounds, only
-// footprint-stale queries are re-priced, and the CELF heap stops each
-// sweep as soon as the best candidate is exactly known. The chosen
-// design — and every intermediate move — is identical to the eager
-// sweep's, which remains available via Options.EagerSweep as the
-// verification baseline.
-//
-// Greedy prunes the combination space aggressively — that is exactly
-// the behaviour whose lost opportunities the ILP strategy recovers.
-func searchGreedyIndexes(ctx context.Context, p *Problem) (*Outcome, error) {
-	if p.Opts.EagerSweep {
-		return searchGreedyIndexesEager(ctx, p)
-	}
-	ev := p.Eval
-	basePer, err := ev.BaseCosts(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := newLazyScorer(p)
-	if err != nil {
-		return nil, err
-	}
-	ls.setBase(basePer)
-	current := ls.current
-	base := current
-
-	var chosen inum.Config
-	var chosenSize int64
-	var totalMaint float64
-	evals := 0
-	trace := []float64{current}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := ls.sweep(sweepHooks{
-			fits: func(c *lazyCand) bool {
-				return p.Opts.StorageBudget <= 0 || chosenSize+c.size <= p.Opts.StorageBudget
-			},
-			price: func(c *lazyCand, sub []int) ([]float64, bool, error) {
-				trial := append(append(inum.Config(nil), chosen...), c.spec)
-				per, err := ev.DesignCostsAt(ctx, Design{Indexes: trial}, sub)
-				return per, false, err
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		evals += res.priced
-		c := res.winner
-		if c == nil {
-			break
-		}
-		chosen = append(chosen, c.spec)
-		chosenSize += c.size
-		totalMaint += c.maint
-		current = ls.applyIndex(c)
-		trace = append(trace, current)
-		report(p, len(trace)-1, base, current, "index "+c.spec.Key())
-	}
-
-	return &Outcome{
-		Design:      designFromSelection(chosen, nil),
-		BaseCost:    base,
-		Cost:        current,
-		PerCosts:    append([]float64(nil), ls.curPer...),
-		SizeBytes:   chosenSize,
-		Maintenance: totalMaint,
-		Rounds:      len(trace) - 1,
-		Work:        evals,
-		CostTrace:   trace,
-	}, nil
-}
-
-// searchGreedyIndexesEager is the pre-lazy sweep: every round rebuilds
-// one len(sweep)×len(queries) batch fanned out over the worker pool —
-// jobs already in the pricing memo (an earlier round, or an
-// interactive session handed in via Options.Memo) never reach the
-// estimator, but every candidate is still re-folded every round. Kept
-// as the baseline the lazy path is verified (and benchmarked) against.
-func searchGreedyIndexesEager(ctx context.Context, p *Problem) (*Outcome, error) {
-	ev := p.Eval
-	queries := p.Queries
-	basePer, err := ev.BaseCosts(ctx)
-	if err != nil {
-		return nil, err
-	}
-	current := ev.WeightedTotal(basePer)
-	base := current
-
-	var chosen inum.Config
-	var chosenSize int64
-	var totalMaint float64
-	remaining := append([]inum.IndexSpec(nil), p.IndexCandidates...)
-	// Candidate sizes are design-independent: compute them once, keep
-	// the slice aligned with remaining.
-	sizes := make([]int64, len(remaining))
-	for i, spec := range remaining {
-		if sizes[i], err = ev.SpecSizeBytes(spec); err != nil {
-			return nil, err
-		}
-	}
-	evals := 0
-	trace := []float64{current}
-
-	for len(remaining) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Candidates that still fit the budget, with their sizes.
-		type viable struct {
-			idx  int // position in remaining
-			size int64
-		}
-		var sweep []viable
-		for i := range remaining {
-			sz := sizes[i]
-			if p.Opts.StorageBudget > 0 && chosenSize+sz > p.Opts.StorageBudget {
-				continue
-			}
-			sweep = append(sweep, viable{idx: i, size: sz})
-		}
-		if len(sweep) == 0 {
-			break
-		}
-		// One batch prices every trial design over the whole workload.
-		jobs := make([]costlab.Job, 0, len(sweep)*len(queries))
-		for _, v := range sweep {
-			trial := append(append(inum.Config(nil), chosen...), remaining[v.idx])
-			for _, q := range queries {
-				jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: trial})
-			}
-		}
-		costs, err := ev.EvaluateJobs(ctx, jobs, len(sweep))
-		if err != nil {
-			return nil, err
-		}
-		evals += len(sweep)
-
-		bestIdx, bestCost := -1, current
-		bestScore, bestMaint := 0.0, 0.0
-		var bestSize int64
-		for vi, v := range sweep {
-			cost := 0.0
-			for qi, q := range queries {
-				cost += costs[vi*len(queries)+qi] * q.Weight
-			}
-			maint := MaintenanceCost(remaining[v.idx], v.size, p.Opts.UpdateRates)
-			gain := current - cost - maint
-			if gain <= 1e-9 {
-				continue
-			}
-			// Benefit per byte with the same zero-size clamp the anytime
-			// strategy applies (free moves score by raw gain): a
-			// zero-size candidate — e.g. an index over an empty table —
-			// must not score +Inf and silently outrank every real
-			// candidate the way it would under a bare gain/size.
-			bytes := v.size
-			if bytes < 1 {
-				bytes = 1
-			}
-			score := gain / float64(bytes)
-			if score > bestScore {
-				bestScore, bestIdx, bestCost, bestMaint, bestSize = score, v.idx, cost, maint, v.size
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		chosen = append(chosen, remaining[bestIdx])
-		chosenSize += bestSize
-		totalMaint += bestMaint
-		current = bestCost
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		sizes = append(sizes[:bestIdx], sizes[bestIdx+1:]...)
-		trace = append(trace, current)
-		report(p, len(trace)-1, base, current, "index "+chosen[len(chosen)-1].Key())
-	}
-
-	return &Outcome{
-		Design:      designFromSelection(chosen, nil),
-		BaseCost:    base,
-		Cost:        current,
-		SizeBytes:   chosenSize,
-		Maintenance: totalMaint,
-		Rounds:      len(trace) - 1,
-		Work:        evals,
-		CostTrace:   trace,
-	}, nil
+	return searchAnytime(ctx, p)
 }
 
 // searchAutoPart is the AutoPart refinement loop (§3.3): start from
@@ -258,6 +53,7 @@ func searchAutoPart(ctx context.Context, p *Problem) (*Outcome, error) {
 	// is not guaranteed cheaper than base, and the trace's contract is
 	// monotone non-increase across search rounds.
 	trace := []float64{currentCost}
+	report(p, 0, base, currentCost, "")
 
 	iterations := 0
 	for iterations < maxIter {
@@ -273,29 +69,7 @@ func searchAutoPart(ctx context.Context, p *Problem) (*Outcome, error) {
 		var bestPer []float64
 		bestCost := currentCost
 		for _, t := range tables {
-			have := map[string]bool{}
-			for _, f := range selected[t] {
-				have[fragKey(f)] = true
-			}
-			// Composite candidates: selected ∪ atomic, atomic ∪ atomic.
-			var cands [][]string
-			for _, s := range selected[t] {
-				for _, a := range p.Atomic[t] {
-					cands = append(cands, unionCols(s, a))
-				}
-			}
-			for i := range p.Atomic[t] {
-				for j := i + 1; j < len(p.Atomic[t]); j++ {
-					cands = append(cands, unionCols(p.Atomic[t][i], p.Atomic[t][j]))
-				}
-			}
-			tried := map[string]bool{}
-			for _, cand := range cands {
-				k := fragKey(cand)
-				if have[k] || tried[k] {
-					continue
-				}
-				tried[k] = true
+			for _, cand := range compositeFragments(selected[t], p.Atomic[t]) {
 				trial := copySelection(selected)
 				trial[t] = append(trial[t], cand)
 				if replicationOverhead(p.Cat, trial) > replBudget {
@@ -314,6 +88,9 @@ func searchAutoPart(ctx context.Context, p *Problem) (*Outcome, error) {
 			}
 		}
 		if best == nil {
+			// The converging iteration selected nothing but still
+			// completed (Rounds counts it), so it still checkpoints.
+			report(p, iterations, base, currentCost, "")
 			break
 		}
 		selected[best.table] = append(selected[best.table], best.frag)

@@ -1,30 +1,20 @@
-package advisor
+package recommend
 
 import (
 	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/catalog"
 	"repro/internal/costlab"
 	"repro/internal/ilp"
 	"repro/internal/inum"
-	"repro/internal/recommend"
 )
 
-// This file owns the ILP formulation and registers it as the unified
-// pipeline's "ilp" search strategy, so the exact solver is
-// interchangeable with the greedy and anytime strategies wherever the
-// pipeline is exposed (serve jobs, `parinda recommend`, the REPL).
-func init() {
-	recommend.RegisterStrategy(recommend.StrategyILP, searchILP)
-}
-
-// SuggestIndexesILP runs the ILP advisor: candidate generation, INUM
-// benefit pricing, ILP assembly and exact branch-and-bound solve — the
-// pipeline with the "ilp" strategy.
-//
-// The program (Papadomanolakis & Ailamaki, SMDB 2007):
+// searchILP is the exact index-selection strategy (§3.4): it prices the
+// candidate benefit matrix through the shared evaluation core, solves
+// the integer program of Papadomanolakis & Ailamaki (SMDB 2007)
+// exactly, and greedily polishes residual interactions within the
+// leftover budget.
 //
 //	maximize   Σ_q Σ_j w_q · b_qj · y_qj
 //	subject to y_qj ≤ x_j                     (use only built indexes)
@@ -33,32 +23,15 @@ func init() {
 //	           Σ_j size_j · x_j ≤ B           (storage budget)
 //	           x, y ∈ {0,1}
 //
-// where b_qj is the INUM-estimated benefit of index j for query q.
-// ctx cancels the search, aborting any in-flight pricing batch.
-func SuggestIndexesILP(ctx context.Context, cat *catalog.Catalog, queries []Query, opts Options) (*Result, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("advisor: empty workload")
-	}
-	rec, err := recommend.Recommend(ctx, cat, queries, opts.pipelineOptions(recommend.StrategyILP))
-	if err != nil {
-		return nil, err
-	}
-	return fromRecommend(rec), nil
-}
-
-// searchILP is the pipeline strategy: it prices the candidate benefit
-// matrix through the shared evaluation core, solves the ILP exactly,
-// and greedily polishes residual interactions within the leftover
-// budget.
-func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, error) {
-	if p.Opts.Objects != recommend.ObjectsIndexes {
-		return nil, fmt.Errorf("advisor: the ILP strategy searches indexes only (got objects %q)", p.Opts.Objects)
-	}
+// where b_qj is the backend-estimated benefit of index j for query q.
+// It searches indexes only; ValidateSearch rejects other object kinds
+// before a Problem is assembled.
+func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 	ev := p.Eval
 	queries := p.Queries
 	candidates := p.IndexCandidates
 	if len(candidates) == 0 {
-		return &recommend.Outcome{}, nil
+		return &Outcome{}, nil
 	}
 
 	// Base costs and the configuration benefit matrix via the pricing
@@ -86,7 +59,7 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 		// arms — a bitmap-AND of two individually useless indexes can
 		// still win, so pairing must not be restricted to singles
 		// that helped alone.
-		sargable := recommend.SargableCandidates(p.Cat, q, candidates)
+		sargable := sargableCandidates(p.Cat, q, candidates)
 		for ji, spec := range candidates {
 			sweep = append(sweep, priced{qi, []int{ji}})
 			jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: costlab.Config{spec}})
@@ -106,13 +79,14 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 	// The batch is built query-major (all configs of one query
 	// adjacent), which would serialize the INUM backend's shard
 	// mutexes; the grouped driver schedules it round-robin across
-	// queries instead.
-	costs, err := ev.EvaluateGrouped(ctx, jobs, func(i int) int {
+	// queries instead. Every job is distinct by construction, so the
+	// sweep bypasses the memo.
+	costs, err := costlab.EvaluateAllGrouped(ctx, ev.est, jobs, func(i int) int {
 		if i < len(queries) {
 			return i
 		}
 		return sweep[i-len(queries)].q
-	})
+	}, ev.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +192,7 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 	// (plus a tiny build penalty that keeps useless indexes out of
 	// the solution without distorting real benefits).
 	for ji, spec := range candidates {
-		maint := recommend.MaintenanceCost(spec, int64(sizes[ji]), p.Opts.UpdateRates)
+		maint := MaintenanceCost(spec, int64(sizes[ji]), p.Opts.UpdateRates)
 		prob.Objective[ji] = -maint - 1e-6
 	}
 
@@ -230,7 +204,7 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 		return nil, err
 	}
 	if sol.Status != ilp.Optimal && sol.Status != ilp.NodeLimit {
-		return nil, fmt.Errorf("advisor: ILP solve failed: %s", sol.Status)
+		return nil, fmt.Errorf("recommend: ILP solve failed: %s", sol.Status)
 	}
 
 	var chosen []inum.IndexSpec
@@ -258,10 +232,10 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 			return nil, err
 		}
 		size += sz
-		maint += recommend.MaintenanceCost(spec, sz, p.Opts.UpdateRates)
+		maint += MaintenanceCost(spec, sz, p.Opts.UpdateRates)
 	}
-	return &recommend.Outcome{
-		Design:      recommend.Design{Indexes: chosen},
+	return &Outcome{
+		Design:      Design{Indexes: chosen},
 		SizeBytes:   size,
 		Maintenance: maint,
 		Work:        sol.Nodes,
@@ -270,7 +244,7 @@ func searchILP(ctx context.Context, p *recommend.Problem) (*recommend.Outcome, e
 
 // polishSelection greedily adds leftover candidates that still fit the
 // budget and reduce the backend-priced workload cost of the full set.
-func polishSelection(ctx context.Context, p *recommend.Problem, chosen []inum.IndexSpec) ([]inum.IndexSpec, error) {
+func polishSelection(ctx context.Context, p *Problem, chosen []inum.IndexSpec) ([]inum.IndexSpec, error) {
 	ev := p.Eval
 	have := map[string]bool{}
 	var size int64
@@ -282,7 +256,7 @@ func polishSelection(ctx context.Context, p *recommend.Problem, chosen []inum.In
 		}
 		size += sz
 	}
-	current, err := ev.DesignCost(ctx, recommend.Design{Indexes: chosen})
+	current, err := ev.DesignCost(ctx, Design{Indexes: chosen})
 	if err != nil {
 		return nil, err
 	}
@@ -301,11 +275,11 @@ func polishSelection(ctx context.Context, p *recommend.Problem, chosen []inum.In
 				continue
 			}
 			trial := append(append([]inum.IndexSpec(nil), chosen...), spec)
-			cost, err := ev.DesignCost(ctx, recommend.Design{Indexes: trial})
+			cost, err := ev.DesignCost(ctx, Design{Indexes: trial})
 			if err != nil {
 				return nil, err
 			}
-			maint := recommend.MaintenanceCost(spec, sz, p.Opts.UpdateRates)
+			maint := MaintenanceCost(spec, sz, p.Opts.UpdateRates)
 			if cost+maint < current-1e-9 {
 				chosen = append(chosen, spec)
 				have[spec.Key()] = true

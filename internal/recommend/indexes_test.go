@@ -1,4 +1,8 @@
-package advisor
+// Index-suggestion tests (§3.4): candidate generation, the ILP and
+// greedy index searches, workload compression and DDL rendering, on a
+// small hand-built catalog. Ported from the former internal/advisor
+// wrapper package onto Recommend.
+package recommend_test
 
 import (
 	"context"
@@ -8,10 +12,23 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/inum"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 )
 
-func testCatalog(t testing.TB) *catalog.Catalog {
+// suggestIndexes runs an index-only search with the given strategy.
+func suggestIndexes(t testing.TB, cat *catalog.Catalog, qs []recommend.Query, strategy string, opts recommend.Options) *recommend.Result {
+	t.Helper()
+	opts.Objects, opts.Strategy = recommend.ObjectsIndexes, strategy
+	res, err := recommend.Recommend(context.Background(), cat, qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// smallCatalog is a two-table SDSS miniature with synthetic statistics.
+func smallCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	mk := func(ddl string, rows int64) *catalog.Table {
@@ -47,22 +64,13 @@ func testCatalog(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-func mustWorkload(t testing.TB, sqls ...string) []Query {
-	t.Helper()
-	qs, err := ParseWorkload(sqls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qs
-}
-
-func TestGenerateCandidates(t *testing.T) {
-	cat := testCatalog(t)
+func TestIndexCandidates(t *testing.T) {
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE run = 125 AND camcol = 3 AND ra BETWEEN 10 AND 10.2",
 		"SELECT p.objid FROM photoobj p, specobj s WHERE p.objid = s.bestobjid AND s.z > 2.5 ORDER BY s.z",
 	)
-	cands := GenerateCandidates(cat, qs, Options{})
+	cands := recommend.IndexCandidates(cat, qs, recommend.CandidateOptions{})
 	keys := map[string]bool{}
 	for _, c := range cands {
 		keys[c.Key()] = true
@@ -77,7 +85,7 @@ func TestGenerateCandidates(t *testing.T) {
 		}
 	}
 	// Deterministic and deduplicated.
-	again := GenerateCandidates(cat, qs, Options{})
+	again := recommend.IndexCandidates(cat, qs, recommend.CandidateOptions{})
 	if len(again) != len(cands) {
 		t.Error("candidate generation nondeterministic")
 	}
@@ -88,10 +96,10 @@ func TestGenerateCandidates(t *testing.T) {
 	}
 }
 
-func TestGenerateCandidatesSingleColumnOnly(t *testing.T) {
-	cat := testCatalog(t)
+func TestIndexCandidatesSingleColumnOnly(t *testing.T) {
+	cat := smallCatalog(t)
 	qs := mustWorkload(t, "SELECT objid FROM photoobj WHERE run = 1 AND ra BETWEEN 1 AND 2")
-	cands := GenerateCandidates(cat, qs, Options{SingleColumnOnly: true})
+	cands := recommend.IndexCandidates(cat, qs, recommend.CandidateOptions{SingleColumnOnly: true})
 	for _, c := range cands {
 		if len(c.Columns) != 1 {
 			t.Errorf("single-column mode emitted %v", c)
@@ -99,11 +107,11 @@ func TestGenerateCandidatesSingleColumnOnly(t *testing.T) {
 	}
 }
 
-func TestGenerateCandidatesWidthLimit(t *testing.T) {
-	cat := testCatalog(t)
+func TestIndexCandidatesWidthLimit(t *testing.T) {
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE run = 1 AND camcol = 2 AND type = 3 AND ra BETWEEN 1 AND 2")
-	cands := GenerateCandidates(cat, qs, Options{MaxIndexColumns: 2})
+	cands := recommend.IndexCandidates(cat, qs, recommend.CandidateOptions{MaxIndexColumns: 2})
 	for _, c := range cands {
 		if len(c.Columns) > 2 {
 			t.Errorf("width limit violated: %v", c)
@@ -111,18 +119,15 @@ func TestGenerateCandidatesWidthLimit(t *testing.T) {
 	}
 }
 
-func TestILPAdvisorFindsUsefulIndexes(t *testing.T) {
-	cat := testCatalog(t)
+func TestILPFindsUsefulIndexes(t *testing.T) {
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2 AND dec BETWEEN 0 AND 0.2",
 		"SELECT objid FROM photoobj WHERE run = 125 AND camcol = 3",
 		"SELECT objid, r FROM photoobj WHERE ra BETWEEN 200 AND 200.1",
 	)
-	res, err := SuggestIndexesILP(context.Background(), cat, qs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Indexes) == 0 {
+	res := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{})
+	if len(res.Design.Indexes) == 0 {
 		t.Fatal("no indexes suggested")
 	}
 	if res.Speedup() < 2 {
@@ -138,7 +143,7 @@ func TestILPAdvisorFindsUsefulIndexes(t *testing.T) {
 			used[u] = true
 		}
 	}
-	for _, ix := range res.Indexes {
+	for _, ix := range res.Design.Indexes {
 		if !used[ix.Key()] {
 			t.Errorf("suggested index %s unused by every query", ix.Key())
 		}
@@ -149,30 +154,24 @@ func TestILPAdvisorFindsUsefulIndexes(t *testing.T) {
 }
 
 func TestILPRespectsStorageBudget(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2",
 		"SELECT objid FROM photoobj WHERE dec BETWEEN 0 AND 0.2",
 		"SELECT objid FROM photoobj WHERE run = 125",
 	)
-	unlimited, err := SuggestIndexesILP(context.Background(), cat, qs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unlimited.Indexes) < 2 {
-		t.Skipf("need >= 2 indexes unlimited, got %d", len(unlimited.Indexes))
+	unlimited := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{})
+	if len(unlimited.Design.Indexes) < 2 {
+		t.Skipf("need >= 2 indexes unlimited, got %d", len(unlimited.Design.Indexes))
 	}
 	// Budget for roughly one index.
 	budget := unlimited.SizeBytes / 2
-	limited, err := SuggestIndexesILP(context.Background(), cat, qs, Options{StorageBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
+	limited := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{StorageBudget: budget})
 	if limited.SizeBytes > budget {
 		t.Errorf("budget violated: %d > %d", limited.SizeBytes, budget)
 	}
-	if len(limited.Indexes) >= len(unlimited.Indexes) {
-		t.Errorf("budget did not shrink the design: %d vs %d", len(limited.Indexes), len(unlimited.Indexes))
+	if len(limited.Design.Indexes) >= len(unlimited.Design.Indexes) {
+		t.Errorf("budget did not shrink the design: %d vs %d", len(limited.Design.Indexes), len(unlimited.Design.Indexes))
 	}
 	// Still beneficial.
 	if limited.NewCost >= limited.BaseCost {
@@ -180,17 +179,14 @@ func TestILPRespectsStorageBudget(t *testing.T) {
 	}
 }
 
-func TestGreedyAdvisor(t *testing.T) {
-	cat := testCatalog(t)
+func TestGreedyIndexSearch(t *testing.T) {
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2",
 		"SELECT objid FROM photoobj WHERE run = 125 AND camcol = 3",
 	)
-	res, err := SuggestIndexesGreedy(context.Background(), cat, qs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Indexes) == 0 {
+	res := suggestIndexes(t, cat, qs, recommend.StrategyGreedy, recommend.Options{})
+	if len(res.Design.Indexes) == 0 {
 		t.Fatal("greedy suggested nothing")
 	}
 	if res.NewCost >= res.BaseCost {
@@ -202,7 +198,7 @@ func TestGreedyAdvisor(t *testing.T) {
 }
 
 func TestILPAtLeastAsGoodAsGreedyUnderBudget(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	// Workload designed so greedy's benefit-per-byte ordering is
 	// misleading: several medium-benefit cheap indexes vs. fewer
 	// large ones; the exact solver must not do worse.
@@ -215,14 +211,8 @@ func TestILPAtLeastAsGoodAsGreedyUnderBudget(t *testing.T) {
 	)
 	budgets := []int64{8 << 20, 16 << 20, 64 << 20}
 	for _, budget := range budgets {
-		ilpRes, err := SuggestIndexesILP(context.Background(), cat, qs, Options{StorageBudget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		greedyRes, err := SuggestIndexesGreedy(context.Background(), cat, qs, Options{StorageBudget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ilpRes := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{StorageBudget: budget})
+		greedyRes := suggestIndexes(t, cat, qs, recommend.StrategyGreedy, recommend.Options{StorageBudget: budget})
 		// Compare achieved workload cost; allow tiny numerical slack.
 		if ilpRes.NewCost > greedyRes.NewCost*1.05 {
 			t.Errorf("budget %d: ILP cost %v worse than greedy %v",
@@ -231,21 +221,11 @@ func TestILPAtLeastAsGoodAsGreedyUnderBudget(t *testing.T) {
 	}
 }
 
-func TestEmptyWorkloadErrors(t *testing.T) {
-	cat := testCatalog(t)
-	if _, err := SuggestIndexesILP(context.Background(), cat, nil, Options{}); err == nil {
-		t.Error("ILP accepted empty workload")
-	}
-	if _, err := SuggestIndexesGreedy(context.Background(), cat, nil, Options{}); err == nil {
-		t.Error("greedy accepted empty workload")
-	}
-}
-
 func TestParseWorkloadErrors(t *testing.T) {
-	if _, err := ParseWorkload([]string{"SELECT FROM"}); err == nil {
+	if _, err := recommend.ParseWorkload([]string{"SELECT FROM"}); err == nil {
 		t.Error("bad SQL accepted")
 	}
-	if _, err := ParseWorkload([]string{"CREATE TABLE t (a int)"}); err == nil {
+	if _, err := recommend.ParseWorkload([]string{"CREATE TABLE t (a int)"}); err == nil {
 		t.Error("non-SELECT accepted")
 	}
 }
@@ -255,7 +235,7 @@ func TestMaterializeStatements(t *testing.T) {
 		{Table: "photoobj", Columns: []string{"ra", "dec"}},
 		{Table: "specobj", Columns: []string{"z"}},
 	}
-	stmts := MaterializeStatements(specs)
+	stmts := recommend.MaterializeStatements(specs)
 	if len(stmts) != 2 {
 		t.Fatalf("statements = %v", stmts)
 	}
@@ -274,18 +254,18 @@ func TestMaterializeStatements(t *testing.T) {
 }
 
 func TestQueryBenefitSpeedup(t *testing.T) {
-	qb := QueryBenefit{BaseCost: 100, NewCost: 25}
+	qb := recommend.QueryBenefit{BaseCost: 100, NewCost: 25}
 	if qb.Speedup() != 4 {
 		t.Errorf("speedup = %v", qb.Speedup())
 	}
-	qb = QueryBenefit{BaseCost: 100, NewCost: 0}
+	qb = recommend.QueryBenefit{BaseCost: 100, NewCost: 0}
 	if qb.Speedup() != 1 {
 		t.Errorf("degenerate speedup = %v", qb.Speedup())
 	}
 }
 
 func TestWeightsInfluenceSelection(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2",
 		"SELECT objid FROM photoobj WHERE dec BETWEEN 0 AND 0.2",
@@ -299,34 +279,28 @@ func TestWeightsInfluenceSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SuggestIndexesILP(context.Background(), cat, qs, Options{StorageBudget: oneIx + oneIx/4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{StorageBudget: oneIx + oneIx/4})
 	foundDec := false
-	for _, ix := range res.Indexes {
+	for _, ix := range res.Design.Indexes {
 		if len(ix.Columns) >= 1 && ix.Columns[0] == "dec" {
 			foundDec = true
 		}
 	}
 	if !foundDec {
-		t.Errorf("weighted query's index not chosen: %v", res.Indexes)
+		t.Errorf("weighted query's index not chosen: %v", res.Design.Indexes)
 	}
 }
 
 func TestUpdateRatesSuppressIndexesOnHotTables(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2",
 		"SELECT specid FROM specobj WHERE z BETWEEN 2.98 AND 3.0",
 	)
 	// Without updates both tables get indexes.
-	calm, err := SuggestIndexesILP(context.Background(), cat, qs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasTable := func(res *Result, table string) bool {
-		for _, ix := range res.Indexes {
+	calm := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{})
+	hasTable := func(res *recommend.Result, table string) bool {
+		for _, ix := range res.Design.Indexes {
 			if ix.Table == table {
 				return true
 			}
@@ -334,48 +308,39 @@ func TestUpdateRatesSuppressIndexesOnHotTables(t *testing.T) {
 		return false
 	}
 	if !hasTable(calm, "photoobj") || !hasTable(calm, "specobj") {
-		t.Skipf("baseline did not index both tables: %v", calm.Indexes)
+		t.Skipf("baseline did not index both tables: %v", calm.Design.Indexes)
 	}
 	if calm.MaintenanceCost != 0 {
 		t.Errorf("maintenance without updates = %v", calm.MaintenanceCost)
 	}
 	// A very hot photoobj makes its index not worth maintaining.
-	hot, err := SuggestIndexesILP(context.Background(), cat, qs, Options{
+	hot := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{
 		UpdateRates: map[string]float64{"photoobj": 1e6},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if hasTable(hot, "photoobj") {
-		t.Errorf("index kept on heavily updated table: %v", hot.Indexes)
+		t.Errorf("index kept on heavily updated table: %v", hot.Design.Indexes)
 	}
 	if !hasTable(hot, "specobj") {
-		t.Errorf("cold table lost its index: %v", hot.Indexes)
+		t.Errorf("cold table lost its index: %v", hot.Design.Indexes)
 	}
 	// Greedy honours the same constraint.
-	hotGreedy, err := SuggestIndexesGreedy(context.Background(), cat, qs, Options{
+	hotGreedy := suggestIndexes(t, cat, qs, recommend.StrategyGreedy, recommend.Options{
 		UpdateRates: map[string]float64{"photoobj": 1e6},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if hasTable(hotGreedy, "photoobj") {
-		t.Errorf("greedy kept index on hot table: %v", hotGreedy.Indexes)
+		t.Errorf("greedy kept index on hot table: %v", hotGreedy.Design.Indexes)
 	}
 	// Moderate updates: index survives but maintenance is reported.
-	warm, err := SuggestIndexesILP(context.Background(), cat, qs, Options{
+	warm := suggestIndexes(t, cat, qs, recommend.StrategyILP, recommend.Options{
 		UpdateRates: map[string]float64{"photoobj": 10},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if hasTable(warm, "photoobj") && warm.MaintenanceCost <= 0 {
 		t.Error("maintenance cost not reported")
 	}
 }
 
 func TestCompressWorkloadGroupsTemplates(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	// 3 templates, 9 queries: cone searches (different constants),
 	// run lookups, and a join.
 	var sqls []string
@@ -391,7 +356,7 @@ func TestCompressWorkloadGroupsTemplates(t *testing.T) {
 		"SELECT p.objid FROM photoobj p, specobj s WHERE p.objid = s.bestobjid AND s.z > 2.5",
 	)
 	qs := mustWorkload(t, sqls...)
-	compressed := CompressWorkload(cat, qs, 5)
+	compressed := recommend.CompressWorkload(cat, qs, 5)
 	if len(compressed) != 3 {
 		t.Fatalf("compressed to %d templates, want 3", len(compressed))
 	}
@@ -409,32 +374,29 @@ func TestCompressWorkloadGroupsTemplates(t *testing.T) {
 	}
 	// The advisor over the compressed workload still finds the right
 	// indexes.
-	res, err := SuggestIndexesILP(context.Background(), cat, compressed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := suggestIndexes(t, cat, compressed, recommend.StrategyILP, recommend.Options{})
 	found := map[string]bool{}
-	for _, ix := range res.Indexes {
+	for _, ix := range res.Design.Indexes {
 		found[ix.Key()] = true
 	}
 	if !found["photoobj(ra)"] {
-		t.Errorf("compressed workload lost the ra index: %v", res.Indexes)
+		t.Errorf("compressed workload lost the ra index: %v", res.Design.Indexes)
 	}
 }
 
 func TestCompressWorkloadNoopWhenSmall(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	qs := mustWorkload(t, "SELECT objid FROM photoobj WHERE ra > 1")
-	if got := CompressWorkload(cat, qs, 10); len(got) != 1 {
+	if got := recommend.CompressWorkload(cat, qs, 10); len(got) != 1 {
 		t.Errorf("compressed a small workload: %v", got)
 	}
-	if got := CompressWorkload(cat, qs, 0); len(got) != 1 {
+	if got := recommend.CompressWorkload(cat, qs, 0); len(got) != 1 {
 		t.Errorf("maxQueries=0 should be a no-op: %v", got)
 	}
 }
 
 func TestCompressWorkloadHardCap(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	// 4 distinct templates, cap at 2: keep the heaviest two.
 	qs := mustWorkload(t,
 		"SELECT objid FROM photoobj WHERE ra > 1",
@@ -444,7 +406,7 @@ func TestCompressWorkloadHardCap(t *testing.T) {
 	)
 	qs[1].Weight = 10
 	qs[2].Weight = 5
-	got := CompressWorkload(cat, qs, 2)
+	got := recommend.CompressWorkload(cat, qs, 2)
 	if len(got) != 2 {
 		t.Fatalf("cap violated: %d", len(got))
 	}
@@ -458,7 +420,7 @@ func TestCompressWorkloadHardCap(t *testing.T) {
 // templates; the ILP over the compressed workload must match or beat
 // greedy over the same input, and both must beat doing nothing.
 func TestLargeWorkloadViaCompression(t *testing.T) {
-	cat := testCatalog(t)
+	cat := smallCatalog(t)
 	// Generate instances against this test's schema (subset of the
 	// full SDSS schema): cone searches and run lookups.
 	var sqls []string
@@ -471,44 +433,17 @@ func TestLargeWorkloadViaCompression(t *testing.T) {
 			"SELECT objid FROM photoobj WHERE run = %d AND camcol = %d", run, 1+i%6))
 	}
 	qs := mustWorkload(t, sqls...)
-	compressed := CompressWorkload(cat, qs, 10)
+	compressed := recommend.CompressWorkload(cat, qs, 10)
 	if len(compressed) >= len(qs) {
 		t.Fatalf("no compression: %d", len(compressed))
 	}
-	ilpRes, err := SuggestIndexesILP(context.Background(), cat, compressed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedyRes, err := SuggestIndexesGreedy(context.Background(), cat, compressed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ilpRes := suggestIndexes(t, cat, compressed, recommend.StrategyILP, recommend.Options{})
+	greedyRes := suggestIndexes(t, cat, compressed, recommend.StrategyGreedy, recommend.Options{})
 	if ilpRes.NewCost > greedyRes.NewCost*1.05 {
 		t.Errorf("ILP (%v) worse than greedy (%v) on compressed workload",
 			ilpRes.NewCost, greedyRes.NewCost)
 	}
 	if ilpRes.Speedup() < 2 {
 		t.Errorf("large-workload speedup = %.2f", ilpRes.Speedup())
-	}
-}
-
-// TestResultDegenerateGuards: Speedup/AvgBenefit on zero base costs
-// (empty or free workloads) must return their identity values, never
-// NaN or Inf.
-func TestResultDegenerateGuards(t *testing.T) {
-	zero := &Result{}
-	if zero.Speedup() != 1 {
-		t.Errorf("zero-cost speedup = %v, want 1", zero.Speedup())
-	}
-	if zero.AvgBenefit() != 0 {
-		t.Errorf("zero-cost benefit = %v, want 0", zero.AvgBenefit())
-	}
-	freeBase := &Result{BaseCost: 0, NewCost: 42}
-	if s := freeBase.Speedup(); s != 1 {
-		t.Errorf("zero-base speedup = %v, want 1", s)
-	}
-	freeNew := &Result{BaseCost: 42, NewCost: 0}
-	if s := freeNew.Speedup(); s != 1 {
-		t.Errorf("zero-new speedup = %v, want 1", s)
 	}
 }

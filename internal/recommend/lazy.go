@@ -1,10 +1,11 @@
 package recommend
 
-// Lazy, footprint-pruned candidate scoring for the greedy searches.
+// Lazy, footprint-pruned candidate scoring for the greedy loop.
 //
-// The eager sweep rebuilds a len(candidates) × len(queries) pricing
-// batch every round even though applying a move changes the plans of
-// only the queries that touch the moved table. This file is the
+// An exhaustive sweep — the specification, kept as the test oracle in
+// oracle_test.go — prices len(candidates) × len(queries) jobs every
+// round even though applying a move changes the plans of only the
+// queries that touch the moved table. This file is the
 // search-side analogue of the design-session invariant ("re-price only
 // footprint-intersecting queries"): it keeps, per candidate, an exact
 // per-query trial-cost cache over the candidate's own footprint and
@@ -28,12 +29,12 @@ package recommend
 //     because no stale bound below it can beat an exact score above
 //     it. Most candidates are never re-priced in most rounds.
 //
-// The sweep reproduces the eager sweep's choices bit for bit: exact
-// scores are computed by patching the cached entries into the current
-// per-query vector and folding it in workload order — the identical
-// floating-point sum the eager code produces — and heap ties break by
-// original candidate position, mirroring the eager loop's strict
-// "first maximum wins" scan.
+// The sweep reproduces the exhaustive sweep's choices bit for bit:
+// exact scores are computed by patching the cached entries into the
+// current per-query vector and folding it in workload order — the
+// identical floating-point sum a full re-pricing produces — and heap
+// ties break by original candidate position, mirroring the exhaustive
+// scan's strict "first maximum wins".
 
 import (
 	"container/heap"
@@ -48,11 +49,11 @@ const gainEps = 1e-9
 
 // lazyCand is one index candidate with its cached trial costs.
 type lazyCand struct {
-	pos  int // position in the candidate list — the eager tie-break order
+	pos  int // position in the candidate list — the tie-break order
 	spec inum.IndexSpec
 
 	// size and maint are design-independent; computed once at search
-	// start (the eager loops used to recompute size every round).
+	// start.
 	size  int64
 	maint float64
 
@@ -121,7 +122,7 @@ func (ls *lazyScorer) setBase(per []float64) {
 // trialCost folds c's trial design into the weighted workload total:
 // cached entries over c's footprint, the current costs everywhere
 // else. Summed in workload order so the result is bit-identical to the
-// eager sweep's fold over a full per-query vector. Exact only when c
+// exhaustive sweep's fold over a full per-query vector. Exact only when c
 // has no stale entries.
 func (ls *lazyScorer) trialCost(c *lazyCand) float64 {
 	total := 0.0
@@ -185,7 +186,7 @@ func (ls *lazyScorer) applyIndex(c *lazyCand) float64 {
 }
 
 // applyExternal commits a move the scorer did not price — an anytime
-// partitioning move on table t, priced eagerly over the full workload.
+// partitioning move on table t, priced over the full workload.
 // perNew becomes the current vector; candidates on t are dead (the
 // rewritten workload never references the parent table), and cache
 // entries for queries touching t go stale everywhere else.
@@ -225,13 +226,13 @@ func scoreOf(gain float64, bytes int64) float64 {
 	return gain / float64(bytes)
 }
 
-// sweepHooks parameterize one round's sweep for the host strategy.
+// sweepHooks are the search loop's side of one round's sweep.
 type sweepHooks struct {
 	// fits filters candidates for this round (storage budget,
-	// partitioned-table exclusion). nil admits everything.
+	// partitioned-table exclusion).
 	fits func(*lazyCand) bool
 	// stop reports that the evaluation budget ran out; checked before
-	// each re-pricing. nil means unbudgeted.
+	// each re-pricing.
 	stop func() bool
 	// price returns c's trial costs for the query subset sub (workload
 	// positions, ascending), aligned with sub. A true second result
@@ -243,10 +244,8 @@ type sweepHooks struct {
 type sweepResult struct {
 	winner  *lazyCand
 	gain    float64 // exact gain of winner (maintenance subtracted)
-	score   float64 // benefit per byte of winner
 	cost    float64 // full-workload weighted cost of winner's trial
 	stopped bool    // budget ran out mid-sweep; winner is best-so-far
-	priced  int     // candidates re-priced this round
 }
 
 // sweepEntry is one heap element: a candidate with either its exact
@@ -260,7 +259,7 @@ type sweepEntry struct {
 }
 
 // sweepHeap orders by score descending, breaking ties by original
-// candidate position — the eager loop's "first strict maximum wins".
+// candidate position — the exhaustive scan's "first strict maximum wins".
 type sweepHeap []sweepEntry
 
 func (h sweepHeap) Len() int { return len(h) }
@@ -277,18 +276,18 @@ func (h sweepHeap) better(i, j sweepEntry) bool { // is i strictly better than j
 	return i.score > j.score || (i.score == j.score && i.c.pos < j.c.pos)
 }
 
-// sweep runs one lazy round: find the candidate the eager sweep would
-// have chosen, re-pricing as few (candidate, query) pairs as possible.
+// sweep runs one lazy round: find the candidate the exhaustive sweep
+// would have chosen, re-pricing as few (candidate, query) pairs as possible.
 // A nil winner with stopped=false means the round converged (no
 // candidate improves the workload). The skip counters on the Evaluator
-// advance by the work an eager round would have done minus the work
+// advance by the work an exhaustive round would have done minus the work
 // actually done.
 func (ls *lazyScorer) sweep(h sweepHooks) (sweepResult, error) {
 	var res sweepResult
 	var hp sweepHeap
-	eligible, jobs := 0, 0
+	eligible, priced, jobs := 0, 0, 0
 	for _, c := range ls.cands {
-		if c.gone || (h.fits != nil && !h.fits(c)) {
+		if c.gone || !h.fits(c) {
 			continue
 		}
 		eligible++
@@ -322,10 +321,10 @@ func (ls *lazyScorer) sweep(h sweepHooks) (sweepResult, error) {
 		if e.fresh {
 			// Every remaining stale bound is ≤ this exact score: done.
 			note(e)
-			res.winner, res.gain, res.score, res.cost = e.c, e.gain, e.score, e.cost
+			res.winner, res.gain, res.cost = e.c, e.gain, e.cost
 			break
 		}
-		if h.stop != nil && h.stop() {
+		if h.stop() {
 			res.stopped = true
 			break
 		}
@@ -352,7 +351,7 @@ func (ls *lazyScorer) sweep(h sweepHooks) (sweepResult, error) {
 			}
 		}
 		e.c.nStale = 0
-		res.priced++
+		priced++
 		jobs += len(sub)
 		cost := ls.trialCost(e.c)
 		gain := ls.current - cost - e.c.maint
@@ -370,9 +369,9 @@ func (ls *lazyScorer) sweep(h sweepHooks) (sweepResult, error) {
 			}
 		}
 		if best != nil {
-			res.winner, res.gain, res.score, res.cost = best.c, best.gain, best.score, best.cost
+			res.winner, res.gain, res.cost = best.c, best.gain, best.cost
 		}
 	}
-	ls.ev.noteSweep(int64(eligible-res.priced), int64(eligible*len(ls.queries)-jobs))
+	ls.ev.noteSweep(int64(eligible-priced), int64(eligible*len(ls.queries)-jobs))
 	return res, nil
 }

@@ -1,8 +1,9 @@
 package recommend
 
-// Property tests for the lazy candidate scorer (lazy.go): the lazy
-// sweep must reproduce the eager sweep's *move sequence* — not just
-// the final cost — while issuing strictly fewer pricing calls. The
+// Property tests for the lazy candidate scorer (lazy.go): the greedy
+// loop must reproduce the exhaustive sweep's *move sequence* — not just
+// the final cost — bit for bit, while issuing strictly fewer pricing
+// calls. The exhaustive sweep is the test oracle (oracle_test.go). The
 // backend here is a stub so the pricing-call count is exact and the
 // cost model is fully controlled: deterministic, physical (an index
 // discounts only statements that reference its table — the invariance
@@ -164,59 +165,69 @@ func designKeys(out *Outcome) []string {
 	return keys
 }
 
-// assertLazyMatchesEager runs one strategy both ways and checks the
-// identity and savings properties.
-func assertLazyMatchesEager(t *testing.T, strategy SearchFunc, opts Options) {
+// assertMatchesOracle runs the greedy loop and the exhaustive oracle
+// on the same problem and checks the identity and savings properties.
+func assertMatchesOracle(t *testing.T, opts Options) {
 	t.Helper()
-	eagerOpts := opts
-	eagerOpts.EagerSweep = true
-	eagerMoves, eagerOut, eagerCalls := runMoves(t, strategy, eagerOpts)
-	lazyMoves, lazyOut, lazyCalls := runMoves(t, strategy, opts)
+	oracleMoves, oracleOut, oracleCalls := runMoves(t, searchOracle, opts)
+	lazyMoves, lazyOut, lazyCalls := runMoves(t, searchGreedy, opts)
 
-	if len(eagerMoves) == 0 {
-		t.Fatal("eager search made no moves — the workload is not exercising the sweep")
+	if len(oracleMoves) == 0 {
+		t.Fatal("oracle made no moves — the workload is not exercising the sweep")
 	}
-	if !reflect.DeepEqual(lazyMoves, eagerMoves) {
-		t.Fatalf("move sequences diverge:\n lazy  %v\n eager %v", lazyMoves, eagerMoves)
+	if !reflect.DeepEqual(lazyMoves, oracleMoves) {
+		t.Fatalf("move sequences diverge:\n lazy   %v\n oracle %v", lazyMoves, oracleMoves)
 	}
-	if !reflect.DeepEqual(designKeys(lazyOut), designKeys(eagerOut)) {
-		t.Fatalf("designs diverge:\n lazy  %v\n eager %v", designKeys(lazyOut), designKeys(eagerOut))
+	if !reflect.DeepEqual(designKeys(lazyOut), designKeys(oracleOut)) {
+		t.Fatalf("designs diverge:\n lazy   %v\n oracle %v", designKeys(lazyOut), designKeys(oracleOut))
 	}
-	if lazyOut.Cost != eagerOut.Cost {
-		t.Fatalf("final costs diverge: lazy %v, eager %v", lazyOut.Cost, eagerOut.Cost)
+	if !reflect.DeepEqual(lazyOut.CostTrace, oracleOut.CostTrace) {
+		t.Fatalf("cost traces diverge:\n lazy   %v\n oracle %v", lazyOut.CostTrace, oracleOut.CostTrace)
 	}
-	if lazyCalls > eagerCalls {
-		t.Fatalf("lazy issued more pricing calls than eager: %d > %d", lazyCalls, eagerCalls)
+	if !reflect.DeepEqual(lazyOut.PerCosts, oracleOut.PerCosts) {
+		t.Fatalf("per-query costs diverge:\n lazy   %v\n oracle %v", lazyOut.PerCosts, oracleOut.PerCosts)
 	}
-	if lazyCalls >= eagerCalls {
-		t.Errorf("lazy saved nothing: %d pricing calls both ways", lazyCalls)
+	if lazyOut.SizeBytes != oracleOut.SizeBytes || lazyOut.Maintenance != oracleOut.Maintenance {
+		t.Fatalf("bookkeeping diverges: lazy (%d B, maint %v), oracle (%d B, maint %v)",
+			lazyOut.SizeBytes, lazyOut.Maintenance, oracleOut.SizeBytes, oracleOut.Maintenance)
 	}
-	t.Logf("pricing calls: eager %d, lazy %d (%.1f×)", eagerCalls, lazyCalls,
-		float64(eagerCalls)/float64(lazyCalls))
+	if lazyCalls >= oracleCalls {
+		t.Errorf("lazy saved nothing: %d pricing calls vs the oracle's %d", lazyCalls, oracleCalls)
+	}
+	t.Logf("pricing calls: oracle %d, lazy %d (%.1f×)", oracleCalls, lazyCalls,
+		float64(oracleCalls)/float64(lazyCalls))
 }
 
-// TestLazyGreedyMatchesEager: identical move sequence, identical
-// design, strictly fewer pricing calls — the pipeline greedy.
-func TestLazyGreedyMatchesEager(t *testing.T) {
-	assertLazyMatchesEager(t, searchGreedyIndexes, Options{
-		Objects: ObjectsIndexes, Strategy: StrategyGreedy,
-	})
-}
-
-// TestLazyAnytimeMatchesEager: the same property for the anytime
-// strategy's index-move sweep.
-func TestLazyAnytimeMatchesEager(t *testing.T) {
-	assertLazyMatchesEager(t, searchAnytime, Options{
-		Objects: ObjectsIndexes, Strategy: StrategyAnytime,
-	})
+// TestLazyMatchesOracle: identical move sequence, identical design and
+// costs, strictly fewer pricing calls. "greedy" and "anytime" are the
+// same loop for an index search, so one strategy covers both.
+func TestLazyMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"unconstrained", Options{}},
+		// The budget filter interacts with the cache: a candidate can
+		// leave the eligible set as the budget tightens while its
+		// cached entries stay live.
+		{"storage budget", Options{StorageBudget: 2 << 20}}, // roughly two median candidates
+		// Maintenance charges shift gains and can disqualify candidates.
+		{"maintenance", Options{UpdateRates: map[string]float64{"t1": 0.5, "t3": 2.0}}},
+		{"round cap", Options{MaxIterations: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Objects, tc.opts.Strategy = ObjectsIndexes, StrategyGreedy
+			assertMatchesOracle(t, tc.opts)
+		})
+	}
 }
 
 // TestLazySkipCounters: the lazy run reports its savings through the
-// Evaluator counters; the eager baseline reports zero.
+// Evaluator counters; the oracle, which skips nothing, reports zero.
 func TestLazySkipCounters(t *testing.T) {
 	opts := Options{Objects: ObjectsIndexes, Strategy: StrategyGreedy}
 	p, _ := lazyProblem(t, opts)
-	if _, err := searchGreedyIndexes(context.Background(), p); err != nil {
+	if _, err := searchGreedy(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Eval.EvalsSkipped() <= 0 {
@@ -226,33 +237,12 @@ func TestLazySkipCounters(t *testing.T) {
 		t.Errorf("lazy run pruned no jobs (JobsPruned = %d)", p.Eval.JobsPruned())
 	}
 
-	eopts := opts
-	eopts.EagerSweep = true
-	ep, _ := lazyProblem(t, eopts)
-	if _, err := searchGreedyIndexes(context.Background(), ep); err != nil {
+	op, _ := lazyProblem(t, opts)
+	if _, err := searchOracle(context.Background(), op); err != nil {
 		t.Fatal(err)
 	}
-	if ep.Eval.EvalsSkipped() != 0 || ep.Eval.JobsPruned() != 0 {
-		t.Errorf("eager run reported lazy savings: skipped %d, pruned %d",
-			ep.Eval.EvalsSkipped(), ep.Eval.JobsPruned())
+	if op.Eval.EvalsSkipped() != 0 || op.Eval.JobsPruned() != 0 {
+		t.Errorf("oracle reported lazy savings: skipped %d, pruned %d",
+			op.Eval.EvalsSkipped(), op.Eval.JobsPruned())
 	}
-}
-
-// TestLazyStorageBudgetMatchesEager: the budget filter interacts with
-// the cache (a candidate can leave and re-enter the eligible set as
-// the budget tightens); the identity must survive it.
-func TestLazyStorageBudgetMatchesEager(t *testing.T) {
-	assertLazyMatchesEager(t, searchGreedyIndexes, Options{
-		Objects: ObjectsIndexes, Strategy: StrategyGreedy,
-		StorageBudget: 2 << 20, // fits roughly two median candidates
-	})
-}
-
-// TestLazyMaintenanceMatchesEager: maintenance charges shift gains
-// (and can disqualify candidates) — scores must still match exactly.
-func TestLazyMaintenanceMatchesEager(t *testing.T) {
-	assertLazyMatchesEager(t, searchGreedyIndexes, Options{
-		Objects: ObjectsIndexes, Strategy: StrategyGreedy,
-		UpdateRates: map[string]float64{"t1": 0.5, "t3": 2.0},
-	})
 }

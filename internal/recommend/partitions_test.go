@@ -1,14 +1,28 @@
-package autopart
+// AutoPart tests (§3.3): atomic fragments and the partitions-only
+// greedy search on a wide SDSS-like table. Ported from the former
+// internal/autopart wrapper package onto Recommend.
+package recommend_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
-	"repro/internal/advisor"
 	"repro/internal/catalog"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 )
+
+// autoPart runs the partitions-only greedy search — AutoPart.
+func autoPart(t testing.TB, cat *catalog.Catalog, qs []recommend.Query, opts recommend.Options) *recommend.Result {
+	t.Helper()
+	opts.Objects, opts.Strategy = recommend.ObjectsPartitions, recommend.StrategyGreedy
+	res, err := recommend.Recommend(context.Background(), cat, qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // wideCatalog builds a wide SDSS-like photoobj (20 columns, 300k rows)
 // where vertical partitioning clearly pays off for narrow queries.
@@ -51,23 +65,14 @@ func wideCatalog(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-func workload(t testing.TB, sqls ...string) []advisor.Query {
-	t.Helper()
-	qs, err := advisor.ParseWorkload(sqls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qs
-}
-
 func TestAtomicFragments(t *testing.T) {
 	cat := wideCatalog(t)
 	tab := cat.Table("photoobj")
-	qs := workload(t,
+	qs := mustWorkload(t,
 		"SELECT ra, dec FROM photoobj WHERE ra BETWEEN 1 AND 2",
 		"SELECT u, g, r FROM photoobj WHERE u < 20",
 	)
-	frags := AtomicFragments(tab, qs)
+	frags := recommend.AtomicFragments(tab, qs)
 	// Expected groups: {ra,dec}, {u,g,r}, and the rest.
 	var found [][]string
 	for _, f := range frags {
@@ -110,25 +115,22 @@ func TestAtomicFragments(t *testing.T) {
 
 func TestAtomicFragmentsStarQuery(t *testing.T) {
 	cat := wideCatalog(t)
-	qs := workload(t, "SELECT * FROM photoobj WHERE run = 5")
-	frags := AtomicFragments(cat.Table("photoobj"), qs)
+	qs := mustWorkload(t, "SELECT * FROM photoobj WHERE run = 5")
+	frags := recommend.AtomicFragments(cat.Table("photoobj"), qs)
 	if len(frags) != 1 {
 		t.Errorf("star query should keep one fragment, got %d", len(frags))
 	}
 }
 
-func TestSuggestImprovesNarrowWorkload(t *testing.T) {
+func TestAutoPartImprovesNarrowWorkload(t *testing.T) {
 	cat := wideCatalog(t)
-	qs := workload(t,
+	qs := mustWorkload(t,
 		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
 		"SELECT objid, ra, dec FROM photoobj WHERE dec BETWEEN 0 AND 20",
 		"SELECT run, COUNT(*) FROM photoobj GROUP BY run",
 		"SELECT objid, u, g FROM photoobj WHERE u BETWEEN 15 AND 18",
 	)
-	res, err := Suggest(context.Background(), cat, qs, Options{ReplicationBudget: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := autoPart(t, cat, qs, recommend.Options{ReplicationBudget: 1 << 30})
 	if res.NewCost >= res.BaseCost {
 		t.Errorf("no improvement: %v >= %v", res.NewCost, res.BaseCost)
 	}
@@ -161,7 +163,7 @@ func TestSuggestImprovesNarrowWorkload(t *testing.T) {
 	if !part.Covers(allCols) {
 		t.Error("final partitioning does not cover all columns")
 	}
-	if res.Iterations < 1 {
+	if res.Rounds < 1 {
 		t.Error("no iterations recorded")
 	}
 	// Per-query reports exist and base matches.
@@ -175,51 +177,28 @@ func TestSuggestImprovesNarrowWorkload(t *testing.T) {
 	}
 }
 
-func TestReplicationBudgetRestricts(t *testing.T) {
+func TestAutoPartReplicationBudgetRestricts(t *testing.T) {
 	cat := wideCatalog(t)
-	qs := workload(t,
+	qs := mustWorkload(t,
 		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
 		"SELECT objid, ra, u FROM photoobj WHERE u BETWEEN 15 AND 16",
 	)
-	generous, err := Suggest(context.Background(), cat, qs, Options{ReplicationBudget: 1 << 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Suggest(context.Background(), cat, qs, Options{ReplicationBudget: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	generous := autoPart(t, cat, qs, recommend.Options{ReplicationBudget: 1 << 32})
+	tight := autoPart(t, cat, qs, recommend.Options{ReplicationBudget: 0})
 	// A tight budget cannot beat a generous one.
 	if tight.NewCost < generous.NewCost-1e-6 {
 		t.Errorf("tight budget (%v) beat generous (%v)", tight.NewCost, generous.NewCost)
 	}
 }
 
-func TestSuggestErrors(t *testing.T) {
+func TestAutoPartDeterministic(t *testing.T) {
 	cat := wideCatalog(t)
-	if _, err := Suggest(context.Background(), cat, nil, Options{}); err == nil {
-		t.Error("empty workload accepted")
-	}
-	qs := workload(t, "SELECT objid FROM photoobj")
-	if _, err := Suggest(context.Background(), cat, qs, Options{Tables: []string{"nosuch"}}); err == nil {
-		t.Error("unknown table accepted")
-	}
-}
-
-func TestSuggestDeterministic(t *testing.T) {
-	cat := wideCatalog(t)
-	qs := workload(t,
+	qs := mustWorkload(t,
 		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
 		"SELECT objid, u FROM photoobj WHERE u BETWEEN 15 AND 16",
 	)
-	a, err := Suggest(context.Background(), cat, qs, Options{ReplicationBudget: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Suggest(context.Background(), cat, qs, Options{ReplicationBudget: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := autoPart(t, cat, qs, recommend.Options{ReplicationBudget: 1 << 30})
+	b := autoPart(t, cat, qs, recommend.Options{ReplicationBudget: 1 << 30})
 	if a.NewCost != b.NewCost || !reflect.DeepEqual(a.Rewritten, b.Rewritten) {
 		t.Error("suggestion nondeterministic")
 	}
@@ -232,7 +211,7 @@ func TestQueryColumnsOnTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := queryColumnsOnTable(tab, sel)
+	cols := recommend.QueryColumnsOnTable(tab, sel)
 	for _, want := range []string{"ra", "dec", "run"} {
 		if !cols[want] {
 			t.Errorf("missing %s in %v", want, cols)
@@ -240,20 +219,7 @@ func TestQueryColumnsOnTable(t *testing.T) {
 	}
 	// A query not touching the table yields nothing.
 	sel, _ = sql.ParseSelect("SELECT z FROM specobj")
-	if cols := queryColumnsOnTable(tab, sel); len(cols) != 0 {
+	if cols := recommend.QueryColumnsOnTable(tab, sel); len(cols) != 0 {
 		t.Errorf("phantom columns: %v", cols)
-	}
-}
-
-// TestResultDegenerateGuards: Speedup/AvgBenefit on zero base costs
-// must return their identity values, never NaN or Inf.
-func TestResultDegenerateGuards(t *testing.T) {
-	zero := &Result{}
-	if zero.Speedup() != 1 || zero.AvgBenefit() != 0 {
-		t.Errorf("zero-cost result: speedup %v benefit %v", zero.Speedup(), zero.AvgBenefit())
-	}
-	freeBase := &Result{BaseCost: 0, NewCost: 42}
-	if s := freeBase.Speedup(); s != 1 {
-		t.Errorf("zero-base speedup = %v, want 1", s)
 	}
 }

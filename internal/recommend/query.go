@@ -6,9 +6,7 @@ import (
 	"repro/internal/sql"
 )
 
-// Query is one weighted workload statement. internal/advisor aliases
-// this type, so queries flow between the advisor front-ends and the
-// recommendation pipeline unchanged.
+// Query is one weighted workload statement.
 type Query struct {
 	SQL    string
 	Stmt   *sql.Select

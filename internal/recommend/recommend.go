@@ -9,14 +9,13 @@
 //   - a shared *pruning/compression* stage — workload template
 //     compression (CompressWorkload), candidate deduplication and an
 //     optional candidate cap;
-//   - interchangeable *search strategies* — the classic greedy loop,
-//     the exact ILP solve (registered by internal/advisor), and a
-//     budgeted *anytime* greedy that honours context cancellation plus
-//     an explicit max-evaluations/wall-clock budget and always returns
-//     the best design found so far;
+//   - interchangeable *search strategies* — one greedy loop
+//     (anytime.go) that honours context cancellation plus an explicit
+//     max-evaluations/wall-clock budget and always returns the best
+//     design found so far, AutoPart's refinement loop (greedy.go), and
+//     the exact ILP solve (ilp.go);
 //   - one evaluation *core* (Evaluator) that prices every candidate
-//     design, index-only or joint, replacing the evaluation loops the
-//     advisor and AutoPart used to duplicate.
+//     design, index-only or joint.
 //
 // The search space of the joint mode is genuinely joint: every round
 // may pick an index or a partitioning move, with one storage budget
@@ -24,8 +23,15 @@
 // warm-started from a design session's shared cost memo, so
 // configurations a DBA explored interactively are never re-priced.
 //
-// internal/advisor and internal/autopart are thin wrappers over this
-// package; internal/serve exposes it as asynchronous cancellable jobs.
+// Strategy names: "greedy" and "anytime" are the same search — the one
+// greedy loop, which with a zero Budget runs to convergence — except
+// for partitions-only searches, where "greedy" is the AutoPart
+// algorithm (mandatory atomic start, lowest-cost objective). "ilp"
+// searches indexes only.
+//
+// This package is the only implementation of the automatic components:
+// the CLI, internal/session, internal/serve (asynchronous cancellable
+// jobs) and internal/ingest call Recommend directly.
 package recommend
 
 import (
@@ -48,8 +54,7 @@ const (
 	ObjectsJoint      = "joint"
 )
 
-// Built-in strategy names. StrategyILP is registered by
-// internal/advisor (it owns the ILP formulation).
+// Built-in strategy names.
 const (
 	StrategyGreedy  = "greedy"
 	StrategyAnytime = "anytime"
@@ -64,8 +69,10 @@ type Budget struct {
 	MaxDuration time.Duration
 }
 
-// Progress is one anytime checkpoint, reported after every completed
-// round (and once before the first).
+// Progress is one anytime checkpoint, reported by the round-based
+// strategies (greedy, anytime) once before the first round and after
+// every completed round, so Round counts 0, 1, 2, … up to
+// Result.Rounds and BestCost never increases.
 type Progress struct {
 	Round        int     `json:"round"`        // rounds completed
 	Evaluations  int64   `json:"evaluations"`  // candidate designs priced
@@ -114,8 +121,9 @@ type Options struct {
 	CompressQueries int
 	// MaxIterations bounds search rounds (default: strategy-specific).
 	MaxIterations int
-	// UpdateRates charges index maintenance per table, as in the
-	// advisor's ILP (§3.4).
+	// UpdateRates gives, per table, the row modifications per workload
+	// execution; every index on a modified table is charged its
+	// maintenance (§3.4's "update costs" constraint).
 	UpdateRates map[string]float64
 	// Tables restricts partition moves to the named tables; empty
 	// means every table the workload touches.
@@ -131,14 +139,6 @@ type Options struct {
 	// cost memo. Its costs must come from the same backend kind this
 	// run uses.
 	Memo *costlab.Memo
-
-	// EagerSweep disables the lazy candidate scorer: every greedy and
-	// anytime round re-prices every candidate against the whole
-	// workload, as the pre-lazy pipeline did. The searches choose
-	// identical designs either way (the lazy cache is exact over
-	// candidate footprints and its pruning bound conservative); the
-	// flag exists as the verification and benchmarking baseline.
-	EagerSweep bool
 
 	// Budget bounds the search; the anytime strategy returns the best
 	// design found when it runs out.
@@ -166,8 +166,9 @@ func (o Options) partitionReplicationBudget() int64 {
 }
 
 // ValidateSearch checks an objects/strategy pair without running a
-// search, so servers can reject malformed asynchronous job requests
-// synchronously. Empty strings mean the defaults.
+// search. Recommend runs it before building anything, and servers call
+// it to reject malformed asynchronous job requests synchronously.
+// Empty strings mean the defaults.
 func ValidateSearch(objects, strategy string) error {
 	switch objects {
 	case "", ObjectsIndexes, ObjectsPartitions, ObjectsJoint:
@@ -189,7 +190,7 @@ func ValidateSearch(objects, strategy string) error {
 
 // MaintenanceCost prices the upkeep of one candidate index under the
 // update profile: per modified row, one B-Tree descent plus one leaf
-// write (the cost-constant pairing the advisor has always used).
+// write.
 func MaintenanceCost(spec inum.IndexSpec, sizeBytes int64, rates map[string]float64) float64 {
 	rate := rates[spec.Table]
 	if rate <= 0 {
@@ -243,8 +244,8 @@ var (
 )
 
 // RegisterStrategy makes a search strategy available under name,
-// replacing any previous registration. internal/advisor registers
-// "ilp" this way; tests may register their own.
+// replacing any previous registration. Tests register their own (the
+// exhaustive-sweep oracle, blocking stubs).
 func RegisterStrategy(name string, fn SearchFunc) {
 	stratMu.Lock()
 	defer stratMu.Unlock()
@@ -268,6 +269,7 @@ func strategyFor(name string) (SearchFunc, error) {
 func init() {
 	RegisterStrategy(StrategyGreedy, searchGreedy)
 	RegisterStrategy(StrategyAnytime, searchAnytime)
+	RegisterStrategy(StrategyILP, searchILP)
 }
 
 // Result is a completed recommendation.
@@ -338,14 +340,11 @@ func Recommend(ctx context.Context, cat *catalog.Catalog, queries []Query, opts 
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("recommend: empty workload")
 	}
+	if err := ValidateSearch(opts.Objects, opts.Strategy); err != nil {
+		return nil, err
+	}
 	if opts.Objects == "" {
 		opts.Objects = ObjectsJoint
-	}
-	switch opts.Objects {
-	case ObjectsIndexes, ObjectsPartitions, ObjectsJoint:
-	default:
-		return nil, fmt.Errorf("recommend: unknown objects %q (want %q, %q or %q)",
-			opts.Objects, ObjectsIndexes, ObjectsPartitions, ObjectsJoint)
 	}
 	if opts.Strategy == "" {
 		opts.Strategy = StrategyGreedy

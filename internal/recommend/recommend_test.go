@@ -1,16 +1,15 @@
-// Tests live in an external package so they can exercise the pipeline
-// through its wrappers (advisor registers the "ilp" strategy and
-// aliases the query types; an internal test package would cycle).
+// Tests live in an external package so they can build catalogs and
+// workloads with internal/workload, which imports this package (an
+// internal test package would cycle).
 package recommend_test
 
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
-	"repro/internal/advisor"
 	"repro/internal/catalog"
+	"repro/internal/costlab"
 	"repro/internal/recommend"
 	"repro/internal/workload"
 )
@@ -36,89 +35,6 @@ func mustWorkload(t testing.TB, sqls ...string) []recommend.Query {
 func seedWorkload(t testing.TB) []recommend.Query {
 	t.Helper()
 	return mustWorkload(t, workload.Queries()...)
-}
-
-// TestGreedyIndexAgreement is the pipeline's compatibility contract:
-// the greedy index strategy, driven through recommend.Recommend,
-// reproduces advisor.SuggestIndexesGreedy — same index set, same
-// costs, same evaluation count — on the seed 30-query workload.
-func TestGreedyIndexAgreement(t *testing.T) {
-	cat := testCatalog(t)
-	queries := seedWorkload(t)
-
-	rec, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
-		Objects:  recommend.ObjectsIndexes,
-		Strategy: recommend.StrategyGreedy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := advisor.SuggestIndexesGreedy(context.Background(), cat, queries, advisor.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var recKeys, advKeys []string
-	for _, ix := range rec.Design.Indexes {
-		recKeys = append(recKeys, ix.Key())
-	}
-	for _, ix := range adv.Indexes {
-		advKeys = append(advKeys, ix.Key())
-	}
-	if !reflect.DeepEqual(recKeys, advKeys) {
-		t.Fatalf("index sets differ:\n pipeline %v\n advisor  %v", recKeys, advKeys)
-	}
-	if rec.BaseCost != adv.BaseCost || rec.NewCost != adv.NewCost {
-		t.Errorf("costs differ: pipeline (%v, %v) vs advisor (%v, %v)",
-			rec.BaseCost, rec.NewCost, adv.BaseCost, adv.NewCost)
-	}
-	if rec.SolverWork != adv.SolverWork || rec.Candidates != adv.Candidates {
-		t.Errorf("work differs: pipeline (%d evals, %d cands) vs advisor (%d, %d)",
-			rec.SolverWork, rec.Candidates, adv.SolverWork, adv.Candidates)
-	}
-	if len(rec.Design.Indexes) == 0 {
-		t.Fatal("greedy found nothing on the seed workload")
-	}
-	if rec.Speedup() <= 1 {
-		t.Errorf("speedup = %v", rec.Speedup())
-	}
-}
-
-// TestAnytimeUnbudgetedMatchesGreedy: the anytime loop restricted to
-// index moves with no budget is a different implementation of the same
-// greedy policy; both must choose the same index set.
-func TestAnytimeUnbudgetedMatchesGreedy(t *testing.T) {
-	cat := testCatalog(t)
-	queries := mustWorkload(t,
-		"SELECT objid FROM photoobj WHERE ra BETWEEN 180 AND 180.2",
-		"SELECT objid FROM photoobj WHERE run = 125 AND camcol = 3",
-		"SELECT bestobjid FROM specobj WHERE z BETWEEN 2.98 AND 3.0",
-	)
-	greedy, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
-		Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyGreedy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anytime, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
-		Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyAnytime,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g, a []string
-	for _, ix := range greedy.Design.Indexes {
-		g = append(g, ix.Key())
-	}
-	for _, ix := range anytime.Design.Indexes {
-		a = append(a, ix.Key())
-	}
-	if !reflect.DeepEqual(g, a) {
-		t.Errorf("strategies disagree: greedy %v vs anytime %v", g, a)
-	}
-	if anytime.Truncated {
-		t.Error("unbudgeted anytime run reported truncation")
-	}
 }
 
 // TestAnytimeBudgetBestSoFar: a tight evaluation budget stops the
@@ -225,12 +141,15 @@ func TestDegenerateWorkloadEmptyRecommendation(t *testing.T) {
 		}
 	}
 	// The index-only ILP strategy handles the no-candidates case too.
-	res, err := advisor.SuggestIndexesILP(context.Background(), cat, queries, advisor.Options{})
+	res, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyILP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Indexes) != 0 {
-		t.Errorf("ILP suggested indexes for an unindexable workload: %v", res.Indexes)
+	if len(res.Design.Indexes) != 0 {
+		t.Errorf("ILP suggested indexes for an unindexable workload: %v", res.Design.Indexes)
 	}
 }
 
@@ -294,11 +213,6 @@ func TestRecommendValidation(t *testing.T) {
 		recommend.Options{Objects: recommend.ObjectsPartitions, Tables: []string{"nosuch"}}); err == nil {
 		t.Error("unknown partition table accepted")
 	}
-	// The ILP strategy is index-only.
-	if _, err := recommend.Recommend(context.Background(), cat, queries,
-		recommend.Options{Objects: recommend.ObjectsJoint, Strategy: recommend.StrategyILP}); err == nil {
-		t.Error("ILP accepted a joint search")
-	}
 	// ValidateSearch mirrors those checks for servers that must reject
 	// job requests synchronously.
 	if err := recommend.ValidateSearch("", ""); err != nil {
@@ -307,6 +221,75 @@ func TestRecommendValidation(t *testing.T) {
 	for _, bad := range [][2]string{{"bogus", ""}, {"", "bogus"}, {recommend.ObjectsJoint, recommend.StrategyILP}} {
 		if err := recommend.ValidateSearch(bad[0], bad[1]); err == nil {
 			t.Errorf("ValidateSearch(%q, %q) accepted", bad[0], bad[1])
+		}
+	}
+}
+
+// TestRecommendValidatesBeforePricing: Recommend and ValidateSearch are
+// one validation path, run before anything is built — the index-only
+// rule of the ILP strategy surfaces as ValidateSearch's error with the
+// warm-start memo untouched (no statement interned, no cost priced).
+func TestRecommendValidatesBeforePricing(t *testing.T) {
+	cat := testCatalog(t)
+	queries := mustWorkload(t, "SELECT objid FROM photoobj WHERE ra > 1")
+	memo := costlab.NewMemo()
+	_, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+		Objects: recommend.ObjectsJoint, Strategy: recommend.StrategyILP, Memo: memo,
+	})
+	want := recommend.ValidateSearch(recommend.ObjectsJoint, recommend.StrategyILP)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("Recommend error = %v, want ValidateSearch's %v", err, want)
+	}
+	if st := memo.Stats(); st.Entries != 0 || st.InternedStmts != 0 {
+		t.Errorf("rejected search touched the memo: %+v", st)
+	}
+	// The default object kind is joint, so a bare ILP request fails too.
+	if _, err := recommend.Recommend(context.Background(), cat, queries,
+		recommend.Options{Strategy: recommend.StrategyILP}); err == nil {
+		t.Error("ILP accepted the default (joint) search space")
+	}
+}
+
+// TestProgressContract: the round-based strategies report a checkpoint
+// before the first round and after every completed one — rounds arrive
+// as 0, 1, 2, …, the best cost never increases, and the last
+// checkpoint's round is the result's round count.
+func TestProgressContract(t *testing.T) {
+	cat := testCatalog(t)
+	queries := mustWorkload(t,
+		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
+		"SELECT objid, ra, u FROM photoobj WHERE u BETWEEN 15 AND 16",
+		"SELECT z FROM specobj WHERE bestobjid = 12345",
+	)
+	for _, strategy := range []string{recommend.StrategyGreedy, recommend.StrategyAnytime} {
+		for _, objects := range []string{recommend.ObjectsIndexes, recommend.ObjectsPartitions, recommend.ObjectsJoint} {
+			t.Run(strategy+"/"+objects, func(t *testing.T) {
+				var got []recommend.Progress
+				res, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
+					Objects:           objects,
+					Strategy:          strategy,
+					Tables:            []string{"photoobj"},
+					ReplicationBudget: 1 << 30,
+					Progress:          func(p recommend.Progress) { got = append(got, p) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) < 2 {
+					t.Fatalf("%d checkpoints — the search completed no round", len(got))
+				}
+				for i, p := range got {
+					if p.Round != i {
+						t.Fatalf("checkpoint %d reports round %d", i, p.Round)
+					}
+					if i > 0 && p.BestCost > got[i-1].BestCost {
+						t.Errorf("best cost rose at round %d: %v -> %v", i, got[i-1].BestCost, p.BestCost)
+					}
+				}
+				if last := got[len(got)-1].Round; last != res.Rounds {
+					t.Errorf("last checkpoint is round %d, result reports %d rounds", last, res.Rounds)
+				}
+			})
 		}
 	}
 }
@@ -342,7 +325,7 @@ func TestAnytimePartitionsHonourReplicationBudget(t *testing.T) {
 }
 
 // TestResultDegenerateGuards: the regression tests for the NaN/Inf
-// guards on zero base costs, across all three result types.
+// guards on zero costs.
 func TestResultDegenerateGuards(t *testing.T) {
 	zero := &recommend.Result{}
 	if zero.Speedup() != 1 || zero.AvgBenefit() != 0 {
@@ -351,6 +334,10 @@ func TestResultDegenerateGuards(t *testing.T) {
 	freeBase := &recommend.Result{BaseCost: 0, NewCost: 5}
 	if s := freeBase.Speedup(); s != 1 || math.IsInf(s, 0) || math.IsNaN(s) {
 		t.Errorf("zero-base speedup = %v, want 1", s)
+	}
+	freeNew := &recommend.Result{BaseCost: 42, NewCost: 0}
+	if s := freeNew.Speedup(); s != 1 {
+		t.Errorf("zero-new speedup = %v, want 1", s)
 	}
 	qb := recommend.QueryBenefit{BaseCost: 0, NewCost: 0}
 	if qb.Speedup() != 1 {

@@ -1,12 +1,11 @@
 package recommend
 
-// Regression test for the benefit-per-byte scoring divergence between
-// the greedy strategies: searchGreedyIndexes used to score a candidate
-// as gain/size with no zero-size guard, so a zero-size candidate (an
-// index over an empty table, sized by a backend that doesn't round up
-// to a page) scored +Inf and was always picked first, while the
-// anytime strategy clamps bytes < 1 to 1 and scores such free moves by
-// raw gain. Both strategies must rank candidates identically.
+// Regression test for benefit-per-byte scoring of zero-size
+// candidates: a bare gain/size scores a zero-size candidate (an index
+// over an empty table, sized by a backend that doesn't round up to a
+// page) at +Inf, so it is always picked first. The rule is that
+// bytes < 1 clamp to 1 — free moves score by raw gain — and the greedy
+// loop and the exhaustive oracle must both rank candidates that way.
 //
 // The test lives in the package (not recommend_test) so it can wire a
 // stub pricing backend straight into an Evaluator and control candidate
@@ -24,8 +23,10 @@ import (
 )
 
 // stubBackend prices a statement as a fixed base cost minus a fixed
-// discount per index present in the configuration, and sizes specs
-// from a fixed table — full control over gain and benefit-per-byte.
+// discount per configuration index on a table the statement references
+// (an index cannot help a query that never touches its table — the
+// invariance the lazy cache relies on), and sizes specs from a fixed
+// table — full control over gain and benefit-per-byte.
 type stubBackend struct {
 	base     float64
 	discount map[string]float64 // index key → cost reduction
@@ -36,8 +37,11 @@ type stubBackend struct {
 func (s *stubBackend) Cost(stmt *sql.Select, cfg costlab.Config) (float64, error) {
 	s.calls.Add(1)
 	cost := s.base
+	fp := sql.FootprintOf(stmt)
 	for _, spec := range cfg {
-		cost -= s.discount[spec.Key()]
+		if fp.TouchesTable(spec.Table) {
+			cost -= s.discount[spec.Key()]
+		}
 	}
 	return cost, nil
 }
@@ -51,9 +55,9 @@ func (s *stubBackend) PlanCalls() int64 { return s.calls.Load() }
 // zeroSizeProblem assembles a Problem over the stub backend with two
 // candidates: a zero-size index whose gain is tiny, and a real-size
 // index whose benefit-per-byte beats that raw gain. Under the
-// documented rule (free moves score by raw gain) every strategy must
-// pick the real index first; the unclamped gain/size made the pipeline
-// greedy pick the free one at +Inf instead.
+// documented rule (free moves score by raw gain) the real index must
+// be picked first; an unclamped gain/size picks the free one at +Inf
+// instead.
 func zeroSizeProblem(t *testing.T, opts Options) (*Problem, inum.IndexSpec, inum.IndexSpec) {
 	t.Helper()
 	free := inum.IndexSpec{Table: "emptytab", Columns: []string{"c"}}
@@ -118,27 +122,21 @@ func runFirstMove(t *testing.T, strategy SearchFunc, opts Options) (string, floa
 	return moves[0], out.CostTrace[1]
 }
 
-// TestZeroSizeCandidateGreedyAnytimeAgree is the regression test for
-// the +Inf scoring bug: with a zero-size candidate present, the
-// pipeline greedy and the anytime strategy must select the same first
-// move (and land on the same cost after it).
-func TestZeroSizeCandidateGreedyAnytimeAgree(t *testing.T) {
+// TestZeroSizeCandidateMatchesOracle is the regression test for the
+// +Inf scoring bug: with a zero-size candidate present, the greedy loop
+// and the oracle must select the same first move (and land on the same
+// cost after it) — the benefit-per-byte winner, not the free move.
+func TestZeroSizeCandidateMatchesOracle(t *testing.T) {
 	opts := Options{Objects: ObjectsIndexes, Strategy: StrategyGreedy, MaxIterations: 1}
-	greedyMove, greedyCost := runFirstMove(t, searchGreedyIndexes, opts)
+	greedyMove, greedyCost := runFirstMove(t, searchGreedy, opts)
+	oracleMove, oracleCost := runFirstMove(t, searchOracle, opts)
 
-	opts.Strategy = StrategyAnytime
-	anytimeMove, anytimeCost := runFirstMove(t, searchAnytime, opts)
-
-	if greedyMove != anytimeMove {
-		t.Fatalf("strategies diverge on the first move: greedy picked %q, anytime picked %q",
-			greedyMove, anytimeMove)
+	if greedyMove != oracleMove {
+		t.Fatalf("first moves diverge: greedy picked %q, the oracle %q", greedyMove, oracleMove)
 	}
-	if greedyCost != anytimeCost {
-		t.Fatalf("strategies diverge on the first round's cost: greedy %v, anytime %v",
-			greedyCost, anytimeCost)
+	if greedyCost != oracleCost {
+		t.Fatalf("first round's costs diverge: greedy %v, oracle %v", greedyCost, oracleCost)
 	}
-	// And the agreed move must be the documented benefit-per-byte
-	// winner, not the formerly-infinite free move.
 	if want := "index bigtab(d)"; greedyMove != want {
 		t.Fatalf("first move = %q, want %q (benefit-per-byte with the zero-size clamp)", greedyMove, want)
 	}
@@ -170,7 +168,7 @@ func TestZeroSizeCandidateStillSelectable(t *testing.T) {
 		Opts:            Options{Objects: ObjectsIndexes},
 		IndexCandidates: []inum.IndexSpec{free},
 	}
-	out, err := searchGreedyIndexes(context.Background(), p)
+	out, err := searchGreedy(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

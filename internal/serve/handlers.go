@@ -12,9 +12,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/advisor"
 	"repro/internal/inum"
 	"repro/internal/obs"
+	"repro/internal/recommend"
 	"repro/internal/session"
 )
 
@@ -433,7 +433,7 @@ func (m *Manager) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opts := advisor.Options{}
+	opts := recommend.Options{Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyGreedy}
 	if req.BudgetMB > 0 {
 		opts.StorageBudget = int64(req.BudgetMB) << 20
 	}
@@ -441,7 +441,7 @@ func (m *Manager) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if err := m.doReq(r, r.PathValue("name"), func(s *session.DesignSession) error {
 		// The request context threads into the pricing batches, so a
 		// disconnected client aborts the in-flight advisor run.
-		res, err := s.SuggestIndexesGreedy(r.Context(), opts)
+		res, err := s.Recommend(r.Context(), opts)
 		if err != nil {
 			return err
 		}
@@ -452,8 +452,8 @@ func (m *Manager) handleSuggest(w http.ResponseWriter, r *http.Request) {
 			Candidates: res.Candidates,
 			MemoHits:   res.MemoHits,
 		}
-		stmts := advisor.MaterializeStatements(res.Indexes)
-		for i, spec := range res.Indexes {
+		stmts := recommend.MaterializeStatements(res.Design.Indexes)
+		for i, spec := range res.Design.Indexes {
 			resp.Indexes = append(resp.Indexes, SuggestedIndex{
 				Table:   spec.Table,
 				Columns: spec.Columns,

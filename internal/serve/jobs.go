@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/costlab"
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -158,7 +157,7 @@ func (m *Manager) StartRecommend(name string, req RecommendJobRequest, requestID
 	// Snapshot the workload under the session lock; the search itself
 	// runs outside it, so the tenant stays editable (and evictable)
 	// while the job prices candidates.
-	var queries []advisor.Query
+	var queries []recommend.Query
 	if err := m.Do(name, func(s *session.DesignSession) error {
 		queries = s.Queries()
 		return nil
@@ -406,7 +405,7 @@ func (m *Manager) registerJob(job *recommendJob) error {
 }
 
 // runRecommendJob executes the search and records its terminal state.
-func (m *Manager) runRecommendJob(ctx context.Context, job *recommendJob, queries []advisor.Query, opts recommend.Options) {
+func (m *Manager) runRecommendJob(ctx context.Context, job *recommendJob, queries []recommend.Query, opts recommend.Options) {
 	res, err := recommend.Recommend(ctx, m.cat, queries, opts)
 
 	job.mu.Lock()
@@ -462,7 +461,7 @@ func recommendResult(res *recommend.Result) *RecommendResult {
 		Truncated:        res.Truncated,
 		CostTrace:        res.CostTrace,
 	}
-	stmts := advisor.MaterializeStatements(res.Design.Indexes)
+	stmts := recommend.MaterializeStatements(res.Design.Indexes)
 	for i, spec := range res.Design.Indexes {
 		out.Indexes = append(out.Indexes, SuggestedIndex{
 			Table:   spec.Table,

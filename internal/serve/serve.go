@@ -33,6 +33,18 @@ import (
 	"repro/internal/catalog"
 )
 
+// Connection hygiene for the listener. A client gets readHeaderTimeout
+// to deliver a request's headers — a connection that stalls mid-header
+// is closed instead of pinning a goroutine and a file descriptor for
+// ever — and a keep-alive connection may sit idle between requests for
+// idleTimeout before the server reclaims it. Bodies and responses are
+// deliberately not deadline-bounded: a /suggest run or a recovery-time
+// request legitimately takes longer than any fixed cap.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is a Manager bound to an HTTP listener.
 type Server struct {
 	mgr *Manager
@@ -73,7 +85,11 @@ func (sv *Server) ListenAndServe(ctx context.Context, addr string, ready func(ne
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	hs := &http.Server{Handler: sv.mgr.Handler()}
+	hs := &http.Server{
+		Handler:           sv.mgr.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/advisor"
 	"repro/internal/catalog"
 	"repro/internal/costlab"
 	"repro/internal/flight"
@@ -109,12 +108,12 @@ func partKey(def PartitionDef) string {
 // numbers Figure 3's right panel displays, plus the incremental
 // pricing counters that make the session's savings observable.
 type InteractiveReport struct {
-	PerQuery   []advisor.QueryBenefit `json:"perQuery"`
-	BaseCost   float64                `json:"baseCost"`
-	NewCost    float64                `json:"newCost"`
-	Rewritten  []string               `json:"rewritten,omitempty"`  // workload rewritten for the partitions, in order
-	Explains   []string               `json:"explains,omitempty"`   // EXPLAIN of each query under the design
-	IndexNames []string               `json:"indexNames,omitempty"` // what-if index names, aligned with Design.Indexes
+	PerQuery   []recommend.QueryBenefit `json:"perQuery"`
+	BaseCost   float64                  `json:"baseCost"`
+	NewCost    float64                  `json:"newCost"`
+	Rewritten  []string                 `json:"rewritten,omitempty"`  // workload rewritten for the partitions, in order
+	Explains   []string                 `json:"explains,omitempty"`   // EXPLAIN of each query under the design
+	IndexNames []string                 `json:"indexNames,omitempty"` // what-if index names, aligned with Design.Indexes
 
 	// Incremental-pricing observability (see Stats for meanings).
 	Invalidated int   `json:"invalidated"` // queries the last edit invalidated
@@ -198,7 +197,7 @@ type snapshot struct {
 type DesignSession struct {
 	cat     *catalog.Catalog
 	opts    Options
-	queries []advisor.Query
+	queries []recommend.Query
 	foot    []*sql.Footprint // original-query footprints, parsed once
 
 	ws         *whatif.Session   // mirrors the current design at all times
@@ -251,7 +250,7 @@ type DesignSession struct {
 // serve layer parses its default workload once and opens every tenant
 // from it instead of re-parsing per create.
 type Workload struct {
-	queries  []advisor.Query
+	queries  []recommend.Query
 	foot     []*sql.Footprint
 	stmtKeys []string // canonical printed identities, interned at session birth
 }
@@ -259,7 +258,7 @@ type Workload struct {
 // ParseWorkload parses and footprint-analyzes a workload once, for
 // sharing across sessions via NewFromWorkload.
 func ParseWorkload(workloadSQL []string) (*Workload, error) {
-	queries, err := advisor.ParseWorkload(workloadSQL)
+	queries, err := recommend.ParseWorkload(workloadSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +330,7 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 }
 
 // Queries returns the parsed workload.
-func (s *DesignSession) Queries() []advisor.Query { return s.queries }
+func (s *DesignSession) Queries() []recommend.Query { return s.queries }
 
 // Design returns a copy of the current design.
 func (s *DesignSession) Design() Design { return s.design.clone() }
@@ -368,26 +367,13 @@ func (s *DesignSession) SetSpan(sp *obs.Span) { s.span = sp }
 // partition-free. Advisors warm-start from it.
 func (s *DesignSession) Memo() *costlab.Memo { return s.shared }
 
-// SuggestIndexesGreedy runs the greedy advisor over the session's
-// workload, warm-started from the session's memo: configurations the
-// DBA already priced interactively are never re-batched. The memo
-// holds full-optimizer costs, so the backend is forced to "full".
-// ctx cancels the search, aborting any in-flight pricing batch.
-func (s *DesignSession) SuggestIndexesGreedy(ctx context.Context, opts advisor.Options) (*advisor.Result, error) {
-	opts.Backend = costlab.BackendFull
-	opts.Memo = s.shared
-	if opts.Workers == 0 {
-		opts.Workers = s.opts.Workers
-	}
-	return advisor.SuggestIndexesGreedy(ctx, s.cat, s.queries, opts)
-}
-
-// Recommend runs the unified joint recommender over the session's
-// workload, warm-started from the session's cost memo — the route the
-// serve layer's asynchronous recommend jobs and the REPL's
-// `suggest -joint` take. The memo holds full-optimizer costs, so the
-// backend is forced to "full". ctx cancels (or budget-bounds) the
-// search; the anytime strategy returns its best-so-far design.
+// Recommend runs the unified recommender over the session's workload,
+// warm-started from the session's cost memo: configurations the DBA
+// already priced interactively are never re-batched. It is the one
+// route behind the serve layer's /suggest and asynchronous recommend
+// jobs and the REPL's `suggest`. The memo holds full-optimizer costs,
+// so the backend is forced to "full". ctx cancels (or budget-bounds)
+// the search, which returns its best-so-far design.
 func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (*recommend.Result, error) {
 	opts.Backend = costlab.BackendFull
 	opts.Memo = s.shared
@@ -629,7 +615,7 @@ func (s *DesignSession) Report() *InteractiveReport {
 	for _, spec := range s.design.Indexes {
 		rep.IndexNames = append(rep.IndexNames, s.ixName[spec.Key()])
 	}
-	rep.PerQuery = make([]advisor.QueryBenefit, 0, len(s.queries))
+	rep.PerQuery = make([]recommend.QueryBenefit, 0, len(s.queries))
 	rep.Rewritten = make([]string, 0, len(s.queries))
 	rep.Explains = make([]string, 0, len(s.queries))
 	// One arena backs every per-query IndexesUsed copy: the report owns
@@ -649,7 +635,7 @@ func (s *DesignSession) Report() *InteractiveReport {
 			arena = append(arena, st.indexesUsed...)
 			used = arena[start : start+n : start+n]
 		}
-		rep.PerQuery = append(rep.PerQuery, advisor.QueryBenefit{
+		rep.PerQuery = append(rep.PerQuery, recommend.QueryBenefit{
 			SQL:         q.SQL,
 			BaseCost:    s.baseCosts[qi],
 			NewCost:     st.cost,

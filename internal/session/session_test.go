@@ -10,11 +10,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/advisor"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
 	"repro/internal/inum"
+	"repro/internal/recommend"
 	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/workload"
@@ -375,7 +375,10 @@ func TestSessionGreedyWarmStart(t *testing.T) {
 	}
 	// The advisor's greedy baseline re-prices the empty configuration
 	// first — the session has those costs already.
-	res, err := s.SuggestIndexesGreedy(context.Background(), advisor.Options{})
+	res, err := s.Recommend(context.Background(), recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyGreedy,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,16 +386,20 @@ func TestSessionGreedyWarmStart(t *testing.T) {
 		t.Errorf("warm-started greedy hit the memo %d times, want >= %d (base costs)", res.MemoHits, len(wl))
 	}
 	// Same result as a cold full-backend run.
-	cold, err := advisor.SuggestIndexesGreedy(context.Background(), cat, s.Queries(), advisor.Options{Backend: costlab.BackendFull})
+	cold, err := recommend.Recommend(context.Background(), cat, s.Queries(), recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyGreedy,
+		Backend:  costlab.BackendFull,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Indexes) != len(cold.Indexes) {
-		t.Fatalf("warm %v vs cold %v", res.Indexes, cold.Indexes)
+	if len(res.Design.Indexes) != len(cold.Design.Indexes) {
+		t.Fatalf("warm %v vs cold %v", res.Design.Indexes, cold.Design.Indexes)
 	}
-	for i := range res.Indexes {
-		if res.Indexes[i].Key() != cold.Indexes[i].Key() {
-			t.Errorf("index %d: warm %s vs cold %s", i, res.Indexes[i].Key(), cold.Indexes[i].Key())
+	for i := range res.Design.Indexes {
+		if res.Design.Indexes[i].Key() != cold.Design.Indexes[i].Key() {
+			t.Errorf("index %d: warm %s vs cold %s", i, res.Design.Indexes[i].Key(), cold.Design.Indexes[i].Key())
 		}
 	}
 	if res.NewCost != cold.NewCost {

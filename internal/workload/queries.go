@@ -5,7 +5,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/advisor"
+	"repro/internal/recommend"
 	"repro/internal/sql"
 )
 
@@ -55,10 +55,10 @@ func Queries() []string {
 	}
 }
 
-// ParseQueries parses the demonstration workload into advisor
+// ParseQueries parses the demonstration workload into recommender
 // queries with unit weights.
-func ParseQueries() ([]advisor.Query, error) {
-	return advisor.ParseWorkload(Queries())
+func ParseQueries() ([]recommend.Query, error) {
+	return recommend.ParseWorkload(Queries())
 }
 
 // FormatWorkloadFile renders queries as a workload file: one
