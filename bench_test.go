@@ -32,6 +32,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/durable"
 	"repro/internal/ingest"
 	"repro/internal/inum"
@@ -128,7 +129,7 @@ func BenchmarkE2_InteractiveEvaluate(b *testing.B) {
 	cat := planCatalog(b, 500000)
 	p := core.New(cat)
 	queries := workload.Queries()
-	design := core.Design{
+	d := design.Design{
 		Indexes: []inum.IndexSpec{
 			{Table: "photoobj", Columns: []string{"ra"}},
 			{Table: "photoobj", Columns: []string{"run", "camcol", "field"}},
@@ -139,7 +140,7 @@ func BenchmarkE2_InteractiveEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = p.EvaluateDesign(queries, design)
+		rep, err = p.EvaluateDesign(queries, d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,10 +376,10 @@ func BenchmarkSessionIncrementalEdit(b *testing.B) {
 	})
 	b.Run("FromScratch", func(b *testing.B) {
 		p := core.New(cat)
-		design := core.Design{Indexes: []inum.IndexSpec{spec}}
+		d := design.Design{Indexes: []inum.IndexSpec{spec}}
 		var calls int64
 		for i := 0; i < b.N; i++ {
-			rep, err := p.EvaluateDesign(wl, design)
+			rep, err := p.EvaluateDesign(wl, d)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -725,13 +726,7 @@ func BenchmarkRecommendAnytime(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	design := session.Design{Indexes: capped.Design.Indexes}
-	for _, def := range capped.Design.Partitions {
-		design.Partitions = append(design.Partitions, session.PartitionDef{
-			Table: def.Table, Fragments: def.Fragments,
-		})
-	}
-	rep, err := s.ApplyDesign(design)
+	rep, err := s.ApplyDesign(capped.Design)
 	if err != nil {
 		b.Fatalf("best-so-far design invalid: %v", err)
 	}
@@ -1086,15 +1081,15 @@ func BenchmarkE6_WhatIfAccuracy(b *testing.B) {
 				rest = append(rest, c.Name)
 			}
 		}
-		design := core.Design{
+		d := design.Design{
 			Indexes: []inum.IndexSpec{{Table: "photoobj", Columns: []string{"ra"}}},
-			Partitions: []core.PartitionDef{{
+			Partitions: []design.Partition{{
 				Table: "photoobj", Fragments: [][]string{{"ra", "dec"}, rest},
 			}},
 		}
 		b.StartTimer()
 		var err error
-		rep, err = core.MaterializeAndCompare(db, wl, design)
+		rep, err = core.MaterializeAndCompare(db, wl, d)
 		if err != nil {
 			b.Fatal(err)
 		}

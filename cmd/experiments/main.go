@@ -18,6 +18,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
@@ -121,13 +122,13 @@ func runE1(scale int64) {
 func runE2(scale int64) {
 	fmt.Println("== E2: interactive what-if design evaluation (scenario 1) ==")
 	p := core.New(mustCatalog(scale))
-	design := core.Design{Indexes: []inum.IndexSpec{
+	d := design.Design{Indexes: []inum.IndexSpec{
 		{Table: "photoobj", Columns: []string{"ra"}},
 		{Table: "photoobj", Columns: []string{"run", "camcol", "field"}},
 		{Table: "specobj", Columns: []string{"bestobjid"}},
 	}}
 	t0 := time.Now()
-	rep, err := p.EvaluateDesign(workload.Queries(), design)
+	rep, err := p.EvaluateDesign(workload.Queries(), d)
 	if err != nil {
 		fatal(err)
 	}
@@ -176,7 +177,8 @@ func runE3(scale int64) {
 		len(queries), res.Rounds, time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("  workload speedup %.2fx (benefit %.1f%%); per-query speedups %.2fx..%.2fx\n",
 		res.Speedup(), 100*res.AvgBenefit(), worst, best)
-	fmt.Printf("  %d fragments suggested for photoobj\n\n", len(res.Partitions["photoobj"].Fragments))
+	// Every subset query reads photoobj only, so it is the one table.
+	fmt.Printf("  %d fragments suggested for photoobj\n\n", len(res.Design.Partitions[0].Fragments))
 }
 
 // E4: ILP vs greedy index advisors under a budget sweep.
@@ -305,13 +307,13 @@ func runE6(scale int64) {
 		"SELECT objid, ra, dec FROM photoobj WHERE dec BETWEEN 0 AND 1",
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3",
 	}
-	design := core.Design{
+	d := design.Design{
 		Indexes: []inum.IndexSpec{{Table: "photoobj", Columns: []string{"ra"}}},
-		Partitions: []core.PartitionDef{{
+		Partitions: []design.Partition{{
 			Table: "photoobj", Fragments: [][]string{{"ra", "dec"}, rest},
 		}},
 	}
-	rep, err := core.MaterializeAndCompare(db, wl, design)
+	rep, err := core.MaterializeAndCompare(db, wl, d)
 	if err != nil {
 		fatal(err)
 	}

@@ -53,6 +53,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
@@ -215,12 +216,12 @@ func parseIndexSpec(s string) (inum.IndexSpec, error) {
 }
 
 // parsePartitionDef parses "table:colA,colB|colC,colD".
-func parsePartitionDef(s string) (core.PartitionDef, error) {
+func parsePartitionDef(s string) (design.Partition, error) {
 	i := strings.Index(s, ":")
 	if i < 0 {
-		return core.PartitionDef{}, fmt.Errorf("partition spec %q: want table:cols|cols", s)
+		return design.Partition{}, fmt.Errorf("partition spec %q: want table:cols|cols", s)
 	}
-	def := core.PartitionDef{Table: strings.TrimSpace(s[:i])}
+	def := design.Partition{Table: strings.TrimSpace(s[:i])}
 	for _, group := range strings.Split(s[i+1:], "|") {
 		var cols []string
 		for _, c := range strings.Split(group, ",") {
@@ -234,9 +235,38 @@ func parsePartitionDef(s string) (core.PartitionDef, error) {
 		}
 	}
 	if def.Table == "" || len(def.Fragments) == 0 {
-		return core.PartitionDef{}, fmt.Errorf("partition spec %q: want table:cols|cols", s)
+		return design.Partition{}, fmt.Errorf("partition spec %q: want table:cols|cols", s)
 	}
 	return def, nil
+}
+
+// parseDesign assembles a design from repeated -index and -partition
+// flag values; a malformed spec is a usage error.
+func parseDesign(indexes, partitions []string) (design.Design, error) {
+	var d design.Design
+	for _, s := range indexes {
+		spec, err := parseIndexSpec(s)
+		if err != nil {
+			return d, &usageError{err: err}
+		}
+		d.Indexes = append(d.Indexes, spec)
+	}
+	for _, s := range partitions {
+		def, err := parsePartitionDef(s)
+		if err != nil {
+			return d, &usageError{err: err}
+		}
+		d.Partitions = append(d.Partitions, def)
+	}
+	return d, nil
+}
+
+// printFragments lists a partitioning's generated fragment tables with
+// their columns, one per line.
+func printFragments(out io.Writer, p design.Partition) {
+	for i, cols := range p.Fragments {
+		fmt.Fprintf(out, "    %-24s (%s)\n", design.FragName(p.Table, i), strings.Join(cols, ", "))
+	}
 }
 
 type stringList []string
@@ -262,22 +292,11 @@ func cmdInteractive(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	design := core.Design{}
-	for _, s := range indexes {
-		spec, err := parseIndexSpec(s)
-		if err != nil {
-			return &usageError{err: err}
-		}
-		design.Indexes = append(design.Indexes, spec)
+	d, err := parseDesign(indexes, partitions)
+	if err != nil {
+		return err
 	}
-	for _, s := range partitions {
-		def, err := parsePartitionDef(s)
-		if err != nil {
-			return &usageError{err: err}
-		}
-		design.Partitions = append(design.Partitions, def)
-	}
-	rep, err := core.New(cat).EvaluateDesign(queries, design)
+	rep, err := core.New(cat).EvaluateDesign(queries, d)
 	if err != nil {
 		return err
 	}
@@ -324,11 +343,9 @@ func cmdPartitions(args []string, stdout, stderr io.Writer) error {
 		len(queries), res.Rounds)
 	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx\n",
 		100*res.AvgBenefit(), res.Speedup())
-	for table, part := range res.Partitions {
-		fmt.Fprintf(stdout, "  %s:\n", table)
-		for _, f := range part.Fragments {
-			fmt.Fprintf(stdout, "    %-24s (%s)\n", f.Name, strings.Join(f.Columns, ", "))
-		}
+	for _, p := range res.Design.Partitions {
+		fmt.Fprintf(stdout, "  %s:\n", p.Table)
+		printFragments(stdout, p)
 	}
 	fmt.Fprintln(stdout, "  per-query benefits:")
 	for i, pq := range res.PerQuery {
@@ -439,15 +456,11 @@ func cmdExplain(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, optimizer.Explain(plan))
 		return nil
 	}
-	design := core.Design{}
-	for _, s := range indexes {
-		spec, err := parseIndexSpec(s)
-		if err != nil {
-			return &usageError{err: err}
-		}
-		design.Indexes = append(design.Indexes, spec)
+	d, err := parseDesign(indexes, nil)
+	if err != nil {
+		return err
 	}
-	rep, err := core.New(cat).EvaluateDesign([]string{*query}, design)
+	rep, err := core.New(cat).EvaluateDesign([]string{*query}, d)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,6 +172,49 @@ func TestRecommendCommand(t *testing.T) {
 	if got := run([]string{"recommend", "-scale", "30000", "-objects", "bogus"},
 		strings.NewReader(""), &stdout, &stderr); got != 1 {
 		t.Errorf("bad -objects exit = %d, want 1", got)
+	}
+}
+
+// TestPartitionsOutputDeterministic: with several tables partitioned,
+// `parinda partitions` prints byte-identical output on every run, with
+// tables in sorted order (the recommended design's order).
+func TestPartitionsOutputDeterministic(t *testing.T) {
+	wl := filepath.Join(t.TempDir(), "narrow.sql")
+	if err := os.WriteFile(wl, []byte(strings.Join([]string{
+		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 179.5 AND 180.1 AND dec BETWEEN -1.0 AND -0.4;",
+		"SELECT objid, g, r FROM photoobj WHERE g - r > 1.4 AND r BETWEEN 18 AND 18.1;",
+		"SELECT specobjid, z, zerr FROM specobj WHERE zstatus = 7 AND zerr < 0.0001;",
+		"SELECT plate, mjd FROM specobj WHERE sn_median > 29;",
+		"SELECT objid, distance FROM neighbors WHERE distance < 0.005;",
+		"SELECT fieldid, quality FROM field WHERE nobjects > 100;",
+		"SELECT plateid, nexp FROM platex WHERE quality = 1;",
+	}, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tables := []string{"field", "neighbors", "photoobj", "platex", "specobj"}
+	var first string
+	for i := 0; i < 10; i++ {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{"partitions", "-scale", "20000", "-workload", wl},
+			strings.NewReader(""), &stdout, &stderr); got != 0 {
+			t.Fatalf("exit = %d, stderr: %s", got, stderr.String())
+		}
+		out := stdout.String()
+		if i == 0 {
+			first = out
+			prev := -1
+			for _, table := range tables {
+				at := strings.Index(out, "\n  "+table+":\n")
+				if at < 0 || at < prev {
+					t.Fatalf("table %s missing or out of sorted order:\n%s", table, out)
+				}
+				prev = at
+			}
+			continue
+		}
+		if out != first {
+			t.Fatalf("run %d printed different output:\n--- first\n%s--- run %d\n%s", i, first, i, out)
+		}
 	}
 }
 

@@ -102,11 +102,8 @@ func cmdRecommend(args []string, stdout, stderr io.Writer) error {
 	}
 	if len(res.Design.Partitions) > 0 {
 		fmt.Fprintln(stdout, "  suggested partitions:")
-		for _, def := range res.Design.Partitions {
-			part := res.Partitions[def.Table]
-			for _, f := range part.Fragments {
-				fmt.Fprintf(stdout, "    %-24s (%s)\n", f.Name, strings.Join(f.Columns, ", "))
-			}
+		for _, p := range res.Design.Partitions {
+			printFragments(stdout, p)
 		}
 	}
 	if len(res.Design.Indexes) == 0 && len(res.Design.Partitions) == 0 {

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/design"
 	"repro/internal/ingest"
 	"repro/internal/recommend"
 	"repro/internal/session"
@@ -316,12 +317,8 @@ func replSuggest(s *session.DesignSession, rest string, out io.Writer) error {
 	for _, stmt := range recommend.MaterializeStatements(res.Design.Indexes) {
 		fmt.Fprintf(out, "  %s;\n", stmt)
 	}
-	for _, def := range res.Design.Partitions {
-		var groups []string
-		for _, cols := range def.Fragments {
-			groups = append(groups, strings.Join(cols, ","))
-		}
-		fmt.Fprintf(out, "  partition %s: %s\n", def.Table, strings.Join(groups, " | "))
+	for _, p := range res.Design.Partitions {
+		fmt.Fprintf(out, "  partition %s\n", partitionGroups(p))
 	}
 	fmt.Fprintf(out, "  benefit %.1f%%  speedup %.2fx  size %.1f MB\n",
 		100*res.AvgBenefit(), res.Speedup(), float64(res.SizeBytes+res.ReplicationBytes)/(1<<20))
@@ -372,17 +369,23 @@ func printDesign(out io.Writer, s *session.DesignSession) {
 	for _, spec := range d.Indexes {
 		fmt.Fprintf(out, "index      %s\n", spec.Key())
 	}
-	for _, def := range d.Partitions {
-		var groups []string
-		for _, cols := range def.Fragments {
-			groups = append(groups, strings.Join(cols, ","))
-		}
-		fmt.Fprintf(out, "partition  %s: %s\n", def.Table, strings.Join(groups, " | "))
+	for _, p := range d.Partitions {
+		fmt.Fprintf(out, "partition  %s\n", partitionGroups(p))
 	}
 	if !s.NestLoopEnabled() {
 		fmt.Fprintln(out, "nestloop   off")
 	}
 	fmt.Fprintf(out, "signature  %q\n", s.Signature())
+}
+
+// partitionGroups renders a partitioning as "table: a,b | c,d" — the
+// REPL's input syntax with spaced group separators.
+func partitionGroups(p design.Partition) string {
+	groups := make([]string, len(p.Fragments))
+	for i, cols := range p.Fragments {
+		groups[i] = strings.Join(cols, ",")
+	}
+	return p.Table + ": " + strings.Join(groups, " | ")
 }
 
 func replHelp(out io.Writer) {

@@ -13,6 +13,10 @@
 //	internal/optimizer  cost-based planner (access paths, DP join order)
 //	internal/whatif     what-if sessions: hypothetical indexes/tables
 //	internal/inum       INUM scenario cache (single-session core)
+//	internal/design     the one physical-design value sessions edit and
+//	                    advisors recommend: fragment naming, validation,
+//	                    persisted keys, and Diff — every design
+//	                    transition as one atomic what-if delta
 //	internal/intern     lock-free-read interning: canonical strings →
 //	                    dense uint32 ids (Table) and a sharded
 //	                    atomic-snapshot insert-once map, optionally

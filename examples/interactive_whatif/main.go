@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/session"
 	"repro/internal/storage"
@@ -57,7 +58,7 @@ func main() {
 
 	// Each edit re-prices only the queries touching the edited table:
 	// the specobj query never re-plans for a photoobj edit.
-	rep, e := s.AddPartition(session.PartitionDef{
+	rep, e := s.AddPartition(design.Partition{
 		Table:     "photoobj",
 		Fragments: [][]string{{"ra", "dec"}, restColumns(db)},
 	})
@@ -101,9 +102,8 @@ func main() {
 	}
 
 	// --- materialize and compare (the GUI's accuracy check) ---
-	design := s.Design()
 	t0 = time.Now()
-	cmp, err := core.MaterializeAndCompare(db, queriesSQL, design)
+	cmp, err := core.MaterializeAndCompare(db, queriesSQL, s.Design())
 	if err != nil {
 		log.Fatal(err)
 	}

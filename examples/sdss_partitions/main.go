@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/design"
 	"repro/internal/recommend"
 	"repro/internal/workload"
 )
@@ -46,10 +47,10 @@ func main() {
 	fmt.Printf("workload cost %.0f -> %.0f  benefit %.1f%%  speedup %.2fx\n\n",
 		res.BaseCost, res.NewCost, 100*res.AvgBenefit(), res.Speedup())
 
-	for table, part := range res.Partitions {
-		fmt.Printf("suggested partitions of %s:\n", table)
-		for _, f := range part.Fragments {
-			fmt.Printf("  %-22s (%s)\n", f.Name, strings.Join(f.Columns, ", "))
+	for _, part := range res.Design.Partitions {
+		fmt.Printf("suggested partitions of %s:\n", part.Table)
+		for i, cols := range part.Fragments {
+			fmt.Printf("  %-22s (%s)\n", design.FragName(part.Table, i), strings.Join(cols, ", "))
 		}
 	}
 

@@ -204,6 +204,31 @@ func (t *Table) EstimatePages(rows int64) int64 {
 	return pages
 }
 
+// FragmentColumns returns the column layout of a vertical fragment of
+// t holding cols: t's primary key plus cols, deduplicated, in t's
+// column order, so parent rows stay reconstructible from any fragment.
+// The columns are shallow copies sharing t's statistics. It fails on a
+// column t does not have.
+func (t *Table) FragmentColumns(cols []string) ([]Column, error) {
+	want := make(map[string]bool, len(t.PrimaryKey)+len(cols))
+	for _, pk := range t.PrimaryKey {
+		want[pk] = true
+	}
+	for _, c := range cols {
+		if t.ColumnIndex(c) < 0 {
+			return nil, fmt.Errorf("parent %q has no column %q", t.Name, c)
+		}
+		want[c] = true
+	}
+	out := make([]Column, 0, len(want))
+	for _, col := range t.Columns {
+		if want[col.Name] {
+			out = append(out, col)
+		}
+	}
+	return out, nil
+}
+
 // Clone returns a deep copy of the table, sharing nothing with the
 // original. Statistics are copied so what-if sessions can mutate them.
 func (t *Table) Clone() *Table {

@@ -20,9 +20,9 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/design"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
-	"repro/internal/rewrite"
 	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -42,14 +42,6 @@ func FromDatabase(db *storage.Database) *PARINDA { return &PARINDA{cat: db.Catal
 // Catalog exposes the underlying catalog.
 func (p *PARINDA) Catalog() *catalog.Catalog { return p.cat }
 
-// PartitionDef is one manual partitioning: the parent table and the
-// column groups of each fragment (primary keys are implicit).
-type PartitionDef = session.PartitionDef
-
-// Design is a manual physical design for the interactive scenario:
-// what-if indexes and what-if table partitions.
-type Design = session.Design
-
 // InteractiveReport is the output of the interactive component: the
 // numbers Figure 3's right panel displays.
 type InteractiveReport = session.InteractiveReport
@@ -62,7 +54,7 @@ type InteractiveReport = session.InteractiveReport
 // one-change-at-a-time loop of §4) should hold a DesignSession
 // instead, which re-prices only each edit's delta. Nothing is built;
 // the base catalog is untouched.
-func (p *PARINDA) EvaluateDesign(workloadSQL []string, d Design) (*InteractiveReport, error) {
+func (p *PARINDA) EvaluateDesign(workloadSQL []string, d design.Design) (*InteractiveReport, error) {
 	s, err := session.New(p.cat, workloadSQL, session.Options{})
 	if err != nil {
 		return nil, err
@@ -134,29 +126,28 @@ func (r *ComparisonReport) MaxRelCostError() float64 {
 // workload against the materialized catalog, and compares plan shape
 // and cost with the what-if simulation — scenario 1's accuracy check.
 // The database is modified; callers own cleanup.
-func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d Design) (*ComparisonReport, error) {
+func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.Design) (*ComparisonReport, error) {
 	p := FromDatabase(db)
+	// The what-if evaluation validates d against the catalog first.
 	whatIf, err := p.EvaluateDesign(workloadSQL, d)
 	if err != nil {
 		return nil, err
 	}
+	rw := design.Rewriter(db.Catalog, d)
 
 	report := &ComparisonReport{}
 
 	// Materialize partitions: create fragment tables, copy projected
 	// rows, analyze.
-	parts := map[string]*rewrite.Partitioning{}
 	for _, def := range d.Partitions {
 		parent := db.Catalog.Table(def.Table)
-		if parent == nil {
-			return nil, fmt.Errorf("core: unknown table %q", def.Table)
-		}
-		pt := &rewrite.Partitioning{Parent: parent}
 		for i, cols := range def.Fragments {
-			name := fmt.Sprintf("%s_p%d", def.Table, i+1)
-			ddl, err := fragmentDDL(parent, name, cols)
-			if err != nil {
-				return nil, err
+			name := design.FragName(def.Table, i)
+			// The what-if evaluation validated cols against parent.
+			fcols, _ := parent.FragmentColumns(cols)
+			ddl := &sql.CreateTable{Name: name, PrimaryKey: append([]string(nil), parent.PrimaryKey...)}
+			for _, c := range fcols {
+				ddl.Columns = append(ddl.Columns, sql.ColumnDef{Name: c.Name, Type: c.Type})
 			}
 			report.BuildStatements = append(report.BuildStatements, sql.Print(ddl))
 			if _, err := db.CreateTable(ddl); err != nil {
@@ -168,15 +159,7 @@ func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d Design)
 			if err := db.AnalyzeTable(name); err != nil {
 				return nil, err
 			}
-			pt.Fragments = append(pt.Fragments, rewrite.Fragment{
-				Name: name, Columns: append([]string(nil), cols...),
-			})
 		}
-		parts[def.Table] = pt
-	}
-	var rw *rewrite.Rewriter
-	if len(parts) > 0 {
-		rw = rewrite.New(parts)
 	}
 
 	// Materialize indexes.
@@ -251,28 +234,6 @@ func shapeSignature(explain string) string {
 		sig = append(sig, fmt.Sprintf("%d:%s", indent, trimmed))
 	}
 	return strings.Join(sig, "|")
-}
-
-// fragmentDDL builds the CREATE TABLE for a fragment: parent PK plus
-// the fragment columns, in parent order.
-func fragmentDDL(parent *catalog.Table, name string, cols []string) (*sql.CreateTable, error) {
-	want := map[string]bool{}
-	for _, pk := range parent.PrimaryKey {
-		want[pk] = true
-	}
-	for _, c := range cols {
-		if parent.ColumnIndex(c) < 0 {
-			return nil, fmt.Errorf("core: parent %q has no column %q", parent.Name, c)
-		}
-		want[c] = true
-	}
-	ct := &sql.CreateTable{Name: name, PrimaryKey: append([]string(nil), parent.PrimaryKey...)}
-	for _, c := range parent.Columns {
-		if want[c.Name] {
-			ct.Columns = append(ct.Columns, sql.ColumnDef{Name: c.Name, Type: c.Type})
-		}
-	}
-	return ct, nil
 }
 
 // copyFragment projects the parent's rows into the fragment table.

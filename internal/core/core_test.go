@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/recommend"
 	"repro/internal/sql"
@@ -27,7 +28,7 @@ func TestEvaluateDesignIndexesOnly(t *testing.T) {
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 179.9 AND 180.0",
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3",
 	}
-	rep, err := p.EvaluateDesign(wl, Design{
+	rep, err := p.EvaluateDesign(wl, design.Design{
 		Indexes: []inum.IndexSpec{
 			{Table: "photoobj", Columns: []string{"ra"}},
 			{Table: "photoobj", Columns: []string{"run", "camcol"}},
@@ -59,8 +60,8 @@ func TestEvaluateDesignIndexesOnly(t *testing.T) {
 func TestEvaluateDesignWithPartitions(t *testing.T) {
 	p := planningPARINDA(t)
 	wl := []string{"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 150"}
-	rep, err := p.EvaluateDesign(wl, Design{
-		Partitions: []PartitionDef{{
+	rep, err := p.EvaluateDesign(wl, design.Design{
+		Partitions: []design.Partition{{
 			Table: "photoobj",
 			Fragments: [][]string{
 				{"ra", "dec"},
@@ -96,17 +97,17 @@ func photoRestColumns(t testing.TB, p *PARINDA) []string {
 func TestEvaluateDesignErrors(t *testing.T) {
 	p := planningPARINDA(t)
 	wl := []string{"SELECT objid FROM photoobj"}
-	if _, err := p.EvaluateDesign(wl, Design{
+	if _, err := p.EvaluateDesign(wl, design.Design{
 		Indexes: []inum.IndexSpec{{Table: "nosuch", Columns: []string{"x"}}},
 	}); err == nil {
 		t.Error("bad index design accepted")
 	}
-	if _, err := p.EvaluateDesign(wl, Design{
-		Partitions: []PartitionDef{{Table: "nosuch", Fragments: [][]string{{"x"}}}},
+	if _, err := p.EvaluateDesign(wl, design.Design{
+		Partitions: []design.Partition{{Table: "nosuch", Fragments: [][]string{{"x"}}}},
 	}); err == nil {
 		t.Error("bad partition design accepted")
 	}
-	if _, err := p.EvaluateDesign([]string{"SELECT nope FROM"}, Design{}); err == nil {
+	if _, err := p.EvaluateDesign([]string{"SELECT nope FROM"}, design.Design{}); err == nil {
 		t.Error("bad workload accepted")
 	}
 }
@@ -168,14 +169,14 @@ func TestMaterializeAndCompare(t *testing.T) {
 		"SELECT objid FROM photoobj WHERE ra BETWEEN 100 AND 101",
 		"SELECT objid, ra, dec FROM photoobj WHERE dec BETWEEN 0 AND 1",
 	}
-	design := Design{
+	d := design.Design{
 		Indexes: []inum.IndexSpec{{Table: "photoobj", Columns: []string{"ra"}}},
-		Partitions: []PartitionDef{{
+		Partitions: []design.Partition{{
 			Table:     "photoobj",
 			Fragments: [][]string{{"ra", "dec"}, allButPos(db)},
 		}},
 	}
-	rep, err := MaterializeAndCompare(db, wl, design)
+	rep, err := MaterializeAndCompare(db, wl, d)
 	if err != nil {
 		t.Fatal(err)
 	}

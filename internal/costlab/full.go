@@ -36,65 +36,14 @@ func NewFull(cat *catalog.Catalog) *Full {
 
 // NewFullWithSetup returns a full-optimizer estimator whose pooled
 // sessions each run setup once after creation — the hook installs a
-// fixed hypothetical design (what-if partition tables, a chosen index
-// set) that every subsequent Cost/Plan call prices under. Setup must
-// be deterministic: each pooled session replays it independently.
+// fixed hypothetical design (design.Setup) that every subsequent
+// Cost/Plan call prices under. Setup must be deterministic: each
+// pooled session replays it independently.
 func NewFullWithSetup(cat *catalog.Catalog, setup func(*whatif.Session) error) *Full {
 	return &Full{
 		pool:    newSessionPool(cat, setup),
 		sizeSes: whatif.NewSession(cat),
 	}
-}
-
-// IndexSetup builds a setup hook that runs inner (nil allowed) and
-// then installs specs as what-if indexes, plus an accessor for the
-// session-generated index names aligned with specs. Fresh sessions
-// name hypothetical objects deterministically, so every pooled
-// session produces the same names; the accessor returns the first
-// session's. Call it only after the estimator has run setup at least
-// once (Warm or any Cost/Plan call).
-func IndexSetup(specs []inum.IndexSpec, inner func(*whatif.Session) error) (setup func(*whatif.Session) error, names func() []string) {
-	var mu sync.Mutex
-	var recorded []string
-	setup = func(s *whatif.Session) error {
-		if inner != nil {
-			if err := inner(s); err != nil {
-				return err
-			}
-		}
-		got := make([]string, 0, len(specs))
-		for _, spec := range specs {
-			ix, err := s.CreateIndex(spec.Table, spec.Columns)
-			if err != nil {
-				return err
-			}
-			got = append(got, ix.Name)
-		}
-		mu.Lock()
-		if recorded == nil {
-			recorded = got
-		}
-		mu.Unlock()
-		return nil
-	}
-	names = func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return recorded
-	}
-	return setup, names
-}
-
-// Warm eagerly creates (and parks) one pooled session, surfacing any
-// setup-hook error immediately instead of on the first Cost/Plan
-// call. Callers use it to validate a hypothetical design up front.
-func (f *Full) Warm() error {
-	s, err := f.pool.get()
-	if err != nil {
-		return err
-	}
-	f.pool.put(s)
-	return nil
 }
 
 // Cost prices stmt under cfg with one full optimizer invocation.

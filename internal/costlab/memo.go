@@ -3,10 +3,9 @@ package costlab
 import (
 	"context"
 	"errors"
-	"sort"
-	"strings"
 	"sync/atomic"
 
+	"repro/internal/design"
 	"repro/internal/flight"
 	"repro/internal/intern"
 	"repro/internal/obs"
@@ -93,19 +92,11 @@ func (mo *Memo) InternConfig(cfg Config) uint32 { return mo.cfgs.Intern(ConfigKe
 func (mo *Memo) InternCfgKey(cfgKey string) uint32 { return mo.cfgs.Intern(cfgKey) }
 
 // ConfigKey returns the canonical identity of a configuration: the
-// sorted spec keys. Order-insensitive, so permutations of one index
-// set share memo entries.
-func ConfigKey(cfg Config) string {
-	if len(cfg) == 0 {
-		return ""
-	}
-	keys := make([]string, len(cfg))
-	for i, spec := range cfg {
-		keys[i] = spec.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
+// sorted spec keys — design.Key of the index-only design, so joint
+// designs and plain configurations share one key space.
+// Order-insensitive, so permutations of one index set share memo
+// entries.
+func ConfigKey(cfg Config) string { return design.Key(design.Design{Indexes: cfg}) }
 
 // Lookup returns the memoized cost of (stmt, cfg) and whether one is
 // recorded, bumping the hit/miss counters.

@@ -12,11 +12,10 @@ import (
 // that construction can fail (the setup hook installs a design).
 type sessionPool struct {
 	cat *catalog.Catalog
-	// setup, when set, is run once on every freshly created session —
-	// AutoPart uses it to install what-if partition tables; the
-	// interactive component to install a whole design. Fresh sessions
-	// are deterministic, so every pooled session ends up with
-	// identical hypothetical objects (and identical generated names).
+	// setup, when set, is run once on every freshly created session to
+	// install a whole design (design.Setup). Fresh sessions are
+	// deterministic, so every pooled session ends up with identical
+	// hypothetical objects (and identical generated names).
 	setup func(*whatif.Session) error
 
 	mu      sync.Mutex

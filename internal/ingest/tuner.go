@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/recommend"
 	"repro/internal/sql"
 )
@@ -30,7 +31,7 @@ type TunerOptions struct {
 	Baseline []recommend.Query
 	// StaleDesign is the currently-deployed design (may be zero: no
 	// design yet). After every retune it advances to the new best.
-	StaleDesign recommend.Design
+	StaleDesign design.Design
 	// DriftThreshold triggers a retune when Distance(window, baseline)
 	// reaches it. 0 means DefaultDriftThreshold; negative retunes on
 	// every check (useful in tests).
@@ -104,7 +105,7 @@ type Tuner struct {
 
 	mu       sync.Mutex // serializes Check (one re-search at a time)
 	baseline []recommend.Query
-	stale    recommend.Design
+	stale    design.Design
 	seq      int64
 
 	published atomic.Pointer[Retune]

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
@@ -162,21 +163,14 @@ func TestAutoPartRewrittenWorkloadEquivalentOnRealData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := res.Partitions["photoobj"]
-	if part == nil || len(part.Fragments) < 2 {
+	if len(res.Design.Partitions) != 1 || len(res.Design.Partitions[0].Fragments) < 2 {
 		t.Skip("AutoPart kept the table whole at this scale")
 	}
 
-	// Materialize the fragments via the core facade.
-	var defs core.PartitionDef
-	defs.Table = "photoobj"
-	for _, f := range part.Fragments {
-		defs.Fragments = append(defs.Fragments, f.Columns)
-	}
-	// MaterializeAndCompare names fragments photoobj_p<i> in order,
-	// matching the advisor's naming, so the rewritten workload runs
+	// Materialize the fragments via the core facade. Fragments are named
+	// by design.FragName on both sides, so the rewritten workload runs
 	// against the same tables.
-	if _, err := core.MaterializeAndCompare(db, wl[:1], core.Design{Partitions: []core.PartitionDef{defs}}); err != nil {
+	if _, err := core.MaterializeAndCompare(db, wl[:1], design.Design{Partitions: res.Design.Partitions}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,7 +248,7 @@ func TestFullDemoPipeline(t *testing.T) {
 	p := core.New(cat)
 	wl := workload.Queries()
 
-	inter, err := p.EvaluateDesign(wl[:6], core.Design{
+	inter, err := p.EvaluateDesign(wl[:6], design.Design{
 		Indexes: []inum.IndexSpec{{Table: "photoobj", Columns: []string{"ra"}}},
 	})
 	if err != nil {

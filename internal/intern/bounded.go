@@ -97,18 +97,25 @@ func Mix32(a, b uint32) uint32 {
 // snapshot or that shard's dirty tier is empty.
 func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	sh := &b.shards[b.hash(k)&b.mask]
-	if snap := sh.snap.Load(); snap != nil {
+	snap := sh.snap.Load()
+	if snap != nil {
 		if e, ok := (*snap)[k]; ok {
 			e.ref.Store(true)
 			return e.val, true
 		}
 	}
-	if sh.dirtyN.Load() == 0 {
+	// As in Table.ID: a promotion publishes the new snapshot before it
+	// empties the dirty tier, so only an empty dirty tier behind an
+	// unchanged snapshot is a true miss.
+	if sh.dirtyN.Load() == 0 && sh.snap.Load() == snap {
 		var zero V
 		return zero, false
 	}
 	sh.mu.Lock()
 	e, ok := sh.dirty[k]
+	if cur := sh.snap.Load(); !ok && cur != nil {
+		e, ok = (*cur)[k]
+	}
 	sh.mu.Unlock()
 	if !ok {
 		var zero V

@@ -88,18 +88,29 @@ func (t *Table) Intern(s string) uint32 {
 // never grows the table, so probing with a never-stored key stays a
 // cheap miss.
 func (t *Table) ID(s string) (uint32, bool) {
-	if snap := t.snap.Load(); snap != nil {
+	snap := t.snap.Load()
+	if snap != nil {
 		if id, ok := (*snap)[s]; ok {
 			return id, true
 		}
 	}
-	if t.dirtyN.Load() == 0 {
+	// A promotion publishes the new snapshot before it empties the dirty
+	// tier, so an empty dirty tier behind an unchanged snapshot is a
+	// true miss; otherwise s may have moved from the dirty tier into a
+	// newer snapshot since the probe above — look in both under the lock.
+	if t.dirtyN.Load() == 0 && t.snap.Load() == snap {
 		return 0, false
 	}
 	t.mu.Lock()
-	id, ok := t.dirty[s]
-	t.mu.Unlock()
-	return id, ok
+	defer t.mu.Unlock()
+	if id, ok := t.dirty[s]; ok {
+		return id, true
+	}
+	if cur := t.snap.Load(); cur != nil {
+		id, ok := (*cur)[s]
+		return id, ok
+	}
+	return 0, false
 }
 
 // Lookup returns the string interned as id, or "" if id was never

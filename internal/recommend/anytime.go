@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"repro/internal/design"
 	"repro/internal/inum"
 )
 
@@ -141,7 +142,7 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 		}
 		// trial prices one candidate design, honouring the budget. A
 		// nil result with nil error means the budget stopped the round.
-		trial := func(d Design) ([]float64, error) {
+		trial := func(d design.Design) ([]float64, error) {
 			if !budgetLeft() {
 				return nil, nil
 			}

@@ -8,10 +8,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
-	"repro/internal/rewrite"
 	"repro/internal/sql"
-	"repro/internal/whatif"
 )
 
 // Evaluator is the pipeline's single evaluation core: every candidate
@@ -21,7 +20,7 @@ import (
 // Index-only designs price through the selected costlab backend (INUM
 // or full optimizer) with memo-served warm starts; designs carrying
 // partitions always price through the full optimizer (INUM cannot
-// reconstruct fragment-join plans), memoized by canonical DesignKey.
+// reconstruct fragment-join plans), memoized by canonical design.Key.
 // The memo may be a design session's shared cost memo, in which case
 // configurations a DBA priced interactively are never re-batched.
 type Evaluator struct {
@@ -130,7 +129,7 @@ func (ev *Evaluator) evaluateJobs(ctx context.Context, jobs []costlab.Job) ([]fl
 // DesignCosts prices every workload query under one joint design and
 // returns the unweighted per-query costs. One call counts as one
 // design trial.
-func (ev *Evaluator) DesignCosts(ctx context.Context, d Design) ([]float64, error) {
+func (ev *Evaluator) DesignCosts(ctx context.Context, d design.Design) ([]float64, error) {
 	ev.trials.Add(1)
 	if len(d.Partitions) == 0 {
 		jobs := make([]costlab.Job, len(ev.stmts))
@@ -143,14 +142,18 @@ func (ev *Evaluator) DesignCosts(ctx context.Context, d Design) ([]float64, erro
 		}
 		return ev.evaluateJobs(ctx, jobs)
 	}
-	return ev.partitionCosts(ctx, d)
+	all := make([]int, len(ev.stmts))
+	for i := range all {
+		all[i] = i
+	}
+	return ev.partitionCostsAt(ctx, d, all)
 }
 
 // DesignCostsAt prices design d for the query subset qs only (ascending
 // positions into the evaluator's workload) and returns unweighted costs
 // aligned with qs — the lazy scorer's partial re-pricing primitive. One
 // call counts as one design trial regardless of the subset size.
-func (ev *Evaluator) DesignCostsAt(ctx context.Context, d Design, qs []int) ([]float64, error) {
+func (ev *Evaluator) DesignCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
 	ev.trials.Add(1)
 	if len(d.Partitions) == 0 {
 		cfg := costlab.Config(d.Indexes)
@@ -165,7 +168,7 @@ func (ev *Evaluator) DesignCostsAt(ctx context.Context, d Design, qs []int) ([]f
 }
 
 // DesignCost is DesignCosts folded into the weighted workload total.
-func (ev *Evaluator) DesignCost(ctx context.Context, d Design) (float64, error) {
+func (ev *Evaluator) DesignCost(ctx context.Context, d design.Design) (float64, error) {
 	per, err := ev.DesignCosts(ctx, d)
 	if err != nil {
 		return 0, err
@@ -173,21 +176,12 @@ func (ev *Evaluator) DesignCost(ctx context.Context, d Design) (float64, error) 
 	return ev.WeightedTotal(per), nil
 }
 
-// partitionCosts prices a partition-carrying design: queries rewrite
-// onto the fragments and plan with the full optimizer against what-if
-// fragment tables, memoized by (query, DesignKey).
-func (ev *Evaluator) partitionCosts(ctx context.Context, d Design) ([]float64, error) {
-	all := make([]int, len(ev.stmts))
-	for i := range all {
-		all[i] = i
-	}
-	return ev.partitionCostsAt(ctx, d, all)
-}
-
-// partitionCostsAt is partitionCosts over a query subset (workload
-// positions); the returned costs align with qs.
-func (ev *Evaluator) partitionCostsAt(ctx context.Context, d Design, qs []int) ([]float64, error) {
-	keyID := ev.memo.InternCfgKey(DesignKey(d))
+// partitionCostsAt prices a partition-carrying design for a query
+// subset (workload positions; the returned costs align with qs):
+// queries rewrite onto the fragments and plan with the full optimizer
+// against what-if fragment tables, memoized by (query, design.Key).
+func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
+	keyID := ev.memo.InternCfgKey(design.Key(d))
 	costs := make([]float64, len(qs))
 	var missPos []int // positions in qs (and costs)
 	var missIdx []int // workload positions
@@ -204,7 +198,9 @@ func (ev *Evaluator) partitionCostsAt(ctx context.Context, d Design, qs []int) (
 	if len(missIdx) == 0 {
 		return costs, nil
 	}
-	full, rw, _ := ev.designEstimator(d)
+	setup, _ := design.Setup(d, true)
+	full := costlab.NewFullWithSetup(ev.cat, setup)
+	rw := design.Rewriter(ev.cat, d)
 	jobs := make([]costlab.Job, len(missIdx))
 	for p, i := range missIdx {
 		rq, err := rw.Rewrite(ev.stmts[i])
@@ -234,36 +230,6 @@ func remapJobErr(err error, missIdx []int) error {
 	return err
 }
 
-// designEstimator builds a full-optimizer estimator whose pooled
-// sessions carry the design — what-if fragment tables plus the chosen
-// indexes — along with the rewriter targeting the fragments and the
-// accessor for the generated index names (aligned with d.Indexes).
-func (ev *Evaluator) designEstimator(d Design) (*costlab.Full, *rewrite.Rewriter, func() []string) {
-	sel, tables := d.selection()
-	var rw *rewrite.Rewriter
-	var inner func(*whatif.Session) error
-	if len(tables) > 0 {
-		parts := Partitionings(ev.cat, tables, sel)
-		rw = rewrite.New(parts)
-		inner = func(s *whatif.Session) error {
-			for _, t := range tables {
-				for i, frag := range parts[t].Fragments {
-					if _, err := s.CreateTable(whatif.TableDef{
-						Name:    frag.Name,
-						Parent:  t,
-						Columns: sel[t][i],
-					}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-	}
-	setup, names := costlab.IndexSetup(d.Indexes, inner)
-	return costlab.NewFullWithSetup(ev.cat, setup), rw, names
-}
-
 // SpecSizeBytes returns the Equation-1 size of a candidate index.
 func (ev *Evaluator) SpecSizeBytes(spec inum.IndexSpec) (int64, error) {
 	return ev.est.SpecSizeBytes(spec)
@@ -271,8 +237,11 @@ func (ev *Evaluator) SpecSizeBytes(spec inum.IndexSpec) (int64, error) {
 
 // ReplicationOverhead estimates the extra bytes a design's partition
 // selection occupies beyond the original tables.
-func (ev *Evaluator) ReplicationOverhead(d Design) int64 {
-	sel, _ := d.selection()
+func (ev *Evaluator) ReplicationOverhead(d design.Design) int64 {
+	sel := make(map[string][][]string, len(d.Partitions))
+	for _, p := range d.Partitions {
+		sel[p.Table] = p.Fragments
+	}
 	return replicationOverhead(ev.cat, sel)
 }
 
@@ -312,12 +281,14 @@ type Report struct {
 
 // Report prices every query under the chosen design with the full
 // optimizer (not the cache), producing the per-query report.
-func (ev *Evaluator) Report(ctx context.Context, d Design) (*Report, error) {
+func (ev *Evaluator) Report(ctx context.Context, d design.Design) (*Report, error) {
 	base, err := ev.reportBaseCosts(ctx)
 	if err != nil {
 		return nil, err
 	}
-	full, rw, names := ev.designEstimator(d)
+	setup, names := design.Setup(d, true)
+	full := costlab.NewFullWithSetup(ev.cat, setup)
+	rw := design.Rewriter(ev.cat, d)
 	targets := make([]*sql.Select, len(ev.stmts))
 	var rewritten []string
 	for i, stmt := range ev.stmts {

@@ -6,13 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/rewrite"
+	"repro/internal/design"
 	"repro/internal/sql"
 )
 
 // This file is the pipeline's partition-candidate machinery: atomic
-// fragments (AutoPart step 1), composite-fragment generation, fragment
-// naming, replication sizing, and selection pruning — one
+// fragments (AutoPart step 1), composite-fragment generation,
+// replication sizing, and selection pruning — one
 // implementation shared by the AutoPart loop and the joint search.
 
 // fragKey canonicalizes a column set.
@@ -167,30 +167,6 @@ func QueryColumnsOnTable(tab *catalog.Table, sel *sql.Select) map[string]bool {
 	return out
 }
 
-// fragName names the i-th fragment of table — the same generated
-// convention internal/session uses, so a recommended partitioning can
-// be applied to a design session verbatim.
-func fragName(table string, i int) string {
-	return fmt.Sprintf("%s_p%d", table, i+1)
-}
-
-// Partitionings names each selected table's fragments
-// deterministically and assembles rewriter partitionings for them.
-func Partitionings(cat *catalog.Catalog, tables []string, sel map[string][][]string) map[string]*rewrite.Partitioning {
-	parts := map[string]*rewrite.Partitioning{}
-	for _, t := range tables {
-		p := &rewrite.Partitioning{Parent: cat.Table(t)}
-		for i, cols := range sel[t] {
-			p.Fragments = append(p.Fragments, rewrite.Fragment{
-				Name:    fragName(t, i),
-				Columns: append([]string(nil), cols...),
-			})
-		}
-		parts[t] = p
-	}
-	return parts
-}
-
 // replicationOverhead estimates the extra bytes a selection needs
 // beyond the original tables: Σ fragment heap sizes − original heap
 // size, per table, floored at 0 per table.
@@ -200,7 +176,9 @@ func replicationOverhead(cat *catalog.Catalog, sel map[string][][]string) int64 
 		tab := cat.Table(t)
 		var fragBytes int64
 		for _, cols := range frags {
-			ft := fragmentShape(tab, cols)
+			// Selections hold the table's own columns, so this cannot fail.
+			fcols, _ := tab.FragmentColumns(cols)
+			ft := &catalog.Table{Columns: fcols}
 			fragBytes += ft.EstimatePages(tab.RowCount) * catalog.PageSize
 		}
 		origBytes := tab.EstimatePages(tab.RowCount) * catalog.PageSize
@@ -209,25 +187,6 @@ func replicationOverhead(cat *catalog.Catalog, sel map[string][][]string) int64 
 		}
 	}
 	return total
-}
-
-// fragmentShape builds the column layout of a fragment (PK + columns)
-// without registering it anywhere.
-func fragmentShape(parent *catalog.Table, cols []string) *catalog.Table {
-	want := map[string]bool{}
-	for _, pk := range parent.PrimaryKey {
-		want[pk] = true
-	}
-	for _, c := range cols {
-		want[c] = true
-	}
-	t := &catalog.Table{Name: "frag", PrimaryKey: parent.PrimaryKey}
-	for _, c := range parent.Columns {
-		if want[c.Name] {
-			t.Columns = append(t.Columns, catalog.Column{Name: c.Name, Type: c.Type, AvgWidth: c.AvgWidth})
-		}
-	}
-	return t
 }
 
 func unionCols(a, b []string) []string {
@@ -250,20 +209,20 @@ func unionCols(a, b []string) []string {
 // keeping one home fragment for every column so the partitioning
 // still reconstructs the parent tables.
 func pruneSelection(cat *catalog.Catalog, queries []Query, tables []string, sel map[string][][]string) (map[string][][]string, error) {
-	parts := Partitionings(cat, tables, sel)
-	rw := rewrite.New(parts)
+	var d design.Design
 	used := map[string]map[string]bool{} // table → fragment key → used
-	for _, t := range tables {
-		used[t] = map[string]bool{}
-	}
 	nameToKey := map[string]string{}
 	nameToTable := map[string]string{}
 	for _, t := range tables {
-		for i, f := range parts[t].Fragments {
-			nameToKey[f.Name] = fragKey(sel[t][i])
-			nameToTable[f.Name] = t
+		d.Partitions = append(d.Partitions, design.Partition{Table: t, Fragments: sel[t]})
+		used[t] = map[string]bool{}
+		for i, cols := range sel[t] {
+			name := design.FragName(t, i)
+			nameToKey[name] = fragKey(cols)
+			nameToTable[name] = t
 		}
 	}
+	rw := design.Rewriter(cat, d)
 	for _, q := range queries {
 		rq, err := rw.Rewrite(q.Stmt)
 		if err != nil {

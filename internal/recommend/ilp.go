@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/ilp"
 	"repro/internal/inum"
 )
@@ -235,7 +236,7 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 		maint += MaintenanceCost(spec, sz, p.Opts.UpdateRates)
 	}
 	return &Outcome{
-		Design:      Design{Indexes: chosen},
+		Design:      design.Design{Indexes: chosen},
 		SizeBytes:   size,
 		Maintenance: maint,
 		Work:        sol.Nodes,
@@ -256,7 +257,7 @@ func polishSelection(ctx context.Context, p *Problem, chosen []inum.IndexSpec) (
 		}
 		size += sz
 	}
-	current, err := ev.DesignCost(ctx, Design{Indexes: chosen})
+	current, err := ev.DesignCost(ctx, design.Design{Indexes: chosen})
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +276,7 @@ func polishSelection(ctx context.Context, p *Problem, chosen []inum.IndexSpec) (
 				continue
 			}
 			trial := append(append([]inum.IndexSpec(nil), chosen...), spec)
-			cost, err := ev.DesignCost(ctx, Design{Indexes: trial})
+			cost, err := ev.DesignCost(ctx, design.Design{Indexes: trial})
 			if err != nil {
 				return nil, err
 			}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/recommend"
 )
 
@@ -47,9 +48,9 @@ func runWithOracle(t *testing.T, cat *catalog.Catalog, queries []recommend.Query
 	if !reflect.DeepEqual(lazyMoves, oracleMoves) {
 		t.Fatalf("move sequences diverge:\n lazy   %v\n oracle %v", lazyMoves, oracleMoves)
 	}
-	if recommend.DesignKey(lazy.Design) != recommend.DesignKey(oracle.Design) {
+	if design.Key(lazy.Design) != design.Key(oracle.Design) {
 		t.Fatalf("designs diverge:\n lazy   %v\n oracle %v",
-			recommend.DesignKey(lazy.Design), recommend.DesignKey(oracle.Design))
+			design.Key(lazy.Design), design.Key(oracle.Design))
 	}
 	if !reflect.DeepEqual(lazy.CostTrace, oracle.CostTrace) {
 		t.Fatalf("cost traces diverge:\n lazy   %v\n oracle %v", lazy.CostTrace, oracle.CostTrace)

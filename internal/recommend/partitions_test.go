@@ -150,18 +150,19 @@ func TestAutoPartImprovesNarrowWorkload(t *testing.T) {
 		}
 	}
 	// Partitioning covers all columns.
-	part := res.Partitions["photoobj"]
-	if part == nil {
-		t.Fatal("no partitioning for photoobj")
+	if len(res.Design.Partitions) != 1 || res.Design.Partitions[0].Table != "photoobj" {
+		t.Fatalf("want one photoobj partitioning, got %+v", res.Design.Partitions)
 	}
-	var allCols []string
-	for _, c := range cat.Table("photoobj").Columns {
-		if c.Name != "objid" {
-			allCols = append(allCols, c.Name)
+	covered := map[string]bool{}
+	for _, frag := range res.Design.Partitions[0].Fragments {
+		for _, c := range frag {
+			covered[c] = true
 		}
 	}
-	if !part.Covers(allCols) {
-		t.Error("final partitioning does not cover all columns")
+	for _, c := range cat.Table("photoobj").Columns {
+		if c.Name != "objid" && !covered[c.Name] {
+			t.Errorf("final partitioning does not cover column %s", c.Name)
+		}
 	}
 	if res.Rounds < 1 {
 		t.Error("no iterations recorded")

@@ -17,6 +17,9 @@
 //   - one evaluation *core* (Evaluator) that prices every candidate
 //     design, index-only or joint.
 //
+// Candidates and results are design.Design values — the type design
+// sessions edit — so a recommendation applies to a session verbatim.
+//
 // The search space of the joint mode is genuinely joint: every round
 // may pick an index or a partitioning move, with one storage budget
 // shared across index bytes and partition replication. A search can be
@@ -43,8 +46,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
-	"repro/internal/rewrite"
 )
 
 // Object-kind names accepted by Options.Objects.
@@ -223,7 +226,7 @@ type Problem struct {
 // Outcome is a strategy's raw result, before the final full-optimizer
 // report.
 type Outcome struct {
-	Design      Design
+	Design      design.Design
 	BaseCost    float64 // search-backend workload cost before
 	Cost        float64 // search-backend workload cost of Design
 	PerCosts    []float64
@@ -275,10 +278,9 @@ func init() {
 // Result is a completed recommendation.
 type Result struct {
 	// Design is the recommended joint design, directly applicable to a
-	// design session.
-	Design Design
-	// Partitions names the recommended fragments per parent table.
-	Partitions map[string]*rewrite.Partitioning
+	// design session; partitions are sorted by table, and fragment i of
+	// table t is named design.FragName(t, i).
+	Design design.Design
 	// Rewritten holds the workload rewritten onto the fragments, in
 	// input order (nil without partitions).
 	Rewritten []string
@@ -453,11 +455,6 @@ func assembleResult(ctx context.Context, p *Problem, out *Outcome) (*Result, err
 		Strategy:         p.Opts.Strategy,
 		Objects:          p.Opts.Objects,
 	}
-	if len(out.Design.Partitions) > 0 {
-		sel, tables := out.Design.selection()
-		res.Partitions = Partitionings(p.Cat, tables, sel)
-	}
-
 	reported := false
 	if ctx.Err() == nil {
 		rep, err := ev.Report(ctx, out.Design)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/obs"
 	"repro/internal/recommend"
@@ -27,11 +28,11 @@ import (
 //	GET    /sessions/{name}                      design, signature, stats
 //	DELETE /sessions/{name}                      drop
 //	GET    /sessions/{name}/costs                per-query costs (CostsResponse)
-//	GET    /sessions/{name}/design               the design alone (session.Design)
-//	POST   /sessions/{name}/design               replace the design (session.Design)
-//	POST   /sessions/{name}/indexes              add index (IndexRequest)
-//	DELETE /sessions/{name}/indexes?key=t(c,c)   drop index (or IndexRequest body)
-//	POST   /sessions/{name}/partitions           set partitioning (PartitionRequest)
+//	GET    /sessions/{name}/design               the design alone (design.Design)
+//	POST   /sessions/{name}/design               replace the design (design.Design)
+//	POST   /sessions/{name}/indexes              add index (inum.IndexSpec)
+//	DELETE /sessions/{name}/indexes?key=t(c,c)   drop index (or inum.IndexSpec body)
+//	POST   /sessions/{name}/partitions           set partitioning (design.Partition)
 //	DELETE /sessions/{name}/partitions/{table}   drop partitioning
 //	POST   /sessions/{name}/nestloop             toggle join method (NestLoopRequest)
 //	POST   /sessions/{name}/undo                 revert the last edit
@@ -306,25 +307,25 @@ func (m *Manager) edit(w http.ResponseWriter, r *http.Request, name string, fn f
 }
 
 func (m *Manager) handleAddIndex(w http.ResponseWriter, r *http.Request) {
-	var req IndexRequest
+	var req inum.IndexSpec
 	if err := decodeBody(r, &req, false); err != nil {
 		writeError(w, err)
 		return
 	}
 	m.edit(w, r, r.PathValue("name"), func(s *session.DesignSession) (*session.InteractiveReport, error) {
-		return s.AddIndex(inum.IndexSpec{Table: req.Table, Columns: req.Columns})
+		return s.AddIndex(req)
 	})
 }
 
 func (m *Manager) handleDropIndex(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		var req IndexRequest
+		var req inum.IndexSpec
 		if err := decodeBody(r, &req, false); err != nil {
 			writeError(w, fmt.Errorf("serve: drop index wants ?key=table(col,col) or a body: %w", err))
 			return
 		}
-		key = inum.IndexSpec{Table: req.Table, Columns: req.Columns}.Key()
+		key = req.Key()
 	}
 	m.edit(w, r, r.PathValue("name"), func(s *session.DesignSession) (*session.InteractiveReport, error) {
 		return s.DropIndexKey(key)
@@ -332,13 +333,13 @@ func (m *Manager) handleDropIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleAddPartition(w http.ResponseWriter, r *http.Request) {
-	var req PartitionRequest
+	var req design.Partition
 	if err := decodeBody(r, &req, false); err != nil {
 		writeError(w, err)
 		return
 	}
 	m.edit(w, r, r.PathValue("name"), func(s *session.DesignSession) (*session.InteractiveReport, error) {
-		return s.AddPartition(session.PartitionDef{Table: req.Table, Fragments: req.Fragments})
+		return s.AddPartition(req)
 	})
 }
 
@@ -373,7 +374,7 @@ func (m *Manager) handleRedo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleApplyDesign(w http.ResponseWriter, r *http.Request) {
-	var d session.Design
+	var d design.Design
 	if err := decodeBody(r, &d, false); err != nil {
 		writeError(w, err)
 		return
@@ -384,7 +385,7 @@ func (m *Manager) handleApplyDesign(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleGetDesign(w http.ResponseWriter, r *http.Request) {
-	var d session.Design
+	var d design.Design
 	if err := m.doReq(r, r.PathValue("name"), func(s *session.DesignSession) error {
 		d = s.Design()
 		return nil

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/design"
 	"repro/internal/intern"
 	"repro/internal/inum"
 	"repro/internal/session"
@@ -118,7 +119,7 @@ func TestAPISessionLifecycle(t *testing.T) {
 	// Edit: add an index, check the deterministic envelope.
 	var edit EditResponse
 	call(t, ts, "POST", "/sessions/dba1/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, &edit)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, &edit)
 	if len(edit.Design.Indexes) != 1 || edit.Design.Indexes[0].Key() != "photoobj(ra)" {
 		t.Errorf("edit design = %+v", edit.Design)
 	}
@@ -127,10 +128,10 @@ func TestAPISessionLifecycle(t *testing.T) {
 	}
 	// Duplicate edit → 409.
 	call(t, ts, "POST", "/sessions/dba1/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"ra"}}, http.StatusConflict, nil)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusConflict, nil)
 	// Unknown column → 400.
 	call(t, ts, "POST", "/sessions/dba1/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"no_such"}}, http.StatusBadRequest, nil)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"no_such"}}, http.StatusBadRequest, nil)
 
 	// Costs panel.
 	var costs CostsResponse
@@ -150,7 +151,7 @@ func TestAPISessionLifecycle(t *testing.T) {
 	// Partition round trip. The fragment set must cover every column
 	// the workload touches, so split photoobj into [ra,dec | rest].
 	call(t, ts, "POST", "/sessions/dba1/partitions",
-		PartitionRequest{Table: "photoobj", Fragments: photoFragments(t)}, http.StatusOK, &edit)
+		design.Partition{Table: "photoobj", Fragments: photoFragments(t)}, http.StatusOK, &edit)
 	if len(edit.Design.Partitions) != 1 {
 		t.Errorf("partition edit design = %+v", edit.Design)
 	}
@@ -179,11 +180,11 @@ func TestAPISessionLifecycle(t *testing.T) {
 	// Redo stack exhausted → 409.
 	call(t, ts, "POST", "/sessions/dba1/redo", nil, http.StatusConflict, nil)
 
-	// Apply a whole design as JSON (the session.Design wire form).
+	// Apply a whole design as JSON (the design.Design wire form).
 	call(t, ts, "POST", "/sessions/dba1/design",
-		session.Design{Partitions: []session.PartitionDef{{Table: "photoobj", Fragments: photoFragments(t)}}},
+		design.Design{Partitions: []design.Partition{{Table: "photoobj", Fragments: photoFragments(t)}}},
 		http.StatusOK, &edit)
-	var d session.Design
+	var d design.Design
 	call(t, ts, "GET", "/sessions/dba1/design", nil, http.StatusOK, &d)
 	if len(d.Partitions) != 1 || d.Partitions[0].Table != "photoobj" {
 		t.Errorf("design round trip = %+v", d)
@@ -205,7 +206,7 @@ func TestAPISessionLifecycle(t *testing.T) {
 // must be byte-identical.
 func TestAPISharedMemoAcrossTenants(t *testing.T) {
 	ts, _ := testServer(t, Options{})
-	ix := IndexRequest{Table: "photoobj", Columns: []string{"ra"}}
+	ix := inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}
 
 	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "a"}, http.StatusCreated, nil)
 	call(t, ts, "POST", "/sessions/a/indexes", ix, http.StatusOK, nil)

@@ -460,6 +460,7 @@ func recommendResult(res *recommend.Result) *RecommendResult {
 		MemoHits:         res.MemoHits,
 		Truncated:        res.Truncated,
 		CostTrace:        res.CostTrace,
+		Partitions:       res.Design.Partitions,
 	}
 	stmts := recommend.MaterializeStatements(res.Design.Indexes)
 	for i, spec := range res.Design.Indexes {
@@ -467,12 +468,6 @@ func recommendResult(res *recommend.Result) *RecommendResult {
 			Table:   spec.Table,
 			Columns: spec.Columns,
 			SQL:     stmts[i],
-		})
-	}
-	for _, def := range res.Design.Partitions {
-		out.Partitions = append(out.Partitions, session.PartitionDef{
-			Table:     def.Table,
-			Fragments: def.Fragments,
 		})
 	}
 	return out

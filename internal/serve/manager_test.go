@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -189,7 +190,7 @@ func TestManagerIdleTTLSweep(t *testing.T) {
 
 // designKeys flattens a design to its sorted index-key set for model
 // comparison.
-func designKeys(d session.Design) string {
+func designKeys(d design.Design) string {
 	keys := make([]string, 0, len(d.Indexes))
 	for _, spec := range d.Indexes {
 		keys = append(keys, spec.Key())

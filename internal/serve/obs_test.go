@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/inum"
 	"repro/internal/obs"
 )
 
@@ -134,7 +135,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := testServer(t, Options{})
 	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "m1"}, http.StatusCreated, nil)
 	call(t, ts, "POST", "/sessions/m1/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
 	call(t, ts, "POST", "/sessions/m1/ingest", IngestRequest{SQL: testWorkload()[0]}, http.StatusOK, nil)
 
 	samples := scrape(t, ts)
@@ -183,9 +184,9 @@ func TestMetricsAgreesWithStats(t *testing.T) {
 	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "a"}, http.StatusCreated, nil)
 	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "b"}, http.StatusCreated, nil)
 	call(t, ts, "POST", "/sessions/a/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
 	call(t, ts, "POST", "/sessions/b/indexes",
-		IndexRequest{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
+		inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
 
 	// No requests in flight: both renderings read the same counters.
 	samples := scrape(t, ts)
@@ -260,7 +261,7 @@ func TestMetricsConcurrentTenants(t *testing.T) {
 				return
 			}
 			if err := do("POST", "/sessions/"+name+"/indexes",
-				IndexRequest{Table: "photoobj", Columns: []string{"ra", "dec"}}); err != nil {
+				inum.IndexSpec{Table: "photoobj", Columns: []string{"ra", "dec"}}); err != nil {
 				errs <- err
 				return
 			}

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"repro/internal/design"
 	"repro/internal/ingest"
 	"repro/internal/session"
 )
 
-// Wire types of the HTTP/JSON API. Design, PartitionDef and
-// InteractiveReport marshal through their session-package JSON forms;
-// the types here are the envelopes around them.
+// Wire types of the HTTP/JSON API. Designs and partitions marshal
+// through design.Design / design.Partition — the same JSON form as
+// `design -json` and the write-ahead log's edit records — and
+// InteractiveReport through its session-package form; the types here
+// are the envelopes around them.
 //
 // CostsResponse is deliberately deterministic: given the same
 // workload and design it marshals to identical bytes regardless of
@@ -25,19 +28,6 @@ type CreateSessionRequest struct {
 	Workers  int      `json:"workers,omitempty"`
 }
 
-// IndexRequest names a what-if index.
-type IndexRequest struct {
-	Table   string   `json:"table"`
-	Columns []string `json:"columns"`
-}
-
-// PartitionRequest sets (or replaces) one table's vertical
-// partitioning.
-type PartitionRequest struct {
-	Table     string     `json:"table"`
-	Fragments [][]string `json:"fragments"`
-}
-
 // NestLoopRequest toggles the what-if join method.
 type NestLoopRequest struct {
 	Enabled bool `json:"enabled"`
@@ -52,12 +42,12 @@ type SuggestRequest struct {
 // EditResponse is the outcome of a design mutation (create/drop
 // index, partition, nestloop, apply-design, undo, redo).
 type EditResponse struct {
-	Design     session.Design `json:"design"`
-	Signature  string         `json:"signature"`
-	BaseCost   float64        `json:"baseCost"`
-	NewCost    float64        `json:"newCost"`
-	BenefitPct float64        `json:"benefitPct"`
-	Speedup    float64        `json:"speedup"`
+	Design     design.Design `json:"design"`
+	Signature  string        `json:"signature"`
+	BaseCost   float64       `json:"baseCost"`
+	NewCost    float64       `json:"newCost"`
+	BenefitPct float64       `json:"benefitPct"`
+	Speedup    float64       `json:"speedup"`
 	// Per-edit incremental accounting. Invalidated is fixed by the
 	// transition; Repriced additionally depends on memo warmth — a
 	// tenant repeating an already-priced edit sees 0.
@@ -102,13 +92,13 @@ type SessionStats struct {
 
 // SessionInfo is one session's full description.
 type SessionInfo struct {
-	Name      string         `json:"name"`
-	Queries   int            `json:"queries"`
-	Design    session.Design `json:"design"`
-	Signature string         `json:"signature"`
-	NestLoop  bool           `json:"nestLoop"`
-	CanUndo   bool           `json:"canUndo"`
-	CanRedo   bool           `json:"canRedo"`
+	Name      string        `json:"name"`
+	Queries   int           `json:"queries"`
+	Design    design.Design `json:"design"`
+	Signature string        `json:"signature"`
+	NestLoop  bool          `json:"nestLoop"`
+	CanUndo   bool          `json:"canUndo"`
+	CanRedo   bool          `json:"canRedo"`
 	// UndoDepth/RedoDepth are the history stack sizes — the durability
 	// crash tests assert they survive a restart bit-identically.
 	UndoDepth int          `json:"undoDepth"`
@@ -174,16 +164,16 @@ type RecommendJobRequest struct {
 
 // RecommendResult is a finished job's recommendation.
 type RecommendResult struct {
-	Indexes          []SuggestedIndex       `json:"indexes,omitempty"`
-	Partitions       []session.PartitionDef `json:"partitions,omitempty"`
-	BenefitPct       float64                `json:"benefitPct"`
-	Speedup          float64                `json:"speedup"`
-	SizeBytes        int64                  `json:"sizeBytes"`
-	ReplicationBytes int64                  `json:"replicationBytes"`
-	Rounds           int                    `json:"rounds"`
-	Evaluations      int64                  `json:"evaluations"`
-	PlanCalls        int64                  `json:"planCalls"`
-	MemoHits         int64                  `json:"memoHits"`
+	Indexes          []SuggestedIndex   `json:"indexes,omitempty"`
+	Partitions       []design.Partition `json:"partitions,omitempty"`
+	BenefitPct       float64            `json:"benefitPct"`
+	Speedup          float64            `json:"speedup"`
+	SizeBytes        int64              `json:"sizeBytes"`
+	ReplicationBytes int64              `json:"replicationBytes"`
+	Rounds           int                `json:"rounds"`
+	Evaluations      int64              `json:"evaluations"`
+	PlanCalls        int64              `json:"planCalls"`
+	MemoHits         int64              `json:"memoHits"`
 	// EvalsSkipped / JobsPruned account the lazy sweep's savings:
 	// candidate evaluations served from the gain cache and pricing
 	// jobs never built (vs an eager full rebuild every round).

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -55,7 +56,7 @@ func TestSessionRedoIsFreeAndExact(t *testing.T) {
 	if got := rep1.PerQuery; len(got) == 0 {
 		t.Fatal("redo report empty")
 	}
-	if want := (session.Design{Indexes: []inum.IndexSpec{specA}}); !reflect.DeepEqual(s.Design(), want) {
+	if want := (design.Design{Indexes: []inum.IndexSpec{specA}}); !reflect.DeepEqual(s.Design(), want) {
 		t.Errorf("first redo design = %+v, want %+v", s.Design(), want)
 	}
 	rep2, err := s.Redo()
@@ -88,7 +89,7 @@ func TestSessionRedoIsFreeAndExact(t *testing.T) {
 	if _, err := s.Undo(); err != nil {
 		t.Fatal(err)
 	}
-	if want := (session.Design{Indexes: []inum.IndexSpec{specA}}); !reflect.DeepEqual(s.Design(), want) {
+	if want := (design.Design{Indexes: []inum.IndexSpec{specA}}); !reflect.DeepEqual(s.Design(), want) {
 		t.Errorf("undo-after-redo design = %+v, want %+v", s.Design(), want)
 	}
 
@@ -136,12 +137,12 @@ func undoDepth(s *session.DesignSession) int {
 }
 
 func TestDesignAndReportJSONRoundTrip(t *testing.T) {
-	d := session.Design{
+	d := design.Design{
 		Indexes: []inum.IndexSpec{
 			{Table: "photoobj", Columns: []string{"ra", "dec"}},
 			{Table: "specobj", Columns: []string{"bestobjid"}},
 		},
-		Partitions: []session.PartitionDef{
+		Partitions: []design.Partition{
 			{Table: "photoobj", Fragments: [][]string{{"ra", "dec"}, {"run", "camcol"}}},
 		},
 	}
@@ -155,7 +156,7 @@ func TestDesignAndReportJSONRoundTrip(t *testing.T) {
 			t.Errorf("design JSON %s missing %s", blob, want)
 		}
 	}
-	var back session.Design
+	var back design.Design
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestDesignAndReportJSONRoundTrip(t *testing.T) {
 		t.Errorf("design round trip: %+v != %+v", back, d)
 	}
 
-	var pd session.PartitionDef
+	var pd design.Partition
 	pdBlob, err := json.Marshal(d.Partitions[0])
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,10 @@
 // (decided from the shared query-footprint analysis in internal/sql)
 // are re-planned, every other query's cost, plan explain and rewrite
 // are served from a memo keyed by (query identity, projected design
-// signature). Design mutations reach the planner through
-// whatif.Session.ApplyDelta instead of a full rebuild, and an undo
-// stack replays earlier designs almost entirely from the memo.
+// key — design.ProjectedKey). Every design transition reaches the
+// planner as one whatif.Session.ApplyDelta of design.Diff instead of a
+// full rebuild, and an undo stack replays earlier designs almost
+// entirely from the memo.
 //
 // core.EvaluateDesign is a thin one-shot wrapper over a throwaway
 // DesignSession; `parinda session` drives a long-lived one.
@@ -18,11 +19,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/flight"
 	"repro/internal/inum"
 	"repro/internal/obs"
@@ -32,39 +35,6 @@ import (
 	"repro/internal/sql"
 	"repro/internal/whatif"
 )
-
-// PartitionDef is one manual partitioning: the parent table and the
-// column groups of each fragment (primary keys are implicit). The
-// JSON form is shared by the serve wire format and `design -json`.
-type PartitionDef struct {
-	Table     string     `json:"table"`
-	Fragments [][]string `json:"fragments"`
-}
-
-// Design is a manual physical design: what-if indexes and what-if
-// table partitions. The JSON form is shared by the serve wire format
-// and `design -json`; round-tripping it through encoding/json is
-// lossless.
-type Design struct {
-	Indexes    []inum.IndexSpec `json:"indexes,omitempty"`
-	Partitions []PartitionDef   `json:"partitions,omitempty"`
-}
-
-// clone deep-copies the design so snapshots are immune to later edits.
-func (d Design) clone() Design {
-	out := Design{Indexes: append([]inum.IndexSpec(nil), d.Indexes...)}
-	for i, spec := range out.Indexes {
-		out.Indexes[i].Columns = append([]string(nil), spec.Columns...)
-	}
-	for _, def := range d.Partitions {
-		cp := PartitionDef{Table: def.Table}
-		for _, cols := range def.Fragments {
-			cp.Fragments = append(cp.Fragments, append([]string(nil), cols...))
-		}
-		out.Partitions = append(out.Partitions, cp)
-	}
-	return out
-}
 
 // EditRecord kinds: a committed user edit, an undo, a redo.
 const (
@@ -84,24 +54,9 @@ const (
 // undo/redo stacks. Undo and redo are recorded as markers, not
 // states: replay walks the same history the user did.
 type EditRecord struct {
-	Kind     string  `json:"kind"`
-	Design   *Design `json:"design,omitempty"`   // RecordEdit only
-	NestLoop bool    `json:"nestLoop,omitempty"` // RecordEdit only
-}
-
-// partKey canonicalizes a partition definition for signature and diff
-// purposes. Fragment order matters (it fixes the generated names).
-func partKey(def PartitionDef) string {
-	var sb strings.Builder
-	sb.WriteString(def.Table)
-	sb.WriteByte(':')
-	for i, cols := range def.Fragments {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		sb.WriteString(strings.Join(cols, ","))
-	}
-	return sb.String()
+	Kind     string         `json:"kind"`
+	Design   *design.Design `json:"design,omitempty"`   // RecordEdit only
+	NestLoop bool           `json:"nestLoop,omitempty"` // RecordEdit only
 }
 
 // InteractiveReport is the interactive component's output — the
@@ -187,7 +142,7 @@ type memoKey struct {
 // snapshot captures everything an undo (or a failed edit's rollback)
 // must restore besides the memo, which only ever grows.
 type snapshot struct {
-	design   Design
+	design   design.Design
 	nestLoop bool
 }
 
@@ -201,7 +156,7 @@ type DesignSession struct {
 	foot    []*sql.Footprint // original-query footprints, parsed once
 
 	ws         *whatif.Session   // mirrors the current design at all times
-	design     Design            // current design
+	design     design.Design     // current design
 	nestLoop   bool              // current What-If Join flag
 	ixName     map[string]string // design-index key → what-if index name
 	fragParent map[string]string // fragment table → parent table
@@ -333,7 +288,7 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 func (s *DesignSession) Queries() []recommend.Query { return s.queries }
 
 // Design returns a copy of the current design.
-func (s *DesignSession) Design() Design { return s.design.clone() }
+func (s *DesignSession) Design() design.Design { return s.design.Clone() }
 
 // NestLoopEnabled reports the current What-If Join flag.
 func (s *DesignSession) NestLoopEnabled() bool { return s.nestLoop }
@@ -392,7 +347,7 @@ func (s *DesignSession) AddIndex(spec inum.IndexSpec) (*InteractiveReport, error
 			return nil, fmt.Errorf("session: index %s is already in the design", key)
 		}
 	}
-	target := s.design.clone()
+	target := s.design.Clone()
 	// Copy the caller's column slice: the design (and its undo
 	// snapshots) must not alias caller-owned memory.
 	spec.Columns = append([]string(nil), spec.Columns...)
@@ -407,7 +362,7 @@ func (s *DesignSession) DropIndex(spec inum.IndexSpec) (*InteractiveReport, erro
 
 // DropIndexKey removes a design index by its key ("table(col,col)").
 func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
-	target := s.design.clone()
+	target := s.design.Clone()
 	kept := target.Indexes[:0]
 	found := false
 	for _, have := range target.Indexes {
@@ -427,12 +382,12 @@ func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
 // AddPartition installs (or replaces — "repartition") the vertical
 // partitioning of def.Table. Replacing drops the old fragments and
 // any design indexes on them.
-func (s *DesignSession) AddPartition(def PartitionDef) (*InteractiveReport, error) {
-	target := s.design.clone()
+func (s *DesignSession) AddPartition(def design.Partition) (*InteractiveReport, error) {
+	target := s.design.Clone()
 	target = removePartition(target, def.Table)
 	// Copy the caller's fragment slices: the design (and its undo
 	// snapshots) must not alias caller-owned memory.
-	cp := PartitionDef{Table: def.Table}
+	cp := design.Partition{Table: def.Table}
 	for _, cols := range def.Fragments {
 		cp.Fragments = append(cp.Fragments, append([]string(nil), cols...))
 	}
@@ -443,22 +398,16 @@ func (s *DesignSession) AddPartition(def PartitionDef) (*InteractiveReport, erro
 // DropPartition removes def.Table's partitioning and any design
 // indexes on its fragments.
 func (s *DesignSession) DropPartition(table string) (*InteractiveReport, error) {
-	found := false
-	for _, def := range s.design.Partitions {
-		if def.Table == table {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(s.design.Partitions, func(p design.Partition) bool { return p.Table == table }) {
 		return nil, fmt.Errorf("session: table %q is not partitioned in the design", table)
 	}
-	target := removePartition(s.design.clone(), table)
+	target := removePartition(s.design.Clone(), table)
 	return s.userEdit(target, s.nestLoop)
 }
 
 // removePartition drops table's partition def and cascades to design
 // indexes on its fragments.
-func removePartition(d Design, table string) Design {
+func removePartition(d design.Design, table string) design.Design {
 	frags := map[string]bool{}
 	keptParts := d.Partitions[:0]
 	for _, def := range d.Partitions {
@@ -466,8 +415,8 @@ func removePartition(d Design, table string) Design {
 			keptParts = append(keptParts, def)
 			continue
 		}
-		for name := range fragmentsOf(def) {
-			frags[name] = true
+		for i := range def.Fragments {
+			frags[design.FragName(def.Table, i)] = true
 		}
 	}
 	d.Partitions = keptParts
@@ -481,37 +430,20 @@ func removePartition(d Design, table string) Design {
 	return d
 }
 
-// fragName is the single source of the generated fragment-table
-// naming convention. Every site that creates, validates, rewrites
-// onto, or drops fragments must name them through it, or the rewriter
-// targets and the what-if tables drift apart.
-func fragName(table string, i int) string {
-	return fmt.Sprintf("%s_p%d", table, i+1)
-}
-
-// fragmentsOf names def's generated fragment tables.
-func fragmentsOf(def PartitionDef) map[string][]string {
-	out := map[string][]string{}
-	for i, cols := range def.Fragments {
-		out[fragName(def.Table, i)] = cols
-	}
-	return out
-}
-
 // SetNestLoop toggles the What-If Join component and re-prices the
 // queries whose plans can contain a join.
 func (s *DesignSession) SetNestLoop(enabled bool) (*InteractiveReport, error) {
 	if enabled == s.nestLoop {
 		return s.Report(), nil
 	}
-	return s.userEdit(s.design.clone(), enabled)
+	return s.userEdit(s.design.Clone(), enabled)
 }
 
 // ApplyDesign replaces the whole design in one edit — the one-shot
 // entry point core.EvaluateDesign uses, and a bulk "load design" for
 // the REPL. Only the diff against the current design is re-priced.
-func (s *DesignSession) ApplyDesign(d Design) (*InteractiveReport, error) {
-	return s.userEdit(d.clone(), s.nestLoop)
+func (s *DesignSession) ApplyDesign(d design.Design) (*InteractiveReport, error) {
+	return s.userEdit(d.Clone(), s.nestLoop)
 }
 
 // Undo reverts the last successful edit and makes it available to
@@ -522,7 +454,7 @@ func (s *DesignSession) Undo() (*InteractiveReport, error) {
 		return nil, errors.New("session: nothing to undo")
 	}
 	prev := s.undo[len(s.undo)-1]
-	cur := snapshot{design: s.design.clone(), nestLoop: s.nestLoop}
+	cur := snapshot{design: s.design.Clone(), nestLoop: s.nestLoop}
 	rep, err := s.edit(prev.design, prev.nestLoop)
 	if err != nil {
 		return nil, err
@@ -591,7 +523,7 @@ func (s *DesignSession) ApplyRecord(rec EditRecord) (*InteractiveReport, error) 
 		if rec.Design == nil {
 			return nil, errors.New("session: edit record carries no design")
 		}
-		return s.userEdit(rec.Design.clone(), rec.NestLoop)
+		return s.userEdit(rec.Design.Clone(), rec.NestLoop)
 	case RecordUndo:
 		return s.Undo()
 	case RecordRedo:
@@ -666,7 +598,7 @@ func (s *DesignSession) Explain(qi int) (string, error) {
 // (re-applying the current design) push no frame and keep the redo
 // stack, detected by the undo depth. Undo and Redo call edit directly
 // to keep the stack they are walking.
-func (s *DesignSession) userEdit(target Design, targetNL bool) (*InteractiveReport, error) {
+func (s *DesignSession) userEdit(target design.Design, targetNL bool) (*InteractiveReport, error) {
 	depth := len(s.undo)
 	rep, err := s.edit(target, targetNL)
 	if err != nil {
@@ -677,7 +609,7 @@ func (s *DesignSession) userEdit(target Design, targetNL bool) (*InteractiveRepo
 		if s.onRecord != nil {
 			// Only real edits (frame pushed) are journaled: a structural
 			// no-op changed nothing, so replaying without it is identical.
-			d := s.design.clone()
+			d := s.design.Clone()
 			s.onRecord(EditRecord{Kind: RecordEdit, Design: &d, NestLoop: s.nestLoop})
 		}
 	}
@@ -688,8 +620,8 @@ func (s *DesignSession) userEdit(target Design, targetNL bool) (*InteractiveRepo
 // target, applies the diff to the what-if session, re-prices the
 // invalidated queries (memo first), and pushes an undo frame. On any
 // error the session is left exactly as it was.
-func (s *DesignSession) edit(target Design, targetNL bool) (*InteractiveReport, error) {
-	prev := snapshot{design: s.design.clone(), nestLoop: s.nestLoop}
+func (s *DesignSession) edit(target design.Design, targetNL bool) (*InteractiveReport, error) {
+	prev := snapshot{design: s.design.Clone(), nestLoop: s.nestLoop}
 	inval, changed, err := s.applyDesign(target, targetNL)
 	if err != nil {
 		return nil, err
@@ -718,133 +650,29 @@ func (s *DesignSession) edit(target Design, targetNL bool) (*InteractiveReport, 
 // from the current design to (target, targetNL) and returns the
 // indices of the queries the transition invalidates, plus whether the
 // transition changed anything structurally. The mutation is atomic:
-// validation runs before anything changes, and the two what-if deltas
-// (drops, then creates) cannot fail after it.
-func (s *DesignSession) applyDesign(target Design, targetNL bool) (map[int]bool, bool, error) {
-	targetFrags, err := validateDesign(s.cat, target)
+// validation runs before anything changes, and the transition is one
+// ApplyDelta, which either lands whole or not at all.
+func (s *DesignSession) applyDesign(target design.Design, targetNL bool) (map[int]bool, bool, error) {
+	frags, err := design.Validate(s.cat, target)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("session: %w", err)
 	}
-
-	// Diff partitions by canonical key.
-	curParts := map[string]string{}
-	for _, def := range s.design.Partitions {
-		curParts[def.Table] = partKey(def)
-	}
-	tgtParts := map[string]string{}
-	for _, def := range target.Partitions {
-		tgtParts[def.Table] = partKey(def)
-	}
-	affected := map[string]bool{} // parent-level table names
-	var dropTables []string
-	for _, def := range s.design.Partitions {
-		if tgtParts[def.Table] == curParts[def.Table] && tgtParts[def.Table] != "" {
-			continue // unchanged partitioning
-		}
-		affected[def.Table] = true
-		for name := range fragmentsOf(def) {
-			dropTables = append(dropTables, name)
-		}
-	}
-	var createTables []whatif.TableDef
-	for _, def := range target.Partitions {
-		if curParts[def.Table] == tgtParts[def.Table] {
-			continue
-		}
-		affected[def.Table] = true
-		for i, cols := range def.Fragments {
-			createTables = append(createTables, whatif.TableDef{
-				Name:    fragName(def.Table, i),
-				Parent:  def.Table,
-				Columns: cols,
-			})
-		}
-	}
-	sort.Strings(dropTables)
-	sort.Slice(createTables, func(i, j int) bool { return createTables[i].Name < createTables[j].Name })
-
-	// Diff indexes by key. parentOf resolves fragments through the
-	// union of both designs' fragment maps, so an index riding on a
-	// dropped or created fragment still invalidates its parent's
-	// queries.
-	parentOf := func(table string) string {
-		if p, ok := targetFrags[table]; ok {
-			return p
-		}
-		if p, ok := s.fragParent[table]; ok {
-			return p
-		}
-		return table
-	}
-	curIx := map[string]bool{}
-	for _, spec := range s.design.Indexes {
-		curIx[spec.Key()] = true
-	}
-	tgtIx := map[string]bool{}
-	for _, spec := range target.Indexes {
-		tgtIx[spec.Key()] = true
-	}
-	droppedByTable := map[string]bool{}
-	for _, name := range dropTables {
-		droppedByTable[name] = true
-	}
-	var dropIndexes []string
-	for _, spec := range s.design.Indexes {
-		if tgtIx[spec.Key()] {
-			continue
-		}
-		affected[parentOf(spec.Table)] = true
-		if !droppedByTable[spec.Table] {
-			// Indexes on dropped fragments go with their table.
-			dropIndexes = append(dropIndexes, s.ixName[spec.Key()])
-		}
-	}
-	var createIndexes []whatif.IndexDef
-	var createKeys []string
-	for _, spec := range target.Indexes {
-		onFreshFragment := false
-		for _, td := range createTables {
-			if td.Name == spec.Table {
-				onFreshFragment = true
-			}
-		}
-		if curIx[spec.Key()] && !onFreshFragment {
-			continue
-		}
-		// A surviving key on a re-created fragment must be re-created
-		// too (its table was just dropped and rebuilt).
-		affected[parentOf(spec.Table)] = true
-		createIndexes = append(createIndexes, whatif.IndexDef{Table: spec.Table, Columns: spec.Columns})
-		createKeys = append(createKeys, spec.Key())
-	}
-
+	delta, affected := design.Diff(s.design, target, s.ixName)
 	nlChanged := targetNL != s.nestLoop
-
-	if len(dropTables) == 0 && len(createTables) == 0 && len(dropIndexes) == 0 &&
-		len(createIndexes) == 0 && !nlChanged {
+	if delta.Empty() && !nlChanged {
 		// No structural change (e.g. ApplyDesign of the current
 		// design): adopt the target ordering and stop.
 		s.design = target
 		return map[int]bool{}, false, nil
 	}
-
-	// Apply: drops first so a repartition can reuse fragment names.
-	if _, err := s.ws.ApplyDelta(whatif.Delta{DropIndexes: dropIndexes, DropTables: dropTables}); err != nil {
+	delta.NestLoop = &targetNL
+	created, err := s.ws.ApplyDelta(delta)
+	if err != nil {
 		return nil, false, fmt.Errorf("session: %w", err)
 	}
-	nl := targetNL
-	created, err := s.ws.ApplyDelta(whatif.Delta{
-		CreateTables:  createTables,
-		CreateIndexes: createIndexes,
-		NestLoop:      &nl,
-	})
-	if err != nil {
-		// validateDesign guarantees this cannot happen; fail loudly
-		// rather than limp on with a half-applied design.
-		return nil, false, fmt.Errorf("session: design diverged from validation: %w", err)
-	}
 
-	// Commit bookkeeping.
+	// Commit bookkeeping. A surviving key on a re-created fragment gets
+	// its new name.
 	s.design = target
 	s.nestLoop = targetNL
 	ixName := map[string]string{}
@@ -853,40 +681,20 @@ func (s *DesignSession) applyDesign(target Design, targetNL bool) (map[int]bool,
 			ixName[spec.Key()] = name
 		}
 	}
-	for i, ix := range created {
-		ixName[createKeys[i]] = ix.Name
+	for _, ix := range created {
+		ixName[inum.IndexSpec{Table: ix.Table, Columns: ix.Columns}.Key()] = ix.Name
 	}
 	s.ixName = ixName
-	s.fragParent = targetFrags
-	s.rw = nil
-	if len(target.Partitions) > 0 {
-		parts := map[string]*rewrite.Partitioning{}
-		for _, def := range target.Partitions {
-			pt := &rewrite.Partitioning{Parent: s.cat.Table(def.Table)}
-			for i, cols := range def.Fragments {
-				pt.Fragments = append(pt.Fragments, rewrite.Fragment{
-					Name:    fragName(def.Table, i),
-					Columns: append([]string(nil), cols...),
-				})
-			}
-			parts[def.Table] = pt
-		}
-		s.rw = rewrite.New(parts)
-	}
+	s.fragParent = frags
+	s.rw = design.Rewriter(s.cat, target)
 
 	// Invalidate: queries touching an affected table, plus — on a
 	// join-flag change — every query whose plan can contain a join
 	// (multi-relation, or touching a partitioned table in either
-	// design, since fragment rewrites introduce joins). The affected
-	// set is flattened first: ranging a map re-seeds its iterator per
-	// query, which dominates this scan on small edits.
-	affectedTables := make([]string, 0, len(affected))
-	for table := range affected {
-		affectedTables = append(affectedTables, table)
-	}
+	// design, since fragment rewrites introduce joins).
 	inval := map[int]bool{}
 	for qi, fp := range s.foot {
-		for _, table := range affectedTables {
+		for _, table := range affected {
 			if fp.TouchesTable(table) {
 				inval[qi] = true
 			}
@@ -912,108 +720,6 @@ func (s *DesignSession) joinCapable(qi int) bool {
 		}
 	}
 	return false
-}
-
-// validateDesign checks target against the base catalog and returns
-// its fragment→parent map. It performs every check the what-if layer
-// would, so applying a validated design cannot fail halfway.
-func validateDesign(cat *catalog.Catalog, target Design) (map[string]string, error) {
-	frags := map[string]string{}
-	fragCols := map[string]map[string]bool{}
-	seenPart := map[string]bool{}
-	for _, def := range target.Partitions {
-		parent := cat.Table(def.Table)
-		if parent == nil {
-			return nil, fmt.Errorf("session: unknown table %q in partition design", def.Table)
-		}
-		if seenPart[def.Table] {
-			return nil, fmt.Errorf("session: duplicate partitioning of %q", def.Table)
-		}
-		seenPart[def.Table] = true
-		if len(def.Fragments) == 0 {
-			return nil, fmt.Errorf("session: partitioning of %q has no fragments", def.Table)
-		}
-		for i, cols := range def.Fragments {
-			name := fragName(def.Table, i)
-			// A generated fragment name must not shadow a real table:
-			// applyDesign's create delta runs after its drop delta, so
-			// every failure mode has to be caught here — this is the
-			// one CreateTable error the drop phase cannot clear.
-			if cat.Table(name) != nil {
-				return nil, fmt.Errorf("session: fragment name %q collides with an existing table", name)
-			}
-			set := map[string]bool{}
-			for _, pk := range parent.PrimaryKey {
-				set[pk] = true
-			}
-			for _, c := range cols {
-				if parent.ColumnIndex(c) < 0 {
-					return nil, fmt.Errorf("session: parent %q has no column %q", def.Table, c)
-				}
-				set[c] = true
-			}
-			frags[name] = def.Table
-			fragCols[name] = set
-		}
-	}
-	seenIx := map[string]bool{}
-	for _, spec := range target.Indexes {
-		if len(spec.Columns) == 0 {
-			return nil, fmt.Errorf("session: index on %q needs at least one column", spec.Table)
-		}
-		if seenIx[spec.Key()] {
-			return nil, fmt.Errorf("session: duplicate index %s in design", spec.Key())
-		}
-		seenIx[spec.Key()] = true
-		if cols, ok := fragCols[spec.Table]; ok {
-			for _, c := range spec.Columns {
-				if !cols[c] {
-					return nil, fmt.Errorf("session: fragment %q has no column %q", spec.Table, c)
-				}
-			}
-			continue
-		}
-		t := cat.Table(spec.Table)
-		if t == nil {
-			return nil, fmt.Errorf("session: unknown table %q in index design", spec.Table)
-		}
-		for _, c := range spec.Columns {
-			if t.ColumnIndex(c) < 0 {
-				return nil, fmt.Errorf("session: table %q has no column %q", spec.Table, c)
-			}
-		}
-	}
-	return frags, nil
-}
-
-// projectedSig is the memo identity of the design as query qi sees
-// it: only the indexes, partitions and flags that can influence qi's
-// plan participate, so an edit elsewhere leaves qi's signature — and
-// its memo entry — untouched.
-func (s *DesignSession) projectedSig(qi int) string {
-	fp := s.foot[qi]
-	var parts []string
-	join := fp.Relations >= 2
-	for _, def := range s.design.Partitions {
-		if fp.TouchesTable(def.Table) {
-			parts = append(parts, "part:"+partKey(def))
-			join = true // fragment rewrites can introduce joins
-		}
-	}
-	for _, spec := range s.design.Indexes {
-		parent := spec.Table
-		if p, ok := s.fragParent[spec.Table]; ok {
-			parent = p
-		}
-		if fp.TouchesTable(parent) {
-			parts = append(parts, "ix:"+spec.Key())
-		}
-	}
-	sort.Strings(parts)
-	if join && !s.nestLoop {
-		parts = append(parts, "nl:off")
-	}
-	return strings.Join(parts, ";")
 }
 
 // parallelRepriceThreshold is the invalidation-set size above which
@@ -1068,7 +774,7 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 		var misses []pendingPrice
 		var waits []pendingWait
 		for _, qi := range remaining {
-			sig := s.projectedSig(qi)
+			sig := design.ProjectedKey(s.design, s.fragParent, s.foot[qi], s.nestLoop)
 			if st, ok := s.memo[memoKey{qi, sig}]; ok {
 				// The memoized state carries its own rewritten form; only
 				// misses pay for a rewrite.
@@ -1276,24 +982,7 @@ func renameIndexes(explain string, rename map[string]string) string {
 // them back to the live session's names so user-visible explains stay
 // consistent with InteractiveReport.IndexNames.
 func (s *DesignSession) planParallel(misses []pendingPrice, plans []*optimizer.Plan, nameToKey, rename map[string]string) error {
-	nl := s.nestLoop
-	design := s.design
-	inner := func(ws *whatif.Session) error {
-		for _, def := range design.Partitions {
-			for i, cols := range def.Fragments {
-				if _, err := ws.CreateTable(whatif.TableDef{
-					Name:    fragName(def.Table, i),
-					Parent:  def.Table,
-					Columns: cols,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		ws.SetNestLoop(nl)
-		return nil
-	}
-	setup, names := costlab.IndexSetup(design.Indexes, inner)
+	setup, names := design.Setup(s.design, s.nestLoop)
 	est := costlab.NewFullWithSetup(s.cat, setup)
 	targets := make([]*sql.Select, len(misses))
 	for i, p := range misses {
@@ -1310,7 +999,7 @@ func (s *DesignSession) planParallel(misses []pendingPrice, plans []*optimizer.P
 	}
 	copy(plans, got)
 	for i, name := range names() {
-		key := design.Indexes[i].Key()
+		key := s.design.Indexes[i].Key()
 		nameToKey[name] = key
 		if live, ok := s.ixName[key]; ok && live != name {
 			rename[name] = live

@@ -13,6 +13,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/recommend"
 	"repro/internal/session"
@@ -155,7 +156,7 @@ func TestSessionPartitionEditAndCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.AddPartition(session.PartitionDef{
+	rep, err := s.AddPartition(design.Partition{
 		Table:     "photoobj",
 		Fragments: [][]string{{"ra", "dec"}, photoRest(cat)},
 	})
@@ -213,11 +214,11 @@ func TestSessionErrorsLeaveStateIntact(t *testing.T) {
 		func() error { _, e := s.DropIndexKey("photoobj(ra)"); return e },
 		func() error { _, e := s.DropPartition("photoobj"); return e },
 		func() error {
-			_, e := s.AddPartition(session.PartitionDef{Table: "nosuch", Fragments: [][]string{{"x"}}})
+			_, e := s.AddPartition(design.Partition{Table: "nosuch", Fragments: [][]string{{"x"}}})
 			return e
 		},
 		func() error {
-			_, e := s.AddPartition(session.PartitionDef{Table: "photoobj", Fragments: [][]string{{"nosuch"}}})
+			_, e := s.AddPartition(design.Partition{Table: "photoobj", Fragments: [][]string{{"nosuch"}}})
 			return e
 		},
 	}
@@ -241,7 +242,7 @@ func TestSessionErrorsLeaveStateIntact(t *testing.T) {
 	// roll back the design AND leave the last-edit counters
 	// describing the last successful edit.
 	sigAfter, statsAfter, designAfter := s.Signature(), s.Stats(), s.Design()
-	if _, err := s.AddPartition(session.PartitionDef{
+	if _, err := s.AddPartition(design.Partition{
 		Table: "photoobj", Fragments: [][]string{{"htmid"}},
 	}); err == nil {
 		t.Fatal("uncoverable partition accepted")
@@ -280,7 +281,7 @@ func TestSessionMatchesFromScratchEvaluation(t *testing.T) {
 		{Table: "neighbors", Columns: []string{"distance"}},
 		{Table: "field", Columns: []string{"run", "camcol"}},
 	}
-	parts := []session.PartitionDef{
+	parts := []design.Partition{
 		{Table: "photoobj", Fragments: [][]string{{"ra", "dec"}, photoRest(cat)}},
 		{Table: "specobj", Fragments: [][]string{
 			{"bestobjid", "z", "zerr", "zconf", "zstatus", "specclass"},
@@ -468,7 +469,7 @@ func TestSessionFragmentNameCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := s.Signature()
-	if _, err := s.AddPartition(session.PartitionDef{
+	if _, err := s.AddPartition(design.Partition{
 		Table: "photoobj", Fragments: [][]string{{"ra", "dec"}},
 	}); err == nil {
 		t.Fatal("colliding fragment name accepted")

@@ -182,34 +182,22 @@ func (s *Session) CreateTable(def TableDef) (*catalog.Table, error) {
 		return nil, fmt.Errorf("whatif: table %q already exists", def.Name)
 	}
 
-	// Column set: primary key first (for reconstruction), then the
-	// requested columns, deduplicated, in parent order.
-	want := make(map[string]bool)
-	for _, pk := range parent.PrimaryKey {
-		want[pk] = true
+	cols, err := parent.FragmentColumns(def.Columns)
+	if err != nil {
+		return nil, fmt.Errorf("whatif: %w", err)
 	}
-	for _, c := range def.Columns {
-		if parent.ColumnIndex(c) < 0 {
-			return nil, fmt.Errorf("whatif: parent %q has no column %q", def.Parent, c)
+	for i := range cols {
+		if s := cols[i].Stats; s != nil {
+			cols[i].Stats = s.Clone()
 		}
-		want[c] = true
 	}
 	t := &catalog.Table{
 		Name:         def.Name,
+		Columns:      cols,
 		PrimaryKey:   append([]string(nil), parent.PrimaryKey...),
 		RowCount:     parent.RowCount,
 		Hypothetical: true,
 		PartitionOf:  parent.Name,
-	}
-	for _, col := range parent.Columns {
-		if !want[col.Name] {
-			continue
-		}
-		nc := col // copy
-		if col.Stats != nil {
-			nc.Stats = col.Stats.Clone()
-		}
-		t.Columns = append(t.Columns, nc)
 	}
 	t.Pages = t.EstimatePages(t.RowCount)
 	s.hypoTables[def.Name] = t
@@ -282,8 +270,10 @@ type IndexDef struct {
 
 // Delta is a batch of design edits applied atomically by ApplyDelta —
 // the middle ground between per-edit mutation and a full Reset.
-// Operations apply in the order: create tables, create indexes, drop
-// indexes, drop tables, set the nested-loop flag.
+// Operations apply in the order: drop indexes, drop tables, create
+// tables, create indexes, set the nested-loop flag. Drops come first so
+// one delta can re-create a table under a name it drops (a
+// repartition).
 type Delta struct {
 	CreateTables  []TableDef
 	CreateIndexes []IndexDef
@@ -325,6 +315,18 @@ func (s *Session) ApplyDelta(d Delta) ([]*catalog.Index, error) {
 		s.dirtySig()
 	}
 
+	for _, name := range d.DropIndexes {
+		if err := s.DropIndex(name); err != nil {
+			restore()
+			return nil, err
+		}
+	}
+	for _, name := range d.DropTables {
+		if err := s.DropTable(name); err != nil {
+			restore()
+			return nil, err
+		}
+	}
 	for _, td := range d.CreateTables {
 		if _, err := s.CreateTable(td); err != nil {
 			restore()
@@ -339,18 +341,6 @@ func (s *Session) ApplyDelta(d Delta) ([]*catalog.Index, error) {
 			return nil, err
 		}
 		created = append(created, ix)
-	}
-	for _, name := range d.DropIndexes {
-		if err := s.DropIndex(name); err != nil {
-			restore()
-			return nil, err
-		}
-	}
-	for _, name := range d.DropTables {
-		if err := s.DropTable(name); err != nil {
-			restore()
-			return nil, err
-		}
 	}
 	if d.NestLoop != nil {
 		s.SetNestLoop(*d.NestLoop)

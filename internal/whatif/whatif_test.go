@@ -342,6 +342,55 @@ func TestApplyDeltaRollsBackOnError(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaDropsBeforeCreates: one delta can repartition — drop a
+// table and re-create it under the same name with other columns, its
+// index with it — because drops apply first; and a failing create
+// after those drops still rolls everything back, name counter
+// included.
+func TestApplyDeltaDropsBeforeCreates(t *testing.T) {
+	s := NewSession(testCatalog(t))
+	created, err := s.ApplyDelta(Delta{
+		CreateTables:  []TableDef{{Name: "p1", Parent: "photoobj", Columns: []string{"ra"}}, {Name: "p2", Parent: "photoobj", Columns: []string{"u"}}},
+		CreateIndexes: []IndexDef{{Table: "p1", Columns: []string{"ra"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repartition := Delta{
+		DropTables:    []string{"p1", "p2"}, // cascades to the p1 index
+		CreateTables:  []TableDef{{Name: "p1", Parent: "photoobj", Columns: []string{"ra", "dec"}}, {Name: "p2", Parent: "photoobj", Columns: []string{"u", "g"}}},
+		CreateIndexes: []IndexDef{{Table: "p1", Columns: []string{"ra"}}},
+	}
+	before := s.Signature()
+	bad := repartition
+	bad.CreateIndexes = append(append([]IndexDef(nil), repartition.CreateIndexes...), IndexDef{Table: "p2", Columns: []string{"ra"}})
+	if _, err := s.ApplyDelta(bad); err == nil {
+		t.Fatal("index on a column the new fragment lacks accepted")
+	}
+	if got := s.Signature(); got != before {
+		t.Fatalf("failed repartition mutated the session: %q != %q", got, before)
+	}
+	if ix := s.Indexes(); len(ix) != 1 || ix[0].Name != created[0].Name {
+		t.Fatalf("rollback lost the fragment index: %v", ix)
+	}
+
+	again, err := s.ApplyDelta(repartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Tables()) != 2 || len(s.Indexes()) != 1 {
+		t.Fatalf("repartition left %d tables, %d indexes", len(s.Tables()), len(s.Indexes()))
+	}
+	if want := "ix:p1(ra);tab:p1<photoobj(objid,ra,dec);tab:p2<photoobj(objid,u,g)"; s.Signature() != want {
+		t.Errorf("signature after repartition = %q, want %q", s.Signature(), want)
+	}
+	// The failed delta's create did not consume a name: the re-created
+	// index is the session's second, as if the failure never happened.
+	if want := HypoPrefix + "ix2_p1_ra"; again[0].Name != want {
+		t.Errorf("re-created index named %q, want %q", again[0].Name, want)
+	}
+}
+
 func TestSignatureIsOrderAndNameIndependent(t *testing.T) {
 	a := NewSession(testCatalog(t))
 	b := NewSession(testCatalog(t))
