@@ -58,6 +58,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
 	"repro/internal/sql"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -444,26 +445,27 @@ func cmdExplain(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cat, err := buildCatalog(*scale)
-	if err != nil {
-		return err
-	}
-	if len(indexes) == 0 {
-		plan, err := optimizer.New(cat).Plan(sel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, optimizer.Explain(plan))
-		return nil
-	}
 	d, err := parseDesign(indexes, nil)
 	if err != nil {
 		return err
 	}
-	rep, err := core.New(cat).EvaluateDesign([]string{*query}, d)
+	cat, err := buildCatalog(*scale)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, rep.Explains[0])
+	if _, err := design.Validate(cat, d); err != nil {
+		return err
+	}
+	// A fresh what-if session names the indexes in flag order, exactly as
+	// a design session applying d would.
+	ws := whatif.NewSession(cat)
+	if _, err := design.Install(ws, d, true); err != nil {
+		return err
+	}
+	plan, err := ws.Plan(sel)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, optimizer.Explain(plan))
 	return nil
 }

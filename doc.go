@@ -23,7 +23,7 @@
 //	                    capped with CLOCK eviction (Bounded) —
 //	                    the hot-path keying under costlab's memo, the
 //	                    SharedMemo and the ingest window, so steady-state
-//	                    pricing hashes two uint32s instead of printed SQL
+//	                    pricing hashes ids instead of printed SQL
 //	internal/flight     singleflight coordination for in-flight pricing:
 //	                    per-key leader election (TryLead/Fulfill/Wait),
 //	                    context-aware waits, leader-failure handover —
@@ -51,8 +51,9 @@
 //	internal/workload   SDSS-like schema, 30-query workload, generator
 //	internal/session    incremental design sessions: delta re-pricing,
 //	                    per-(query, design) cost memoization, undo and
-//	                    redo, cross-session SharedMemo — the engine
-//	                    behind the `parinda session` REPL
+//	                    redo, cross-session SharedMemo, explains planned
+//	                    on read (one optimizer call each, never stored)
+//	                    — the engine behind the `parinda session` REPL
 //	internal/serve      multi-tenant design-session service: N named
 //	                    sessions over one catalog + one shared memo,
 //	                    HTTP/JSON API, per-session serialization, LRU

@@ -127,11 +127,21 @@ func (r *ComparisonReport) MaxRelCostError() float64 {
 // and cost with the what-if simulation — scenario 1's accuracy check.
 // The database is modified; callers own cleanup.
 func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.Design) (*ComparisonReport, error) {
-	p := FromDatabase(db)
-	// The what-if evaluation validates d against the catalog first.
-	whatIf, err := p.EvaluateDesign(workloadSQL, d)
+	// The what-if evaluation validates d against the catalog first. The
+	// session stays open: its explains are read before anything is built.
+	s, err := session.New(db.Catalog, workloadSQL, session.Options{})
 	if err != nil {
 		return nil, err
+	}
+	whatIf, err := s.ApplyDesign(d)
+	if err != nil {
+		return nil, err
+	}
+	whatIfExplains := make([]string, len(whatIf.PerQuery))
+	for i := range whatIfExplains {
+		if whatIfExplains[i], err = s.Explain(i); err != nil {
+			return nil, err
+		}
 	}
 	rw := design.Rewriter(db.Catalog, d)
 
@@ -176,11 +186,7 @@ func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.
 	}
 
 	planner := optimizer.New(db.Catalog)
-	queries, err := recommend.ParseWorkload(workloadSQL)
-	if err != nil {
-		return nil, err
-	}
-	for i, q := range queries {
+	for i, q := range s.Queries() {
 		target := q.Stmt
 		if rw != nil {
 			target, err = rw.Rewrite(q.Stmt)
@@ -197,9 +203,9 @@ func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.
 			WhatIfCost:       whatIf.PerQuery[i].NewCost,
 			MaterializedCost: matPlan.TotalCost,
 			MaterialExplain:  optimizer.Explain(matPlan),
-			WhatIfExplain:    whatIf.Explains[i],
+			WhatIfExplain:    whatIfExplains[i],
 		}
-		entry.SamePlanShape = shapeSignature(whatIf.Explains[i]) == shapeSignature(entry.MaterialExplain)
+		entry.SamePlanShape = shapeSignature(entry.WhatIfExplain) == shapeSignature(entry.MaterialExplain)
 		report.Entries = append(report.Entries, entry)
 	}
 	return report, nil

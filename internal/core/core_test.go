@@ -40,7 +40,7 @@ func TestEvaluateDesignIndexesOnly(t *testing.T) {
 	if rep.AvgBenefit() <= 0 {
 		t.Errorf("benefit = %v, want positive", rep.AvgBenefit())
 	}
-	if len(rep.PerQuery) != 2 || len(rep.Explains) != 2 {
+	if len(rep.PerQuery) != 2 {
 		t.Fatalf("report incomplete: %+v", rep)
 	}
 	for i, pq := range rep.PerQuery {

@@ -8,11 +8,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/inum"
 	"repro/internal/session"
 )
@@ -169,6 +171,121 @@ func TestDurableSnapshotRecover(t *testing.T) {
 	if !bytes.Equal(got.costs, want.costs) || got.design != want.design ||
 		got.undo != want.undo || got.red != want.red {
 		t.Errorf("snapshot recovery fingerprint mismatch: got %+v want %+v", got, want)
+	}
+}
+
+// TestDurableRecoverIgnoresStoredExplains: data dirs written before
+// explains stopped being stored carry an "explain" in every shared
+// state, in the snapshot and in the WAL. Booting on such a dir must
+// bring back the same costs, signatures and depths with zero plan calls.
+func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
+	src := t.TempDir()
+	m1 := newDurableManager(t, src, Options{MaxSessions: 4})
+	if err := m1.Create("alpha", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	edit := func(fn func(s *session.DesignSession) error) {
+		t.Helper()
+		if err := m1.Do("alpha", fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(func(s *session.DesignSession) error {
+		_, err := s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}})
+		return err
+	})
+	if err := m1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	// States priced after the cut reach the WAL only.
+	edit(func(s *session.DesignSession) error {
+		if _, err := s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"dec", "ra"}}); err != nil {
+			return err
+		}
+		_, err := s.Undo()
+		return err
+	})
+	want := fingerprint(t, m1, "alpha")
+	crash(t, m1)
+
+	// Copy the dir record by record, adding an explain to every state.
+	in, err := durable.Open(src, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := in.Recover()
+	in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(blob []byte) map[string]any {
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.UseNumber() // costs and sequences re-encode bit for bit
+		var v map[string]any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	explained := 0
+	withExplain := func(st any) {
+		st.(map[string]any)["explain"] = "Seq Scan on photoobj  (cost=0.00..1.00 rows=1)\n"
+		explained++
+	}
+	encode := func(v any) []byte {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	dst := t.TempDir()
+	out, err := durable.Open(dst, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := decode(rec.Snapshot)
+	states, _ := snap["states"].([]any)
+	for _, st := range states {
+		withExplain(st)
+	}
+	inSnapshot := explained
+	cut, err := out.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.WriteSnapshot(cut, encode(snap)); err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range rec.Records {
+		r := decode(blob)
+		if r["t"] == walState {
+			withExplain(r["state"])
+		}
+		if err := out.Append(encode(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if inSnapshot == 0 || explained == inSnapshot {
+		t.Fatalf("explains injected into %d snapshot and %d WAL states; want both > 0", inSnapshot, explained-inSnapshot)
+	}
+
+	m2 := newDurableManager(t, dst, Options{MaxSessions: 4})
+	defer m2.Close()
+	got := fingerprint(t, m2, "alpha")
+	if !bytes.Equal(got.costs, want.costs) || got.design != want.design || got.undo != want.undo || got.red != want.red {
+		t.Errorf("recovery from explain-carrying records differs:\n got %+v\nwant %+v", got, want)
+	}
+	if err := m2.Do("alpha", func(s *session.DesignSession) error {
+		if pc := s.PlanCalls(); pc != 0 {
+			t.Errorf("recovery planned %d times, want 0", pc)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

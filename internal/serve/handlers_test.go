@@ -200,6 +200,42 @@ func TestAPISessionLifecycle(t *testing.T) {
 	call(t, ts, "DELETE", "/sessions/dba1", nil, http.StatusNotFound, nil)
 }
 
+// TestAPIExplainNamesLiveIndexesAfterRedo: a redo re-creates the index
+// under a fresh what-if name while every cost comes from the memo; the
+// explain must name the index the session holds now, and cost exactly
+// one plan call.
+func TestAPIExplainNamesLiveIndexesAfterRedo(t *testing.T) {
+	ts, _ := testServer(t, Options{})
+	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "dba1"}, http.StatusCreated, nil)
+	call(t, ts, "POST", "/sessions/dba1/indexes", inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
+	call(t, ts, "POST", "/sessions/dba1/undo", nil, http.StatusOK, nil)
+	var edit EditResponse
+	call(t, ts, "POST", "/sessions/dba1/redo", nil, http.StatusOK, &edit)
+	if edit.Repriced != 0 {
+		t.Fatalf("redo repriced %d queries, want 0 (memo)", edit.Repriced)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/sessions/dba1/explain/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain = %d: %s", resp.StatusCode, raw)
+	}
+	const live, stale = "<what-if>ix2_photoobj_ra", "<what-if>ix1_photoobj_ra"
+	if !strings.Contains(string(raw), live) || strings.Contains(string(raw), stale) {
+		t.Errorf("explain after redo does not name the live index %s:\n%s", live, raw)
+	}
+	if got := resp.Header.Get("X-Plan-Calls"); got != "1" {
+		t.Errorf("explain X-Plan-Calls = %q, want 1", got)
+	}
+}
+
 // TestAPISharedMemoAcrossTenants drives the shared-memo effect
 // through the HTTP surface: tenant B repeats tenant A's edit and the
 // stats endpoint must show zero optimizer calls; the costs responses

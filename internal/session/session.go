@@ -4,12 +4,13 @@
 // owns the current physical design, and re-prices an edit's *delta*
 // only — queries whose referenced tables intersect the edited object
 // (decided from the shared query-footprint analysis in internal/sql)
-// are re-planned, every other query's cost, plan explain and rewrite
-// are served from a memo keyed by (query identity, projected design
-// key — design.ProjectedKey). Every design transition reaches the
+// are re-planned, every other query's cost and rewrite are served from
+// a memo keyed by (query identity, projected design key —
+// design.ProjectedKey). Every design transition reaches the
 // planner as one whatif.Session.ApplyDelta of design.Diff instead of a
 // full rebuild, and an undo stack replays earlier designs almost
-// entirely from the memo.
+// entirely from the memo. Plan explains are not memoized: Explain
+// plans one query on the session's own what-if session per read.
 //
 // core.EvaluateDesign is a thin one-shot wrapper over a throwaway
 // DesignSession; `parinda session` drives a long-lived one.
@@ -19,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -67,7 +69,6 @@ type InteractiveReport struct {
 	BaseCost   float64                  `json:"baseCost"`
 	NewCost    float64                  `json:"newCost"`
 	Rewritten  []string                 `json:"rewritten,omitempty"`  // workload rewritten for the partitions, in order
-	Explains   []string                 `json:"explains,omitempty"`   // EXPLAIN of each query under the design
 	IndexNames []string                 `json:"indexNames,omitempty"` // what-if index names, aligned with Design.Indexes
 
 	// Incremental-pricing observability (see Stats for meanings).
@@ -126,11 +127,12 @@ type Options struct {
 // queryState is the memoized pricing of one query under one projected
 // design: everything the report needs, so a memo hit re-plans nothing.
 // States are retained for the session's (and, via SharedMemo, the
-// process's) lifetime, so they hold only flat strings — no ASTs.
+// process's) lifetime, so they hold only flat strings — no ASTs — and
+// name indexes by design key, never by a session's what-if name: the
+// local memo and the shared tier hold the same pointer.
 type queryState struct {
 	rewrittenSQL string
 	cost         float64
-	explain      string
 	indexesUsed  []string // design-index keys, sorted
 }
 
@@ -150,10 +152,9 @@ type snapshot struct {
 // workload. It is not safe for concurrent use; batch pricing inside
 // an edit parallelizes internally.
 type DesignSession struct {
-	cat     *catalog.Catalog
-	opts    Options
-	queries []recommend.Query
-	foot    []*sql.Footprint // original-query footprints, parsed once
+	cat  *catalog.Catalog
+	opts Options
+	wl   *Workload // shared and read-only
 
 	ws         *whatif.Session   // mirrors the current design at all times
 	design     design.Design     // current design
@@ -161,6 +162,10 @@ type DesignSession struct {
 	ixName     map[string]string // design-index key → what-if index name
 	fragParent map[string]string // fragment table → parent table
 	rw         *rewrite.Rewriter // nil when the design has no partitions
+	// rewrites caches, per query touching a partitioned table, its
+	// rewrite under the current partitioning; applyDesign drops the
+	// cache whenever the partition set changes.
+	rewrites []*rewritten
 
 	states    []*queryState // current pricing, one per query
 	baseCosts []float64     // empty-design costs, fixed at creation
@@ -208,6 +213,10 @@ type Workload struct {
 	queries  []recommend.Query
 	foot     []*sql.Footprint
 	stmtKeys []string // canonical printed identities, interned at session birth
+	// class is each query's footprint class: its sorted table set plus
+	// whether it names two or more relations — all of a footprint that
+	// design.ProjectedKey reads, so a class shares one key per design.
+	class []int
 }
 
 // ParseWorkload parses and footprint-analyzes a workload once, for
@@ -221,10 +230,23 @@ func ParseWorkload(workloadSQL []string) (*Workload, error) {
 		queries:  queries,
 		foot:     make([]*sql.Footprint, len(queries)),
 		stmtKeys: make([]string, len(queries)),
+		class:    make([]int, len(queries)),
 	}
+	classOf := map[string]int{}
 	for i, q := range queries {
-		wl.foot[i] = sql.FootprintOf(q.Stmt)
+		fp := sql.FootprintOf(q.Stmt)
+		wl.foot[i] = fp
 		wl.stmtKeys[i] = sql.PrintSelect(q.Stmt)
+		key := strings.Join(slices.Sorted(maps.Keys(fp.Tables)), ",")
+		if fp.Relations >= 2 {
+			key += ";join"
+		}
+		c, ok := classOf[key]
+		if !ok {
+			c = len(classOf)
+			classOf[key] = c
+		}
+		wl.class[i] = c
 	}
 	return wl, nil
 }
@@ -247,12 +269,12 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 	s := &DesignSession{
 		cat:        cat,
 		opts:       opts,
-		queries:    wl.queries,
-		foot:       wl.foot,
+		wl:         wl,
 		ws:         whatif.NewSession(cat),
 		nestLoop:   true,
 		ixName:     map[string]string{},
 		fragParent: map[string]string{},
+		rewrites:   make([]*rewritten, len(wl.queries)),
 		states:     make([]*queryState, len(wl.queries)),
 		memo:       map[memoKey]*queryState{},
 		shared:     costlab.NewMemo(),
@@ -285,7 +307,7 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 }
 
 // Queries returns the parsed workload.
-func (s *DesignSession) Queries() []recommend.Query { return s.queries }
+func (s *DesignSession) Queries() []recommend.Query { return s.wl.queries }
 
 // Design returns a copy of the current design.
 func (s *DesignSession) Design() design.Design { return s.design.Clone() }
@@ -335,7 +357,7 @@ func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (
 	if opts.Workers == 0 {
 		opts.Workers = s.opts.Workers
 	}
-	return recommend.Recommend(ctx, s.cat, s.queries, opts)
+	return recommend.Recommend(ctx, s.cat, s.wl.queries, opts)
 }
 
 // AddIndex adds a what-if index and re-prices only the queries that
@@ -547,9 +569,8 @@ func (s *DesignSession) Report() *InteractiveReport {
 	for _, spec := range s.design.Indexes {
 		rep.IndexNames = append(rep.IndexNames, s.ixName[spec.Key()])
 	}
-	rep.PerQuery = make([]recommend.QueryBenefit, 0, len(s.queries))
-	rep.Rewritten = make([]string, 0, len(s.queries))
-	rep.Explains = make([]string, 0, len(s.queries))
+	rep.PerQuery = make([]recommend.QueryBenefit, 0, len(s.wl.queries))
+	rep.Rewritten = make([]string, 0, len(s.wl.queries))
 	// One arena backs every per-query IndexesUsed copy: the report owns
 	// its slices (memoized states must not alias caller-visible memory),
 	// but a report is built per edit, so this is one allocation instead
@@ -559,7 +580,7 @@ func (s *DesignSession) Report() *InteractiveReport {
 		nUsed += len(st.indexesUsed)
 	}
 	arena := make([]string, 0, nUsed)
-	for qi, q := range s.queries {
+	for qi, q := range s.wl.queries {
 		st := s.states[qi]
 		var used []string
 		if n := len(st.indexesUsed); n > 0 {
@@ -574,19 +595,31 @@ func (s *DesignSession) Report() *InteractiveReport {
 			IndexesUsed: used,
 		})
 		rep.Rewritten = append(rep.Rewritten, st.rewrittenSQL)
-		rep.Explains = append(rep.Explains, st.explain)
 		rep.BaseCost += s.baseCosts[qi]
 		rep.NewCost += st.cost
 	}
 	return rep
 }
 
-// Explain returns the current plan explain of query qi.
+// Explain plans query qi under the current design on the session's own
+// what-if session and renders the plan, naming the live what-if indexes
+// IndexNames reports. Explains are not memoized: each read costs one
+// optimizer call, counted like any other.
 func (s *DesignSession) Explain(qi int) (string, error) {
 	if qi < 0 || qi >= len(s.states) {
 		return "", fmt.Errorf("session: no query %d (workload has %d)", qi+1, len(s.states))
 	}
-	return s.states[qi].explain, nil
+	target, _, err := s.target(qi)
+	if err != nil {
+		return "", err
+	}
+	plan, err := s.ws.Plan(target)
+	s.planCalls++
+	s.span.AddPlanCalls(1)
+	if err != nil {
+		return "", fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[qi].SQL, err)
+	}
+	return optimizer.Explain(plan), nil
 }
 
 // ---------------------------------------------------------------------
@@ -686,40 +719,62 @@ func (s *DesignSession) applyDesign(target design.Design, targetNL bool) (map[in
 	}
 	s.ixName = ixName
 	s.fragParent = frags
-	s.rw = design.Rewriter(s.cat, target)
+	if len(delta.CreateTables) > 0 || len(delta.DropTables) > 0 {
+		s.rw = design.Rewriter(s.cat, target)
+		clear(s.rewrites)
+	}
 
 	// Invalidate: queries touching an affected table, plus — on a
 	// join-flag change — every query whose plan can contain a join
 	// (multi-relation, or touching a partitioned table in either
 	// design, since fragment rewrites introduce joins).
 	inval := map[int]bool{}
-	for qi, fp := range s.foot {
+	for qi, fp := range s.wl.foot {
 		for _, table := range affected {
 			if fp.TouchesTable(table) {
 				inval[qi] = true
 			}
 		}
-		if nlChanged && s.joinCapable(qi) {
+		if nlChanged && (fp.Relations >= 2 || s.touchesPartition(qi)) {
 			inval[qi] = true
 		}
 	}
 	return inval, true, nil
 }
 
-// joinCapable reports whether query qi's plan can contain a join
-// under the (already committed) current design: it names several
-// relations, or touches a partitioned table and so may rewrite into
-// a fragment join.
-func (s *DesignSession) joinCapable(qi int) bool {
-	if s.foot[qi].Relations >= 2 {
-		return true
+// touchesPartition reports whether query qi touches a table the
+// current design partitions.
+func (s *DesignSession) touchesPartition(qi int) bool {
+	return slices.ContainsFunc(s.design.Partitions, func(p design.Partition) bool {
+		return s.wl.foot[qi].TouchesTable(p.Table)
+	})
+}
+
+// rewritten is one query rewritten onto the current fragments: the AST
+// to plan and its printed form.
+type rewritten struct {
+	sel *sql.Select
+	sql string
+}
+
+// target returns query qi as it plans under the current design, with
+// its printed form. A query touching no partitioned table plans as
+// written; the others are rewritten onto the fragments once per
+// partitioning.
+func (s *DesignSession) target(qi int) (*sql.Select, string, error) {
+	if !s.touchesPartition(qi) {
+		return s.wl.queries[qi].Stmt, s.wl.stmtKeys[qi], nil
 	}
-	for _, def := range s.design.Partitions {
-		if s.foot[qi].TouchesTable(def.Table) {
-			return true
-		}
+	if r := s.rewrites[qi]; r != nil {
+		return r.sel, r.sql, nil
 	}
-	return false
+	sel, err := s.rw.Rewrite(s.wl.queries[qi].Stmt)
+	if err != nil {
+		return nil, "", fmt.Errorf("session: rewrite of %q: %w", s.wl.queries[qi].SQL, err)
+	}
+	r := &rewritten{sel: sel, sql: sql.PrintSelect(sel)}
+	s.rewrites[qi] = r
+	return r.sel, r.sql, nil
 }
 
 // parallelRepriceThreshold is the invalidation-set size above which
@@ -730,7 +785,7 @@ const parallelRepriceThreshold = 4
 // reprice refreshes the states of the invalidated queries: memo hits
 // restore the full state without planning; misses re-plan (in
 // parallel when the miss set is large). All-or-nothing — on error no
-// state, memo entry, or edit counter changes.
+// state or edit counter changes; the memo keeps only valid states.
 //
 // Under a SharedMemo the miss path runs the two-phase singleflight
 // protocol: each missing state is acquired as either a leadership
@@ -753,10 +808,16 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 	}
 	sort.Ints(idxs)
 
-	var fromShared []pendingMemo
-	hits := 0
-	repriced := 0
-	waitsServed := 0
+	// design.ProjectedKey reads only a footprint's class, so each class
+	// invalidated by this edit computes its key once.
+	sigs := map[int]string{}
+	for _, qi := range idxs {
+		if _, ok := sigs[s.wl.class[qi]]; !ok {
+			sigs[s.wl.class[qi]] = design.ProjectedKey(s.design, s.fragParent, s.wl.foot[qi], s.nestLoop)
+		}
+	}
+
+	hits, sharedHits, repriced, waitsServed := 0, 0, 0, 0
 	pc0 := s.planCalls
 	fresh := map[int]*queryState{}
 	// Strand-proofing: abandoning a resolved ticket is a no-op, so on
@@ -774,7 +835,7 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 		var misses []pendingPrice
 		var waits []pendingWait
 		for _, qi := range remaining {
-			sig := design.ProjectedKey(s.design, s.fragParent, s.foot[qi], s.nestLoop)
+			sig := sigs[s.wl.class[qi]]
 			if st, ok := s.memo[memoKey{qi, sig}]; ok {
 				// The memoized state carries its own rewritten form; only
 				// misses pay for a rewrite.
@@ -787,12 +848,10 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 				st, ticket, role := s.opts.Shared.acquire(s.stmtIDs[qi], sig)
 				switch role {
 				case roleHit:
-					// Another session already priced this (query, design)
-					// pair: localize its canonical state (explains name
-					// indexes by key in the shared tier) and defer the
-					// local-memo insert to the commit below.
-					fromShared = append(fromShared, pendingMemo{qi: qi, sig: sig, st: s.localizeState(st)})
-					fresh[qi] = fromShared[len(fromShared)-1].st
+					// Another session already priced this (query, design) pair.
+					s.memo[memoKey{qi, sig}] = st
+					fresh[qi] = st
+					sharedHits++
 					continue
 				case roleWait:
 					waits = append(waits, pendingWait{qi: qi, sig: sig, tk: ticket})
@@ -802,44 +861,20 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 					held = append(held, tk)
 				}
 			}
-			target := s.queries[qi].Stmt
-			if s.rw != nil {
-				var err error
-				target, err = s.rw.Rewrite(target)
-				if err != nil {
-					return fmt.Errorf("session: rewrite of %q: %w", s.queries[qi].SQL, err)
-				}
+			target, printed, err := s.target(qi)
+			if err != nil {
+				return err
 			}
-			misses = append(misses, pendingPrice{qi: qi, sig: sig, target: target, tk: tk})
+			misses = append(misses, pendingPrice{qi: qi, sig: sig, target: target, sql: printed, tk: tk})
 		}
 
 		if len(misses) > 0 {
-			nameToKey := map[string]string{}
-			rename := map[string]string{}
-			plans := make([]*optimizer.Plan, len(misses))
-			if len(misses) >= parallelRepriceThreshold && s.opts.Workers != 1 {
-				if err := s.planParallel(misses, plans, nameToKey, rename); err != nil {
-					return err
-				}
-			} else {
-				for name, key := range s.ixNameToKey() {
-					nameToKey[name] = key
-				}
-				for i, p := range misses {
-					plan, err := s.ws.Plan(p.target)
-					s.planCalls++
-					if err != nil {
-						return fmt.Errorf("session: what-if plan of %q: %w", s.queries[p.qi].SQL, err)
-					}
-					plans[i] = plan
-				}
+			plans, nameToKey, err := s.plan(misses)
+			if err != nil {
+				return err
 			}
 			for i, p := range misses {
-				st := &queryState{
-					rewrittenSQL: sql.PrintSelect(p.target),
-					cost:         plans[i].TotalCost,
-					explain:      renameIndexes(optimizer.Explain(plans[i]), rename),
-				}
+				st := &queryState{rewrittenSQL: p.sql, cost: plans[i].TotalCost}
 				for _, name := range plans[i].IndexesUsed() {
 					if key, ok := nameToKey[name]; ok {
 						st.indexesUsed = append(st.indexesUsed, key)
@@ -849,7 +884,7 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 				fresh[p.qi] = st
 				s.memo[memoKey{p.qi, p.sig}] = st
 				if s.opts.Shared != nil {
-					s.opts.Shared.publish(p.tk, s.stmtIDs[p.qi], p.sig, s.canonicalState(st))
+					s.opts.Shared.publish(p.tk, s.stmtIDs[p.qi], p.sig, st)
 				}
 			}
 			repriced += len(misses)
@@ -867,9 +902,9 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 				next = append(next, w.qi)
 				continue
 			}
-			localized := s.localizeState(st)
-			fromShared = append(fromShared, pendingMemo{qi: w.qi, sig: w.sig, st: localized})
-			fresh[w.qi] = localized
+			s.memo[memoKey{w.qi, w.sig}] = st
+			fresh[w.qi] = st
+			sharedHits++
 			waitsServed++
 		}
 		remaining = next
@@ -878,24 +913,19 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 	// local memo and shared tier only ever gain valid priced states),
 	// so a failed edit leaves states and counters describing the last
 	// successful one.
-	for _, pm := range fromShared {
-		s.memo[memoKey{pm.qi, pm.sig}] = pm.st
-	}
 	for qi, st := range fresh {
 		s.states[qi] = st
 	}
-	s.memoHits += int64(hits + len(fromShared))
-	s.sharedHits += int64(len(fromShared))
+	s.memoHits += int64(hits + sharedHits)
+	s.sharedHits += int64(sharedHits)
 	s.memoMisses += int64(repriced)
 	s.lastInvalidated = len(inval)
 	s.lastRepriced = repriced
-	if s.span != nil {
-		s.span.AddLocalHits(int64(hits))
-		s.span.AddSharedHits(int64(len(fromShared)))
-		s.span.AddCoalesced(int64(waitsServed))
-		s.span.AddLed(int64(repriced))
-		s.span.AddPlanCalls(s.planCalls - pc0)
-	}
+	s.span.AddLocalHits(int64(hits))
+	s.span.AddSharedHits(int64(sharedHits))
+	s.span.AddCoalesced(int64(waitsServed))
+	s.span.AddLed(int64(repriced))
+	s.span.AddPlanCalls(s.planCalls - pc0)
 	return nil
 }
 
@@ -908,104 +938,63 @@ type pendingWait struct {
 	tk  *flight.Ticket[stateKey, *queryState]
 }
 
-// pendingMemo is one shared-memo hit awaiting its local-memo insert
-// at commit time (reprice is all-or-nothing).
-type pendingMemo struct {
-	qi  int
-	sig string
-	st  *queryState
-}
-
-// localizeState copies a canonical shared-memo state into this
-// session's naming: the shared tier names indexes by their design key
-// so states survive across sessions whose hypothetical-index names
-// differ; the local explain must use this session's live names.
-func (s *DesignSession) localizeState(st *queryState) *queryState {
-	cp := *st
-	cp.indexesUsed = append([]string(nil), st.indexesUsed...)
-	cp.explain = renameIndexes(st.explain, s.ixName)
-	return &cp
-}
-
-// canonicalState is the inverse of localizeState: live index names in
-// the explain are replaced by their design keys before the state is
-// published to the shared memo.
-func (s *DesignSession) canonicalState(st *queryState) *queryState {
-	cp := *st
-	cp.indexesUsed = append([]string(nil), st.indexesUsed...)
-	cp.explain = renameIndexes(st.explain, s.ixNameToKey())
-	return &cp
-}
-
-// ixNameToKey inverts the design-index name map.
-func (s *DesignSession) ixNameToKey() map[string]string {
-	out := map[string]string{}
-	for key, name := range s.ixName {
-		out[name] = key
-	}
-	return out
-}
-
-// pendingPrice is one memo miss awaiting an optimizer call. tk, when
-// non-nil, is the shared memo leadership this session holds for the
-// state: publication fulfills it, a failed edit abandons it.
+// pendingPrice is one memo miss awaiting an optimizer call: the query
+// as it plans under the design and its printed form. tk, when non-nil,
+// is the shared memo leadership this session holds for the state:
+// publication fulfills it, a failed edit abandons it.
 type pendingPrice struct {
 	qi     int
 	sig    string
 	target *sql.Select
+	sql    string
 	tk     *flight.Ticket[stateKey, *queryState]
 }
 
-// renameIndexes maps hypothetical index names inside an explain text
-// through rename, longest name first so a name that is a prefix of
-// another (ix1_t_ra vs ix1_t_ra_dec) never clobbers it.
-func renameIndexes(explain string, rename map[string]string) string {
-	if len(rename) == 0 {
-		return explain
+// plan prices the missed queries under the current design and returns
+// their plans plus a map from the planning sessions' what-if index
+// names to design-index keys. Small miss sets (or Workers == 1) plan
+// sequentially on the session's own what-if session; larger ones fan
+// out over a throwaway pool of sessions carrying the design — the same
+// fan-out core.EvaluateDesign has always used for full evaluations.
+// Pooled sessions name indexes from a fresh counter, which is why the
+// name map comes back with the plans.
+func (s *DesignSession) plan(misses []pendingPrice) ([]*optimizer.Plan, map[string]string, error) {
+	if len(misses) < parallelRepriceThreshold || s.opts.Workers == 1 {
+		plans := make([]*optimizer.Plan, len(misses))
+		for i, p := range misses {
+			plan, err := s.ws.Plan(p.target)
+			s.planCalls++
+			if err != nil {
+				return nil, nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
+			}
+			plans[i] = plan
+		}
+		nameToKey := make(map[string]string, len(s.ixName))
+		for key, name := range s.ixName {
+			nameToKey[name] = key
+		}
+		return plans, nameToKey, nil
 	}
-	froms := make([]string, 0, len(rename))
-	for from := range rename {
-		froms = append(froms, from)
-	}
-	sort.Slice(froms, func(i, j int) bool { return len(froms[i]) > len(froms[j]) })
-	for _, from := range froms {
-		explain = strings.ReplaceAll(explain, from, rename[from])
-	}
-	return explain
-}
-
-// planParallel prices the missed queries through a throwaway pool of
-// what-if sessions carrying the current design — the same fan-out
-// core.EvaluateDesign has always used for full evaluations. The
-// pooled sessions regenerate hypothetical index names from a fresh
-// counter; nameToKey is filled with those pool names, and rename maps
-// them back to the live session's names so user-visible explains stay
-// consistent with InteractiveReport.IndexNames.
-func (s *DesignSession) planParallel(misses []pendingPrice, plans []*optimizer.Plan, nameToKey, rename map[string]string) error {
 	setup, names := design.Setup(s.design, s.nestLoop)
 	est := costlab.NewFullWithSetup(s.cat, setup)
 	targets := make([]*sql.Select, len(misses))
 	for i, p := range misses {
 		targets[i] = p.target
 	}
-	got, err := est.PlanAll(context.Background(), targets, s.opts.Workers)
+	plans, err := est.PlanAll(context.Background(), targets, s.opts.Workers)
 	s.planCalls += est.PlanCalls()
 	if err != nil {
 		var je *costlab.JobError
 		if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
-			return fmt.Errorf("session: what-if plan of %q: %w", s.queries[misses[je.Index].qi].SQL, je.Err)
+			return nil, nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
 		}
-		return fmt.Errorf("session: what-if plan: %w", err)
+		return nil, nil, fmt.Errorf("session: what-if plan: %w", err)
 	}
-	copy(plans, got)
+	nameToKey := make(map[string]string, len(s.design.Indexes))
 	for i, name := range names() {
-		key := s.design.Indexes[i].Key()
-		nameToKey[name] = key
-		if live, ok := s.ixName[key]; ok && live != name {
-			rename[name] = live
-		}
+		nameToKey[name] = s.design.Indexes[i].Key()
 	}
-	return nil
+	return plans, nameToKey, nil
 }
 
 // publishShared mirrors the current per-query costs into the shared
@@ -1032,7 +1021,7 @@ func (s *DesignSession) publishShared() {
 	// already published — the steady state of tenants revisiting known
 	// designs.
 	cfgID := s.shared.InternConfig(costlab.Config(s.design.Indexes))
-	for qi := range s.queries {
+	for qi := range s.wl.queries {
 		s.shared.StoreIDIfAbsent(costlab.Key{Stmt: s.stmtIDs[qi], Cfg: cfgID}, s.states[qi].cost)
 	}
 	s.published[sig] = true

@@ -96,8 +96,8 @@ func TestSessionEditRepricesOnlyTouchedQueries(t *testing.T) {
 			t.Errorf("untouched query %d cost changed: %v -> %v", qi,
 				before.PerQuery[qi].NewCost, rep.PerQuery[qi].NewCost)
 		}
-		if rep.Explains[qi] != before.Explains[qi] {
-			t.Errorf("untouched query %d explain changed", qi)
+		if rep.Rewritten[qi] != before.Rewritten[qi] {
+			t.Errorf("untouched query %d rewrite changed", qi)
 		}
 	}
 }
@@ -408,44 +408,66 @@ func TestSessionGreedyWarmStart(t *testing.T) {
 	}
 }
 
-// TestSessionExplainNamesMatchReport: after a drop/re-add history the
-// live session's name counter diverges from the fresh pools the
-// parallel pricing path uses; user-visible explains must still carry
-// the names InteractiveReport.IndexNames declares.
+// TestSessionExplainNamesMatchReport: the live session's what-if name
+// counter diverges from the names a state was priced under — the fresh
+// pools of the parallel path, or an index re-created while every state
+// comes from the memo (undo/redo, drop/re-add). Explains must carry
+// exactly the names InteractiveReport.IndexNames declares now.
 func TestSessionExplainNamesMatchReport(t *testing.T) {
 	cat := seedCatalog(t, 200000)
-	wl := workload.Queries() // photoobj edits invalidate >4 queries → parallel path
-	s, err := session.New(cat, wl, session.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"dec"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DropIndexKey("photoobj(dec)"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}) // live name ix2, pool name ix1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.IndexNames) != 1 {
-		t.Fatalf("IndexNames = %v", rep.IndexNames)
-	}
-	name := rep.IndexNames[0]
-	used := false
-	for qi, pq := range rep.PerQuery {
-		if len(pq.IndexesUsed) == 0 {
-			continue
-		}
-		used = true
-		if !strings.Contains(rep.Explains[qi], name) {
-			t.Errorf("query %d uses the index but its explain lacks the reported name %s:\n%s",
-				qi, name, rep.Explains[qi])
-		}
-	}
-	if !used {
-		t.Fatal("no query used the index; test is vacuous")
+	ra := inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}
+	dec := inum.IndexSpec{Table: "photoobj", Columns: []string{"dec"}}
+	for name, edits := range map[string][]func(*session.DesignSession) (*session.InteractiveReport, error){
+		"after another index": {
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.AddIndex(dec) },
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.DropIndex(dec) },
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.AddIndex(ra) },
+		},
+		"undo-redo": {
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.AddIndex(ra) },
+			(*session.DesignSession).Undo,
+			(*session.DesignSession).Redo,
+		},
+		"drop-readd": {
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.AddIndex(ra) },
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.DropIndex(ra) },
+			func(s *session.DesignSession) (*session.InteractiveReport, error) { return s.AddIndex(ra) },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// photoobj edits invalidate more than 4 queries: the parallel path.
+			s, err := session.New(cat, workload.Queries(), session.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep *session.InteractiveReport
+			for _, edit := range edits {
+				if rep, err = edit(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const live, stale = "<what-if>ix2_photoobj_ra", "<what-if>ix1_photoobj_ra"
+			if len(rep.IndexNames) != 1 || rep.IndexNames[0] != live {
+				t.Fatalf("IndexNames = %v, want [%s]", rep.IndexNames, live)
+			}
+			users := 0
+			for qi, pq := range rep.PerQuery {
+				if len(pq.IndexesUsed) == 0 {
+					continue
+				}
+				users++
+				explain, err := s.Explain(qi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(explain, live) || strings.Contains(explain, stale) {
+					t.Errorf("query %d uses the index but its explain does not name %s:\n%s", qi+1, live, explain)
+				}
+			}
+			if users == 0 {
+				t.Fatal("no query uses the index; test is vacuous")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"hash/maphash"
 	"sync/atomic"
 
 	"repro/internal/costlab"
@@ -16,19 +17,18 @@ import (
 // workload-sized base pricing a fresh session performs at creation.
 //
 // It has two tiers. The state tier holds full query states (cost,
-// explain, rewrite, indexes used) keyed by interned (canonical query
-// SQL, projected design signature) ids; explains are stored
-// canonically with hypothetical index names replaced by design keys,
-// so sessions whose name counters diverged still exchange states. The
-// cost tier is a costlab.Memo holding plain (query, index-
-// configuration) costs; it doubles as every attached session's Memo(),
-// so advisor warm starts see the union of all tenants' pricing work.
-// Statement ids are interned once, in the cost tier's interner, when a
-// session is born; signatures are interned at first acquisition — so
-// the per-edit probe path hashes two uint32s, lock-free (the state
-// tier is sharded, each shard an atomic-snapshot map, see
-// intern.Bounded), instead of taking an RWMutex over full printed-SQL
-// keys.
+// rewrite, indexes used — named by design key, so sessions whose
+// what-if name counters diverged still exchange states) keyed by
+// (statement id, projected design signature). The cost tier is a
+// costlab.Memo holding plain (query, index-configuration) costs; it
+// doubles as every attached session's Memo(), so advisor warm starts
+// see the union of all tenants' pricing work. Statement ids are
+// interned once, in the cost tier's interner, when a session is born,
+// so the per-edit probe path hashes an id and the signature string,
+// lock-free (the state tier is sharded, each shard an atomic-snapshot
+// map, see intern.Bounded), instead of taking an RWMutex over full
+// printed-SQL keys. Signatures are not interned: a key lives exactly as
+// long as its state, so an evicted state frees it.
 //
 // The memo dedups in-flight work, not just completed work: a state one
 // session is still planning is acquired by every other session as a
@@ -48,18 +48,17 @@ import (
 // The cap trades the "revisit for free" contract down to "revisit the
 // states you keep warm for free": an evicted state is not an error,
 // it simply re-misses and re-prices (and re-publishes) on next use,
-// while the interners — whose ids keep evicted states re-publishable
-// under stable keys — stay append-only in both modes. States hold only
-// flat strings to keep entries small, and Stats (per-shard sizes,
-// evictions, in-flight counters) is the operator's watch on all of it.
+// while the cost tier's interners — whose ids keep evicted states
+// re-publishable under stable keys — stay append-only in both modes.
+// States hold only flat strings to keep entries small, and Stats
+// (per-shard sizes, evictions, in-flight counters) is the operator's
+// watch on all of it.
 //
 // All methods are safe for concurrent use; the sessions sharing a
 // SharedMemo may live on different goroutines (each individual
 // session still requires external serialization).
 type SharedMemo struct {
-	costs *costlab.Memo
-
-	sigs   intern.Table
+	costs  *costlab.Memo
 	states *intern.Bounded[stateKey, *queryState]
 
 	// flights coordinates in-flight state pricing across sessions:
@@ -81,11 +80,13 @@ type SharedMemo struct {
 	dupStores atomic.Int64
 }
 
-// stateKey is an interned (statement, projected signature) pair. The
-// statement id comes from the cost tier's interner (sessions hold it
-// as DesignSession.stmtIDs); the signature id from the memo's own
-// signature interner.
-type stateKey struct{ stmt, sig uint32 }
+// stateKey is a (statement, projected signature) pair. The statement
+// id comes from the cost tier's interner (sessions hold it as
+// DesignSession.stmtIDs).
+type stateKey struct {
+	stmt uint32
+	sig  string
+}
 
 // NewSharedMemo returns an empty, unbounded shared memo.
 func NewSharedMemo() *SharedMemo { return NewSharedMemoBounded(0) }
@@ -96,10 +97,11 @@ func NewSharedMemo() *SharedMemo { return NewSharedMemoBounded(0) }
 // See the type comment for what the cap does to the revisit-for-free
 // contract.
 func NewSharedMemoBounded(capTotal int) *SharedMemo {
+	seed := maphash.MakeSeed()
 	return &SharedMemo{
 		costs: costlab.NewMemoBounded(capTotal),
 		states: intern.NewBounded[stateKey, *queryState](intern.DefaultShards, capTotal, func(k stateKey) uint32 {
-			return intern.Mix32(k.stmt, k.sig)
+			return intern.Mix32(k.stmt, uint32(maphash.String(seed, k.sig)))
 		}),
 	}
 }
@@ -124,11 +126,9 @@ const (
 
 // acquire resolves the slot of (stmtID, sig) for re-pricing: a
 // published state, leadership of the missing state, or a wait ticket
-// on the session already pricing it. The signature is interned here —
-// whoever reaches acquire is about to price (or wait for) it, so it
-// is no longer a probe-only key.
+// on the session already pricing it.
 func (m *SharedMemo) acquire(stmtID uint32, sig string) (*queryState, *flight.Ticket[stateKey, *queryState], acquireRole) {
-	k := stateKey{stmtID, m.sigs.Intern(sig)}
+	k := stateKey{stmtID, sig}
 	if st, ok := m.states.Get(k); ok {
 		m.hits.Add(1)
 		return st, nil, roleHit
@@ -162,14 +162,13 @@ func (m *SharedMemo) wait(ctx context.Context, tk *flight.Ticket[stateKey, *quer
 	return st, nil
 }
 
-// publish stores a canonical state and releases the leader's ticket,
+// publish stores a state and releases the leader's ticket,
 // waking every session waiting on it. First writer wins: a duplicate
 // publication is dropped (and counted), so concurrent readers never
 // see an entry's pointer change — with the singleflight tier
 // serializing leaders per key, duplicates cannot happen.
 func (m *SharedMemo) publish(tk *flight.Ticket[stateKey, *queryState], stmtID uint32, sig string, st *queryState) {
-	k := stateKey{stmtID, m.sigs.Intern(sig)}
-	dup := !m.states.PutIfAbsent(k, st)
+	dup := !m.states.PutIfAbsent(stateKey{stmtID, sig}, st)
 	m.stores.Add(1)
 	if dup {
 		m.dupStores.Add(1)
@@ -178,7 +177,6 @@ func (m *SharedMemo) publish(tk *flight.Ticket[stateKey, *queryState], stmtID ui
 			Stmt:        m.costs.StmtKey(stmtID),
 			Sig:         sig,
 			Cost:        st.cost,
-			Explain:     st.explain,
 			Rewritten:   st.rewrittenSQL,
 			IndexesUsed: append([]string(nil), st.indexesUsed...),
 		})
@@ -209,13 +207,9 @@ type SharedStats struct {
 	// Evictions counts state-tier entries dropped by the memo cap (0
 	// when unbounded); ShardSizes is the live entry count per state-
 	// tier shard — with a cap, every element stays ≤ cap/shards.
-	Evictions  int64 `json:"evictions"`
-	ShardSizes []int `json:"shardSizes"`
-	// Sigs is the signature-interner size: distinct projected design
-	// signatures ever acquired. Like the cost tier's interners, it
-	// must stay flat while sessions churn over known designs.
-	Sigs  int               `json:"-"`
-	Costs costlab.MemoStats `json:"-"` // cost-tier counters
+	Evictions  int64             `json:"evictions"`
+	ShardSizes []int             `json:"shardSizes"`
+	Costs      costlab.MemoStats `json:"-"` // cost-tier counters
 }
 
 // FlightStats reports the state tier's singleflight counters directly
@@ -237,7 +231,6 @@ func (m *SharedMemo) Stats() SharedStats {
 		Handovers:          fs.Handovers,
 		Evictions:          m.states.Evictions(),
 		ShardSizes:         m.states.ShardSizes(),
-		Sigs:               m.sigs.Len(),
 		Costs:              m.costs.Stats(),
 	}
 }
@@ -249,12 +242,12 @@ func (m *SharedMemo) Stats() SharedStats {
 // SharedState is one published (query, projected design) state under
 // its canonical string keys — the process-restart-stable form of a
 // state-tier entry (interned ids renumber across restarts, so they
-// never leave the process).
+// never leave the process). Records written before explains stopped
+// being stored may carry an "explain" field; decoding ignores it.
 type SharedState struct {
 	Stmt        string   `json:"stmt"`
 	Sig         string   `json:"sig"`
 	Cost        float64  `json:"cost"`
-	Explain     string   `json:"explain,omitempty"`
 	Rewritten   string   `json:"rewritten,omitempty"`
 	IndexesUsed []string `json:"indexesUsed,omitempty"`
 }
@@ -281,9 +274,8 @@ func (m *SharedMemo) ExportStates() []SharedState {
 	m.states.Range(func(k stateKey, st *queryState) bool {
 		out = append(out, SharedState{
 			Stmt:        m.costs.StmtKey(k.stmt),
-			Sig:         m.sigs.Lookup(k.sig),
+			Sig:         k.sig,
 			Cost:        st.cost,
-			Explain:     st.explain,
 			Rewritten:   st.rewrittenSQL,
 			IndexesUsed: append([]string(nil), st.indexesUsed...),
 		})
@@ -297,11 +289,10 @@ func (m *SharedMemo) ExportStates() []SharedState {
 // the cost tier's statement interner so a later live session born over
 // the same workload sees the restored states as plain hits.
 func (m *SharedMemo) RestoreState(st SharedState) {
-	k := stateKey{m.costs.InternStmtKey(st.Stmt), m.sigs.Intern(st.Sig)}
+	k := stateKey{m.costs.InternStmtKey(st.Stmt), st.Sig}
 	m.states.PutIfAbsent(k, &queryState{
 		rewrittenSQL: st.Rewritten,
 		cost:         st.Cost,
-		explain:      st.Explain,
 		indexesUsed:  append([]string(nil), st.IndexesUsed...),
 	})
 }

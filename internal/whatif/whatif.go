@@ -23,7 +23,8 @@ const HypoPrefix = "<what-if>"
 // Session is one what-if design session over a base catalog. Creating
 // hypothetical features never touches the base catalog or any data;
 // everything lives in the session and is visible only to planners
-// attached to it.
+// attached to it. A Session is not safe for concurrent use — planning
+// fills its caches — so concurrent pricing pools one per goroutine.
 type Session struct {
 	base    *catalog.Catalog
 	planner *optimizer.Planner
@@ -44,10 +45,16 @@ type Session struct {
 	sigOK   bool
 	sigBase string
 	baseOK  bool
+
+	// byTable caches each table's hypothetical indexes in name order —
+	// the order relationInfoHook splices them in. Built on the first
+	// lookup after a structural edit; nil means stale.
+	byTable map[string][]*catalog.Index
 }
 
-// dirtySig invalidates the signature cache after a structural edit.
-func (s *Session) dirtySig() { s.sigOK, s.baseOK = false, false }
+// dirtySig invalidates the signature and per-table index caches after
+// a structural edit.
+func (s *Session) dirtySig() { s.sigOK, s.baseOK, s.byTable = false, false, nil }
 
 // NewSession creates a session planning against cat.
 func NewSession(cat *catalog.Catalog) *Session {
@@ -76,12 +83,13 @@ func (s *Session) relationInfoHook(name string, info *optimizer.RelationInfo) *o
 		}
 		info = &optimizer.RelationInfo{Table: t}
 	}
-	var extra []*catalog.Index
-	for _, ix := range s.sortedHypoIndexes() {
-		if ix.Table == name {
-			extra = append(extra, ix)
+	if s.byTable == nil {
+		s.byTable = map[string][]*catalog.Index{}
+		for _, ix := range s.sortedHypoIndexes() {
+			s.byTable[ix.Table] = append(s.byTable[ix.Table], ix)
 		}
 	}
+	extra := s.byTable[name]
 	if len(extra) == 0 {
 		return info
 	}

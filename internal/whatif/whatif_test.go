@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -509,6 +510,94 @@ func TestSignatureCacheAgreesWithRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("drop table")
+	s.Reset()
+	check("reset")
+}
+
+// TestPlanAfterEditMatchesFreshSession: the hook's per-table index
+// lists are cached between structural edits, so after every kind of
+// edit — each preceded by a plan that warms the cache — planning must
+// match a fresh session built with the same design. Generated names
+// differ in their counter only, which the comparison masks.
+func TestPlanAfterEditMatchesFreshSession(t *testing.T) {
+	cat := testCatalog(t)
+	s := NewSession(cat)
+	queries := []*sql.Select{
+		parse(t, "SELECT objid FROM photoobj WHERE ra BETWEEN 100 AND 100.5"),
+		parse(t, "SELECT objid FROM photoobj WHERE run = 5 AND type = 3"),
+		parse(t, "SELECT objid, ra FROM p1 WHERE ra BETWEEN 1 AND 1.1"),
+	}
+	counter := regexp.MustCompile(`ix[0-9]+_`)
+	plans := func(ws *Session) []string {
+		out := make([]string, len(queries))
+		for i, q := range queries {
+			pl, err := ws.Plan(q)
+			if err != nil {
+				out[i] = "error: " + err.Error()
+				continue
+			}
+			out[i] = counter.ReplaceAllString(optimizer.Explain(pl), "ix_")
+		}
+		return out
+	}
+	fresh := func() *Session {
+		r := NewSession(cat)
+		for _, tab := range s.Tables() {
+			cols := make([]string, 0, len(tab.Columns))
+			for _, c := range tab.Columns {
+				cols = append(cols, c.Name)
+			}
+			if _, err := r.CreateTable(TableDef{Name: tab.Name, Parent: tab.PartitionOf, Columns: cols}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ix := range s.Indexes() { // name order: the fresh names sort alike
+			if _, err := r.CreateIndex(ix.Table, ix.Columns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	check := func(step string) {
+		t.Helper()
+		got, want := plans(s), plans(fresh())
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("after %s, query %d plans\n%s\nbut a fresh session plans\n%s", step, i, got[i], want[i])
+			}
+		}
+	}
+
+	check("creation")
+	ra, err := s.CreateIndex("photoobj", []string{"ra"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("create index")
+	if _, err := s.CreateIndex("photoobj", []string{"run", "type"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTable(TableDef{Name: "p1", Parent: "photoobj", Columns: []string{"ra", "dec"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateIndex("p1", []string{"ra"}); err != nil {
+		t.Fatal(err)
+	}
+	check("create table and its index")
+	if err := s.DropIndex(ra.Name); err != nil {
+		t.Fatal(err)
+	}
+	check("drop index")
+	if err := s.DropTable("p1"); err != nil {
+		t.Fatal(err)
+	}
+	check("table drop cascade")
+	if _, err := s.ApplyDelta(Delta{
+		CreateIndexes: []IndexDef{{Table: "photoobj", Columns: []string{"ra"}}, {Table: "photoobj", Columns: []string{"nosuch"}}},
+	}); err == nil {
+		t.Fatal("delta with a bad index accepted")
+	}
+	check("failed delta rollback")
 	s.Reset()
 	check("reset")
 }
