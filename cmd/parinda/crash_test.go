@@ -179,7 +179,8 @@ func editScript(t *testing.T, p *serveProc, name string) {
 // TestCrashRecoverEquivalence is the idle-barrier crash: every edit is
 // acknowledged before the SIGKILL, so the restarted server must serve
 // costs byte-identical to a control that never crashed — same design,
-// same what-if names, same undo/redo depths.
+// same what-if names, same undo/redo depths — plus explains, the
+// recovery counter and the /stats durability block.
 func TestCrashRecoverEquivalence(t *testing.T) {
 	bin := buildParinda(t)
 	dir := t.TempDir()
@@ -203,6 +204,12 @@ func TestCrashRecoverEquivalence(t *testing.T) {
 	}
 	if n := revived.recoverRecords(t); n <= 0 {
 		t.Errorf("parinda_recover_records_total = %v, want > 0", n)
+	}
+	// Explains are planned on read, never journaled: a recovered session
+	// must still answer one (get fails the test on anything but 200).
+	revived.get(t, "/sessions/crashy/explain/1")
+	if stats := revived.get(t, "/stats"); !strings.Contains(string(stats), `"durability"`) {
+		t.Errorf("/stats after recovery lacks the durability block: %s", stats)
 	}
 }
 

@@ -24,15 +24,20 @@
 //	                    the hot-path keying under costlab's memo, the
 //	                    SharedMemo and the ingest window, so steady-state
 //	                    pricing hashes ids instead of printed SQL
-//	internal/flight     singleflight coordination for in-flight pricing:
-//	                    per-key leader election (TryLead/Fulfill/Wait),
-//	                    context-aware waits, leader-failure handover —
-//	                    under both memo tiers, so concurrent tenants
+//	internal/flight     the memoised-singleflight pricing primitive:
+//	                    Cache = bounded lock-free-read table + per-key
+//	                    leader election + one set of counters, and
+//	                    Resolve, the only copy of the two-phase batch
+//	                    protocol (price led keys, publish, then wait on
+//	                    foreign keys; failed leaders hand over) — both
+//	                    memo tiers are Caches, so concurrent tenants
 //	                    needing the same missing state plan it once
 //	internal/costlab    unified concurrent cost-estimation layer: one
 //	                    CostEstimator interface, full-optimizer and
 //	                    INUM backends, pooled sessions, parallel
-//	                    EvaluateAll batch driver
+//	                    EvaluateAll batch driver, and the cost Memo
+//	                    (interned keys over a flight.Cache) behind
+//	                    EvaluateDelta and advisor warm starts
 //	internal/ilp        exact branch-and-bound ILP solver
 //	internal/recommend  the automatic components as one pipeline —
 //	                    index suggestion, AutoPart partition
@@ -51,9 +56,12 @@
 //	internal/workload   SDSS-like schema, 30-query workload, generator
 //	internal/session    incremental design sessions: delta re-pricing,
 //	                    per-(query, design) cost memoization, undo and
-//	                    redo, cross-session SharedMemo, explains planned
-//	                    on read (one optimizer call each, never stored)
-//	                    — the engine behind the `parinda session` REPL
+//	                    redo, cross-session SharedMemo (a state tier and
+//	                    a cost tier, both flight.Caches; local misses
+//	                    resolve through one Resolve call per edit),
+//	                    explains planned on read (one optimizer call
+//	                    each, never stored) — the engine behind the
+//	                    `parinda session` REPL
 //	internal/serve      multi-tenant design-session service: N named
 //	                    sessions over one catalog + one shared memo,
 //	                    HTTP/JSON API, per-session serialization, LRU

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -489,19 +491,6 @@ func TestEvaluateDeltaMemoizes(t *testing.T) {
 	}
 }
 
-func TestEvaluateDeltaNilMemo(t *testing.T) {
-	cat := seedCatalog(t, 200000)
-	queries := seedQueries(t)[:3]
-	jobs := pricingJobs(t, cat, queries, 1)
-	got, stats, err := costlab.EvaluateDelta(context.Background(), costlab.NewFull(cat), jobs, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(jobs) || stats.Hits != 0 || stats.Misses != len(jobs) {
-		t.Errorf("nil-memo delta: %d results, stats %+v", len(got), stats)
-	}
-}
-
 func TestConfigKeyOrderInsensitive(t *testing.T) {
 	a := costlab.Config{{Table: "photoobj", Columns: []string{"ra"}}, {Table: "specobj", Columns: []string{"z"}}}
 	b := costlab.Config{{Table: "specobj", Columns: []string{"z"}}, {Table: "photoobj", Columns: []string{"ra"}}}
@@ -531,21 +520,68 @@ func TestEvaluateDeltaPropagatesJobError(t *testing.T) {
 	}
 }
 
-// TestMemoContentionStats: a store whose key is already recorded is a
-// duplicate — the cross-tenant contention signal the serve layer
-// surfaces in its /stats endpoint.
+// TestMemoContentionStats: a priced store whose key is already
+// recorded is a duplicate — the cross-tenant contention signal the
+// serve layer surfaces in its /stats endpoint — while a mirrored or
+// restored cost counts nothing.
 func TestMemoContentionStats(t *testing.T) {
 	memo := costlab.NewMemo()
-	memo.StoreKey("q1", "cfgA", 10)
-	memo.StoreKey("q1", "cfgB", 20)
-	memo.StoreKey("q1", "cfgA", 10) // duplicate (a racing tenant)
-	memo.LookupKey("q1", "cfgA")
-	memo.LookupKey("q1", "nope")
-	st := memo.Stats()
-	if st.Stores != 3 || st.DupStores != 1 {
-		t.Errorf("stores = %d dup = %d, want 3 and 1", st.Stores, st.DupStores)
+	q := memo.InternStmtKey("q1")
+	a := costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("cfgA")}
+	b := costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("cfgB")}
+	_, _, err := memo.Resolve(context.Background(), []costlab.Key{a, b}, func(led []int) ([]float64, error) {
+		// A racing tenant's restore lands while cfgA is being priced.
+		memo.Restore(costlab.CostRecord{Stmt: "q1", Cfg: "cfgA", Cost: 10})
+		return []float64{10, 20}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 2 {
-		t.Errorf("hits %d misses %d entries %d, want 1, 1, 2", st.Hits, st.Misses, st.Entries)
+	memo.StoreIDIfAbsent(b, 20) // a session mirroring a known cost
+	memo.LookupID(a)
+	memo.LookupID(costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("nope")})
+	st := memo.Stats()
+	if st.Stores != 2 || st.DupStores != 1 {
+		t.Errorf("stores = %d dup = %d, want 2 and 1", st.Stores, st.DupStores)
+	}
+	// Two keys priced (misses) plus one failed lookup; one found.
+	if st.Hits != 1 || st.Misses != 3 || st.Entries != 2 {
+		t.Errorf("hits %d misses %d entries %d, want 1, 3, 2", st.Hits, st.Misses, st.Entries)
+	}
+}
+
+// TestINUMPermutationInvariance: INUM must price a configuration the
+// same whatever order its indexes are listed in — every memo keys a
+// configuration by its sorted ConfigKey, so an order-dependent cost
+// would make the memo serve whichever order happened to be priced
+// first. Random 2–13-index configurations of mined candidates, each
+// priced for every seed query on two fresh estimators in two orders.
+func TestINUMPermutationInvariance(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	queries := seedQueries(t)
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
+	rng := rand.New(rand.NewSource(1))
+	const configs = 60
+	for n := 0; n < configs; n++ {
+		cfg := make(costlab.Config, 2+rng.Intn(12))
+		for i, p := range rng.Perm(len(cands))[:len(cfg)] {
+			cfg[i] = cands[p]
+		}
+		shuffled := slices.Clone(cfg)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		a, b := costlab.NewINUMShards(cat, 1), costlab.NewINUMShards(cat, 1)
+		for qi, q := range queries {
+			ca, err := a.Cost(q.Stmt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb, err := b.Cost(q.Stmt, shuffled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ca != cb {
+				t.Errorf("Q%d under %d indexes costs %v listed as %v but %v listed as %v", qi+1, len(cfg), ca, cfg, cb, shuffled)
+			}
+		}
 	}
 }

@@ -2,8 +2,6 @@ package costlab
 
 import (
 	"context"
-	"errors"
-	"sync/atomic"
 
 	"repro/internal/design"
 	"repro/internal/flight"
@@ -21,20 +19,14 @@ import (
 //
 // Identities are interned: the memo maps each canonical statement key
 // (printed SQL) and configuration key (ConfigKey) to a dense uint32 id
-// once, at first store, and every probe after that hashes a Key of two
-// machine words instead of two long strings. Lookups and warm stores
-// are lock-free — the cost table is sharded by key hash, each shard an
-// atomic-snapshot map (see intern.Bounded) — so concurrent sessions
-// sharing one memo never contend on the hit path. String-keyed probes
-// for keys nobody ever stored stay cheap misses and never grow the
-// interners. A memo built with NewMemoBounded additionally caps the
-// cost table, CLOCK-evicting cold entries; an evicted cost simply
-// re-misses and re-prices.
-//
-// The memo also dedups *in-flight* pricing: EvaluateDelta coordinates
-// concurrent callers through a flight.Group keyed by the interned Key,
-// so two batches needing the same missing cost at the same time issue
-// one estimator call between them, the second blocking on the first.
+// once, and every probe after that hashes a Key of two machine words
+// instead of two long strings. The costs themselves live in a
+// flight.Cache — lock-free reads, an optional CLOCK-evicting cap
+// (NewMemoBounded; an evicted cost simply re-misses and re-prices), and
+// in-flight deduplication: two batches needing the same missing cost
+// at the same time issue one estimator call between them, the second
+// waiting on the first. Probes for identities nobody ever interned stay
+// cheap misses and never grow the interners.
 //
 // Costs from different estimator backends are NOT interchangeable
 // (INUM reconstructs, Full optimizes); a memo must only ever be fed
@@ -42,14 +34,7 @@ import (
 type Memo struct {
 	stmts intern.Table
 	cfgs  intern.Table
-	costs *intern.Bounded[Key, float64]
-
-	flights flight.Group[Key, float64]
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	stores    atomic.Int64
-	dupStores atomic.Int64
+	costs *flight.Cache[Key, float64]
 }
 
 // Key is an interned (statement, configuration) memo key. The zero
@@ -60,14 +45,13 @@ type Key struct{ Stmt, Cfg uint32 }
 func NewMemo() *Memo { return NewMemoBounded(0) }
 
 // NewMemoBounded returns an empty memo whose cost table is capped at
-// roughly capTotal entries (0 = unbounded), spread over
-// intern.DefaultShards CLOCK-evicting shards. The interners themselves
+// roughly capTotal entries (0 = unbounded). The interners themselves
 // stay append-only: identities are tiny next to priced states, and
 // stable ids are what keep evicted costs re-priceable under the same
 // key.
 func NewMemoBounded(capTotal int) *Memo {
 	return &Memo{
-		costs: intern.NewBounded[Key, float64](intern.DefaultShards, capTotal, func(k Key) uint32 {
+		costs: flight.NewCache[Key, float64](capTotal, func(k Key) uint32 {
 			return intern.Mix32(k.Stmt, k.Cfg)
 		}),
 	}
@@ -99,129 +83,45 @@ func (mo *Memo) InternCfgKey(cfgKey string) uint32 { return mo.cfgs.Intern(cfgKe
 func ConfigKey(cfg Config) string { return design.Key(design.Design{Indexes: cfg}) }
 
 // Lookup returns the memoized cost of (stmt, cfg) and whether one is
-// recorded, bumping the hit/miss counters.
+// recorded, counting a hit or a miss. Identities never interned have
+// id 0, which no stored key holds, so they count as plain misses.
 func (mo *Memo) Lookup(stmt *sql.Select, cfg Config) (float64, bool) {
-	return mo.LookupKey(sql.PrintSelect(stmt), ConfigKey(cfg))
-}
-
-// LookupKey is Lookup over pre-computed string keys. A key that was
-// never stored is a guaranteed miss and does not grow the interners.
-func (mo *Memo) LookupKey(stmtKey, cfgKey string) (float64, bool) {
-	stmt, ok := mo.stmts.ID(stmtKey)
-	if !ok {
-		mo.misses.Add(1)
-		return 0, false
-	}
-	cfg, ok := mo.cfgs.ID(cfgKey)
-	if !ok {
-		mo.misses.Add(1)
-		return 0, false
-	}
-	return mo.LookupID(Key{stmt, cfg})
+	s, _ := mo.stmts.ID(sql.PrintSelect(stmt))
+	c, _ := mo.cfgs.ID(ConfigKey(cfg))
+	return mo.LookupID(Key{s, c})
 }
 
 // LookupID is Lookup over an interned key — the hot path: no string
 // hashing, no lock.
-func (mo *Memo) LookupID(k Key) (float64, bool) {
-	cost, ok := mo.costs.Get(k)
-	if ok {
-		mo.hits.Add(1)
-	} else {
-		mo.misses.Add(1)
-	}
-	return cost, ok
+func (mo *Memo) LookupID(k Key) (float64, bool) { return mo.costs.Get(k) }
+
+// StoreIDIfAbsent records a cost priced elsewhere (a session mirroring
+// its states, a restore) unless the key is present. Like every
+// recorded-not-priced value it moves no counter.
+func (mo *Memo) StoreIDIfAbsent(k Key, cost float64) { mo.costs.Put(k, cost) }
+
+// Resolve returns the cost of every key, pricing only the missing ones
+// through price, once across all concurrent callers (see
+// flight.Cache.Resolve).
+func (mo *Memo) Resolve(ctx context.Context, keys []Key, price func(led []int) ([]float64, error)) ([]float64, flight.Batch, error) {
+	return mo.costs.Resolve(ctx, keys, price)
 }
 
-// Store records the cost of (stmt, cfg).
-func (mo *Memo) Store(stmt *sql.Select, cfg Config, cost float64) {
-	mo.StoreID(Key{mo.InternStmt(stmt), mo.InternConfig(cfg)}, cost)
-}
-
-// StoreKey is Store over pre-computed string keys (interning them).
-func (mo *Memo) StoreKey(stmtKey, cfgKey string, cost float64) {
-	mo.StoreID(Key{mo.stmts.Intern(stmtKey), mo.cfgs.Intern(cfgKey)}, cost)
-}
-
-// StoreID records a cost under an interned key. Costs are idempotent —
-// re-pricing a key yields the same cost — so first writer wins. A
-// store whose key is already recorded counts as a duplicate: the
-// caller priced work the memo already held — under a shared memo, the
-// signature of concurrent sessions racing to price the same job.
-// Callers that merely mirror state they may have published before
-// (and did not re-price) should use StoreIDIfAbsent so the DupStores
-// counter keeps meaning "duplicated pricing work".
-func (mo *Memo) StoreID(k Key, cost float64) {
-	dup := !mo.costs.PutIfAbsent(k, cost)
-	mo.stores.Add(1)
-	if dup {
-		mo.dupStores.Add(1)
-	}
-}
-
-// StoreKeyIfAbsent records the cost only when the key is missing, and
-// counts neither a store nor a duplicate otherwise — the idempotent
-// publication path for callers re-mirroring known state.
-func (mo *Memo) StoreKeyIfAbsent(stmtKey, cfgKey string, cost float64) {
-	mo.StoreIDIfAbsent(Key{mo.stmts.Intern(stmtKey), mo.cfgs.Intern(cfgKey)}, cost)
-}
-
-// StoreIDIfAbsent is StoreKeyIfAbsent over an interned key. The warm
-// path (key already published) is lock-free.
-func (mo *Memo) StoreIDIfAbsent(k Key, cost float64) {
-	if mo.costs.PutIfAbsent(k, cost) {
-		mo.stores.Add(1)
-	}
-}
-
-// MemoStats reports a memo's lifetime counters.
+// MemoStats reports a memo's lifetime counters: its cost cache's
+// (flight.Stats) plus the interner sizes.
 type MemoStats struct {
-	Hits    int64 // lookups served from the memo
-	Misses  int64 // lookups that found nothing
-	Entries int   // recorded (query, configuration) costs
-	Stores  int64 // store calls, duplicates included
-	// DupStores counts stores that found their key already recorded —
-	// pricing work duplicated by concurrent sessions sharing the memo
-	// (the contention the shared-memo design is meant to shrink).
-	DupStores int64
+	flight.Stats
 	// InternedStmts and InternedCfgs are the interner sizes: how many
 	// distinct statement and configuration identities the memo has ever
 	// seen. Sessions churning over the same workload must not grow
 	// these — they are the leak watch for the append-only interners.
 	InternedStmts int
 	InternedCfgs  int
-	// Evictions counts cost entries the cap has dropped (0 on an
-	// unbounded memo).
-	Evictions int64
-	// InflightWaits / CoalescedCalls / Handovers are the singleflight
-	// tier's counters: waits begun on another caller's in-flight
-	// pricing, waits that were served its result (estimator calls
-	// saved), and waits that outlived an abandoned leader.
-	InflightWaits  int64
-	CoalescedCalls int64
-	Handovers      int64
 }
-
-// FlightStats reports the memo's singleflight tier directly (Stats
-// folds the wait-side counters in; this adds Leads for the /metrics
-// flight family).
-func (mo *Memo) FlightStats() flight.Stats { return mo.flights.Stats() }
 
 // Stats returns the memo's lifetime counters.
 func (mo *Memo) Stats() MemoStats {
-	fs := mo.flights.Stats()
-	return MemoStats{
-		Hits:           mo.hits.Load(),
-		Misses:         mo.misses.Load(),
-		Entries:        mo.costs.Len(),
-		Stores:         mo.stores.Load(),
-		DupStores:      mo.dupStores.Load(),
-		InternedStmts:  mo.stmts.Len(),
-		InternedCfgs:   mo.cfgs.Len(),
-		Evictions:      mo.costs.Evictions(),
-		InflightWaits:  fs.Waits,
-		CoalescedCalls: fs.Coalesced,
-		Handovers:      fs.Handovers,
-	}
+	return MemoStats{Stats: mo.costs.Stats(), InternedStmts: mo.stmts.Len(), InternedCfgs: mo.cfgs.Len()}
 }
 
 // BatchStats reports how one incremental batch split between the memo,
@@ -254,17 +154,9 @@ func (mo *Memo) jobKey(job Job) Key {
 // without touching est, and only the remainder fans out over the
 // worker pool (which then records its results back into memo).
 // Results are in job order; the returned stats make the incremental
-// saving observable. A nil memo degrades to plain EvaluateAll.
-//
-// Concurrent EvaluateDelta calls over one memo coordinate through its
-// singleflight tier: a missing key another caller is already pricing
-// is waited on (context-aware) instead of re-priced, so N callers
-// needing the same cost pay for one estimator call. The protocol is
-// two-phase — price and publish every key this call leads, then wait
-// on foreign keys — which keeps any number of concurrent batches
-// deadlock-free: a blocked batch never holds an unpublished
-// leadership. A leader that fails abandons its keys; its waiters take
-// over and price them locally.
+// saving observable. Concurrent calls over one memo price a missing
+// key once between them (memo.Resolve); a failed batch records
+// nothing.
 //
 // When ctx carries an obs.Span (the serve layer's request tracing),
 // the batch's outcome is added to it: memo hits as shared hits, led
@@ -272,126 +164,36 @@ func (mo *Memo) jobKey(job Job) Key {
 // plan-call delta when est exposes PlanCalls.
 func EvaluateDelta(ctx context.Context, est CostEstimator, jobs []Job, memo *Memo, workers int) ([]float64, BatchStats, error) {
 	sp := obs.SpanFromContext(ctx)
-	if sp == nil {
-		return evaluateDelta(ctx, est, jobs, memo, workers)
-	}
 	pc, _ := est.(interface{ PlanCalls() int64 })
 	var pc0 int64
-	if pc != nil {
+	if sp != nil && pc != nil {
 		pc0 = pc.PlanCalls()
 	}
-	costs, stats, err := evaluateDelta(ctx, est, jobs, memo, workers)
-	sp.AddSharedHits(int64(stats.Hits))
-	sp.AddLed(int64(stats.Misses))
-	sp.AddCoalesced(int64(stats.Coalesced))
-	if pc != nil {
-		sp.AddPlanCalls(pc.PlanCalls() - pc0)
-	}
-	return costs, stats, err
-}
-
-func evaluateDelta(ctx context.Context, est CostEstimator, jobs []Job, memo *Memo, workers int) ([]float64, BatchStats, error) {
-	if memo == nil {
-		costs, err := EvaluateAll(ctx, est, jobs, workers)
-		return costs, BatchStats{Misses: len(jobs)}, err
-	}
-	results := make([]float64, len(jobs))
 	keys := make([]Key, len(jobs))
-	var stats BatchStats
-	var missIdx []int                          // jobs this call leads (prices with est)
-	var tickets []*flight.Ticket[Key, float64] // aligned with missIdx
-	var waitIdx []int                          // jobs another caller is pricing
-	var waitTks []*flight.Ticket[Key, float64] // aligned with waitIdx
-	// Strand-proofing: abandoning a resolved ticket is a no-op, so on
-	// any error path every unpublished leadership is released and its
-	// waiters hand over instead of hanging.
-	defer func() {
-		for _, tk := range tickets {
-			tk.Abandon()
-		}
-	}()
 	for i, job := range jobs {
 		keys[i] = memo.jobKey(job)
-		if cost, ok := memo.LookupID(keys[i]); ok {
-			results[i] = cost
-			stats.Hits++
-			continue
-		}
-		tk, leader := memo.flights.TryLead(keys[i])
-		if !leader {
-			waitIdx = append(waitIdx, i)
-			waitTks = append(waitTks, tk)
-			continue
-		}
-		// Leadership won after a miss: the miss may be stale (a prior
-		// leader published and resolved in between) — re-probe before
-		// paying the estimator.
-		if cost, ok := memo.costs.Get(keys[i]); ok {
-			tk.Fulfill(cost)
-			results[i] = cost
-			stats.Hits++
-			continue
-		}
-		missIdx = append(missIdx, i)
-		tickets = append(tickets, tk)
 	}
-	stats.Misses = len(missIdx)
-	// Phase 1: price and publish every key this call leads.
-	if len(missIdx) > 0 {
-		err := forEach(ctx, len(missIdx), workers, func(p int) error {
-			i := missIdx[p]
-			cost, err := est.Cost(jobs[i].Stmt, jobs[i].Config)
+	costs, b, err := memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
+		out := make([]float64, len(led))
+		return out, forEach(ctx, len(led), workers, func(p int) error {
+			cost, err := est.Cost(jobs[led[p]].Stmt, jobs[led[p]].Config)
 			if err != nil {
-				return &JobError{Index: i, Err: err}
+				return &JobError{Index: led[p], Err: err}
 			}
-			results[i] = cost
-			memo.StoreID(keys[i], cost)
-			tickets[p].Fulfill(cost)
+			out[p] = cost
 			return nil
 		})
-		if err != nil {
-			return nil, stats, err
+	})
+	stats := BatchStats{Hits: b.Hits, Misses: b.Led, Coalesced: b.Coalesced}
+	if sp != nil {
+		sp.AddSharedHits(int64(stats.Hits))
+		sp.AddLed(int64(stats.Misses))
+		sp.AddCoalesced(int64(stats.Coalesced))
+		if pc != nil {
+			sp.AddPlanCalls(pc.PlanCalls() - pc0)
 		}
 	}
-	// Phase 2: collect the costs foreign leaders are producing. A
-	// handover (abandoned leader) loops back to leading the key — by
-	// then it is usually published; otherwise this call prices it.
-	for p, i := range waitIdx {
-		tk := waitTks[p]
-		for {
-			cost, err := tk.Wait(ctx)
-			if err == nil {
-				results[i] = cost
-				stats.Coalesced++
-				break
-			}
-			if !errors.Is(err, flight.ErrAbandoned) {
-				return nil, stats, err
-			}
-			var leader bool
-			tk, leader = memo.flights.TryLead(keys[i])
-			if !leader {
-				continue
-			}
-			if cost, ok := memo.costs.Get(keys[i]); ok {
-				tk.Fulfill(cost)
-				results[i] = cost
-				stats.Coalesced++
-				break
-			}
-			cost, cerr := est.Cost(jobs[i].Stmt, jobs[i].Config)
-			if cerr != nil {
-				tk.Abandon()
-				return nil, stats, &JobError{Index: i, Err: cerr}
-			}
-			results[i] = cost
-			memo.StoreID(keys[i], cost)
-			tk.Fulfill(cost)
-			stats.Misses++
-			break
-		}
-	}
-	return results, stats, nil
+	return costs, stats, err
 }
 
 // ---------------------------------------------------------------------
@@ -406,10 +208,6 @@ func evaluateDelta(ctx context.Context, est CostEstimator, jobs []Job, memo *Mem
 // StmtKey returns the canonical statement string behind an interned
 // statement id ("" if unknown).
 func (mo *Memo) StmtKey(id uint32) string { return mo.stmts.Lookup(id) }
-
-// CfgKey returns the canonical configuration string behind an
-// interned configuration id ("" if unknown).
-func (mo *Memo) CfgKey(id uint32) string { return mo.cfgs.Lookup(id) }
 
 // CostRecord is one memoized (statement, configuration) cost under
 // its canonical string keys — the process-restart-stable form.
@@ -431,7 +229,7 @@ func (mo *Memo) Export() []CostRecord {
 }
 
 // Restore re-publishes an exported cost (idempotent: present keys are
-// left untouched and counted as neither stores nor duplicates).
+// left untouched).
 func (mo *Memo) Restore(rec CostRecord) {
-	mo.StoreKeyIfAbsent(rec.Stmt, rec.Cfg, rec.Cost)
+	mo.StoreIDIfAbsent(Key{mo.stmts.Intern(rec.Stmt), mo.cfgs.Intern(rec.Cfg)}, rec.Cost)
 }

@@ -1,6 +1,7 @@
 package costlab
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 // writers across snapshot republications only ever see complete
 // entries (a cost, once visible, is exactly what its first writer
 // stored and never vanishes), and the hit/miss counters account for
-// every lookup.
+// every key asked for, by a lookup or a Resolve.
 func TestMemoLockFreeStress(t *testing.T) {
 	memo := NewMemo()
 	const (
@@ -34,19 +35,38 @@ func TestMemoLockFreeStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var lookups [readers]int64
+	var resolved [2]int64
 	for w := 0; w < 2; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Both writers store every key: the overlap exercises the
-			// duplicate path while promotion races with it.
+			// Both writers price every key, one statement's batch at a
+			// time: the overlap exercises singleflight while promotion
+			// races with it, and mirrored stores race the priced ones.
 			for si := range stmtIDs {
+				keys := make([]Key, len(cfgIDs))
 				for ci := range cfgIDs {
-					if (si+ci)%2 == w {
-						memo.StoreID(Key{stmtIDs[si], cfgIDs[ci]}, costOf(stmtIDs[si], cfgIDs[ci]))
+					keys[ci] = Key{stmtIDs[si], cfgIDs[ci]}
+				}
+				got, _, err := memo.Resolve(context.Background(), keys, func(led []int) ([]float64, error) {
+					out := make([]float64, len(led))
+					for p, i := range led {
+						out[p] = costOf(keys[i].Stmt, keys[i].Cfg)
 					}
-					memo.StoreIDIfAbsent(Key{stmtIDs[si], cfgIDs[ci]}, costOf(stmtIDs[si], cfgIDs[ci]))
+					return out, nil
+				})
+				if err != nil {
+					panic(err)
+				}
+				resolved[w] += int64(len(keys))
+				for ci, k := range keys {
+					if got[ci] != costOf(k.Stmt, k.Cfg) {
+						panic(fmt.Sprintf("Resolve(%v) = %v", k, got[ci]))
+					}
+					if (si+ci)%2 == w {
+						memo.StoreIDIfAbsent(k, costOf(k.Stmt, k.Cfg))
+					}
 				}
 			}
 		}()
@@ -82,12 +102,15 @@ func TestMemoLockFreeStress(t *testing.T) {
 	if st.Entries != stmts*cfgs {
 		t.Fatalf("Entries = %d, want %d", st.Entries, stmts*cfgs)
 	}
-	var total int64
+	total := resolved[0] + resolved[1]
 	for r := range lookups {
 		total += lookups[r]
 	}
 	if st.Hits+st.Misses != total {
-		t.Fatalf("hits(%d)+misses(%d) = %d, want %d lookups accounted", st.Hits, st.Misses, st.Hits+st.Misses, total)
+		t.Fatalf("hits(%d)+misses(%d) = %d, want %d keys accounted", st.Hits, st.Misses, st.Hits+st.Misses, total)
+	}
+	if st.DupStores != 0 || st.Leads != int64(stmts*cfgs) {
+		t.Fatalf("stats = %+v: every key must be priced exactly once", st)
 	}
 	if st.InternedStmts != stmts || st.InternedCfgs != cfgs {
 		t.Fatalf("interners grew: %d stmts / %d cfgs, want %d / %d", st.InternedStmts, st.InternedCfgs, stmts, cfgs)

@@ -1,33 +1,33 @@
-// Package flight is the in-flight deduplication (singleflight) tier
-// behind the shared pricing memo: when several sessions need the same
-// key at the same time, exactly one of them — the leader — performs
-// the work while the others wait for its result, so concurrent demand
-// for one (query, design) state costs one optimizer invocation, not N.
-// It extends the memo's "never pay the optimizer twice for completed
-// work" guarantee to work that is merely *in progress*.
+// Package flight is the memoised-singleflight pricing primitive behind
+// both pricing memos (costlab.Memo and session.SharedMemo). A Cache
+// stores priced values in a sharded, optionally capped table with
+// lock-free reads (intern.Bounded) and dedups pricing that is merely
+// *in progress*: when several callers need the same missing key at the
+// same time, exactly one of them, the leader, prices it while the
+// others wait for its value. Concurrent demand for one (query, design)
+// state therefore costs one optimizer invocation, not N.
 //
-// The package offers two shapes:
+// Cache.Resolve holds the package's only copy of the two-phase batch
+// protocol. A call looks every key up. For each missing key it either
+// becomes the key's leader or gets a wait on the caller already
+// pricing it. It prices every key it leads in one batch, stores and
+// publishes those values, and only then waits on the keys other
+// callers lead. Publishing every led key before waiting on any foreign
+// key keeps any number of concurrent batches deadlock-free: a blocked
+// caller never holds an unresolved leadership, so every wait targets a
+// leader that is still making progress.
 //
-//   - Do is classic singleflight: call it with a key and a function,
-//     and either run the function as the leader or block (context-
-//     aware) on the leader's result.
+// A leader whose pricing fails abandons its keys and stores nothing.
+// Its waiters observe the abandonment and take over (handover), so a
+// failed or cancelled leader never strands them.
 //
-//   - TryLead / Ticket is the two-phase form batch callers need: claim
-//     leadership of several keys up front, price every led key in one
-//     parallel batch, publish the results, and only then wait on the
-//     keys other callers lead. Publishing every led key before waiting
-//     on any foreign key keeps arbitrary numbers of concurrent batch
-//     callers deadlock-free: a blocked caller never holds an
-//     unresolved leadership, so every wait targets a leader that is
-//     still making progress.
-//
-// A leader that cannot produce a result abandons its call instead of
-// resolving it; waiters observe ErrAbandoned and race to take over
-// leadership (handover), so a cancelled or failed leader never strands
-// its waiters. Do turns a leader error into propagation when the error
-// is the leader's own (waiters receive it) and into a handover when
-// the leader's context was cancelled (waiters must not inherit a
-// cancellation that is not theirs).
+// Accounting: every key a caller asks for is counted once, when it is
+// answered — a hit if the table or another caller's in-flight pricing
+// answered it, a miss if this caller had to price it (for a plain Get,
+// if nothing was stored). Stores count priced values written to the
+// table; DupStores count the ones whose key was already there — pricing
+// work duplicated by racing callers, which the leader election pins at
+// zero. Values priced elsewhere and merely recorded (Put) count nothing.
 package flight
 
 import (
@@ -35,180 +35,277 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/intern"
 )
 
-// ErrAbandoned is returned by Ticket.Wait when the leader released its
-// call without a result. The waiter should retry TryLead: either the
-// result has been published elsewhere by now, or the waiter becomes
-// the new leader and performs the work itself.
-var ErrAbandoned = errors.New("flight: leader abandoned the call")
+// errAbandoned is what a wait returns when the leader released the key
+// without a value: the waiter retries the key, and either finds it
+// stored by now or leads it itself.
+var errAbandoned = errors.New("flight: leader abandoned the call")
 
-// Group deduplicates concurrent work by key. The zero value is ready
-// to use. Groups are safe for concurrent use.
-type Group[K comparable, V any] struct {
+// group elects one leader per in-flight key. The zero value is ready.
+type group[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*call[V]
-
-	leads     atomic.Int64
-	waits     atomic.Int64
-	coalesced atomic.Int64
-	handovers atomic.Int64
 }
 
-// call is one in-flight unit of work. Result fields are written once,
-// before done is closed; the close orders them for every waiter.
+// call is one key's in-flight pricing. val and abandoned are written
+// once, before done is closed; the close orders them for every waiter.
 type call[V any] struct {
 	done      chan struct{}
 	val       V
-	err       error
 	abandoned bool
+	resolved  bool // guarded by group.mu
 }
 
-// Ticket is a caller's handle on one key's in-flight call: leaders
-// resolve it (Fulfill, Fail or Abandon, exactly one), waiters Wait on
-// it. Tickets are single-use.
-type Ticket[K comparable, V any] struct {
-	g        *Group[K, V]
-	key      K
-	c        *call[V]
-	leader   bool
-	resolved bool // guarded by g.mu
-}
-
-// TryLead claims leadership of key. The first caller for an idle key
-// becomes its leader (second return true) and MUST eventually resolve
-// the ticket via Fulfill, Fail or Abandon — deferring Abandon right
-// after a successful TryLead is the idiom, since resolving twice is a
-// no-op. Every other caller gets a waiter ticket for the in-flight
-// call.
-func (g *Group[K, V]) TryLead(key K) (*Ticket[K, V], bool) {
+// lead returns key's in-flight call and whether the caller leads it.
+// The first caller for an idle key registers a fresh call and must
+// resolve it; everyone else joins the registered one.
+func (g *group[K, V]) lead(key K) (*call[V], bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
-		return &Ticket[K, V]{g: g, key: key, c: c}, false
+		return c, false
 	}
 	if g.calls == nil {
 		g.calls = make(map[K]*call[V])
 	}
 	c := &call[V]{done: make(chan struct{})}
 	g.calls[key] = c
-	g.leads.Add(1)
-	return &Ticket[K, V]{g: g, key: key, c: c, leader: true}, true
+	return c, true
 }
 
-// Leader reports whether this ticket carries leadership.
-func (t *Ticket[K, V]) Leader() bool { return t.leader }
-
-// Fulfill publishes the leader's result and wakes every waiter.
-func (t *Ticket[K, V]) Fulfill(v V) {
-	t.resolve(v, nil, false)
-}
-
-// Fail publishes the leader's error as the call's final outcome:
-// waiters receive err, not a handover. Use it for errors the work
-// itself produced — a waiter re-running the work would hit them too.
-func (t *Ticket[K, V]) Fail(err error) {
-	var zero V
-	t.resolve(zero, err, false)
-}
-
-// Abandon releases leadership without a result. Waiters observe
-// ErrAbandoned and take over (see ErrAbandoned). Abandoning a ticket
-// that was already resolved is a no-op, so leaders can uniformly
-// `defer t.Abandon()` as their strand-proofing cleanup.
-func (t *Ticket[K, V]) Abandon() {
-	var zero V
-	t.resolve(zero, nil, true)
-}
-
-// resolve finalizes the call exactly once: it unregisters the key (so
-// the next TryLead starts a fresh call), writes the outcome and closes
-// done. The result writes happen before the close, which orders them
-// for every waiter's read after <-done.
-func (t *Ticket[K, V]) resolve(v V, err error, abandoned bool) {
-	if !t.leader {
-		panic("flight: resolve on a waiter ticket")
-	}
-	t.g.mu.Lock()
-	if t.resolved {
-		t.g.mu.Unlock()
+// resolve finalizes the led call c of key: it unregisters the key (so
+// the next lead starts a fresh call), records the outcome and wakes
+// every waiter. Resolving a call twice is a no-op, so a leader can
+// abandon everything it led on its way out without clobbering values
+// it already published.
+func (g *group[K, V]) resolve(key K, c *call[V], v V, abandoned bool) {
+	g.mu.Lock()
+	if c.resolved {
+		g.mu.Unlock()
 		return
 	}
-	t.resolved = true
-	delete(t.g.calls, t.key)
-	t.g.mu.Unlock()
-	t.c.val, t.c.err, t.c.abandoned = v, err, abandoned
-	close(t.c.done)
+	c.resolved = true
+	delete(g.calls, key)
+	g.mu.Unlock()
+	c.val, c.abandoned = v, abandoned
+	close(c.done)
 }
 
-// Wait blocks until the leader resolves the call or ctx is done. It
-// returns the leader's value, the leader's error (Fail), ErrAbandoned
-// (the caller should retry TryLead), or ctx.Err().
-func (t *Ticket[K, V]) Wait(ctx context.Context) (V, error) {
-	if t.leader {
-		panic("flight: Wait on a leader ticket")
-	}
-	t.g.waits.Add(1)
+// wait blocks until c's leader resolves it or ctx is done, returning
+// the leader's value, errAbandoned, or ctx.Err().
+func (c *call[V]) wait(ctx context.Context) (V, error) {
 	var zero V
 	select {
 	case <-ctx.Done():
 		return zero, ctx.Err()
-	case <-t.c.done:
+	case <-c.done:
 	}
-	switch {
-	case t.c.abandoned:
-		t.g.handovers.Add(1)
-		return zero, ErrAbandoned
-	case t.c.err != nil:
-		return zero, t.c.err
+	if c.abandoned {
+		return zero, errAbandoned
 	}
-	t.g.coalesced.Add(1)
-	return t.c.val, nil
+	return c.val, nil
 }
 
-// Do runs fn under key-level deduplication: the leader executes
-// fn(ctx) and publishes the outcome, everyone else blocks on it.
-// shared reports whether the result came from another caller's
-// execution. A leader whose fn fails while its own ctx is cancelled
-// abandons the call — waiters hand over and re-run fn themselves
-// instead of inheriting a foreign cancellation; any other leader error
-// propagates to every waiter.
-func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (v V, shared bool, err error) {
-	for {
-		t, leader := g.TryLead(key)
-		if leader {
-			v, err = fn(ctx)
-			switch {
-			case err == nil:
-				t.Fulfill(v)
-			case ctx.Err() != nil:
-				t.Abandon()
-			default:
-				t.Fail(err)
+// Cache is a memo of priced values with in-flight deduplication. Build
+// one with NewCache; all methods are safe for concurrent use.
+type Cache[K comparable, V any] struct {
+	table   *intern.Bounded[K, V]
+	flights group[K, V]
+	onStore atomic.Pointer[func(K, V)]
+
+	hits, misses, stores, dupStores    atomic.Int64
+	leads, waits, coalesced, handovers atomic.Int64
+}
+
+// NewCache returns an empty cache capped at roughly capTotal entries
+// (0 = unbounded), spread over intern.DefaultShards CLOCK-evicting
+// shards by hash. An evicted value simply misses and is priced again.
+func NewCache[K comparable, V any](capTotal int, hash func(K) uint32) *Cache[K, V] {
+	return &Cache[K, V]{table: intern.NewBounded[K, V](intern.DefaultShards, capTotal, hash)}
+}
+
+// Get returns the stored value of k, counting a hit or a miss.
+func (c *Cache[K, V]) Get(k K) (V, bool) {
+	v, ok := c.table.Get(k)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Put records v for k unless k is present. It is for values priced
+// elsewhere — restores, mirrors — so it moves no counter and runs no
+// store hook.
+func (c *Cache[K, V]) Put(k K, v V) { c.table.PutIfAbsent(k, v) }
+
+// SetOnStore installs fn (nil detaches) to run synchronously for every
+// priced value Resolve stores first, after the value is in the table
+// and before the key's waiters wake.
+func (c *Cache[K, V]) SetOnStore(fn func(K, V)) {
+	if fn == nil {
+		c.onStore.Store(nil)
+		return
+	}
+	c.onStore.Store(&fn)
+}
+
+// Range calls fn for every stored entry until fn returns false; see
+// intern.Bounded.Range for its consistency.
+func (c *Cache[K, V]) Range(fn func(K, V) bool) { c.table.Range(fn) }
+
+// Len reports the number of stored entries.
+func (c *Cache[K, V]) Len() int { return c.table.Len() }
+
+// ShardSizes reports the entry count of every table shard.
+func (c *Cache[K, V]) ShardSizes() []int { return c.table.ShardSizes() }
+
+// Batch reports how one Resolve call's keys were answered.
+type Batch struct {
+	Hits      int // found in the table
+	Coalesced int // served by another caller's in-flight pricing
+	Led       int // priced by this call
+}
+
+// Resolve returns the value of every key, in key order. Stored keys
+// are served from the table; each missing key is priced exactly once
+// across all concurrent callers. price is called once per round with
+// the positions (into keys) this call leads and must return their
+// values in the same order; a key that appears twice in keys is priced
+// once. Every priced value is stored, handed to the store hook and only
+// then released to its waiters. If price fails, nothing is stored, the
+// led keys are abandoned to their waiters and the error is returned. A
+// ctx cancellation ends a wait; price sees ctx only through its
+// closure.
+func (c *Cache[K, V]) Resolve(ctx context.Context, keys []K, price func(led []int) ([]V, error)) ([]V, Batch, error) {
+	vals := make([]V, len(keys))
+	var b Batch
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		var led, waits []int
+		var ledCalls, waitCalls []*call[V]
+		hits := 0
+		for _, i := range pending {
+			v, ok := c.table.Get(keys[i])
+			if !ok {
+				cl, leader := c.flights.lead(keys[i])
+				if !leader {
+					waits, waitCalls = append(waits, i), append(waitCalls, cl)
+					continue
+				}
+				// Leadership won after a miss: the miss may be stale (a
+				// prior leader stored and resolved in between), so probe
+				// again before pricing.
+				if v, ok = c.table.Get(keys[i]); !ok {
+					led, ledCalls = append(led, i), append(ledCalls, cl)
+					continue
+				}
+				c.flights.resolve(keys[i], cl, v, false)
 			}
-			return v, false, err
+			vals[i] = v
+			hits++
 		}
-		v, err = t.Wait(ctx)
-		if !errors.Is(err, ErrAbandoned) {
-			return v, true, err
+		c.hits.Add(int64(hits))
+		b.Hits += hits
+		if len(led) > 0 {
+			if err := c.priceLed(keys, led, ledCalls, price, vals); err != nil {
+				return nil, b, err
+			}
+			b.Led += len(led)
+		}
+		// Every led key is published; only now may this call block on
+		// keys other callers lead. An abandoned key comes back for
+		// another round.
+		pending = pending[:0]
+		for p, i := range waits {
+			c.waits.Add(1)
+			v, err := waitCalls[p].wait(ctx)
+			if errors.Is(err, errAbandoned) {
+				c.handovers.Add(1)
+				pending = append(pending, i)
+				continue
+			}
+			if err != nil {
+				return nil, b, err
+			}
+			vals[i] = v
+			b.Coalesced++
+			c.coalesced.Add(1)
+			c.hits.Add(1)
 		}
 	}
+	return vals, b, nil
 }
 
-// Stats are a group's lifetime counters.
+// priceLed prices the keys this call leads, then for each one stores
+// the value, runs the store hook and wakes the waiters, in that order.
+// On a pricing error (or a panic) every led call still unresolved is
+// abandoned, so its waiters take over instead of hanging.
+func (c *Cache[K, V]) priceLed(keys []K, led []int, calls []*call[V], price func([]int) ([]V, error), vals []V) error {
+	published := false
+	defer func() {
+		if published {
+			return
+		}
+		var zero V
+		for p, cl := range calls {
+			c.flights.resolve(keys[led[p]], cl, zero, true)
+		}
+	}()
+	c.leads.Add(int64(len(led)))
+	c.misses.Add(int64(len(led)))
+	got, err := price(led)
+	if err != nil {
+		return err
+	}
+	for p, i := range led {
+		vals[i] = got[p]
+		c.stores.Add(1)
+		if !c.table.PutIfAbsent(keys[i], got[p]) {
+			c.dupStores.Add(1)
+		} else if fn := c.onStore.Load(); fn != nil {
+			(*fn)(keys[i], got[p])
+		}
+		c.flights.resolve(keys[i], calls[p], got[p], false)
+	}
+	published = true
+	return nil
+}
+
+// Stats are a cache's lifetime counters (see the package comment for
+// the accounting rule).
 type Stats struct {
-	Leads     int64 // calls led (work actually executed)
-	Waits     int64 // waits begun on another caller's in-flight call
-	Coalesced int64 // waits that were served a result — work saved
-	Handovers int64 // waits that observed an abandoned leader
+	Hits      int64 // keys answered without pricing: stored, or coalesced
+	Misses    int64 // keys this caller priced (or a Get found absent)
+	Entries   int   // stored values
+	Stores    int64 // priced values written, duplicates included
+	DupStores int64 // priced values whose key was already stored
+	Evictions int64 // entries the cap dropped (0 when unbounded)
+	Leads     int64 // keys handed to a price call
+	Waits     int64 // waits begun on another caller's pricing
+	Coalesced int64 // waits served a value: pricing saved
+	Handovers int64 // waits that outlived an abandoned leader
 }
 
-// Stats returns the group's lifetime counters.
-func (g *Group[K, V]) Stats() Stats {
+// Stats returns the cache's lifetime counters.
+func (c *Cache[K, V]) Stats() Stats {
 	return Stats{
-		Leads:     g.leads.Load(),
-		Waits:     g.waits.Load(),
-		Coalesced: g.coalesced.Load(),
-		Handovers: g.handovers.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Entries:   c.table.Len(),
+		Stores:    c.stores.Load(),
+		DupStores: c.dupStores.Load(),
+		Evictions: c.table.Evictions(),
+		Leads:     c.leads.Load(),
+		Waits:     c.waits.Load(),
+		Coalesced: c.coalesced.Load(),
+		Handovers: c.handovers.Load(),
 	}
 }

@@ -21,6 +21,7 @@ package inum
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,12 +82,8 @@ func (c *Cache) Session() *whatif.Session { return c.session }
 // first call for a (query, scenario) pair runs the optimizer twice
 // (nested loop on / off); later calls re-cost only the access paths.
 func (c *Cache) Cost(sel *sql.Select, cfg Config) (float64, error) {
-	// Install the configuration as what-if indexes.
-	c.session.Reset()
-	for _, spec := range cfg {
-		if _, err := c.session.CreateIndex(spec.Table, spec.Columns); err != nil {
-			return 0, fmt.Errorf("inum: %w", err)
-		}
+	if err := c.install(cfg); err != nil {
+		return 0, fmt.Errorf("inum: %w", err)
 	}
 
 	aliases := optimizer.RelationAliases(sel)
@@ -170,14 +167,29 @@ func (c *Cache) buildEntry(sel *sql.Select, accessTotal float64) (*entry, error)
 // FullOptimizerCost plans sel under cfg with the real optimizer (no
 // caching) — the accuracy baseline INUM is compared against.
 func (c *Cache) FullOptimizerCost(sel *sql.Select, cfg Config) (float64, error) {
-	c.session.Reset()
-	for _, spec := range cfg {
-		if _, err := c.session.CreateIndex(spec.Table, spec.Columns); err != nil {
-			return 0, err
-		}
+	if err := c.install(cfg); err != nil {
+		return 0, err
 	}
 	c.PlanerCalls++
 	return c.session.Cost(sel)
+}
+
+// install resets the session to exactly cfg's what-if indexes, created
+// in canonical (SortSpecs) order. The what-if session names indexes by
+// a creation counter and hands them out in name order, to the planner
+// and to Cost's interesting-order scenario bit alike, so installing cfg
+// as listed would price permutations of one configuration — which
+// every memo keys alike — differently.
+func (c *Cache) install(cfg Config) error {
+	c.session.Reset()
+	sorted := slices.Clone(cfg)
+	SortSpecs(sorted)
+	for _, spec := range sorted {
+		if _, err := c.session.CreateIndex(spec.Table, spec.Columns); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CachedScenarios returns the number of (query, scenario) entries.

@@ -180,45 +180,35 @@ func (ev *Evaluator) DesignCost(ctx context.Context, d design.Design) (float64, 
 // subset (workload positions; the returned costs align with qs):
 // queries rewrite onto the fragments and plan with the full optimizer
 // against what-if fragment tables, memoized by (query, design.Key).
+// Concurrent callers pricing the same design share the plan calls
+// (costlab.Memo.Resolve).
 func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
 	keyID := ev.memo.InternCfgKey(design.Key(d))
-	costs := make([]float64, len(qs))
-	var missPos []int // positions in qs (and costs)
-	var missIdx []int // workload positions
+	keys := make([]costlab.Key, len(qs))
 	for p, i := range qs {
-		if c, ok := ev.memo.LookupID(costlab.Key{Stmt: ev.stmtIDs[i], Cfg: keyID}); ok {
-			costs[p] = c
-		} else {
-			missPos = append(missPos, p)
-			missIdx = append(missIdx, i)
+		keys[p] = costlab.Key{Stmt: ev.stmtIDs[i], Cfg: keyID}
+	}
+	costs, b, err := ev.memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
+		rw := design.Rewriter(ev.cat, d)
+		jobs := make([]costlab.Job, len(led))
+		missIdx := make([]int, len(led)) // workload positions
+		for j, p := range led {
+			missIdx[j] = qs[p]
+			rq, err := rw.Rewrite(ev.stmts[qs[p]])
+			if err != nil {
+				return nil, err
+			}
+			jobs[j] = costlab.Job{Stmt: rq}
 		}
-	}
-	ev.memoHits.Add(int64(len(qs) - len(missIdx)))
-	ev.memoMisses.Add(int64(len(missIdx)))
-	if len(missIdx) == 0 {
-		return costs, nil
-	}
-	setup, _ := design.Setup(d, true)
-	full := costlab.NewFullWithSetup(ev.cat, setup)
-	rw := design.Rewriter(ev.cat, d)
-	jobs := make([]costlab.Job, len(missIdx))
-	for p, i := range missIdx {
-		rq, err := rw.Rewrite(ev.stmts[i])
-		if err != nil {
-			return nil, err
-		}
-		jobs[p] = costlab.Job{Stmt: rq}
-	}
-	got, err := costlab.EvaluateAll(ctx, full, jobs, ev.workers)
-	ev.extraCalls.Add(full.PlanCalls())
-	if err != nil {
-		return nil, remapJobErr(err, missIdx)
-	}
-	for p, i := range missIdx {
-		costs[missPos[p]] = got[p]
-		ev.memo.StoreID(costlab.Key{Stmt: ev.stmtIDs[i], Cfg: keyID}, got[p])
-	}
-	return costs, nil
+		setup, _ := design.Setup(d, true)
+		full := costlab.NewFullWithSetup(ev.cat, setup)
+		got, err := costlab.EvaluateAll(ctx, full, jobs, ev.workers)
+		ev.extraCalls.Add(full.PlanCalls())
+		return got, remapJobErr(err, missIdx)
+	})
+	ev.memoHits.Add(int64(b.Hits + b.Coalesced))
+	ev.memoMisses.Add(int64(b.Led))
+	return costs, err
 }
 
 // remapJobErr rewrites a JobError's index from a miss-batch position

@@ -6,6 +6,7 @@ package serve
 // — so /metrics and /stats are two renderings of one set of numbers.
 
 import (
+	"repro/internal/flight"
 	"repro/internal/ingest"
 )
 
@@ -42,59 +43,55 @@ func (m *Manager) registerViews() {
 		func() float64 { return float64(m.costsCacheHits.Load()) })
 
 	// Shared memo, state tier: the cross-session (query, design) states.
+	states := m.shared.StateStats
 	reg.CounterFunc("parinda_shared_memo_hits_total",
 		"State lookups served by the shared memo (in-flight waits included).",
-		func() float64 { return float64(m.shared.Stats().Hits) })
+		func() float64 { return float64(states().Hits) })
 	reg.CounterFunc("parinda_shared_memo_misses_total",
 		"State acquisitions that had to plan.",
-		func() float64 { return float64(m.shared.Stats().Misses) })
+		func() float64 { return float64(states().Misses) })
 	reg.GaugeFunc("parinda_shared_memo_states",
 		"Published (query, design) states resident in the shared memo.",
-		func() float64 { return float64(m.shared.Stats().States) })
+		func() float64 { return float64(states().Entries) })
 	reg.CounterFunc("parinda_shared_memo_stores_total",
 		"State publications, duplicates included.",
-		func() float64 { return float64(m.shared.Stats().Stores) })
+		func() float64 { return float64(states().Stores) })
 	reg.CounterFunc("parinda_shared_memo_dup_stores_total",
 		"Publications that lost the race to an identical one.",
-		func() float64 { return float64(m.shared.Stats().DupStores) })
-	reg.CounterFunc("parinda_shared_memo_evictions_total",
-		"Entries dropped by the -memo-cap bound, by tier.",
-		func() float64 { return float64(m.shared.Stats().Evictions) }, "tier", "states")
-	reg.CounterFunc("parinda_shared_memo_evictions_total",
-		"Entries dropped by the -memo-cap bound, by tier.",
-		func() float64 { return float64(m.shared.Stats().Costs.Evictions) }, "tier", "costs")
+		func() float64 { return float64(states().DupStores) })
 
 	// Shared memo, cost tier: the advisor warm-start pool.
+	costs := func() flight.Stats { return m.shared.Costs().Stats().Stats }
 	reg.GaugeFunc("parinda_shared_cost_entries",
 		"Recorded (query, configuration) costs in the shared cost tier.",
-		func() float64 { return float64(m.shared.Costs().Stats().Entries) })
+		func() float64 { return float64(costs().Entries) })
 	reg.CounterFunc("parinda_shared_cost_hits_total",
 		"Cost-tier lookups served from the memo.",
-		func() float64 { return float64(m.shared.Costs().Stats().Hits) })
+		func() float64 { return float64(costs().Hits) })
 	reg.CounterFunc("parinda_shared_cost_misses_total",
 		"Cost-tier lookups that found nothing.",
-		func() float64 { return float64(m.shared.Costs().Stats().Misses) })
+		func() float64 { return float64(costs().Misses) })
 
-	// Singleflight: leader election under both memo tiers.
-	flightView := func(tier string, field func() int64, name, help string) {
-		reg.CounterFunc(name, help, func() float64 { return float64(field()) }, "tier", tier)
+	// Both tiers are flight.Caches: the same eviction and singleflight
+	// families, one series per tier.
+	for _, tier := range []struct {
+		name  string
+		stats func() flight.Stats
+	}{{"states", states}, {"costs", costs}} {
+		counter := func(name, help string, field func(flight.Stats) int64) {
+			reg.CounterFunc(name, help, func() float64 { return float64(field(tier.stats())) }, "tier", tier.name)
+		}
+		counter("parinda_shared_memo_evictions_total", "Entries dropped by the -memo-cap bound, by tier.",
+			func(s flight.Stats) int64 { return s.Evictions })
+		counter("parinda_flight_leads_total", "Singleflight calls led (work executed), by memo tier.",
+			func(s flight.Stats) int64 { return s.Leads })
+		counter("parinda_flight_waits_total", "Waits begun on another caller's in-flight pricing, by memo tier.",
+			func(s flight.Stats) int64 { return s.Waits })
+		counter("parinda_flight_coalesced_total", "Waits served a result — whole pricing batches saved, by memo tier.",
+			func(s flight.Stats) int64 { return s.Coalesced })
+		counter("parinda_flight_handovers_total", "Waits that outlived an abandoned leader, by memo tier.",
+			func(s flight.Stats) int64 { return s.Handovers })
 	}
-	flightView("states", func() int64 { return m.shared.FlightStats().Leads },
-		"parinda_flight_leads_total", "Singleflight calls led (work executed), by memo tier.")
-	flightView("states", func() int64 { return m.shared.FlightStats().Waits },
-		"parinda_flight_waits_total", "Waits begun on another caller's in-flight pricing, by memo tier.")
-	flightView("states", func() int64 { return m.shared.FlightStats().Coalesced },
-		"parinda_flight_coalesced_total", "Waits served a result — whole pricing batches saved, by memo tier.")
-	flightView("states", func() int64 { return m.shared.FlightStats().Handovers },
-		"parinda_flight_handovers_total", "Waits that outlived an abandoned leader, by memo tier.")
-	flightView("costs", func() int64 { return m.shared.Costs().FlightStats().Leads },
-		"parinda_flight_leads_total", "Singleflight calls led (work executed), by memo tier.")
-	flightView("costs", func() int64 { return m.shared.Costs().FlightStats().Waits },
-		"parinda_flight_waits_total", "Waits begun on another caller's in-flight pricing, by memo tier.")
-	flightView("costs", func() int64 { return m.shared.Costs().FlightStats().Coalesced },
-		"parinda_flight_coalesced_total", "Waits served a result — whole pricing batches saved, by memo tier.")
-	flightView("costs", func() int64 { return m.shared.Costs().FlightStats().Handovers },
-		"parinda_flight_handovers_total", "Waits that outlived an abandoned leader, by memo tier.")
 
 	// Ingest windows: aggregate size across resident sessions (the
 	// accept/reject counters are real counters bumped on the ingest

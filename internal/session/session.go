@@ -787,16 +787,10 @@ const parallelRepriceThreshold = 4
 // parallel when the miss set is large). All-or-nothing — on error no
 // state or edit counter changes; the memo keeps only valid states.
 //
-// Under a SharedMemo the miss path runs the two-phase singleflight
-// protocol: each missing state is acquired as either a leadership
-// (this session plans it) or a wait ticket (another session is
-// planning it right now). Leaders plan their whole batch and publish
-// every led state BEFORE anyone waits — a blocked session therefore
-// never holds an unpublished leadership, which keeps any number of
-// concurrent sessions deadlock-free — and only then are foreign
-// tickets collected. A key whose leader abandoned (its edit failed)
-// comes back for another round, where this session re-acquires it and
-// usually leads it itself.
+// Under a SharedMemo the local misses resolve through its state tier
+// (flight.Cache.Resolve): states another session already published are
+// served, states another session is planning right now are waited on,
+// and this session plans only the states it leads.
 func (s *DesignSession) reprice(inval map[int]bool) error {
 	if len(inval) == 0 {
 		s.lastInvalidated, s.lastRepriced = 0, 0
@@ -817,97 +811,54 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 		}
 	}
 
-	hits, sharedHits, repriced, waitsServed := 0, 0, 0, 0
-	pc0 := s.planCalls
+	// The memoized state carries its own rewritten form; only misses
+	// pay for a rewrite.
 	fresh := map[int]*queryState{}
-	// Strand-proofing: abandoning a resolved ticket is a no-op, so on
-	// any error (or panic) unwind every leadership this edit still
-	// holds is released and its waiters take over instead of hanging.
-	var held []*flight.Ticket[stateKey, *queryState]
-	defer func() {
-		for _, tk := range held {
-			tk.Abandon()
+	var missing []int // queries the local memo misses
+	for _, qi := range idxs {
+		if st, ok := s.memo[memoKey{qi, sigs[s.wl.class[qi]]}]; ok {
+			fresh[qi] = st
+		} else {
+			missing = append(missing, qi)
 		}
-	}()
-
-	remaining := idxs
-	for len(remaining) > 0 {
-		var misses []pendingPrice
-		var waits []pendingWait
-		for _, qi := range remaining {
-			sig := sigs[s.wl.class[qi]]
-			if st, ok := s.memo[memoKey{qi, sig}]; ok {
-				// The memoized state carries its own rewritten form; only
-				// misses pay for a rewrite.
-				hits++
-				fresh[qi] = st
-				continue
-			}
-			var tk *flight.Ticket[stateKey, *queryState]
-			if s.opts.Shared != nil {
-				st, ticket, role := s.opts.Shared.acquire(s.stmtIDs[qi], sig)
-				switch role {
-				case roleHit:
-					// Another session already priced this (query, design) pair.
-					s.memo[memoKey{qi, sig}] = st
-					fresh[qi] = st
-					sharedHits++
-					continue
-				case roleWait:
-					waits = append(waits, pendingWait{qi: qi, sig: sig, tk: ticket})
-					continue
-				case roleLead:
-					tk = ticket
-					held = append(held, tk)
+	}
+	pc0 := s.planCalls
+	var b flight.Batch
+	if len(missing) > 0 {
+		price := func(led []int) ([]*queryState, error) {
+			misses := make([]pendingPrice, len(led))
+			for j, m := range led {
+				target, printed, err := s.target(missing[m])
+				if err != nil {
+					return nil, err
 				}
+				misses[j] = pendingPrice{qi: missing[m], target: target, sql: printed}
 			}
-			target, printed, err := s.target(qi)
-			if err != nil {
-				return err
-			}
-			misses = append(misses, pendingPrice{qi: qi, sig: sig, target: target, sql: printed, tk: tk})
+			return s.plan(misses)
 		}
-
-		if len(misses) > 0 {
-			plans, nameToKey, err := s.plan(misses)
-			if err != nil {
-				return err
+		var got []*queryState
+		var err error
+		if sh := s.opts.Shared; sh != nil {
+			keys := make([]stateKey, len(missing))
+			for j, qi := range missing {
+				keys[j] = stateKey{s.stmtIDs[qi], sigs[s.wl.class[qi]]}
 			}
-			for i, p := range misses {
-				st := &queryState{rewrittenSQL: p.sql, cost: plans[i].TotalCost}
-				for _, name := range plans[i].IndexesUsed() {
-					if key, ok := nameToKey[name]; ok {
-						st.indexesUsed = append(st.indexesUsed, key)
-					}
-				}
-				sort.Strings(st.indexesUsed)
-				fresh[p.qi] = st
-				s.memo[memoKey{p.qi, p.sig}] = st
-				if s.opts.Shared != nil {
-					s.opts.Shared.publish(p.tk, s.stmtIDs[p.qi], p.sig, st)
-				}
+			got, b, err = sh.states.Resolve(context.Background(), keys, price)
+		} else {
+			led := make([]int, len(missing))
+			for j := range led {
+				led[j] = j
 			}
-			repriced += len(misses)
+			got, err = price(led)
+			b.Led = len(led)
 		}
-
-		// Every led state is published; only now may this session block
-		// on states other sessions are planning.
-		var next []int
-		for _, w := range waits {
-			st, err := s.opts.Shared.wait(context.Background(), w.tk)
-			if err != nil {
-				// The leader abandoned (its edit failed or was cancelled):
-				// re-acquire next round — by then the state is either
-				// published or ours to plan.
-				next = append(next, w.qi)
-				continue
-			}
-			s.memo[memoKey{w.qi, w.sig}] = st
-			fresh[w.qi] = st
-			sharedHits++
-			waitsServed++
+		if err != nil {
+			return err
 		}
-		remaining = next
+		for j, qi := range missing {
+			fresh[qi] = got[j]
+			s.memo[memoKey{qi, sigs[s.wl.class[qi]]}] = got[j]
+		}
 	}
 	// Commit — nothing above this point mutated session state (the
 	// local memo and shared tier only ever gain valid priced states),
@@ -916,85 +867,87 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 	for qi, st := range fresh {
 		s.states[qi] = st
 	}
+	hits := len(idxs) - len(missing)
+	sharedHits := b.Hits + b.Coalesced
 	s.memoHits += int64(hits + sharedHits)
 	s.sharedHits += int64(sharedHits)
-	s.memoMisses += int64(repriced)
+	s.memoMisses += int64(b.Led)
 	s.lastInvalidated = len(inval)
-	s.lastRepriced = repriced
+	s.lastRepriced = b.Led
 	s.span.AddLocalHits(int64(hits))
 	s.span.AddSharedHits(int64(sharedHits))
-	s.span.AddCoalesced(int64(waitsServed))
-	s.span.AddLed(int64(repriced))
+	s.span.AddCoalesced(int64(b.Coalesced))
+	s.span.AddLed(int64(b.Led))
 	s.span.AddPlanCalls(s.planCalls - pc0)
 	return nil
 }
 
-// pendingWait is one state another session is pricing right now: the
-// ticket is collected — after this session publishes everything it
-// leads — instead of duplicating that session's plan calls.
-type pendingWait struct {
-	qi  int
-	sig string
-	tk  *flight.Ticket[stateKey, *queryState]
-}
-
 // pendingPrice is one memo miss awaiting an optimizer call: the query
-// as it plans under the design and its printed form. tk, when non-nil,
-// is the shared memo leadership this session holds for the state:
-// publication fulfills it, a failed edit abandons it.
+// as it plans under the design and its printed form.
 type pendingPrice struct {
 	qi     int
-	sig    string
 	target *sql.Select
 	sql    string
-	tk     *flight.Ticket[stateKey, *queryState]
 }
 
 // plan prices the missed queries under the current design and returns
-// their plans plus a map from the planning sessions' what-if index
-// names to design-index keys. Small miss sets (or Workers == 1) plan
-// sequentially on the session's own what-if session; larger ones fan
-// out over a throwaway pool of sessions carrying the design — the same
-// fan-out core.EvaluateDesign has always used for full evaluations.
-// Pooled sessions name indexes from a fresh counter, which is why the
-// name map comes back with the plans.
-func (s *DesignSession) plan(misses []pendingPrice) ([]*optimizer.Plan, map[string]string, error) {
+// their states. Small miss sets (or Workers == 1) plan sequentially on
+// the session's own what-if session; larger ones fan out over a
+// throwaway pool of sessions carrying the design — the same fan-out
+// core.EvaluateDesign has always used for full evaluations. Pooled
+// sessions name indexes from a fresh counter, so each path maps its
+// own what-if names back to design-index keys.
+func (s *DesignSession) plan(misses []pendingPrice) ([]*queryState, error) {
+	var plans []*optimizer.Plan
+	var nameToKey map[string]string
 	if len(misses) < parallelRepriceThreshold || s.opts.Workers == 1 {
-		plans := make([]*optimizer.Plan, len(misses))
+		plans = make([]*optimizer.Plan, len(misses))
 		for i, p := range misses {
 			plan, err := s.ws.Plan(p.target)
 			s.planCalls++
 			if err != nil {
-				return nil, nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
+				return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
 			}
 			plans[i] = plan
 		}
-		nameToKey := make(map[string]string, len(s.ixName))
+		nameToKey = make(map[string]string, len(s.ixName))
 		for key, name := range s.ixName {
 			nameToKey[name] = key
 		}
-		return plans, nameToKey, nil
-	}
-	setup, names := design.Setup(s.design, s.nestLoop)
-	est := costlab.NewFullWithSetup(s.cat, setup)
-	targets := make([]*sql.Select, len(misses))
-	for i, p := range misses {
-		targets[i] = p.target
-	}
-	plans, err := est.PlanAll(context.Background(), targets, s.opts.Workers)
-	s.planCalls += est.PlanCalls()
-	if err != nil {
-		var je *costlab.JobError
-		if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
-			return nil, nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
+	} else {
+		setup, names := design.Setup(s.design, s.nestLoop)
+		est := costlab.NewFullWithSetup(s.cat, setup)
+		targets := make([]*sql.Select, len(misses))
+		for i, p := range misses {
+			targets[i] = p.target
 		}
-		return nil, nil, fmt.Errorf("session: what-if plan: %w", err)
+		var err error
+		plans, err = est.PlanAll(context.Background(), targets, s.opts.Workers)
+		s.planCalls += est.PlanCalls()
+		if err != nil {
+			var je *costlab.JobError
+			if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
+				return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
+			}
+			return nil, fmt.Errorf("session: what-if plan: %w", err)
+		}
+		nameToKey = make(map[string]string, len(s.design.Indexes))
+		for i, name := range names() {
+			nameToKey[name] = s.design.Indexes[i].Key()
+		}
 	}
-	nameToKey := make(map[string]string, len(s.design.Indexes))
-	for i, name := range names() {
-		nameToKey[name] = s.design.Indexes[i].Key()
+	states := make([]*queryState, len(misses))
+	for i, p := range misses {
+		st := &queryState{rewrittenSQL: p.sql, cost: plans[i].TotalCost}
+		for _, name := range plans[i].IndexesUsed() {
+			if key, ok := nameToKey[name]; ok {
+				st.indexesUsed = append(st.indexesUsed, key)
+			}
+		}
+		sort.Strings(st.indexesUsed)
+		states[i] = st
 	}
-	return plans, nameToKey, nil
+	return states, nil
 }
 
 // publishShared mirrors the current per-query costs into the shared

@@ -1,9 +1,7 @@
 package session
 
 import (
-	"context"
 	"hash/maphash"
-	"sync/atomic"
 
 	"repro/internal/costlab"
 	"repro/internal/flight"
@@ -30,12 +28,12 @@ import (
 // printed-SQL keys. Signatures are not interned: a key lives exactly as
 // long as its state, so an evicted state frees it.
 //
-// The memo dedups in-flight work, not just completed work: a state one
-// session is still planning is acquired by every other session as a
-// wait ticket (see internal/flight), so N tenants needing the same
-// missing state issue one batch of plan calls between them — the
-// leader's — and creating N identical tenants concurrently prices the
-// base workload once, not N times. A leader that fails abandons its
+// The memo dedups in-flight work, not just completed work: both tiers
+// are flight.Caches, so a state one session is still planning is
+// waited on by every other session that needs it — N tenants needing
+// the same missing state issue one batch of plan calls between them,
+// the leader's, and creating N identical tenants concurrently prices
+// the base workload once, not N times. A leader that fails abandons its
 // keys and a waiter takes over, so no tenant is ever stranded.
 //
 // The memo lives as long as its owner (the serve Manager keeps one for
@@ -59,25 +57,7 @@ import (
 // session still requires external serialization).
 type SharedMemo struct {
 	costs  *costlab.Memo
-	states *intern.Bounded[stateKey, *queryState]
-
-	// flights coordinates in-flight state pricing across sessions:
-	// exactly one session plans a missing (stmt, sig) state at a time,
-	// everyone else waits for its publication.
-	flights flight.Group[stateKey, *queryState]
-
-	// onPublish, when non-nil, observes every first-writer state
-	// publication under canonical string keys (see SetOnPublish).
-	onPublish atomic.Pointer[func(SharedState)]
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	stores atomic.Int64
-	// dupStores counts state publications that found their key
-	// already present: two sessions raced to price the same state —
-	// the duplicated work the singleflight tier exists to eliminate
-	// (it pins this at zero; see the serve manager race gauntlet).
-	dupStores atomic.Int64
+	states *flight.Cache[stateKey, *queryState]
 }
 
 // stateKey is a (statement, projected signature) pair. The statement
@@ -100,7 +80,7 @@ func NewSharedMemoBounded(capTotal int) *SharedMemo {
 	seed := maphash.MakeSeed()
 	return &SharedMemo{
 		costs: costlab.NewMemoBounded(capTotal),
-		states: intern.NewBounded[stateKey, *queryState](intern.DefaultShards, capTotal, func(k stateKey) uint32 {
+		states: flight.NewCache[stateKey, *queryState](capTotal, func(k stateKey) uint32 {
 			return intern.Mix32(k.stmt, uint32(maphash.String(seed, k.sig)))
 		}),
 	}
@@ -108,83 +88,6 @@ func NewSharedMemoBounded(capTotal int) *SharedMemo {
 
 // Costs exposes the memo's cost tier (full-optimizer costs only).
 func (m *SharedMemo) Costs() *costlab.Memo { return m.costs }
-
-// acquireRole says how a session obtained a (stmt, sig) state slot.
-type acquireRole int
-
-const (
-	// roleHit: the state is published; use it directly.
-	roleHit acquireRole = iota
-	// roleLead: this session must price the state and release the
-	// ticket via publish (or Abandon on failure).
-	roleLead
-	// roleWait: another session is pricing the state; block on the
-	// ticket via wait — after publishing everything this session
-	// leads.
-	roleWait
-)
-
-// acquire resolves the slot of (stmtID, sig) for re-pricing: a
-// published state, leadership of the missing state, or a wait ticket
-// on the session already pricing it.
-func (m *SharedMemo) acquire(stmtID uint32, sig string) (*queryState, *flight.Ticket[stateKey, *queryState], acquireRole) {
-	k := stateKey{stmtID, sig}
-	if st, ok := m.states.Get(k); ok {
-		m.hits.Add(1)
-		return st, nil, roleHit
-	}
-	tk, leader := m.flights.TryLead(k)
-	if !leader {
-		return nil, tk, roleWait
-	}
-	// Leadership won after a miss: the miss may be stale (the prior
-	// leader published and resolved in between) — re-probe before
-	// reporting a lead.
-	if st, ok := m.states.Get(k); ok {
-		tk.Fulfill(st)
-		m.hits.Add(1)
-		return st, nil, roleHit
-	}
-	m.misses.Add(1)
-	return nil, tk, roleLead
-}
-
-// wait blocks on a foreign leader's pricing of a state. A nil error
-// means the state arrived (counted as a hit — it cost this session no
-// plan calls); flight.ErrAbandoned means the leader gave up and the
-// caller should re-acquire the key.
-func (m *SharedMemo) wait(ctx context.Context, tk *flight.Ticket[stateKey, *queryState]) (*queryState, error) {
-	st, err := tk.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	m.hits.Add(1)
-	return st, nil
-}
-
-// publish stores a state and releases the leader's ticket,
-// waking every session waiting on it. First writer wins: a duplicate
-// publication is dropped (and counted), so concurrent readers never
-// see an entry's pointer change — with the singleflight tier
-// serializing leaders per key, duplicates cannot happen.
-func (m *SharedMemo) publish(tk *flight.Ticket[stateKey, *queryState], stmtID uint32, sig string, st *queryState) {
-	dup := !m.states.PutIfAbsent(stateKey{stmtID, sig}, st)
-	m.stores.Add(1)
-	if dup {
-		m.dupStores.Add(1)
-	} else if fn := m.onPublish.Load(); fn != nil {
-		(*fn)(SharedState{
-			Stmt:        m.costs.StmtKey(stmtID),
-			Sig:         sig,
-			Cost:        st.cost,
-			Rewritten:   st.rewrittenSQL,
-			IndexesUsed: append([]string(nil), st.indexesUsed...),
-		})
-	}
-	if tk != nil {
-		tk.Fulfill(st)
-	}
-}
 
 // SharedStats reports a shared memo's lifetime counters.
 type SharedStats struct {
@@ -212,24 +115,22 @@ type SharedStats struct {
 	Costs      costlab.MemoStats `json:"-"` // cost-tier counters
 }
 
-// FlightStats reports the state tier's singleflight counters directly
-// (SharedStats folds the wait-side ones in; this adds Leads for the
-// /metrics flight family).
-func (m *SharedMemo) FlightStats() flight.Stats { return m.flights.Stats() }
+// StateStats returns the state tier's cache counters.
+func (m *SharedMemo) StateStats() flight.Stats { return m.states.Stats() }
 
 // Stats returns the memo's lifetime counters.
 func (m *SharedMemo) Stats() SharedStats {
-	fs := m.flights.Stats()
+	st := m.states.Stats()
 	return SharedStats{
-		Hits:               m.hits.Load(),
-		Misses:             m.misses.Load(),
-		States:             m.states.Len(),
-		Stores:             m.stores.Load(),
-		DupStores:          m.dupStores.Load(),
-		InflightWaits:      fs.Waits,
-		CoalescedPlanCalls: fs.Coalesced,
-		Handovers:          fs.Handovers,
-		Evictions:          m.states.Evictions(),
+		Hits:               st.Hits,
+		Misses:             st.Misses,
+		States:             st.Entries,
+		Stores:             st.Stores,
+		DupStores:          st.DupStores,
+		InflightWaits:      st.Waits,
+		CoalescedPlanCalls: st.Coalesced,
+		Handovers:          st.Handovers,
+		Evictions:          st.Evictions,
 		ShardSizes:         m.states.ShardSizes(),
 		Costs:              m.costs.Stats(),
 	}
@@ -253,16 +154,28 @@ type SharedState struct {
 }
 
 // SetOnPublish installs fn to run synchronously inside every non-
-// duplicate state publication, with the state's canonical string keys.
+// duplicate state publication, with the state's canonical string keys:
+// after the state is stored, before the sessions waiting on it wake.
 // Pass nil to detach. The serve tier uses it to journal publications;
 // it is attached only after recovery, so replayed restores never
 // re-journal.
 func (m *SharedMemo) SetOnPublish(fn func(SharedState)) {
 	if fn == nil {
-		m.onPublish.Store(nil)
+		m.states.SetOnStore(nil)
 		return
 	}
-	m.onPublish.Store(&fn)
+	m.states.SetOnStore(func(k stateKey, st *queryState) { fn(m.sharedState(k, st)) })
+}
+
+// sharedState is a state-tier entry under its canonical string keys.
+func (m *SharedMemo) sharedState(k stateKey, st *queryState) SharedState {
+	return SharedState{
+		Stmt:        m.costs.StmtKey(k.stmt),
+		Sig:         k.sig,
+		Cost:        st.cost,
+		Rewritten:   st.rewrittenSQL,
+		IndexesUsed: append([]string(nil), st.indexesUsed...),
+	}
 }
 
 // ExportStates snapshots every published state under string keys.
@@ -272,25 +185,19 @@ func (m *SharedMemo) SetOnPublish(fn func(SharedState)) {
 func (m *SharedMemo) ExportStates() []SharedState {
 	out := make([]SharedState, 0, m.states.Len())
 	m.states.Range(func(k stateKey, st *queryState) bool {
-		out = append(out, SharedState{
-			Stmt:        m.costs.StmtKey(k.stmt),
-			Sig:         k.sig,
-			Cost:        st.cost,
-			Rewritten:   st.rewrittenSQL,
-			IndexesUsed: append([]string(nil), st.indexesUsed...),
-		})
+		out = append(out, m.sharedState(k, st))
 		return true
 	})
 	return out
 }
 
 // RestoreState re-publishes an exported state (idempotent — present
-// keys win; no hook fires, no store is counted). Restores go through
+// keys win; no hook fires, no counter moves). Restores go through
 // the cost tier's statement interner so a later live session born over
 // the same workload sees the restored states as plain hits.
 func (m *SharedMemo) RestoreState(st SharedState) {
 	k := stateKey{m.costs.InternStmtKey(st.Stmt), st.Sig}
-	m.states.PutIfAbsent(k, &queryState{
+	m.states.Put(k, &queryState{
 		rewrittenSQL: st.Rewritten,
 		cost:         st.Cost,
 		indexesUsed:  append([]string(nil), st.IndexesUsed...),
