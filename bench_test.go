@@ -295,20 +295,24 @@ func BenchmarkCostlabParallelPricing(b *testing.B) {
 	for i, spec := range cands {
 		cfgs[i] = costlab.Config{spec}
 	}
-	stmts := make([]*sql.Select, len(queries))
-	for i, q := range queries {
-		stmts[i] = q.Stmt
+	// Configuration-major, so the pricer's sessions move to each
+	// configuration once and plan every query under it back to back.
+	var jobs []costlab.Job
+	for _, cfg := range cfgs {
+		for _, q := range queries {
+			jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: cfg})
+		}
 	}
 	ctx := context.Background()
 	run := func(b *testing.B, workers int) {
 		est := costlab.NewFull(cat)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := costlab.EvaluateMatrix(ctx, est, stmts, cfgs, workers); err != nil {
+			if _, err := costlab.EvaluateAll(ctx, est, jobs, workers); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(stmts)*len(cfgs)), "jobs")
+		b.ReportMetric(float64(len(jobs)), "jobs")
 	}
 	b.Run("Sequential", func(b *testing.B) { run(b, 1) })
 	b.Run(fmt.Sprintf("Parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {

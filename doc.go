@@ -15,8 +15,10 @@
 //	internal/inum       INUM scenario cache (single-session core)
 //	internal/design     the one physical-design value sessions edit and
 //	                    advisors recommend: fragment naming, validation,
-//	                    persisted keys, and Diff — every design
-//	                    transition as one atomic what-if delta
+//	                    persisted keys, Diff — every design transition
+//	                    as one atomic what-if delta — and Held, a what-if
+//	                    session that remembers its design and moves
+//	                    only by those deltas
 //	internal/intern     lock-free-read interning: canonical strings →
 //	                    dense uint32 ids (Table) and a sharded
 //	                    atomic-snapshot insert-once map, optionally
@@ -33,10 +35,14 @@
 //	                    memo tiers are Caches, so concurrent tenants
 //	                    needing the same missing state plan it once
 //	internal/costlab    unified concurrent cost-estimation layer: one
-//	                    CostEstimator interface, full-optimizer and
-//	                    INUM backends, pooled sessions, parallel
-//	                    EvaluateAll batch driver, and the cost Memo
-//	                    (interned keys over a flight.Cache) behind
+//	                    CostEstimator interface, the INUM backend, and
+//	                    Full, the one design-positioned pricer — pooled
+//	                    sessions that hold the design they last priced
+//	                    and move by diff, serving batches one design at
+//	                    a time (advisor index and partition trials,
+//	                    reports, a session's parallel re-pricing) —
+//	                    plus the EvaluateAll batch driver and the cost
+//	                    Memo (interned keys over a flight.Cache) behind
 //	                    EvaluateDelta and advisor warm starts
 //	internal/ilp        exact branch-and-bound ILP solver
 //	internal/recommend  the automatic components as one pipeline —

@@ -6,9 +6,9 @@
 //
 // Two interchangeable backends implement the interface:
 //
-//   - Full invokes the complete cost-based optimizer for every call,
-//     drawing what-if sessions from a pool so concurrent goroutines
-//     never share a planner.
+//   - Full invokes the complete cost-based optimizer for every call: the
+//     one design-positioned pricer, whose pooled what-if sessions hold
+//     the design they last priced and move to the next by diff.
 //   - INUM reconstructs costs from the INUM scenario cache
 //     (Papadomanolakis, Dash & Ailamaki, VLDB 2007), sharded per
 //     worker so warm-cache costing scales across cores.

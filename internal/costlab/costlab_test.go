@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/recommend"
 	"repro/internal/sql"
@@ -318,39 +319,53 @@ func TestFullPlanNamesAlignWithConfig(t *testing.T) {
 	if ixCost >= baseCost {
 		t.Errorf("index config did not help: %v >= %v", ixCost, baseCost)
 	}
-}
-
-// TestEvaluateMatrixShape checks the cross-product driver against
-// individual Cost calls: out[qi][ci] must price stmts[qi] under
-// cfgs[ci].
-func TestEvaluateMatrixShape(t *testing.T) {
-	cat := seedCatalog(t, 50000)
-	queries := seedQueries(t)[:5]
-	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
-	cfgs := []costlab.Config{nil, {cands[0]}, {cands[len(cands)/2]}}
-	stmts := make([]*sql.Select, len(queries))
-	for i, q := range queries {
-		stmts[i] = q.Stmt
-	}
-	est := costlab.NewINUM(cat)
-	out, err := costlab.EvaluateMatrix(context.Background(), est, stmts, cfgs, 4)
+	// The session still holds cfg, so a permutation of it is served by
+	// the same live indexes: names follow the caller's order, not the
+	// creation order.
+	_, held, err := full.Plan(sel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(stmts) {
-		t.Fatalf("rows = %d, want %d", len(out), len(stmts))
+	_, permuted, err := full.Plan(sel, costlab.Config{cfg[1], cfg[0]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for qi := range stmts {
-		if len(out[qi]) != len(cfgs) {
-			t.Fatalf("row %d has %d costs, want %d", qi, len(out[qi]), len(cfgs))
+	if permuted[0] != held[1] || permuted[1] != held[0] {
+		t.Errorf("permuted config names = %v, want the held %v reversed", permuted, held)
+	}
+}
+
+// TestEvaluateDeltaCrossProduct: a cross product of statements ×
+// configurations, listed statement-major so adjacent jobs want
+// different designs, prices through the Full pricer's design-grouped
+// schedule with every cost landing at its job's index — equal to
+// pricing each job alone on a fresh estimator.
+func TestEvaluateDeltaCrossProduct(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	queries := seedQueries(t)[:5]
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
+	cfgs := []costlab.Config{nil, {cands[0]}, {cands[len(cands)/2]}, {cands[0], cands[len(cands)-1]}}
+	var jobs []costlab.Job
+	for _, q := range queries {
+		for _, cfg := range cfgs {
+			jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: cfg})
 		}
-		for ci := range cfgs {
-			want, err := est.Cost(stmts[qi], cfgs[ci])
+	}
+	for _, workers := range []int{1, 4} {
+		got, stats, err := costlab.EvaluateDelta(context.Background(), costlab.NewFull(cat), jobs, costlab.NewMemo(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Misses != len(jobs) {
+			t.Fatalf("workers=%d: stats %+v, want %d misses", workers, stats, len(jobs))
+		}
+		for i, job := range jobs {
+			want, err := costlab.NewFull(cat).Cost(job.Stmt, job.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out[qi][ci] != want {
-				t.Errorf("out[%d][%d] = %v, want %v", qi, ci, out[qi][ci], want)
+			if got[i] != want {
+				t.Errorf("workers=%d job %d: %v, alone %v", workers, i, got[i], want)
 			}
 		}
 	}
@@ -582,6 +597,120 @@ func TestINUMPermutationInvariance(t *testing.T) {
 			if ca != cb {
 				t.Errorf("Q%d under %d indexes costs %v listed as %v but %v listed as %v", qi+1, len(cfg), ca, cfg, cb, shuffled)
 			}
+		}
+	}
+}
+
+// TestConcurrentDesignBatchesMatchSequential: 8 goroutines price
+// interleaved batches of different designs — index configurations, a
+// partitioned design, nested loops off — on one Full, half of them
+// through EvaluateDelta's design-grouped schedule. Every cost equals
+// the sequential answer, and every plan uses only indexes of its own
+// batch's design: no pooled session is planned while it holds another
+// batch's design. Run with -race.
+func TestConcurrentDesignBatchesMatchSequential(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	queries := seedQueries(t)
+	cands := recommend.IndexCandidates(cat, queries, recommend.CandidateOptions{})
+	var offPhoto []inum.IndexSpec
+	for _, spec := range cands {
+		if spec.Table != "photoobj" {
+			offPhoto = append(offPhoto, spec)
+		}
+	}
+	split := []design.Partition{{Table: "photoobj", Fragments: recommend.AtomicFragments(cat.Table("photoobj"), queries)}}
+	targets := []costlab.Target{
+		{NestLoop: true},
+		{Design: design.Design{Indexes: cands[:3]}, NestLoop: true},
+		{Design: design.Design{Indexes: cands[2:7]}, NestLoop: false},
+		{Design: design.Design{Partitions: split}, NestLoop: true},
+		{Design: design.Design{Indexes: offPhoto[:4], Partitions: split}, NestLoop: false},
+	}
+	stmts := make([][]*sql.Select, len(targets))
+	want := make([][]float64, len(targets))
+	wantUsed := make([][][]string, len(targets))
+	for i, tg := range targets {
+		rw := design.Rewriter(cat, tg.Design)
+		for _, q := range queries {
+			stmt := q.Stmt
+			if rw != nil {
+				var err error
+				if stmt, err = rw.Rewrite(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stmts[i] = append(stmts[i], stmt)
+		}
+		var err error
+		if want[i], wantUsed[i], err = costlab.NewFull(cat).PriceAll(context.Background(), tg, stmts[i], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The index-only designs again, as one cross-product job list.
+	var jobs []costlab.Job
+	var jobWant []float64
+	for i, tg := range targets {
+		if len(tg.Design.Partitions) > 0 || !tg.NestLoop {
+			continue
+		}
+		for qi, q := range queries {
+			jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: tg.Design.Indexes})
+			jobWant = append(jobWant, want[i][qi])
+		}
+	}
+
+	shared := costlab.NewFull(cat)
+	const goroutines, rounds = 8, 2
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs <- func() error {
+				for r := 0; r < rounds; r++ {
+					if g%2 == 1 {
+						got, _, err := costlab.EvaluateDelta(context.Background(), shared, jobs, costlab.NewMemo(), 2)
+						if err != nil {
+							return err
+						}
+						if !slices.Equal(got, jobWant) {
+							return fmt.Errorf("goroutine %d: EvaluateDelta costs differ from sequential", g)
+						}
+						continue
+					}
+					for k := range targets {
+						i := (g + k) % len(targets)
+						costs, used, err := shared.PriceAll(context.Background(), targets[i], stmts[i], 2)
+						if err != nil {
+							return err
+						}
+						keys := map[string]bool{}
+						for _, spec := range targets[i].Design.Indexes {
+							keys[spec.Key()] = true
+						}
+						for qi := range costs {
+							if costs[qi] != want[i][qi] || !slices.Equal(used[qi], wantUsed[i][qi]) {
+								return fmt.Errorf("goroutine %d design %d Q%d: %v using %v, sequential %v using %v",
+									g, i, qi+1, costs[qi], used[qi], want[i][qi], wantUsed[i][qi])
+							}
+							for _, k := range used[qi] {
+								if !keys[k] {
+									return fmt.Errorf("goroutine %d design %d Q%d uses %s, not in its design", g, i, qi+1, k)
+								}
+							}
+						}
+					}
+				}
+				return nil
+			}()
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

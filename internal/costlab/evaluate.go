@@ -14,9 +14,10 @@ import (
 //
 // StmtID and CfgID, when nonzero, carry the memo-interned identities
 // of Stmt and Config (see Memo.InternStmt / Memo.InternConfig):
-// EvaluateDelta then probes and fills the memo without re-printing the
-// SQL or re-canonicalizing the configuration. Interned ids are
-// memo-specific — never stamp a job with ids from a different memo.
+// EvaluateDelta then probes and fills the memo — and keys Full's held
+// designs — without re-printing the SQL or re-canonicalizing the
+// configuration. Interned ids are memo-specific — never stamp a job
+// with ids from a different memo.
 type Job struct {
 	Stmt   *sql.Select
 	Config Config
@@ -155,53 +156,4 @@ func InterleaveByStmt(n int, group func(i int) int) []int {
 		}
 	}
 	return order
-}
-
-// EvaluateMatrix prices the full cross product queries × configs and
-// returns costs[qi][ci]. This is the advisor's candidate-sweep shape:
-// every workload statement under every candidate configuration, in
-// one shard-aware fan-out.
-func EvaluateMatrix(ctx context.Context, est CostEstimator, stmts []*sql.Select, cfgs []Config, workers int) ([][]float64, error) {
-	jobs := make([]Job, 0, len(stmts)*len(cfgs))
-	for _, stmt := range stmts {
-		for _, cfg := range cfgs {
-			jobs = append(jobs, Job{Stmt: stmt, Config: cfg})
-		}
-	}
-	flat, err := EvaluateAllGrouped(ctx, est, jobs, func(i int) int { return i / len(cfgs) }, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(stmts))
-	for qi := range stmts {
-		// Capacity-capped rows: appending to one row must not clobber
-		// its neighbour in the shared backing array.
-		out[qi] = flat[qi*len(cfgs) : (qi+1)*len(cfgs) : (qi+1)*len(cfgs)]
-	}
-	return out, nil
-}
-
-// WeightedQuery is one weighted workload statement.
-type WeightedQuery struct {
-	Stmt   *sql.Select
-	Weight float64
-}
-
-// WorkloadCost prices every workload statement under one shared
-// configuration in parallel and returns the weighted total — the
-// advisor's inner objective function.
-func WorkloadCost(ctx context.Context, est CostEstimator, wl []WeightedQuery, cfg Config, workers int) (float64, error) {
-	jobs := make([]Job, len(wl))
-	for i, q := range wl {
-		jobs[i] = Job{Stmt: q.Stmt, Config: cfg}
-	}
-	costs, err := EvaluateAll(ctx, est, jobs, workers)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for i, c := range costs {
-		total += c * wl[i].Weight
-	}
-	return total, nil
 }

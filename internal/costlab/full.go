@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/sql"
@@ -16,11 +17,14 @@ import (
 
 // Full prices statements with the complete cost-based optimizer — the
 // accuracy baseline the INUM backend is compared against, and the
-// engine behind the interactive what-if component. Sessions come from
-// a pool, so Cost and Plan may be called from any number of
-// goroutines concurrently.
+// engine behind the interactive what-if component. It is the one
+// design-positioned pricer: each pooled what-if session holds the
+// design it last priced under, moves to a job's design by one
+// design.Diff delta and leaves it installed, so a batch served one
+// design at a time installs it once per session, not once per plan.
+// Safe for concurrent use: no two goroutines share a session.
 type Full struct {
-	pool  *sessionPool
+	pool  sessionPool
 	calls atomic.Int64 // optimizer invocations, readable mid-flight
 
 	// sizing uses a dedicated session (never planned against) so
@@ -29,88 +33,96 @@ type Full struct {
 	sizeSes *whatif.Session
 }
 
-// NewFull returns a full-optimizer estimator over cat.
-func NewFull(cat *catalog.Catalog) *Full {
-	return NewFullWithSetup(cat, nil)
+// Target is a design to price under, with its nested-loop flag and its
+// identity Key — design.Key(Design), what a session's held design is
+// compared against ("" means compute it). A session may keep Design
+// after the call, so callers must not mutate it.
+type Target struct {
+	Design   design.Design
+	NestLoop bool
+	Key      string
 }
 
-// NewFullWithSetup returns a full-optimizer estimator whose pooled
-// sessions each run setup once after creation — the hook installs a
-// fixed hypothetical design (design.Setup) that every subsequent
-// Cost/Plan call prices under. Setup must be deterministic: each
-// pooled session replays it independently.
-func NewFullWithSetup(cat *catalog.Catalog, setup func(*whatif.Session) error) *Full {
-	return &Full{
-		pool:    newSessionPool(cat, setup),
-		sizeSes: whatif.NewSession(cat),
-	}
+// configTarget is an index configuration's Target, nested loops on.
+func configTarget(cfg Config, key string) *Target {
+	return &Target{Design: design.Design{Indexes: cfg}, NestLoop: true, Key: key}
+}
+
+// NewFull returns a full-optimizer estimator over cat.
+func NewFull(cat *catalog.Catalog) *Full {
+	return &Full{pool: sessionPool{cat: cat}, sizeSes: whatif.NewSession(cat)}
 }
 
 // Cost prices stmt under cfg with one full optimizer invocation.
 func (f *Full) Cost(stmt *sql.Select, cfg Config) (float64, error) {
-	plan, _, err := f.Plan(stmt, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return plan.TotalCost, nil
+	return f.cost(stmt, configTarget(cfg, ConfigKey(cfg)))
 }
 
-// Plan optimizes stmt under cfg and returns the winning plan together
-// with the session-generated names of the cfg indexes, aligned with
-// cfg — callers map plan.IndexesUsed() back to candidate specs
-// through them. The configuration indexes are created before planning
-// and dropped afterwards, leaving any setup-installed design intact.
-func (f *Full) Plan(stmt *sql.Select, cfg Config) (*optimizer.Plan, []string, error) {
-	s, err := f.pool.get()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.pool.put(s)
-
-	names := make([]string, 0, len(cfg))
-	drop := func() {
-		for _, name := range names {
-			// Removal of an index this call created cannot fail.
-			_ = s.DropIndex(name)
-		}
-	}
-	for _, spec := range cfg {
-		ix, err := s.CreateIndex(spec.Table, spec.Columns)
-		if err != nil {
-			drop()
-			return nil, nil, fmt.Errorf("costlab: %w", err)
-		}
-		names = append(names, ix.Name)
-	}
-	f.calls.Add(1)
-	start := time.Now()
-	plan, err := s.Plan(stmt)
-	observeFull(start)
-	drop()
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, names, nil
+func (f *Full) cost(stmt *sql.Select, t *Target) (cost float64, err error) {
+	err = f.planAt(stmt, t, func(plan *optimizer.Plan, _ *held) { cost = plan.TotalCost })
+	return cost, err
 }
 
-// PlanAll optimizes every statement under the setup-installed design
-// (no per-call configuration) on the worker pool and returns the
-// winning plans in statement order — the batch behind per-query
-// advisor reports and interactive explains.
-func (f *Full) PlanAll(ctx context.Context, stmts []*sql.Select, workers int) ([]*optimizer.Plan, error) {
-	plans := make([]*optimizer.Plan, len(stmts))
+// Plan optimizes stmt under cfg and returns the winning plan with the
+// planning session's live names of the cfg indexes, aligned with cfg,
+// through which callers map plan.IndexesUsed() back to specs.
+func (f *Full) Plan(stmt *sql.Select, cfg Config) (plan *optimizer.Plan, names []string, err error) {
+	err = f.planAt(stmt, configTarget(cfg, ConfigKey(cfg)), func(p *optimizer.Plan, h *held) {
+		plan = p
+		for _, spec := range cfg {
+			names = append(names, h.Name(spec.Key()))
+		}
+	})
+	return plan, names, err
+}
+
+// PriceAll plans every statement under t on up to workers pooled
+// sessions (<= 0 means GOMAXPROCS) and returns, in statement order, the
+// costs and the sorted design keys of the what-if indexes each plan
+// uses — the batch behind partition trials, advisor reports and a
+// design session's parallel re-pricing. A failure is a JobError naming
+// the statement.
+func (f *Full) PriceAll(ctx context.Context, t Target, stmts []*sql.Select, workers int) ([]float64, [][]string, error) {
+	if t.Key == "" {
+		t.Key = design.Key(t.Design)
+	}
+	costs, used := make([]float64, len(stmts)), make([][]string, len(stmts))
 	err := forEach(ctx, len(stmts), workers, func(i int) error {
-		plan, _, err := f.Plan(stmts[i], nil)
+		err := f.planAt(stmts[i], &t, func(plan *optimizer.Plan, h *held) {
+			costs[i], used[i] = plan.TotalCost, h.UsedKeys(plan)
+		})
 		if err != nil {
 			return &JobError{Index: i, Err: err}
 		}
-		plans[i] = plan
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return plans, nil
+	return costs, used, nil
+}
+
+// planAt plans stmt on a pooled session moved to t (unless it holds t)
+// and hands plan and session to read before the session is returned.
+// The pricing histogram times the whole job, move and plan.
+func (f *Full) planAt(stmt *sql.Select, t *Target, read func(*optimizer.Plan, *held)) error {
+	start := time.Now()
+	h := f.pool.get(t.Key, t.NestLoop)
+	defer f.pool.put(h)
+	if h.key != t.Key || h.NestLoop() != t.NestLoop {
+		if _, _, err := h.Move(t.Design, t.NestLoop); err != nil {
+			return fmt.Errorf("costlab: %w", err)
+		}
+		h.key = t.Key
+	}
+	f.calls.Add(1)
+	plan, err := h.Session().Plan(stmt)
+	observeFull(start)
+	if err != nil {
+		return err
+	}
+	read(plan, h)
+	return nil
 }
 
 // SpecSizeBytes returns the Equation-1 size of a candidate index.

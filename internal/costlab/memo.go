@@ -2,6 +2,7 @@ package costlab
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/design"
 	"repro/internal/flight"
@@ -156,7 +157,9 @@ func (mo *Memo) jobKey(job Job) Key {
 // Results are in job order; the returned stats make the incremental
 // saving observable. Concurrent calls over one memo price a missing
 // key once between them (memo.Resolve); a failed batch records
-// nothing.
+// nothing. A Full estimator is served one design at a time: the led
+// jobs are grouped by configuration, so each pooled session moves to a
+// design once and plans that design's statements back to back.
 //
 // When ctx carries an obs.Span (the serve layer's request tracing),
 // the batch's outcome is added to it: memo hits as shared hits, led
@@ -174,9 +177,29 @@ func EvaluateDelta(ctx context.Context, est CostEstimator, jobs []Job, memo *Mem
 		keys[i] = memo.jobKey(job)
 	}
 	costs, b, err := memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
+		price := func(j int) (float64, error) { return est.Cost(jobs[j].Stmt, jobs[j].Config) }
+		order := make([]int, len(led)) // positions into led, in pricing order
+		for p := range order {
+			order[p] = p
+		}
+		if f, ok := est.(*Full); ok {
+			// One design at a time: the led jobs grouped by configuration,
+			// each group's Target keyed by its interned string.
+			targets := map[uint32]*Target{}
+			for _, j := range led {
+				if c := keys[j].Cfg; targets[c] == nil {
+					targets[c] = configTarget(jobs[j].Config, memo.cfgs.Lookup(c))
+				}
+			}
+			if len(targets) > 1 {
+				sort.SliceStable(order, func(a, b int) bool { return keys[led[order[a]]].Cfg < keys[led[order[b]]].Cfg })
+			}
+			price = func(j int) (float64, error) { return f.cost(jobs[j].Stmt, targets[keys[j].Cfg]) }
+		}
 		out := make([]float64, len(led))
-		return out, forEach(ctx, len(led), workers, func(p int) error {
-			cost, err := est.Cost(jobs[led[p]].Stmt, jobs[led[p]].Config)
+		return out, forEach(ctx, len(led), workers, func(q int) error {
+			p := order[q]
+			cost, err := price(led[p])
 			if err != nil {
 				return &JobError{Index: led[p], Err: err}
 			}

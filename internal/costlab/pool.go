@@ -4,58 +4,52 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/whatif"
+	"repro/internal/design"
 )
 
+// held is a pooled what-if session with the Target key of the design
+// it holds.
+type held struct {
+	*design.Held
+	key string
+}
+
 // sessionPool hands out what-if sessions so that no two goroutines
-// ever share a planner. It is a sync.Pool-style free list, except
-// that construction can fail (the setup hook installs a design).
+// ever share a planner. Idle sessions keep their design.
 type sessionPool struct {
 	cat *catalog.Catalog
-	// setup, when set, is run once on every freshly created session to
-	// install a whole design (design.Setup). Fresh sessions are
-	// deterministic, so every pooled session ends up with identical
-	// hypothetical objects (and identical generated names).
-	setup func(*whatif.Session) error
 
 	mu      sync.Mutex
-	free    []*whatif.Session
+	free    []*held
 	created int
 }
 
-func newSessionPool(cat *catalog.Catalog, setup func(*whatif.Session) error) *sessionPool {
-	return &sessionPool{cat: cat, setup: setup}
-}
-
-// get returns an idle session, creating (and setting up) a new one
-// when the free list is empty.
-func (p *sessionPool) get() (*whatif.Session, error) {
+// get returns an idle session — one already holding (key, nestLoop) if
+// any does, else the most recently returned — or a fresh one.
+func (p *sessionPool) get(key string, nestLoop bool) *held {
 	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return s, nil
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		p.created++
+		return &held{Held: design.NewHeld(p.cat)}
 	}
-	p.mu.Unlock()
-
-	s := whatif.NewSession(p.cat)
-	if p.setup != nil {
-		if err := p.setup(s); err != nil {
-			return nil, err
+	pick := n - 1
+	for i, h := range p.free {
+		if h.key == key && h.NestLoop() == nestLoop {
+			pick = i
 		}
 	}
-	p.mu.Lock()
-	p.created++
-	p.mu.Unlock()
-	return s, nil
+	h := p.free[pick]
+	p.free[pick] = p.free[n-1]
+	p.free = p.free[:n-1]
+	return h
 }
 
-// put returns a session to the free list. Callers must have removed
-// any hypothetical objects they added beyond the setup hook's.
-func (p *sessionPool) put(s *whatif.Session) {
+// put returns a session to the free list.
+func (p *sessionPool) put(h *held) {
 	p.mu.Lock()
-	p.free = append(p.free, s)
+	p.free = append(p.free, h)
 	p.mu.Unlock()
 }
 

@@ -4,15 +4,16 @@
 // §3.4) recommend. Both sides share its JSON form, fragment naming
 // (FragName), validation, rewriter, persisted keys (key.go) and one
 // route into a what-if session: Diff turns any transition into one
-// atomic whatif.Delta, and Install is the transition from the empty
-// design.
+// atomic whatif.Delta, Held (held.go) keeps a session positioned at a
+// design and moves it only by those deltas, and Install is the
+// transition from the empty design.
 package design
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/inum"
@@ -59,7 +60,7 @@ func (d Design) Clone() Design {
 // naming convention sessions, recommendations and recovered state
 // share.
 func FragName(table string, i int) string {
-	return fmt.Sprintf("%s_p%d", table, i+1)
+	return table + "_p" + strconv.Itoa(i+1)
 }
 
 // Validate checks d against the base catalog and returns its fragment
@@ -201,28 +202,26 @@ func Diff(from, to Design, liveNames map[string]string) (whatif.Delta, []string)
 		}
 		return table
 	}
-	fromIx := make(map[string]bool, len(from.Indexes))
-	for _, spec := range from.Indexes {
-		fromIx[spec.Key()] = true
-	}
-	toIx := make(map[string]bool, len(to.Indexes))
-	for _, spec := range to.Indexes {
-		toIx[spec.Key()] = true
-	}
-	for _, spec := range from.Indexes {
-		if toIx[spec.Key()] {
+	fromKeys, fromIx := indexKeys(from)
+	toKeys, toIx := indexKeys(to)
+	for i, spec := range from.Indexes {
+		k := fromKeys[i]
+		if toIx[k] || !fromIx[k] {
 			continue
 		}
+		fromIx[k] = false // a key listed twice is dropped once
 		affected[parentOf(spec.Table)] = true
 		if !slices.Contains(delta.DropTables, spec.Table) {
-			delta.DropIndexes = append(delta.DropIndexes, liveNames[spec.Key()])
+			delta.DropIndexes = append(delta.DropIndexes, liveNames[k])
 		}
 	}
-	for _, spec := range to.Indexes {
+	for i, spec := range to.Indexes {
+		k := toKeys[i]
 		onFreshTable := slices.ContainsFunc(delta.CreateTables, func(td whatif.TableDef) bool { return td.Name == spec.Table })
-		if fromIx[spec.Key()] && !onFreshTable {
+		if !toIx[k] || fromIx[k] && !onFreshTable {
 			continue
 		}
+		toIx[k] = false // and created once
 		affected[parentOf(spec.Table)] = true
 		delta.CreateIndexes = append(delta.CreateIndexes, whatif.IndexDef{Table: spec.Table, Columns: spec.Columns})
 	}
@@ -235,8 +234,23 @@ func Diff(from, to Design, liveNames map[string]string) (whatif.Delta, []string)
 	return delta, tables
 }
 
-// partKeys maps each partitioned table of d to its canonical key.
+// indexKeys returns d's index keys, aligned with d.Indexes, and their set.
+func indexKeys(d Design) ([]string, map[string]bool) {
+	keys := make([]string, len(d.Indexes))
+	set := make(map[string]bool, len(d.Indexes))
+	for i, spec := range d.Indexes {
+		keys[i] = spec.Key()
+		set[keys[i]] = true
+	}
+	return keys, set
+}
+
+// partKeys maps each partitioned table of d to its canonical key (nil
+// when d has no partitions).
 func partKeys(d Design) map[string]string {
+	if len(d.Partitions) == 0 {
+		return nil
+	}
 	out := make(map[string]string, len(d.Partitions))
 	for _, p := range d.Partitions {
 		out[p.Table] = partKey(p)
@@ -269,34 +283,4 @@ func Install(ws *whatif.Session, d Design, nestLoop bool) ([]*catalog.Index, err
 	delta, _ := Diff(Design{}, d, nil)
 	delta.NestLoop = &nestLoop
 	return ws.ApplyDelta(delta)
-}
-
-// Setup returns a session setup hook that Installs d into every what-if
-// session it runs on (costlab.NewFullWithSetup pools), plus an accessor
-// for the generated index names, aligned with d.Indexes, recorded from
-// the first installation. Call names only after the hook has run.
-func Setup(d Design, nestLoop bool) (setup func(*whatif.Session) error, names func() []string) {
-	var mu sync.Mutex
-	var recorded []string
-	setup = func(ws *whatif.Session) error {
-		created, err := Install(ws, d, nestLoop)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if recorded == nil {
-			recorded = make([]string, len(created))
-			for i, ix := range created {
-				recorded[i] = ix.Name
-			}
-		}
-		return nil
-	}
-	names = func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return recorded
-	}
-	return setup, names
 }

@@ -21,7 +21,6 @@ package inum
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -50,6 +49,7 @@ type Config []IndexSpec
 // shared what-if session.
 type Cache struct {
 	session *whatif.Session
+	held    map[string]string // installed index key → what-if name
 
 	entries map[string]*entry // query key + scenario → cached plans
 
@@ -70,6 +70,7 @@ type entry struct {
 func New(cat *catalog.Catalog) *Cache {
 	return &Cache{
 		session: whatif.NewSession(cat),
+		held:    make(map[string]string),
 		entries: make(map[string]*entry),
 	}
 }
@@ -174,20 +175,38 @@ func (c *Cache) FullOptimizerCost(sel *sql.Select, cfg Config) (float64, error) 
 	return c.session.Cost(sel)
 }
 
-// install resets the session to exactly cfg's what-if indexes, created
-// in canonical (SortSpecs) order. The what-if session names indexes by
-// a creation counter and hands them out in name order, to the planner
-// and to Cost's interesting-order scenario bit alike, so installing cfg
-// as listed would price permutations of one configuration — which
-// every memo keys alike — differently.
+// install moves the session to exactly cfg's what-if indexes with one
+// delta against the configuration it holds: indexes cfg no longer
+// lists are dropped, new ones created, the rest kept. The session hands
+// indexes out in key order — to the planner and to Cost's
+// interesting-order scenario bit alike — so permutations of one
+// configuration, which every memo keys alike, price alike.
 func (c *Cache) install(cfg Config) error {
-	c.session.Reset()
-	sorted := slices.Clone(cfg)
-	SortSpecs(sorted)
-	for _, spec := range sorted {
-		if _, err := c.session.CreateIndex(spec.Table, spec.Columns); err != nil {
-			return err
+	want := make(map[string]bool, len(cfg))
+	var delta whatif.Delta
+	for _, spec := range cfg {
+		k := spec.Key()
+		if !want[k] && c.held[k] == "" {
+			delta.CreateIndexes = append(delta.CreateIndexes, whatif.IndexDef{Table: spec.Table, Columns: spec.Columns})
 		}
+		want[k] = true
+	}
+	for k, name := range c.held {
+		if !want[k] {
+			delta.DropIndexes = append(delta.DropIndexes, name)
+		}
+	}
+	created, err := c.session.ApplyDelta(delta)
+	if err != nil {
+		return err
+	}
+	for k := range c.held {
+		if !want[k] {
+			delete(c.held, k)
+		}
+	}
+	for _, ix := range created {
+		c.held[IndexSpec{Table: ix.Table, Columns: ix.Columns}.Key()] = ix.Name
 	}
 	return nil
 }

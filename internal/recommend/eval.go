@@ -2,7 +2,6 @@ package recommend
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,9 +19,10 @@ import (
 // Index-only designs price through the selected costlab backend (INUM
 // or full optimizer) with memo-served warm starts; designs carrying
 // partitions always price through the full optimizer (INUM cannot
-// reconstruct fragment-join plans), memoized by canonical design.Key.
-// The memo may be a design session's shared cost memo, in which case
-// configurations a DBA priced interactively are never re-batched.
+// reconstruct fragment-join plans) on one long-lived costlab.Full,
+// memoized by canonical design.Key. The memo may be a design session's
+// shared cost memo, in which case configurations a DBA priced
+// interactively are never re-batched.
 type Evaluator struct {
 	cat     *catalog.Catalog
 	queries []Query
@@ -30,13 +30,13 @@ type Evaluator struct {
 	stmtIDs []uint32 // query identities interned in memo, stamped on jobs
 	workers int
 	est     costlab.Backend
-	estFull bool // est prices with the full optimizer
+	full    *costlab.Full // partition trials and reports; est itself when estFull
+	estFull bool
 	memo    *costlab.Memo
 
 	trials     atomic.Int64 // candidate designs priced
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
-	extraCalls atomic.Int64 // optimizer calls outside est (partition pricing, reports)
 
 	// Lazy-sweep savings (see lazy.go): candidate evaluations served
 	// entirely from the gain cache, and pricing jobs never built
@@ -60,12 +60,17 @@ func NewEvaluator(cat *catalog.Catalog, queries []Query, backend string, workers
 	if memo == nil {
 		memo = costlab.NewMemo()
 	}
+	full, estFull := est.(*costlab.Full)
+	if !estFull {
+		full = costlab.NewFull(cat)
+	}
 	ev := &Evaluator{
 		cat:     cat,
 		queries: queries,
 		workers: workers,
 		est:     est,
-		estFull: backend == costlab.BackendFull,
+		full:    full,
+		estFull: estFull,
 		memo:    memo,
 	}
 	// Intern the query identities once; every pricing job the
@@ -183,14 +188,15 @@ func (ev *Evaluator) DesignCost(ctx context.Context, d design.Design) (float64, 
 // Concurrent callers pricing the same design share the plan calls
 // (costlab.Memo.Resolve).
 func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
-	keyID := ev.memo.InternCfgKey(design.Key(d))
+	key := design.Key(d)
+	keyID := ev.memo.InternCfgKey(key)
 	keys := make([]costlab.Key, len(qs))
 	for p, i := range qs {
 		keys[p] = costlab.Key{Stmt: ev.stmtIDs[i], Cfg: keyID}
 	}
 	costs, b, err := ev.memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
 		rw := design.Rewriter(ev.cat, d)
-		jobs := make([]costlab.Job, len(led))
+		stmts := make([]*sql.Select, len(led))
 		missIdx := make([]int, len(led)) // workload positions
 		for j, p := range led {
 			missIdx[j] = qs[p]
@@ -198,12 +204,9 @@ func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs [
 			if err != nil {
 				return nil, err
 			}
-			jobs[j] = costlab.Job{Stmt: rq}
+			stmts[j] = rq
 		}
-		setup, _ := design.Setup(d, true)
-		full := costlab.NewFullWithSetup(ev.cat, setup)
-		got, err := costlab.EvaluateAll(ctx, full, jobs, ev.workers)
-		ev.extraCalls.Add(full.PlanCalls())
+		got, _, err := ev.full.PriceAll(ctx, costlab.Target{Design: d, NestLoop: true, Key: key}, stmts, ev.workers)
 		return got, remapJobErr(err, missIdx)
 	})
 	ev.memoHits.Add(int64(b.Hits + b.Coalesced))
@@ -237,7 +240,13 @@ func (ev *Evaluator) ReplicationOverhead(d design.Design) int64 {
 
 // PlanCalls reports full optimizer invocations consumed so far, across
 // the backend, partition pricing and reports.
-func (ev *Evaluator) PlanCalls() int64 { return ev.est.PlanCalls() + ev.extraCalls.Load() }
+func (ev *Evaluator) PlanCalls() int64 {
+	n := ev.est.PlanCalls()
+	if !ev.estFull && ev.full != nil { // nil around a test's stub backend
+		n += ev.full.PlanCalls()
+	}
+	return n
+}
 
 // Trials reports candidate designs priced so far — the anytime
 // budget's evaluation currency.
@@ -276,8 +285,6 @@ func (ev *Evaluator) Report(ctx context.Context, d design.Design) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	setup, names := design.Setup(d, true)
-	full := costlab.NewFullWithSetup(ev.cat, setup)
 	rw := design.Rewriter(ev.cat, d)
 	targets := make([]*sql.Select, len(ev.stmts))
 	var rewritten []string
@@ -292,32 +299,20 @@ func (ev *Evaluator) Report(ctx context.Context, d design.Design) (*Report, erro
 			rewritten = append(rewritten, sql.PrintSelect(rq))
 		}
 	}
-	plans, err := full.PlanAll(ctx, targets, ev.workers)
-	ev.extraCalls.Add(full.PlanCalls())
+	costs, used, err := ev.full.PriceAll(ctx, costlab.Target{Design: d, NestLoop: true}, targets, ev.workers)
 	if err != nil {
 		return nil, err
 	}
-	nameToKey := map[string]string{}
-	for i, name := range names() {
-		nameToKey[name] = d.Indexes[i].Key()
-	}
 	rep := &Report{Rewritten: rewritten}
 	for qi, q := range ev.queries {
-		var used []string
-		for _, name := range plans[qi].IndexesUsed() {
-			if key, ok := nameToKey[name]; ok {
-				used = append(used, key)
-			}
-		}
-		sort.Strings(used)
 		rep.PerQuery = append(rep.PerQuery, QueryBenefit{
 			SQL:         q.SQL,
 			BaseCost:    base[qi] * q.Weight,
-			NewCost:     plans[qi].TotalCost * q.Weight,
-			IndexesUsed: used,
+			NewCost:     costs[qi] * q.Weight,
+			IndexesUsed: used[qi],
 		})
 		rep.BaseCost += base[qi] * q.Weight
-		rep.NewCost += plans[qi].TotalCost * q.Weight
+		rep.NewCost += costs[qi] * q.Weight
 	}
 	return rep, nil
 }
@@ -340,13 +335,7 @@ func (ev *Evaluator) reportBaseCosts(ctx context.Context) ([]float64, error) {
 	}
 	ev.mu.Unlock()
 
-	base := costlab.NewFull(ev.cat)
-	jobs := make([]costlab.Job, len(ev.stmts))
-	for i, stmt := range ev.stmts {
-		jobs[i] = costlab.Job{Stmt: stmt}
-	}
-	costs, err := costlab.EvaluateAll(ctx, base, jobs, ev.workers)
-	ev.extraCalls.Add(base.PlanCalls())
+	costs, _, err := ev.full.PriceAll(ctx, costlab.Target{NestLoop: true}, ev.stmts, ev.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/recommend"
 	"repro/internal/rewrite"
 	"repro/internal/sql"
-	"repro/internal/whatif"
 )
 
 // EditRecord kinds: a committed user edit, an undo, a redo.
@@ -156,12 +155,12 @@ type DesignSession struct {
 	opts Options
 	wl   *Workload // shared and read-only
 
-	ws         *whatif.Session   // mirrors the current design at all times
-	design     design.Design     // current design
-	nestLoop   bool              // current What-If Join flag
-	ixName     map[string]string // design-index key → what-if index name
+	held       *design.Held      // the current design and What-If Join flag, installed
 	fragParent map[string]string // fragment table → parent table
 	rw         *rewrite.Rewriter // nil when the design has no partitions
+	// pricer fans large re-pricings out over pooled sessions that keep
+	// the design they last priced; created on first use.
+	pricer *costlab.Full
 	// rewrites caches, per query touching a partitioned table, its
 	// rewrite under the current partitioning; applyDesign drops the
 	// cache whenever the partition set changes.
@@ -270,9 +269,7 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 		cat:        cat,
 		opts:       opts,
 		wl:         wl,
-		ws:         whatif.NewSession(cat),
-		nestLoop:   true,
-		ixName:     map[string]string{},
+		held:       design.NewHeld(cat),
 		fragParent: map[string]string{},
 		rewrites:   make([]*rewritten, len(wl.queries)),
 		states:     make([]*queryState, len(wl.queries)),
@@ -310,13 +307,13 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 func (s *DesignSession) Queries() []recommend.Query { return s.wl.queries }
 
 // Design returns a copy of the current design.
-func (s *DesignSession) Design() design.Design { return s.design.Clone() }
+func (s *DesignSession) Design() design.Design { return s.held.Design().Clone() }
 
 // NestLoopEnabled reports the current What-If Join flag.
-func (s *DesignSession) NestLoopEnabled() bool { return s.nestLoop }
+func (s *DesignSession) NestLoopEnabled() bool { return s.held.NestLoop() }
 
 // Signature returns the what-if session's canonical design signature.
-func (s *DesignSession) Signature() string { return s.ws.Signature() }
+func (s *DesignSession) Signature() string { return s.held.Session().Signature() }
 
 // Stats returns the session's incremental-pricing counters.
 func (s *DesignSession) Stats() Stats {
@@ -364,17 +361,15 @@ func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (
 // reference its table.
 func (s *DesignSession) AddIndex(spec inum.IndexSpec) (*InteractiveReport, error) {
 	key := spec.Key()
-	for _, have := range s.design.Indexes {
-		if have.Key() == key {
-			return nil, fmt.Errorf("session: index %s is already in the design", key)
-		}
+	if s.held.Name(key) != "" {
+		return nil, fmt.Errorf("session: index %s is already in the design", key)
 	}
-	target := s.design.Clone()
+	target := s.Design()
 	// Copy the caller's column slice: the design (and its undo
 	// snapshots) must not alias caller-owned memory.
 	spec.Columns = append([]string(nil), spec.Columns...)
 	target.Indexes = append(target.Indexes, spec)
-	return s.userEdit(target, s.nestLoop)
+	return s.userEdit(target, s.held.NestLoop())
 }
 
 // DropIndex removes the design index with spec's identity.
@@ -384,7 +379,7 @@ func (s *DesignSession) DropIndex(spec inum.IndexSpec) (*InteractiveReport, erro
 
 // DropIndexKey removes a design index by its key ("table(col,col)").
 func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
-	target := s.design.Clone()
+	target := s.Design()
 	kept := target.Indexes[:0]
 	found := false
 	for _, have := range target.Indexes {
@@ -398,15 +393,14 @@ func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
 		return nil, fmt.Errorf("session: no design index %s", key)
 	}
 	target.Indexes = kept
-	return s.userEdit(target, s.nestLoop)
+	return s.userEdit(target, s.held.NestLoop())
 }
 
 // AddPartition installs (or replaces — "repartition") the vertical
 // partitioning of def.Table. Replacing drops the old fragments and
 // any design indexes on them.
 func (s *DesignSession) AddPartition(def design.Partition) (*InteractiveReport, error) {
-	target := s.design.Clone()
-	target = removePartition(target, def.Table)
+	target := removePartition(s.Design(), def.Table)
 	// Copy the caller's fragment slices: the design (and its undo
 	// snapshots) must not alias caller-owned memory.
 	cp := design.Partition{Table: def.Table}
@@ -414,17 +408,16 @@ func (s *DesignSession) AddPartition(def design.Partition) (*InteractiveReport, 
 		cp.Fragments = append(cp.Fragments, append([]string(nil), cols...))
 	}
 	target.Partitions = append(target.Partitions, cp)
-	return s.userEdit(target, s.nestLoop)
+	return s.userEdit(target, s.held.NestLoop())
 }
 
 // DropPartition removes def.Table's partitioning and any design
 // indexes on its fragments.
 func (s *DesignSession) DropPartition(table string) (*InteractiveReport, error) {
-	if !slices.ContainsFunc(s.design.Partitions, func(p design.Partition) bool { return p.Table == table }) {
+	if !slices.ContainsFunc(s.held.Design().Partitions, func(p design.Partition) bool { return p.Table == table }) {
 		return nil, fmt.Errorf("session: table %q is not partitioned in the design", table)
 	}
-	target := removePartition(s.design.Clone(), table)
-	return s.userEdit(target, s.nestLoop)
+	return s.userEdit(removePartition(s.Design(), table), s.held.NestLoop())
 }
 
 // removePartition drops table's partition def and cascades to design
@@ -455,17 +448,17 @@ func removePartition(d design.Design, table string) design.Design {
 // SetNestLoop toggles the What-If Join component and re-prices the
 // queries whose plans can contain a join.
 func (s *DesignSession) SetNestLoop(enabled bool) (*InteractiveReport, error) {
-	if enabled == s.nestLoop {
+	if enabled == s.held.NestLoop() {
 		return s.Report(), nil
 	}
-	return s.userEdit(s.design.Clone(), enabled)
+	return s.userEdit(s.Design(), enabled)
 }
 
 // ApplyDesign replaces the whole design in one edit — the one-shot
 // entry point core.EvaluateDesign uses, and a bulk "load design" for
 // the REPL. Only the diff against the current design is re-priced.
 func (s *DesignSession) ApplyDesign(d design.Design) (*InteractiveReport, error) {
-	return s.userEdit(d.Clone(), s.nestLoop)
+	return s.userEdit(d.Clone(), s.held.NestLoop())
 }
 
 // Undo reverts the last successful edit and makes it available to
@@ -476,7 +469,7 @@ func (s *DesignSession) Undo() (*InteractiveReport, error) {
 		return nil, errors.New("session: nothing to undo")
 	}
 	prev := s.undo[len(s.undo)-1]
-	cur := snapshot{design: s.design.Clone(), nestLoop: s.nestLoop}
+	cur := snapshot{design: s.Design(), nestLoop: s.held.NestLoop()}
 	rep, err := s.edit(prev.design, prev.nestLoop)
 	if err != nil {
 		return nil, err
@@ -563,11 +556,11 @@ func (s *DesignSession) Report() *InteractiveReport {
 		MemoMisses:  s.memoMisses,
 		PlanCalls:   s.planCalls,
 	}
-	if len(s.design.Indexes) > 0 {
-		rep.IndexNames = make([]string, 0, len(s.design.Indexes))
-	}
-	for _, spec := range s.design.Indexes {
-		rep.IndexNames = append(rep.IndexNames, s.ixName[spec.Key()])
+	if ixs := s.held.Design().Indexes; len(ixs) > 0 {
+		rep.IndexNames = make([]string, 0, len(ixs))
+		for _, spec := range ixs {
+			rep.IndexNames = append(rep.IndexNames, s.held.Name(spec.Key()))
+		}
 	}
 	rep.PerQuery = make([]recommend.QueryBenefit, 0, len(s.wl.queries))
 	rep.Rewritten = make([]string, 0, len(s.wl.queries))
@@ -613,7 +606,7 @@ func (s *DesignSession) Explain(qi int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := s.ws.Plan(target)
+	plan, err := s.held.Session().Plan(target)
 	s.planCalls++
 	s.span.AddPlanCalls(1)
 	if err != nil {
@@ -642,8 +635,8 @@ func (s *DesignSession) userEdit(target design.Design, targetNL bool) (*Interact
 		if s.onRecord != nil {
 			// Only real edits (frame pushed) are journaled: a structural
 			// no-op changed nothing, so replaying without it is identical.
-			d := s.design.Clone()
-			s.onRecord(EditRecord{Kind: RecordEdit, Design: &d, NestLoop: s.nestLoop})
+			d := s.Design()
+			s.onRecord(EditRecord{Kind: RecordEdit, Design: &d, NestLoop: s.held.NestLoop()})
 		}
 	}
 	return rep, nil
@@ -654,7 +647,7 @@ func (s *DesignSession) userEdit(target design.Design, targetNL bool) (*Interact
 // invalidated queries (memo first), and pushes an undo frame. On any
 // error the session is left exactly as it was.
 func (s *DesignSession) edit(target design.Design, targetNL bool) (*InteractiveReport, error) {
-	prev := snapshot{design: s.design.Clone(), nestLoop: s.nestLoop}
+	prev := snapshot{design: s.Design(), nestLoop: s.held.NestLoop()}
 	inval, changed, err := s.applyDesign(target, targetNL)
 	if err != nil {
 		return nil, err
@@ -690,34 +683,15 @@ func (s *DesignSession) applyDesign(target design.Design, targetNL bool) (map[in
 	if err != nil {
 		return nil, false, fmt.Errorf("session: %w", err)
 	}
-	delta, affected := design.Diff(s.design, target, s.ixName)
-	nlChanged := targetNL != s.nestLoop
-	if delta.Empty() && !nlChanged {
-		// No structural change (e.g. ApplyDesign of the current
-		// design): adopt the target ordering and stop.
-		s.design = target
-		return map[int]bool{}, false, nil
-	}
-	delta.NestLoop = &targetNL
-	created, err := s.ws.ApplyDelta(delta)
+	delta, affected, err := s.held.Move(target, targetNL)
 	if err != nil {
 		return nil, false, fmt.Errorf("session: %w", err)
 	}
-
-	// Commit bookkeeping. A surviving key on a re-created fragment gets
-	// its new name.
-	s.design = target
-	s.nestLoop = targetNL
-	ixName := map[string]string{}
-	for _, spec := range target.Indexes {
-		if name, ok := s.ixName[spec.Key()]; ok {
-			ixName[spec.Key()] = name
-		}
+	if delta.Empty() {
+		// No structural change (e.g. ApplyDesign of the current design).
+		return map[int]bool{}, false, nil
 	}
-	for _, ix := range created {
-		ixName[inum.IndexSpec{Table: ix.Table, Columns: ix.Columns}.Key()] = ix.Name
-	}
-	s.ixName = ixName
+	nlChanged := delta.NestLoop != nil
 	s.fragParent = frags
 	if len(delta.CreateTables) > 0 || len(delta.DropTables) > 0 {
 		s.rw = design.Rewriter(s.cat, target)
@@ -745,7 +719,7 @@ func (s *DesignSession) applyDesign(target design.Design, targetNL bool) (map[in
 // touchesPartition reports whether query qi touches a table the
 // current design partitions.
 func (s *DesignSession) touchesPartition(qi int) bool {
-	return slices.ContainsFunc(s.design.Partitions, func(p design.Partition) bool {
+	return slices.ContainsFunc(s.held.Design().Partitions, func(p design.Partition) bool {
 		return s.wl.foot[qi].TouchesTable(p.Table)
 	})
 }
@@ -807,7 +781,7 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 	sigs := map[int]string{}
 	for _, qi := range idxs {
 		if _, ok := sigs[s.wl.class[qi]]; !ok {
-			sigs[s.wl.class[qi]] = design.ProjectedKey(s.design, s.fragParent, s.wl.foot[qi], s.nestLoop)
+			sigs[s.wl.class[qi]] = design.ProjectedKey(s.held.Design(), s.fragParent, s.wl.foot[qi], s.held.NestLoop())
 		}
 	}
 
@@ -892,60 +866,42 @@ type pendingPrice struct {
 
 // plan prices the missed queries under the current design and returns
 // their states. Small miss sets (or Workers == 1) plan sequentially on
-// the session's own what-if session; larger ones fan out over a
-// throwaway pool of sessions carrying the design — the same fan-out
-// core.EvaluateDesign has always used for full evaluations. Pooled
-// sessions name indexes from a fresh counter, so each path maps its
-// own what-if names back to design-index keys.
+// the session's own what-if session; larger ones fan out over the
+// session's pricer, whose pooled sessions move to the design by diff.
+// Either way a plan's what-if names map back to design-index keys
+// through the names of the session that planned it.
 func (s *DesignSession) plan(misses []pendingPrice) ([]*queryState, error) {
-	var plans []*optimizer.Plan
-	var nameToKey map[string]string
+	states := make([]*queryState, len(misses))
 	if len(misses) < parallelRepriceThreshold || s.opts.Workers == 1 {
-		plans = make([]*optimizer.Plan, len(misses))
 		for i, p := range misses {
-			plan, err := s.ws.Plan(p.target)
+			plan, err := s.held.Session().Plan(p.target)
 			s.planCalls++
 			if err != nil {
 				return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
 			}
-			plans[i] = plan
+			states[i] = &queryState{rewrittenSQL: p.sql, cost: plan.TotalCost, indexesUsed: s.held.UsedKeys(plan)}
 		}
-		nameToKey = make(map[string]string, len(s.ixName))
-		for key, name := range s.ixName {
-			nameToKey[name] = key
-		}
-	} else {
-		setup, names := design.Setup(s.design, s.nestLoop)
-		est := costlab.NewFullWithSetup(s.cat, setup)
-		targets := make([]*sql.Select, len(misses))
-		for i, p := range misses {
-			targets[i] = p.target
-		}
-		var err error
-		plans, err = est.PlanAll(context.Background(), targets, s.opts.Workers)
-		s.planCalls += est.PlanCalls()
-		if err != nil {
-			var je *costlab.JobError
-			if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
-				return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
-			}
-			return nil, fmt.Errorf("session: what-if plan: %w", err)
-		}
-		nameToKey = make(map[string]string, len(s.design.Indexes))
-		for i, name := range names() {
-			nameToKey[name] = s.design.Indexes[i].Key()
-		}
+		return states, nil
 	}
-	states := make([]*queryState, len(misses))
+	if s.pricer == nil {
+		s.pricer = costlab.NewFull(s.cat)
+	}
+	targets := make([]*sql.Select, len(misses))
 	for i, p := range misses {
-		st := &queryState{rewrittenSQL: p.sql, cost: plans[i].TotalCost}
-		for _, name := range plans[i].IndexesUsed() {
-			if key, ok := nameToKey[name]; ok {
-				st.indexesUsed = append(st.indexesUsed, key)
-			}
+		targets[i] = p.target
+	}
+	calls := s.pricer.PlanCalls()
+	costs, used, err := s.pricer.PriceAll(context.Background(), costlab.Target{Design: s.held.Design(), NestLoop: s.held.NestLoop()}, targets, s.opts.Workers)
+	s.planCalls += s.pricer.PlanCalls() - calls
+	if err != nil {
+		var je *costlab.JobError
+		if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
+			return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
 		}
-		sort.Strings(st.indexesUsed)
-		states[i] = st
+		return nil, fmt.Errorf("session: what-if plan: %w", err)
+	}
+	for i, p := range misses {
+		states[i] = &queryState{rewrittenSQL: p.sql, cost: costs[i], indexesUsed: used[i]}
 	}
 	return states, nil
 }
@@ -955,7 +911,8 @@ func (s *DesignSession) plan(misses []pendingPrice) ([]*queryState, error) {
 // configuration (no partitions, nested loops enabled) — exactly the
 // shape advisor pricing jobs have.
 func (s *DesignSession) publishShared() {
-	if len(s.design.Partitions) > 0 || !s.nestLoop {
+	d := s.held.Design()
+	if len(d.Partitions) > 0 || !s.held.NestLoop() {
 		return
 	}
 	// A design this session already published needs nothing: the memo
@@ -963,7 +920,7 @@ func (s *DesignSession) publishShared() {
 	// still there. The signature determines the config for the designs
 	// this path accepts (index-only, nested loops on), and it is
 	// already cached on the what-if session.
-	sig := s.ws.Signature()
+	sig := s.Signature()
 	if s.published[sig] {
 		return
 	}
@@ -973,7 +930,7 @@ func (s *DesignSession) publishShared() {
 	// lock-free uint32 probes whenever the (query, config) pair is
 	// already published — the steady state of tenants revisiting known
 	// designs.
-	cfgID := s.shared.InternConfig(costlab.Config(s.design.Indexes))
+	cfgID := s.shared.InternConfig(costlab.Config(d.Indexes))
 	for qi := range s.wl.queries {
 		s.shared.StoreIDIfAbsent(costlab.Key{Stmt: s.stmtIDs[qi], Cfg: cfgID}, s.states[qi].cost)
 	}

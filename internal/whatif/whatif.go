@@ -8,8 +8,11 @@
 package whatif
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -46,7 +49,7 @@ type Session struct {
 	sigBase string
 	baseOK  bool
 
-	// byTable caches each table's hypothetical indexes in name order —
+	// byTable caches each table's hypothetical indexes in key order —
 	// the order relationInfoHook splices them in. Built on the first
 	// lookup after a structural edit; nil means stale.
 	byTable map[string][]*catalog.Index
@@ -99,12 +102,19 @@ func (s *Session) relationInfoHook(name string, info *optimizer.RelationInfo) *o
 	}
 }
 
+// sortedHypoIndexes lists the hypothetical indexes by table, then
+// columns, with the generated name only as a tie-break. The planner
+// takes the first index that fits a probe, so this order — unlike the
+// creation-counter name order — makes plans depend on the design alone,
+// not on the path a session took to it.
 func (s *Session) sortedHypoIndexes() []*catalog.Index {
 	out := make([]*catalog.Index, 0, len(s.hypoIndexes))
 	for _, ix := range s.hypoIndexes {
 		out = append(out, ix)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *catalog.Index) int {
+		return cmp.Or(cmp.Compare(a.Table, b.Table), slices.Compare(a.Columns, b.Columns), cmp.Compare(a.Name, b.Name))
+	})
 	return out
 }
 
@@ -135,7 +145,7 @@ func (s *Session) CreateIndex(table string, columns []string) (*catalog.Index, e
 		}
 	}
 	s.nextID++
-	name := fmt.Sprintf("%six%d_%s_%s", HypoPrefix, s.nextID, table, strings.Join(columns, "_"))
+	name := HypoPrefix + "ix" + strconv.Itoa(s.nextID) + "_" + table + "_" + strings.Join(columns, "_")
 	pages := catalog.IndexPages(t, columns, t.RowCount)
 	ix := &catalog.Index{
 		Name:         name,
@@ -160,7 +170,7 @@ func (s *Session) DropIndex(name string) error {
 	return nil
 }
 
-// Indexes returns the session's hypothetical indexes sorted by name.
+// Indexes returns the session's hypothetical indexes in key order.
 func (s *Session) Indexes() []*catalog.Index { return s.sortedHypoIndexes() }
 
 // TableDef describes a what-if table simulating a vertical partition
@@ -173,11 +183,13 @@ type TableDef struct {
 	Columns []string
 }
 
-// CreateTable simulates a partition table. Statistics are copied from
-// the parent's columns; the row count equals the parent's; the page
-// count follows from the narrower row width. The what-if table exists
-// only in the session ("empty what-if tables" in the paper: the parser
-// must see them, the planner gets statistics spliced at plan time).
+// CreateTable simulates a partition table. Statistics are shared with
+// the parent's columns (nothing mutates statistics in place, and
+// sessions holding partitioned designs stay small); the row count
+// equals the parent's; the page count follows from the narrower row
+// width. The what-if table exists only in the session ("empty what-if
+// tables" in the paper: the parser must see them, the planner gets
+// statistics spliced at plan time).
 func (s *Session) CreateTable(def TableDef) (*catalog.Table, error) {
 	parent := s.base.Table(def.Parent)
 	if parent == nil {
@@ -193,11 +205,6 @@ func (s *Session) CreateTable(def TableDef) (*catalog.Table, error) {
 	cols, err := parent.FragmentColumns(def.Columns)
 	if err != nil {
 		return nil, fmt.Errorf("whatif: %w", err)
-	}
-	for i := range cols {
-		if s := cols[i].Stats; s != nil {
-			cols[i].Stats = s.Clone()
-		}
 	}
 	t := &catalog.Table{
 		Name:         def.Name,
@@ -258,17 +265,6 @@ func (s *Session) Cost(sel *sql.Select) (float64, error) {
 	return s.planner.Cost(sel)
 }
 
-// TotalIndexSize returns the summed Equation-1 size of the session's
-// what-if indexes, in bytes. Advisors check their storage budget
-// against this.
-func (s *Session) TotalIndexSize() int64 {
-	var pages int64
-	for _, ix := range s.hypoIndexes {
-		pages += ix.Pages
-	}
-	return pages * catalog.PageSize
-}
-
 // IndexDef names an index to create in a Delta: a table and its key
 // columns.
 type IndexDef struct {
@@ -303,6 +299,9 @@ func (d Delta) Empty() bool {
 // delta per interaction instead of rebuilding the design from
 // scratch.
 func (s *Session) ApplyDelta(d Delta) ([]*catalog.Index, error) {
+	if d.Empty() {
+		return nil, nil
+	}
 	// Snapshot the cheap mutable state; the maps hold only the
 	// session's few hypothetical objects.
 	prevIndexes := make(map[string]*catalog.Index, len(s.hypoIndexes))
