@@ -5,63 +5,33 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // Tolerances configures how much a gated metric may grow before the
-// diff counts it as a regression. Time and Alloc default to Default
-// when negative, so CI can loosen only the noisy axes: wall-clock
-// varies across machines, and allocs/op at -benchtime=1x includes
-// GOMAXPROCS-dependent pool warm-up, while plan-call counters are
-// deterministic and deserve the tight default.
+// diff counts it as a regression. Alloc defaults to Default when
+// negative, so CI can loosen it alone: allocs/op at -benchtime=1x
+// include GOMAXPROCS-dependent pool warm-up, while plan-call counters
+// are deterministic and deserve the tight default.
 type Tolerances struct {
 	Default float64 // custom metrics (plancalls etc.)
-	Time    float64 // ns/op; negative → Default
 	Alloc   float64 // B/op and allocs/op; negative → Default
 }
 
 func (t Tolerances) forMetric(metric string) float64 {
-	switch {
-	case metric == "ns/op" || percentileMetric(metric):
-		if t.Time >= 0 {
-			return t.Time
-		}
-	case metric == "B/op" || metric == "allocs/op":
-		if t.Alloc >= 0 {
-			return t.Alloc
-		}
+	if (metric == "B/op" || metric == "allocs/op") && t.Alloc >= 0 {
+		return t.Alloc
 	}
 	return t.Default
 }
 
-// percentileMetric reports whether metric is a latency-percentile
-// custom metric — p50-ns, p99-ns, p99.9-ns, … — emitted via
-// b.ReportMetric. Percentiles are wall-clock numbers, so they gate
-// with the Time tolerance, not the tight Default.
-func percentileMetric(metric string) bool {
-	if !strings.HasPrefix(metric, "p") || !strings.HasSuffix(metric, "-ns") {
-		return false
-	}
-	num := strings.TrimSuffix(strings.TrimPrefix(metric, "p"), "-ns")
-	if num == "" {
-		return false
-	}
-	_, err := strconv.ParseFloat(num, 64)
-	return err == nil
-}
-
-// gated reports whether a metric is one where growth is bad. Custom
-// metrics are gated only when their name marks them as optimizer-call
-// counters or latency percentiles; the rest (queries/sec, speedup,
-// drift, …) have no uniform direction and are reported
-// informationally.
+// gated reports whether a metric is one where growth fails the gate:
+// allocations and the optimizer-call counters, the deterministic
+// numbers. Wall-clock numbers (ns/op, latency percentiles) are single
+// -benchtime=1x samples, and the rest (queries/sec, speedup, drift, …)
+// have no uniform direction; both are reported informationally.
 func gated(metric string) bool {
-	switch metric {
-	case "ns/op", "B/op", "allocs/op":
-		return true
-	}
-	return strings.Contains(metric, "plancalls") || percentileMetric(metric)
+	return metric == "B/op" || metric == "allocs/op" || strings.Contains(metric, "plancalls")
 }
 
 // DiffLine is one (benchmark, metric) comparison.

@@ -1,19 +1,20 @@
 // Command benchjson converts `go test -bench` text output into a JSON
 // perf artifact: benchmark name → iterations, ns/op, -benchmem's B/op
 // and allocs/op, and every custom metric the benchmark reported
-// (plancalls, speedup, queries/sec, …). CI archives one such file per
-// PR (BENCH_pr<N>.json) so perf regressions are visible as a
-// trajectory across PRs instead of being discovered by accident.
+// (plancalls, speedup, queries/sec, …). CI diffs every run against the
+// one committed counter baseline (BENCH_pr10.json), so a change that
+// moves a counter does so deliberately, re-baselining it.
 //
 //	go test -run=NONE -bench=. -benchtime=1x -benchmem ./... | benchjson -out BENCH.json
 //
 // The -diff mode compares two artifacts and exits non-zero when the
 // new one regresses the old beyond tolerance, which is the CI gate:
 //
-//	benchjson -diff BENCH_pr6.json bench_ci.json -tolerance 0.10
+//	benchjson -diff BENCH_pr10.json bench_ci.json -tolerance 0.10
 //
-// ns/op and alloc tolerances can be loosened independently of the
-// deterministic counters with -time-tolerance and -alloc-tolerance.
+// Only deterministic numbers gate: the optimizer-call counters and
+// allocations (whose tolerance -alloc-tolerance loosens alone).
+// Wall-clock numbers are single samples and are reported, not gated.
 // A benchmark present in old but missing from new is a regression (a
 // gate that can be passed by deleting the benchmark gates nothing);
 // a benchmark new to the artifact is informational.
@@ -51,7 +52,6 @@ func main() {
 	out := fs.String("out", "", "JSON artifact path (default: stdout)")
 	diff := fs.Bool("diff", false, "compare two artifacts: benchjson -diff old.json new.json")
 	tol := fs.Float64("tolerance", 0.10, "max relative growth for gated metrics before failing")
-	timeTol := fs.Float64("time-tolerance", -1, "ns/op tolerance override (negative: use -tolerance)")
 	allocTol := fs.Float64("alloc-tolerance", -1, "B/op and allocs/op tolerance override (negative: use -tolerance)")
 	summary := fs.String("summary", "", "with -diff: append the comparison as a markdown table to this file (e.g. $GITHUB_STEP_SUMMARY)")
 
@@ -74,7 +74,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff needs exactly two artifacts: old.json new.json")
 			os.Exit(2)
 		}
-		code, err := runDiff(pos[0], pos[1], Tolerances{Default: *tol, Time: *timeTol, Alloc: *allocTol}, os.Stdout, *summary)
+		code, err := runDiff(pos[0], pos[1], Tolerances{Default: *tol, Alloc: *allocTol}, os.Stdout, *summary)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)

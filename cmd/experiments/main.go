@@ -457,10 +457,14 @@ func runE9(scale int64) {
 	// with the cache counters that explain the difference: the cold
 	// pass pays one scenario build per (query, scenario) on each
 	// shard, the warm pass reconstructs everything from cache.
+	// Claimed round-robin across queries, so the shards price in parallel.
 	inumEst := costlab.NewINUM(cat)
-	group := func(i int) int { return i / len(cands) }
+	inumJobs := make([]costlab.Job, 0, len(jobs))
+	for _, i := range costlab.InterleaveByStmt(len(jobs), func(i int) int { return i / len(cands) }) {
+		inumJobs = append(inumJobs, jobs[i])
+	}
 	t0 = time.Now()
-	if _, err := costlab.EvaluateAllGrouped(ctx, inumEst, jobs, group, workers); err != nil {
+	if _, err := costlab.EvaluateAll(ctx, inumEst, inumJobs, workers); err != nil {
 		fatal(err)
 	}
 	coldTime := time.Since(t0)
@@ -468,7 +472,7 @@ func runE9(scale int64) {
 	fmt.Printf("  INUM backend cold: %v over %d shards — %d cache hits, %d misses, %d scenarios, %d plan calls\n",
 		coldTime.Round(time.Millisecond), inumEst.Shards(), hits, misses, scenarios, inumEst.PlanCalls())
 	t0 = time.Now()
-	if _, err := costlab.EvaluateAllGrouped(ctx, inumEst, jobs, group, workers); err != nil {
+	if _, err := costlab.EvaluateAll(ctx, inumEst, inumJobs, workers); err != nil {
 		fatal(err)
 	}
 	warmTime := time.Since(t0)

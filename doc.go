@@ -42,8 +42,11 @@
 //	                    a time (advisor index and partition trials,
 //	                    reports, a session's parallel re-pricing) —
 //	                    plus the EvaluateAll batch driver and the cost
-//	                    Memo (interned keys over a flight.Cache) behind
-//	                    EvaluateDelta and advisor warm starts
+//	                    Memo behind EvaluateDelta and advisor warm
+//	                    starts: one pricing identity, (statement,
+//	                    projected design, backend), interned to two
+//	                    uint32s over a flight.Cache, reading session
+//	                    states through on a full-optimizer miss
 //	internal/ilp        exact branch-and-bound ILP solver
 //	internal/recommend  the automatic components as one pipeline —
 //	                    index suggestion, AutoPart partition
@@ -63,8 +66,9 @@
 //	internal/session    incremental design sessions: delta re-pricing,
 //	                    per-(query, design) cost memoization, undo and
 //	                    redo, cross-session SharedMemo (a state tier and
-//	                    a cost tier, both flight.Caches; local misses
-//	                    resolve through one Resolve call per edit),
+//	                    the cost tier that reads it through, both keyed
+//	                    by projected design; local misses resolve
+//	                    through one Resolve call per edit),
 //	                    explains planned on read (one optimizer call
 //	                    each, never stored) — the engine behind the
 //	                    `parinda session` REPL

@@ -20,6 +20,15 @@
 // interface, their agreement can be tested directly — the
 // comparative-specification style of checking two implementations of
 // the same contract against each other.
+//
+// Every memoized price has one identity: (statement, projected design,
+// backend). The projected design is design.ProjectedKey — the objects
+// on the tables the statement reads — so the Memo serves a design that
+// differs from a priced one only elsewhere, and the backend tag keeps
+// INUM's and the optimizer's costs apart in one memo. A Memo built by a
+// session.SharedMemo reads the sessions' states through on a full-
+// optimizer miss, under the same (statement, projected design). Keys
+// are interned to two uint32s; see Memo for why.
 package costlab
 
 import (

@@ -198,9 +198,9 @@ func TestEvaluateAllDeterministicOrdering(t *testing.T) {
 				t.Fatalf("workers=%d: job %d cost %v, want %v", workers, i, got[i], want[i])
 			}
 		}
-		// The shard-aware scheduler must return the same caller-order
-		// results whatever grouping it is given.
-		grouped, err := costlab.EvaluateAllGrouped(ctx, est, jobs, func(i int) int { return i / 3 }, workers)
+		// The memo's shard-aware schedule must return the same
+		// caller-order results.
+		grouped, _, err := costlab.EvaluateDelta(ctx, est, jobs, costlab.NewMemo(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,18 +506,83 @@ func TestEvaluateDeltaMemoizes(t *testing.T) {
 	}
 }
 
-func TestConfigKeyOrderInsensitive(t *testing.T) {
-	a := costlab.Config{{Table: "photoobj", Columns: []string{"ra"}}, {Table: "specobj", Columns: []string{"z"}}}
-	b := costlab.Config{{Table: "specobj", Columns: []string{"z"}}, {Table: "photoobj", Columns: []string{"ra"}}}
-	if costlab.ConfigKey(a) != costlab.ConfigKey(b) {
-		t.Errorf("permuted configs key differently: %q vs %q", costlab.ConfigKey(a), costlab.ConfigKey(b))
+// TestMemoKeyIdentity: the memo keys a job by (statement, projected
+// design, backend). Permuted configurations and indexes on tables the
+// statement never reads share an entry — for EvaluateDelta and Lookup
+// alike — while a different configuration on its table does not, and
+// INUM never serves a full-optimizer cost.
+func TestMemoKeyIdentity(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	stmt, err := sql.ParseSelect("SELECT objid, ra FROM photoobj WHERE ra BETWEEN 10 AND 10.2 AND dec > 0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if costlab.ConfigKey(nil) != "" {
-		t.Errorf("empty config key = %q", costlab.ConfigKey(nil))
+	ra := inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}
+	dec := inum.IndexSpec{Table: "photoobj", Columns: []string{"dec"}}
+	z := inum.IndexSpec{Table: "specobj", Columns: []string{"z"}}
+	memo := costlab.NewMemo()
+	full := costlab.NewFull(cat)
+	price := func(est costlab.CostEstimator, cfg costlab.Config) costlab.BatchStats {
+		t.Helper()
+		_, st, err := costlab.EvaluateDelta(context.Background(), est, []costlab.Job{{Stmt: stmt, Config: cfg}}, memo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	c := costlab.Config{{Table: "photoobj", Columns: []string{"ra", "dec"}}}
-	if costlab.ConfigKey(a) == costlab.ConfigKey(c) {
-		t.Error("distinct configs collided")
+	if st := price(full, costlab.Config{ra, dec}); st.Misses != 1 {
+		t.Fatalf("cold job: %+v", st)
+	}
+	for name, cfg := range map[string]costlab.Config{"permuted": {dec, ra}, "off-footprint index": {z, dec, ra}} {
+		if st := price(full, cfg); st.Hits != 1 {
+			t.Errorf("%s: %+v, want a hit", name, st)
+		}
+		if _, ok := memo.Lookup(stmt, cfg); !ok {
+			t.Errorf("%s: Lookup misses what EvaluateDelta hit", name)
+		}
+	}
+	if st := price(full, costlab.Config{ra}); st.Misses != 1 {
+		t.Errorf("a distinct configuration collided: %+v", st)
+	}
+	if st := price(costlab.NewINUM(cat), costlab.Config{ra}); st.Misses != 1 {
+		t.Errorf("INUM was served a full-optimizer cost: %+v", st)
+	}
+	// Lookup reads full-optimizer costs only.
+	if st := price(costlab.NewINUM(cat), costlab.Config{dec}); st.Misses != 1 {
+		t.Errorf("cold INUM job: %+v", st)
+	}
+	if _, ok := memo.Lookup(stmt, costlab.Config{dec}); ok {
+		t.Error("Lookup served an INUM-priced cost")
+	}
+	if n := full.PlanCalls(); n != 2 {
+		t.Errorf("full optimizer planned %d times, want 2", n)
+	}
+}
+
+// TestEvaluateDeltaOffFootprintSpec pins the documented contract for a
+// spec on a table the statement does not read: it is outside the job's
+// key, so a priced job reports it invalid while a memo hit serves the
+// job the projection's cost.
+func TestEvaluateDeltaOffFootprintSpec(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	stmt, err := sql.ParseSelect("SELECT objid FROM photoobj WHERE ra BETWEEN 10 AND 10.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := costlab.Job{Stmt: stmt, Config: costlab.Config{{Table: "nosuch", Columns: []string{"x"}}}}
+	memo := costlab.NewMemo()
+	full := costlab.NewFull(cat)
+	var je *costlab.JobError
+	if _, _, err := costlab.EvaluateDelta(context.Background(), full, []costlab.Job{bad}, memo, 1); !errors.As(err, &je) {
+		t.Fatalf("priced job: err = %v, want a JobError", err)
+	}
+	base, _, err := costlab.EvaluateDelta(context.Background(), full, []costlab.Job{{Stmt: stmt}}, memo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := costlab.EvaluateDelta(context.Background(), full, []costlab.Job{bad}, memo, 1)
+	if err != nil || st.Hits != 1 || got[0] != base[0] {
+		t.Fatalf("served job: cost %v, %+v, err %v; want the base cost %v from the memo", got, st, err, base[0])
 	}
 }
 
@@ -526,7 +591,9 @@ func TestEvaluateDeltaPropagatesJobError(t *testing.T) {
 	q := seedQueries(t)[0]
 	jobs := []costlab.Job{
 		{Stmt: q.Stmt},
-		{Stmt: q.Stmt, Config: costlab.Config{{Table: "nosuch", Columns: []string{"x"}}}},
+		// An index on a table the query reads: one on any other table
+		// projects away and is served the first job's cost.
+		{Stmt: q.Stmt, Config: costlab.Config{{Table: "photoobj", Columns: []string{"nosuch"}}}},
 	}
 	_, _, err := costlab.EvaluateDelta(context.Background(), costlab.NewFull(cat), jobs, costlab.NewMemo(), 0)
 	var je *costlab.JobError
@@ -535,39 +602,47 @@ func TestEvaluateDeltaPropagatesJobError(t *testing.T) {
 	}
 }
 
-// TestMemoContentionStats: a priced store whose key is already
-// recorded is a duplicate — the cross-tenant contention signal the
-// serve layer surfaces in its /stats endpoint — while a mirrored or
-// restored cost counts nothing.
+// TestMemoContentionStats: the memo counts every key asked for once.
+// A key its read-through answers is a hit and never reaches the price
+// function; a priced key is a miss and a store; a lookup that finds
+// nothing is a miss; and no batch stores a key twice.
 func TestMemoContentionStats(t *testing.T) {
-	memo := costlab.NewMemo()
+	memo := costlab.NewMemoBounded(0, func(stmt uint32, projected string) (float64, bool) {
+		return 10, projected == "ix:a(x)"
+	})
 	q := memo.InternStmtKey("q1")
-	a := costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("cfgA")}
-	b := costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("cfgB")}
-	_, _, err := memo.Resolve(context.Background(), []costlab.Key{a, b}, func(led []int) ([]float64, error) {
-		// A racing tenant's restore lands while cfgA is being priced.
-		memo.Restore(costlab.CostRecord{Stmt: "q1", Cfg: "cfgA", Cost: 10})
-		return []float64{10, 20}, nil
+	full := &costlab.Full{}
+	a := costlab.Key{Stmt: q, Design: memo.InternDesign(full, "ix:a(x)")}
+	b := costlab.Key{Stmt: q, Design: memo.InternDesign(full, "ix:b(y)")}
+	inumA := costlab.Key{Stmt: q, Design: memo.InternDesign(&costlab.INUM{}, "ix:a(x)")}
+	got, batch, err := memo.Resolve(context.Background(), []costlab.Key{a, b, inumA}, func(led []int) ([]float64, error) {
+		if len(led) != 2 || led[0] != 1 || led[1] != 2 {
+			t.Errorf("price saw %v, want the keys the read-through missed: [1 2]", led)
+		}
+		return []float64{20, 30}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo.StoreIDIfAbsent(b, 20) // a session mirroring a known cost
-	memo.LookupID(a)
-	memo.LookupID(costlab.Key{Stmt: q, Cfg: memo.InternCfgKey("nope")})
-	st := memo.Stats()
-	if st.Stores != 2 || st.DupStores != 1 {
-		t.Errorf("stores = %d dup = %d, want 2 and 1", st.Stores, st.DupStores)
+	if !slices.Equal(got, []float64{10, 20, 30}) || batch.Hits != 1 || batch.Led != 2 {
+		t.Errorf("costs %v batch %+v, want [10 20 30], 1 hit, 2 led", got, batch)
 	}
-	// Two keys priced (misses) plus one failed lookup; one found.
-	if st.Hits != 1 || st.Misses != 3 || st.Entries != 2 {
-		t.Errorf("hits %d misses %d entries %d, want 1, 3, 2", st.Hits, st.Misses, st.Entries)
+	memo.LookupID(a)
+	memo.LookupID(costlab.Key{Stmt: q, Design: memo.InternDesign(full, "nope")})
+	st := memo.Stats()
+	if st.Stores != 3 || st.DupStores != 0 {
+		t.Errorf("stores = %d dup = %d, want 3 and 0", st.Stores, st.DupStores)
+	}
+	// One read-through answer and one lookup found; two keys priced
+	// plus one failed lookup.
+	if st.Hits != 2 || st.Misses != 3 || st.Entries != 3 {
+		t.Errorf("hits %d misses %d entries %d, want 2, 3, 3", st.Hits, st.Misses, st.Entries)
 	}
 }
 
 // TestINUMPermutationInvariance: INUM must price a configuration the
 // same whatever order its indexes are listed in — every memo keys a
-// configuration by its sorted ConfigKey, so an order-dependent cost
+// configuration by its sorted projected key, so an order-dependent cost
 // would make the memo serve whichever order happened to be priced
 // first. Random 2–13-index configurations of mined candidates, each
 // priced for every seed query on two fresh estimators in two orders.

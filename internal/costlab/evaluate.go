@@ -12,17 +12,17 @@ import (
 
 // Job is one pricing unit of work: a statement under a configuration.
 //
-// StmtID and CfgID, when nonzero, carry the memo-interned identities
-// of Stmt and Config (see Memo.InternStmt / Memo.InternConfig):
-// EvaluateDelta then probes and fills the memo — and keys Full's held
-// designs — without re-printing the SQL or re-canonicalizing the
+// StmtID and DesignID, when nonzero, carry the memo-interned
+// identities of Stmt and of Config as Stmt sees it (see
+// Memo.InternStmt / Memo.InternDesign): EvaluateDelta then probes and
+// fills the memo without re-printing the SQL or re-projecting the
 // configuration. Interned ids are memo-specific — never stamp a job
 // with ids from a different memo.
 type Job struct {
-	Stmt   *sql.Select
-	Config Config
-	StmtID uint32
-	CfgID  uint32
+	Stmt     *sql.Select
+	Config   Config
+	StmtID   uint32
+	DesignID uint32
 }
 
 // JobError reports which batch element failed. Callers unwrap it with
@@ -98,28 +98,11 @@ func forEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 //
 // Batch layout matters for the INUM backend: it shards its cache by
 // statement, so statement-major runs of one query serialize on one
-// shard mutex. Batches with that shape should go through
-// EvaluateAllGrouped instead.
+// shard mutex. EvaluateDelta schedules around that; a caller of
+// EvaluateAll lays its batch out with InterleaveByStmt.
 func EvaluateAll(ctx context.Context, est CostEstimator, jobs []Job, workers int) ([]float64, error) {
-	return evaluateOrdered(ctx, est, jobs, nil, workers)
-}
-
-// EvaluateAllGrouped is EvaluateAll with shard-aware scheduling:
-// group(i) identifies the statement of jobs[i], and workers claim
-// jobs round-robin across groups, so adjacent claims carry different
-// statements and the INUM backend's shard mutexes don't serialize the
-// pool. Results (and error job indices) stay in the caller's order.
-func EvaluateAllGrouped(ctx context.Context, est CostEstimator, jobs []Job, group func(i int) int, workers int) ([]float64, error) {
-	return evaluateOrdered(ctx, est, jobs, InterleaveByStmt(len(jobs), group), workers)
-}
-
-func evaluateOrdered(ctx context.Context, est CostEstimator, jobs []Job, order []int, workers int) ([]float64, error) {
 	results := make([]float64, len(jobs))
-	err := forEach(ctx, len(jobs), workers, func(p int) error {
-		i := p
-		if order != nil {
-			i = order[p]
-		}
+	err := forEach(ctx, len(jobs), workers, func(i int) error {
 		cost, err := est.Cost(jobs[i].Stmt, jobs[i].Config)
 		if err != nil {
 			return &JobError{Index: i, Err: err}
@@ -133,10 +116,10 @@ func evaluateOrdered(ctx context.Context, est CostEstimator, jobs []Job, order [
 	return results, nil
 }
 
-// InterleaveByStmt returns the schedule EvaluateAllGrouped runs:
-// a permutation of 0..n-1 visiting job groups round-robin, where
-// order[p] is the job index claimed at position p and group(i)
-// identifies the statement of job i.
+// InterleaveByStmt returns a shard-friendly schedule: a permutation of
+// 0..n-1 visiting job groups round-robin, where order[p] is the job
+// index claimed at position p and group(i) identifies the statement of
+// job i, so adjacent claims carry different statements.
 func InterleaveByStmt(n int, group func(i int) int) []int {
 	byGroup := map[int][]int{}
 	var groups []int

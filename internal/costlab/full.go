@@ -44,8 +44,9 @@ type Target struct {
 }
 
 // configTarget is an index configuration's Target, nested loops on.
-func configTarget(cfg Config, key string) *Target {
-	return &Target{Design: design.Design{Indexes: cfg}, NestLoop: true, Key: key}
+func configTarget(cfg Config) *Target {
+	d := design.Design{Indexes: cfg}
+	return &Target{Design: d, NestLoop: true, Key: design.Key(d)}
 }
 
 // NewFull returns a full-optimizer estimator over cat.
@@ -55,7 +56,7 @@ func NewFull(cat *catalog.Catalog) *Full {
 
 // Cost prices stmt under cfg with one full optimizer invocation.
 func (f *Full) Cost(stmt *sql.Select, cfg Config) (float64, error) {
-	return f.cost(stmt, configTarget(cfg, ConfigKey(cfg)))
+	return f.cost(stmt, configTarget(cfg))
 }
 
 func (f *Full) cost(stmt *sql.Select, t *Target) (cost float64, err error) {
@@ -67,7 +68,7 @@ func (f *Full) cost(stmt *sql.Select, t *Target) (cost float64, err error) {
 // planning session's live names of the cfg indexes, aligned with cfg,
 // through which callers map plan.IndexesUsed() back to specs.
 func (f *Full) Plan(stmt *sql.Select, cfg Config) (plan *optimizer.Plan, names []string, err error) {
-	err = f.planAt(stmt, configTarget(cfg, ConfigKey(cfg)), func(p *optimizer.Plan, h *held) {
+	err = f.planAt(stmt, configTarget(cfg), func(p *optimizer.Plan, h *held) {
 		plan = p
 		for _, spec := range cfg {
 			names = append(names, h.Name(spec.Key()))

@@ -30,7 +30,7 @@ func TestMemoLockFreeStress(t *testing.T) {
 		stmtIDs[i] = memo.InternStmtKey(fmt.Sprintf("SELECT %d", i))
 	}
 	for i := range cfgIDs {
-		cfgIDs[i] = memo.InternCfgKey(fmt.Sprintf("cfg-%d", i))
+		cfgIDs[i] = memo.InternDesign(nil, fmt.Sprintf("cfg-%d", i))
 	}
 
 	var wg sync.WaitGroup
@@ -43,7 +43,7 @@ func TestMemoLockFreeStress(t *testing.T) {
 			defer wg.Done()
 			// Both writers price every key, one statement's batch at a
 			// time: the overlap exercises singleflight while promotion
-			// races with it, and mirrored stores race the priced ones.
+			// races with it.
 			for si := range stmtIDs {
 				keys := make([]Key, len(cfgIDs))
 				for ci := range cfgIDs {
@@ -52,7 +52,7 @@ func TestMemoLockFreeStress(t *testing.T) {
 				got, _, err := memo.Resolve(context.Background(), keys, func(led []int) ([]float64, error) {
 					out := make([]float64, len(led))
 					for p, i := range led {
-						out[p] = costOf(keys[i].Stmt, keys[i].Cfg)
+						out[p] = costOf(keys[i].Stmt, keys[i].Design)
 					}
 					return out, nil
 				})
@@ -61,11 +61,8 @@ func TestMemoLockFreeStress(t *testing.T) {
 				}
 				resolved[w] += int64(len(keys))
 				for ci, k := range keys {
-					if got[ci] != costOf(k.Stmt, k.Cfg) {
+					if got[ci] != costOf(k.Stmt, k.Design) {
 						panic(fmt.Sprintf("Resolve(%v) = %v", k, got[ci]))
-					}
-					if (si+ci)%2 == w {
-						memo.StoreIDIfAbsent(k, costOf(k.Stmt, k.Cfg))
 					}
 				}
 			}
@@ -84,7 +81,7 @@ func TestMemoLockFreeStress(t *testing.T) {
 						cost, ok := memo.LookupID(k)
 						lookups[r]++
 						if ok {
-							if want := costOf(k.Stmt, k.Cfg); cost != want {
+							if want := costOf(k.Stmt, k.Design); cost != want {
 								panic(fmt.Sprintf("torn read: %v = %v, want %v", k, cost, want))
 							}
 							seen[k] = true
@@ -112,16 +109,16 @@ func TestMemoLockFreeStress(t *testing.T) {
 	if st.DupStores != 0 || st.Leads != int64(stmts*cfgs) {
 		t.Fatalf("stats = %+v: every key must be priced exactly once", st)
 	}
-	if st.InternedStmts != stmts || st.InternedCfgs != cfgs {
-		t.Fatalf("interners grew: %d stmts / %d cfgs, want %d / %d", st.InternedStmts, st.InternedCfgs, stmts, cfgs)
+	if st.InternedStmts != stmts || st.InternedDesigns != cfgs {
+		t.Fatalf("interners grew: %d stmts / %d cfgs, want %d / %d", st.InternedStmts, st.InternedDesigns, stmts, cfgs)
 	}
 	// Every key must be durably present with its exact cost.
 	for si := range stmtIDs {
 		for ci := range cfgIDs {
 			k := Key{stmtIDs[si], cfgIDs[ci]}
 			cost, ok := memo.LookupID(k)
-			if !ok || cost != costOf(k.Stmt, k.Cfg) {
-				t.Fatalf("final LookupID(%v) = %v,%v, want %v,true", k, cost, ok, costOf(k.Stmt, k.Cfg))
+			if !ok || cost != costOf(k.Stmt, k.Design) {
+				t.Fatalf("final LookupID(%v) = %v,%v, want %v,true", k, cost, ok, costOf(k.Stmt, k.Design))
 			}
 		}
 	}

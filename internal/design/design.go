@@ -195,7 +195,7 @@ func Diff(from, to Design, liveNames map[string]string) (whatif.Delta, []string)
 
 	// An index riding on a dropped or created fragment still affects its
 	// parent's queries, so fragments resolve through both designs.
-	parents := fragmentParents(from, to)
+	parents := FragmentParents(from, to)
 	parentOf := func(table string) string {
 		if p, ok := parents[table]; ok {
 			return p
@@ -258,9 +258,10 @@ func partKeys(d Design) map[string]string {
 	return out
 }
 
-// fragmentParents maps every fragment table of the given designs to
-// its parent; nil when none is partitioned.
-func fragmentParents(ds ...Design) map[string]string {
+// FragmentParents maps every fragment table of the given designs to
+// its parent; nil when none is partitioned. For one design it is the
+// map Validate returns, without the validation.
+func FragmentParents(ds ...Design) map[string]string {
 	var out map[string]string
 	for _, d := range ds {
 		for _, p := range d.Partitions {

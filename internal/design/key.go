@@ -1,22 +1,24 @@
 package design
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/sql"
 )
 
-// This file produces the two persisted design identities. Both are
-// journaled (cost-memo keys in snapshots, SharedState.Sig in the
-// write-ahead log) and compared across restarts, so their formats are
-// frozen: a change here turns a warm recovery into re-pricing.
+// This file produces the design identities. ProjectedKey is journaled
+// (SharedState.Sig in the write-ahead log and in snapshots) and
+// compared across restarts, so its format is frozen: a change here
+// turns a warm recovery into re-pricing. Key is process-local (the
+// identity a pooled what-if session's held design is compared by) but
+// pinned by the same golden test.
 
 // Key is the canonical, order-independent identity of a whole design:
 // the sorted index keys, then — when the design is partitioned —
-// "//part:" and the sorted partition keys. For an index-only design it
-// is the index configuration's key (costlab.ConfigKey delegates here),
-// so joint pricing shares memo entries with index-only pricing.
+// "//part:" and the sorted partition keys.
 func Key(d Design) string {
 	var key string
 	if len(d.Indexes) > 0 {
@@ -38,13 +40,13 @@ func Key(d Design) string {
 	return key + "//part:" + strings.Join(parts, ";")
 }
 
-// ProjectedKey is the identity of d as one query sees it — the design
-// session's memo key: only the partitionings of tables the footprint
+// ProjectedKey is the identity of d as one query sees it — the key of
+// every pricing memo: only the partitionings of tables the footprint
 // touches, the indexes whose (parent) table it touches, and — when the
 // query's plan can contain a join — a disabled nested-loop flag
 // participate, so an edit elsewhere leaves the key, and the memoized
-// state, untouched. parents is d's fragment → parent map, as Validate
-// returns it.
+// cost, untouched. parents is d's fragment → parent map, as Validate
+// (or FragmentParents) returns it.
 func ProjectedKey(d Design, parents map[string]string, fp *sql.Footprint, nestLoop bool) string {
 	var parts []string
 	join := fp.Relations >= 2
@@ -68,6 +70,29 @@ func ProjectedKey(d Design, parents map[string]string, fp *sql.Footprint, nestLo
 		parts = append(parts, "nl:off")
 	}
 	return strings.Join(parts, ";")
+}
+
+// Classes numbers footprints by all that ProjectedKey reads of them —
+// the sorted table set and whether the query names two or more
+// relations — so the queries of one class share one projected key per
+// design and a caller computes it once per class. class[i] is fps[i]'s
+// class, numbered from 0 in first-seen order.
+func Classes(fps []*sql.Footprint) []int {
+	class := make([]int, len(fps))
+	ids := map[string]int{}
+	for i, fp := range fps {
+		key := strings.Join(slices.Sorted(maps.Keys(fp.Tables)), ",")
+		if fp.Relations >= 2 {
+			key += ";join"
+		}
+		c, ok := ids[key]
+		if !ok {
+			c = len(ids)
+			ids[key] = c
+		}
+		class[i] = c
+	}
+	return class
 }
 
 // partKey canonicalizes one partitioning: "table:a,b|c". Fragment

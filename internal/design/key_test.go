@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/costlab"
 	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/sql"
@@ -37,8 +36,8 @@ func goldenDesign() design.Design {
 }
 
 // TestPersistedKeysGolden pins every design identity that is journaled
-// (cost-memo keys in snapshots, SharedState.Sig in the write-ahead log)
-// or sent over the wire (the what-if signature). The expected strings
+// (SharedState.Sig in the write-ahead log and snapshots), keys a memo,
+// or is sent over the wire (the what-if signature). The expected strings
 // were produced by the implementation these keys were first persisted
 // with; a refactor that changes any of them silently turns a warm
 // recovery into re-pricing, so it must fail here instead.
@@ -52,9 +51,6 @@ func TestPersistedKeysGolden(t *testing.T) {
 	ixOnly := design.Design{Indexes: d.Indexes}
 	if got, want := design.Key(ixOnly), "field(run,camcol);photoobj_p1(ra,dec)"; got != want {
 		t.Errorf("index-only Key = %q, want %q", got, want)
-	}
-	if got := costlab.ConfigKey(costlab.Config(d.Indexes)); got != design.Key(ixOnly) {
-		t.Errorf("ConfigKey %q != index-only Key %q", got, design.Key(ixOnly))
 	}
 	if got := design.Key(design.Design{}); got != "" {
 		t.Errorf("empty Key = %q", got)

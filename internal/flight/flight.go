@@ -138,9 +138,13 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return v, ok
 }
 
+// Peek returns the stored value of k without counting: a read on
+// another tier's behalf, which is that tier's hit or miss, not this
+// one's.
+func (c *Cache[K, V]) Peek(k K) (V, bool) { return c.table.Get(k) }
+
 // Put records v for k unless k is present. It is for values priced
-// elsewhere — restores, mirrors — so it moves no counter and runs no
-// store hook.
+// elsewhere — restores — so it moves no counter and runs no store hook.
 func (c *Cache[K, V]) Put(k K, v V) { c.table.PutIfAbsent(k, v) }
 
 // SetOnStore installs fn (nil detaches) to run synchronously for every

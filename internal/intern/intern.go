@@ -1,7 +1,7 @@
-// Package intern maps canonical strings — printed query SQL, design
-// and configuration signatures — to dense uint32 ids, so the pricing
-// hot path compares and hashes two machine words instead of re-hashing
-// multi-hundred-byte keys on every memo probe.
+// Package intern maps canonical strings — printed query SQL and
+// backend-tagged projected design keys — to dense uint32 ids, so the
+// pricing hot path compares and hashes two machine words instead of
+// re-hashing multi-hundred-byte keys on every memo probe.
 //
 // The package provides two building blocks:
 //

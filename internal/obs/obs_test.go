@@ -199,11 +199,10 @@ func TestSpanContextRoundTrip(t *testing.T) {
 		t.Fatalf("empty context produced a span")
 	}
 	sp.AddPlanCalls(2)
-	sp.AddLocalHits(3)
 	sp.AddSharedHits(4)
 	sp.AddLed(5)
 	sp.AddCoalesced(6)
-	if sp.PlanCalls() != 2 || sp.LocalHits() != 3 || sp.SharedHits() != 4 || sp.Led() != 5 || sp.Coalesced() != 6 {
+	if sp.PlanCalls() != 2 || sp.SharedHits() != 4 || sp.Led() != 5 || sp.Coalesced() != 6 {
 		t.Fatalf("span counters lost values: %+v", sp)
 	}
 }

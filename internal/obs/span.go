@@ -12,8 +12,8 @@ import (
 // Span is the request-scoped trace record: who asked (tenant,
 // endpoint, request id) and what the pricing layers did on its behalf
 // — optimizer invocations and how each needed state was satisfied
-// (local memo hit, shared-memo hit, led a singleflight, coalesced
-// onto another leader's flight). The HTTP middleware creates one per
+// (memo hit, led a singleflight, coalesced onto another leader's
+// flight). The HTTP middleware creates one per
 // request and threads it via context (costlab.EvaluateDelta) and
 // DesignSession.SetSpan (session edits); the counters are atomic, so
 // parallel pricing workers record into one span safely.
@@ -27,7 +27,6 @@ type Span struct {
 	Start    time.Time
 
 	planCalls  atomic.Int64
-	localHits  atomic.Int64
 	sharedHits atomic.Int64
 	led        atomic.Int64
 	coalesced  atomic.Int64
@@ -43,13 +42,6 @@ func NewSpan(id, tenant, endpoint string) *Span {
 func (sp *Span) AddPlanCalls(n int64) {
 	if sp != nil && n != 0 {
 		sp.planCalls.Add(n)
-	}
-}
-
-// AddLocalHits records n states served from a session-private memo.
-func (sp *Span) AddLocalHits(n int64) {
-	if sp != nil && n != 0 {
-		sp.localHits.Add(n)
 	}
 }
 
@@ -81,13 +73,6 @@ func (sp *Span) PlanCalls() int64 {
 		return 0
 	}
 	return sp.planCalls.Load()
-}
-
-func (sp *Span) LocalHits() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.localHits.Load()
 }
 
 func (sp *Span) SharedHits() int64 {

@@ -207,12 +207,18 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 			}
 			cands, descs := partitionMoves(t, sel[t], p.Atomic[t])
 			// Partitioning t evicts its (now dead) chosen indexes, so
-			// their bytes count as freed in the shared-budget check.
+			// their bytes count as freed in the shared-budget check, and
+			// the trial is priced without them: the design the move
+			// reaches, whose projected keys a later trial or design
+			// session can hit.
 			var freed int64
+			var kept []inum.IndexSpec
 			for _, spec := range chosen {
 				if spec.Table == t {
 					freed += ixMeta[spec.Key()].size
+					continue
 				}
+				kept = append(kept, spec)
 			}
 			for ci, cand := range cands {
 				if stopped {
@@ -229,7 +235,7 @@ func searchAnytime(ctx context.Context, p *Problem) (*Outcome, error) {
 				if opts.Objects == ObjectsPartitions && trialRepl > opts.partitionReplicationBudget() {
 					continue
 				}
-				per, err := trial(designFromSelection(chosen, trialSel))
+				per, err := trial(designFromSelection(kept, trialSel))
 				if err != nil {
 					return nil, err
 				}

@@ -17,17 +17,21 @@ import (
 // design mixing both — prices through it.
 //
 // Index-only designs price through the selected costlab backend (INUM
-// or full optimizer) with memo-served warm starts; designs carrying
-// partitions always price through the full optimizer (INUM cannot
-// reconstruct fragment-join plans) on one long-lived costlab.Full,
-// memoized by canonical design.Key. The memo may be a design session's
-// shared cost memo, in which case configurations a DBA priced
-// interactively are never re-batched.
+// or full optimizer); designs carrying partitions always price through
+// the full optimizer (INUM cannot reconstruct fragment-join plans) on
+// one long-lived costlab.Full. Every price goes through the memo under
+// one identity — (statement, projected design, backend) — computed once
+// per footprint class per design, so a trial that differs from a priced
+// design only on tables a query never reads is a hit for that query.
+// The memo may be a SharedMemo's cost tier, in which case designs a DBA
+// priced interactively are never re-planned.
 type Evaluator struct {
 	cat     *catalog.Catalog
 	queries []Query
 	stmts   []*sql.Select
-	stmtIDs []uint32 // query identities interned in memo, stamped on jobs
+	stmtIDs []uint32         // query identities interned in memo, stamped on jobs
+	foot    []*sql.Footprint // per-query footprints
+	class   []int            // per-query footprint class (design.Classes)
 	workers int
 	est     costlab.Backend
 	full    *costlab.Full // partition trials and reports; est itself when estFull
@@ -57,30 +61,27 @@ func NewEvaluator(cat *catalog.Catalog, queries []Query, backend string, workers
 	if err != nil {
 		return nil, err
 	}
+	ev := newEvaluator(cat, queries, est, workers, memo)
+	if ev.full, ev.estFull = est.(*costlab.Full); !ev.estFull {
+		ev.full = costlab.NewFull(cat)
+	}
+	return ev, nil
+}
+
+// newEvaluator analyzes the workload once — statement ids interned in
+// memo, footprints and their classes — for pricing through est.
+func newEvaluator(cat *catalog.Catalog, queries []Query, est costlab.Backend, workers int, memo *costlab.Memo) *Evaluator {
 	if memo == nil {
 		memo = costlab.NewMemo()
 	}
-	full, estFull := est.(*costlab.Full)
-	if !estFull {
-		full = costlab.NewFull(cat)
-	}
-	ev := &Evaluator{
-		cat:     cat,
-		queries: queries,
-		workers: workers,
-		est:     est,
-		full:    full,
-		estFull: estFull,
-		memo:    memo,
-	}
-	// Intern the query identities once; every pricing job the
-	// evaluator builds carries its dense id, so memo probes never
-	// re-print the SQL.
+	ev := &Evaluator{cat: cat, queries: queries, workers: workers, est: est, memo: memo}
 	for _, q := range queries {
 		ev.stmts = append(ev.stmts, q.Stmt)
 		ev.stmtIDs = append(ev.stmtIDs, memo.InternStmt(q.Stmt))
+		ev.foot = append(ev.foot, sql.FootprintOf(q.Stmt))
 	}
-	return ev, nil
+	ev.class = design.Classes(ev.foot)
+	return ev
 }
 
 // WeightedTotal folds unweighted per-query costs into the workload
@@ -93,6 +94,43 @@ func (ev *Evaluator) WeightedTotal(per []float64) float64 {
 	return total
 }
 
+// all lists every workload position.
+func (ev *Evaluator) all() []int {
+	qs := make([]int, len(ev.stmts))
+	for i := range qs {
+		qs[i] = i
+	}
+	return qs
+}
+
+// keys returns the memo keys of the queries qs under d priced by est:
+// one projected key per footprint class among qs.
+func (ev *Evaluator) keys(est costlab.CostEstimator, d design.Design, qs []int) []costlab.Key {
+	parents := design.FragmentParents(d)
+	byClass := map[int]uint32{}
+	keys := make([]costlab.Key, len(qs))
+	for p, i := range qs {
+		id, ok := byClass[ev.class[i]]
+		if !ok {
+			id = ev.memo.InternDesign(est, design.ProjectedKey(d, parents, ev.foot[i], true))
+			byClass[ev.class[i]] = id
+		}
+		keys[p] = costlab.Key{Stmt: ev.stmtIDs[i], Design: id}
+	}
+	return keys
+}
+
+// indexJobs returns the backend pricing jobs of the queries qs under
+// the index configuration cfg, stamped with their memo keys.
+func (ev *Evaluator) indexJobs(cfg costlab.Config, qs []int) []costlab.Job {
+	keys := ev.keys(ev.est, design.Design{Indexes: cfg}, qs)
+	jobs := make([]costlab.Job, len(qs))
+	for p, i := range qs {
+		jobs[p] = costlab.Job{Stmt: ev.stmts[i], Config: cfg, StmtID: keys[p].Stmt, DesignID: keys[p].Design}
+	}
+	return jobs
+}
+
 // BaseCosts prices the workload under the empty design through the
 // search backend, memo first. Cached for the evaluator's lifetime.
 func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
@@ -102,12 +140,7 @@ func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
 	if cached != nil {
 		return cached, nil
 	}
-	jobs := make([]costlab.Job, len(ev.stmts))
-	emptyCfg := ev.memo.InternCfgKey("")
-	for i, stmt := range ev.stmts {
-		jobs[i] = costlab.Job{Stmt: stmt, StmtID: ev.stmtIDs[i], CfgID: emptyCfg}
-	}
-	costs, err := ev.evaluateJobs(ctx, jobs)
+	costs, err := ev.evaluateJobs(ctx, ev.indexJobs(nil, ev.all()))
 	if err != nil {
 		return nil, err
 	}
@@ -135,23 +168,7 @@ func (ev *Evaluator) evaluateJobs(ctx context.Context, jobs []costlab.Job) ([]fl
 // returns the unweighted per-query costs. One call counts as one
 // design trial.
 func (ev *Evaluator) DesignCosts(ctx context.Context, d design.Design) ([]float64, error) {
-	ev.trials.Add(1)
-	if len(d.Partitions) == 0 {
-		jobs := make([]costlab.Job, len(ev.stmts))
-		cfg := costlab.Config(d.Indexes)
-		// One canonicalization for the whole batch; each job then
-		// probes the memo by (uint32, uint32).
-		cfgID := ev.memo.InternConfig(cfg)
-		for i, stmt := range ev.stmts {
-			jobs[i] = costlab.Job{Stmt: stmt, Config: cfg, StmtID: ev.stmtIDs[i], CfgID: cfgID}
-		}
-		return ev.evaluateJobs(ctx, jobs)
-	}
-	all := make([]int, len(ev.stmts))
-	for i := range all {
-		all[i] = i
-	}
-	return ev.partitionCostsAt(ctx, d, all)
+	return ev.DesignCostsAt(ctx, d, ev.all())
 }
 
 // DesignCostsAt prices design d for the query subset qs only (ascending
@@ -161,13 +178,7 @@ func (ev *Evaluator) DesignCosts(ctx context.Context, d design.Design) ([]float6
 func (ev *Evaluator) DesignCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
 	ev.trials.Add(1)
 	if len(d.Partitions) == 0 {
-		cfg := costlab.Config(d.Indexes)
-		cfgID := ev.memo.InternConfig(cfg)
-		jobs := make([]costlab.Job, len(qs))
-		for p, i := range qs {
-			jobs[p] = costlab.Job{Stmt: ev.stmts[i], Config: cfg, StmtID: ev.stmtIDs[i], CfgID: cfgID}
-		}
-		return ev.evaluateJobs(ctx, jobs)
+		return ev.evaluateJobs(ctx, ev.indexJobs(d.Indexes, qs))
 	}
 	return ev.partitionCostsAt(ctx, d, qs)
 }
@@ -184,16 +195,12 @@ func (ev *Evaluator) DesignCost(ctx context.Context, d design.Design) (float64, 
 // partitionCostsAt prices a partition-carrying design for a query
 // subset (workload positions; the returned costs align with qs):
 // queries rewrite onto the fragments and plan with the full optimizer
-// against what-if fragment tables, memoized by (query, design.Key).
-// Concurrent callers pricing the same design share the plan calls
-// (costlab.Memo.Resolve).
+// against what-if fragment tables, memoized under their projected keys,
+// so a query reading no table the design changes is served by whatever
+// design priced its projection first. Concurrent callers pricing the
+// same design share the plan calls (costlab.Memo.Resolve).
 func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
-	key := design.Key(d)
-	keyID := ev.memo.InternCfgKey(key)
-	keys := make([]costlab.Key, len(qs))
-	for p, i := range qs {
-		keys[p] = costlab.Key{Stmt: ev.stmtIDs[i], Cfg: keyID}
-	}
+	keys := ev.keys(ev.full, d, qs)
 	costs, b, err := ev.memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
 		rw := design.Rewriter(ev.cat, d)
 		stmts := make([]*sql.Select, len(led))
@@ -206,7 +213,7 @@ func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs [
 			}
 			stmts[j] = rq
 		}
-		got, _, err := ev.full.PriceAll(ctx, costlab.Target{Design: d, NestLoop: true, Key: key}, stmts, ev.workers)
+		got, _, err := ev.full.PriceAll(ctx, costlab.Target{Design: d, NestLoop: true}, stmts, ev.workers)
 		return got, remapJobErr(err, missIdx)
 	})
 	ev.memoHits.Add(int64(b.Hits + b.Coalesced))

@@ -41,18 +41,16 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 	// pairs of candidates on the same table (a bitmap-AND plan uses
 	// two indexes of one table at once, so single-index pricing would
 	// undervalue synergistic pairs). The whole O(queries × (singles +
-	// pairs)) sweep is assembled up front and priced as one grouped
-	// batch over the worker pool: jobs [0, len(queries)) are the
-	// empty-configuration base costs, the rest carry one priced
-	// configuration each.
+	// pairs)) sweep is assembled up front and priced as one batch
+	// through the memo: jobs [0, len(queries)) are the empty-
+	// configuration base costs, the rest carry one priced configuration
+	// each. A candidate on a table the query never reads projects to
+	// the base key, so it is a hit, not a plan.
 	type priced struct {
 		q       int
 		members []int // candidate indexes of the configuration
 	}
-	jobs := make([]costlab.Job, len(queries))
-	for i, q := range queries {
-		jobs[i] = costlab.Job{Stmt: q.Stmt}
-	}
+	jobs := ev.indexJobs(nil, ev.all())
 	var sweep []priced
 	for qi, q := range queries {
 		// Candidates sargable for this query: leading column carries
@@ -63,7 +61,7 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 		sargable := sargableCandidates(p.Cat, q, candidates)
 		for ji, spec := range candidates {
 			sweep = append(sweep, priced{qi, []int{ji}})
-			jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: costlab.Config{spec}})
+			jobs = append(jobs, ev.indexJobs(costlab.Config{spec}, []int{qi})...)
 		}
 		for a := 0; a < len(sargable); a++ {
 			for b := a + 1; b < len(sargable); b++ {
@@ -73,21 +71,11 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 					continue
 				}
 				sweep = append(sweep, priced{qi, []int{ja, jb}})
-				jobs = append(jobs, costlab.Job{Stmt: q.Stmt, Config: costlab.Config{sa, sb}})
+				jobs = append(jobs, ev.indexJobs(costlab.Config{sa, sb}, []int{qi})...)
 			}
 		}
 	}
-	// The batch is built query-major (all configs of one query
-	// adjacent), which would serialize the INUM backend's shard
-	// mutexes; the grouped driver schedules it round-robin across
-	// queries instead. Every job is distinct by construction, so the
-	// sweep bypasses the memo.
-	costs, err := costlab.EvaluateAllGrouped(ctx, ev.est, jobs, func(i int) int {
-		if i < len(queries) {
-			return i
-		}
-		return sweep[i-len(queries)].q
-	}, ev.workers)
+	costs, err := ev.evaluateJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}

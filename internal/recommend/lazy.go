@@ -29,6 +29,14 @@ package recommend
 //     because no stale bound below it can beat an exact score above
 //     it. Most candidates are never re-priced in most rounds.
 //
+// Every cached entry is also in the evaluator's memo (the projected key
+// of an unchanged query is a hit there), but the cache is what decides
+// freshness: the bound and the evaluation budget's trial count depend
+// only on this search's own moves, never on what other searches or
+// design sessions left in a shared, possibly evicting, memo. Serving the
+// fresh entries from the memo instead would cost one key build and
+// probe each (34 008 on the benchmark's recommend.joint job).
+//
 // The sweep reproduces the exhaustive sweep's choices bit for bit:
 // exact scores are computed by patching the cached entries into the
 // current per-query vector and folding it in workload order — the
@@ -75,17 +83,10 @@ type lazyScorer struct {
 	current float64   // weighted total of curPer
 }
 
-// newLazyScorer analyzes the workload's footprints and sizes every
-// candidate once. The caller seeds the cost state with setBase.
+// newLazyScorer sizes every candidate once over the evaluator's
+// footprints. The caller seeds the cost state with setBase.
 func newLazyScorer(p *Problem) (*lazyScorer, error) {
-	ls := &lazyScorer{
-		ev:      p.Eval,
-		queries: p.Queries,
-		foot:    make([]*sql.Footprint, len(p.Queries)),
-	}
-	for i, q := range p.Queries {
-		ls.foot[i] = sql.FootprintOf(q.Stmt)
-	}
+	ls := &lazyScorer{ev: p.Eval, queries: p.Queries, foot: p.Eval.foot}
 	for i, spec := range p.IndexCandidates {
 		sz, err := p.Eval.SpecSizeBytes(spec)
 		if err != nil {

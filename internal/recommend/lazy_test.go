@@ -101,17 +101,7 @@ func lazyProblem(t *testing.T, opts Options) (*Problem, *physicalStub) {
 		t.Fatal(err)
 	}
 	stub := &physicalStub{}
-	ev := &Evaluator{
-		cat:     catalog.New(),
-		queries: queries,
-		workers: 1,
-		est:     stub,
-		memo:    costlab.NewMemo(),
-	}
-	for _, q := range queries {
-		ev.stmts = append(ev.stmts, q.Stmt)
-		ev.stmtIDs = append(ev.stmtIDs, ev.memo.InternStmt(q.Stmt))
-	}
+	ev := newEvaluator(catalog.New(), queries, stub, 1, nil)
 	var cands []inum.IndexSpec
 	for _, c := range []struct {
 		table string

@@ -3,7 +3,11 @@
 // in-package stub tests live in lazy_test.go). The reference is the
 // exhaustive-sweep oracle of oracle_test.go, selected by its test-only
 // strategy name: the loop must pick the identical move sequence while
-// pricing strictly less.
+// pricing strictly less. Both price through the evaluator's memo, whose
+// projected keys already serve every query a trial does not change, so
+// the loop's estimator work is a subset of the oracle's: what it saves
+// on top are the re-prices its CELF bound skips, which under the full
+// optimizer are plan calls the oracle pays.
 package recommend_test
 
 import (
@@ -67,15 +71,19 @@ func runWithOracle(t *testing.T, cat *catalog.Catalog, queries []recommend.Query
 	return lazy, oracle
 }
 
-// assertSavings checks that the lazy run priced strictly less than the
-// oracle and said so through its counters.
+// assertSavings checks that the lazy run evaluated and built strictly
+// less than the oracle, sent no more jobs to the estimator, and said so
+// through its counters.
 func assertSavings(t *testing.T, lazy, oracle *recommend.Result) {
 	t.Helper()
 	if lazy.Evaluations >= oracle.Evaluations {
 		t.Errorf("lazy priced no fewer candidate designs: %d >= %d", lazy.Evaluations, oracle.Evaluations)
 	}
-	if lazy.MemoMisses >= oracle.MemoMisses {
-		t.Errorf("lazy sent no fewer jobs to the estimator: %d >= %d", lazy.MemoMisses, oracle.MemoMisses)
+	if built, oracleBuilt := lazy.MemoHits+lazy.MemoMisses, oracle.MemoHits+oracle.MemoMisses; built >= oracleBuilt {
+		t.Errorf("lazy built no fewer pricing jobs: %d >= %d", built, oracleBuilt)
+	}
+	if lazy.MemoMisses > oracle.MemoMisses {
+		t.Errorf("lazy sent more jobs to the estimator: %d > %d", lazy.MemoMisses, oracle.MemoMisses)
 	}
 	if lazy.EvalsSkipped <= 0 || lazy.JobsPruned <= 0 {
 		t.Errorf("lazy run reported no savings: skipped %d, pruned %d", lazy.EvalsSkipped, lazy.JobsPruned)
@@ -97,19 +105,26 @@ func TestSeedLazyGreedyIdentity(t *testing.T) {
 
 // TestSeedLazyGreedyIdentityFullBackend: under the full optimizer, the
 // lazy greedy issues strictly fewer plan calls while producing the
-// identical design.
+// identical design, for index-only and joint searches alike.
 func TestSeedLazyGreedyIdentityFullBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-optimizer sweep is the slow path")
 	}
-	lazy, oracle := runWithOracle(t, testCatalog(t), seedWorkload(t), recommend.Options{
-		Objects:  recommend.ObjectsIndexes,
-		Strategy: recommend.StrategyGreedy,
-		Backend:  costlab.BackendFull,
-	})
-	assertSavings(t, lazy, oracle)
-	if lazy.PlanCalls >= oracle.PlanCalls {
-		t.Fatalf("lazy issued no fewer plan calls: %d >= %d", lazy.PlanCalls, oracle.PlanCalls)
+	for _, objects := range []string{recommend.ObjectsIndexes, recommend.ObjectsJoint} {
+		t.Run(objects, func(t *testing.T) {
+			lazy, oracle := runWithOracle(t, testCatalog(t), seedWorkload(t), recommend.Options{
+				Objects:  objects,
+				Strategy: recommend.StrategyGreedy,
+				Backend:  costlab.BackendFull,
+			})
+			assertSavings(t, lazy, oracle)
+			if lazy.MemoMisses >= oracle.MemoMisses {
+				t.Errorf("lazy sent no fewer jobs to the estimator: %d >= %d", lazy.MemoMisses, oracle.MemoMisses)
+			}
+			if lazy.PlanCalls >= oracle.PlanCalls {
+				t.Fatalf("lazy issued no fewer plan calls: %d >= %d", lazy.PlanCalls, oracle.PlanCalls)
+			}
+		})
 	}
 }
 
@@ -155,8 +170,12 @@ func TestJointLazyMatchesEager(t *testing.T) {
 	if len(oracle.Design.Indexes) == 0 {
 		t.Fatal("joint search chose no index — the test is not exercising the lazy sweep")
 	}
-	if lazy.PlanCalls >= oracle.PlanCalls {
-		t.Errorf("lazy issued no fewer plan calls: %d >= %d", lazy.PlanCalls, oracle.PlanCalls)
+	// On these four queries both pay 22 plan calls: every pair the
+	// CELF bound skips is one the oracle gets from the memo. The seed
+	// workload shows the strict saving
+	// (TestSeedLazyGreedyIdentityFullBackend).
+	if lazy.PlanCalls > oracle.PlanCalls {
+		t.Errorf("lazy issued more plan calls: %d > %d", lazy.PlanCalls, oracle.PlanCalls)
 	}
 }
 

@@ -23,8 +23,9 @@
 // The search space of the joint mode is genuinely joint: every round
 // may pick an index or a partitioning move, with one storage budget
 // shared across index bytes and partition replication. A search can be
-// warm-started from a design session's shared cost memo, so
-// configurations a DBA explored interactively are never re-priced.
+// warm-started from a design session's shared cost memo, so (query,
+// projected design) pairs a DBA priced interactively — partitioned and
+// nested-loops-off designs included — are never re-planned.
 //
 // Strategy names: "greedy" and "anytime" are the same search — the one
 // greedy loop, which with a zero Budget runs to convergence — except
@@ -139,8 +140,8 @@ type Options struct {
 	// Workers caps pricing parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Memo warm-starts pricing — typically a design session's shared
-	// cost memo. Its costs must come from the same backend kind this
-	// run uses.
+	// cost memo. Its keys carry the backend, so runs of either kind
+	// may share one.
 	Memo *costlab.Memo
 
 	// Budget bounds the search; the anytime strategy returns the best

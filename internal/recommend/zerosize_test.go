@@ -77,17 +77,7 @@ func zeroSizeProblem(t *testing.T, opts Options) (*Problem, inum.IndexSpec, inum
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &Evaluator{
-		cat:     catalog.New(),
-		queries: queries,
-		workers: 1,
-		est:     stub,
-		memo:    costlab.NewMemo(),
-	}
-	for _, q := range queries {
-		ev.stmts = append(ev.stmts, q.Stmt)
-		ev.stmtIDs = append(ev.stmtIDs, ev.memo.InternStmt(q.Stmt))
-	}
+	ev := newEvaluator(catalog.New(), queries, stub, 1, nil)
 	return &Problem{
 		Cat:             catalog.New(),
 		Queries:         queries,
@@ -156,11 +146,7 @@ func TestZeroSizeCandidateStillSelectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &Evaluator{cat: catalog.New(), queries: queries, workers: 1, est: stub, memo: costlab.NewMemo()}
-	for _, q := range queries {
-		ev.stmts = append(ev.stmts, q.Stmt)
-		ev.stmtIDs = append(ev.stmtIDs, ev.memo.InternStmt(q.Stmt))
-	}
+	ev := newEvaluator(catalog.New(), queries, stub, 1, nil)
 	p := &Problem{
 		Cat:             catalog.New(),
 		Queries:         queries,

@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/costlab"
 	"repro/internal/durable"
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -106,7 +105,6 @@ type snapshotFile struct {
 	WalSeq   uint64                `json:"walSeq"`
 	Sessions []durSessionRecord    `json:"sessions,omitempty"`
 	States   []session.SharedState `json:"states,omitempty"`
-	Costs    []costlab.CostRecord  `json:"costs,omitempty"`
 	Jobs     []durJobRecord        `json:"jobs,omitempty"`
 	JobSeq   int64                 `json:"jobSeq,omitempty"`
 }
@@ -526,7 +524,6 @@ func (m *Manager) buildSnapshot() *snapshotFile {
 	}
 
 	snap.States = m.shared.ExportStates()
-	snap.Costs = m.shared.Costs().Export()
 
 	m.jobMu.Lock()
 	snap.JobSeq = m.jobSeq
@@ -623,10 +620,7 @@ func (m *Manager) openDurable() error {
 	for _, st := range snap.States {
 		m.shared.RestoreState(st)
 	}
-	for _, c := range snap.Costs {
-		m.shared.Costs().Restore(c)
-	}
-	records += int64(len(snap.States)) + int64(len(snap.Costs))
+	records += int64(len(snap.States))
 	jobRecs := make(map[string]durJobRecord, len(snap.Jobs))
 	for _, jr := range snap.Jobs {
 		if jr.Status != nil {

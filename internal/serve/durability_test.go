@@ -174,11 +174,15 @@ func TestDurableSnapshotRecover(t *testing.T) {
 	}
 }
 
-// TestDurableRecoverIgnoresStoredExplains: data dirs written before
-// explains stopped being stored carry an "explain" in every shared
-// state, in the snapshot and in the WAL. Booting on such a dir must
-// bring back the same costs, signatures and depths with zero plan calls.
-func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
+// legacyDataDir edits one session's history against a -data-dir
+// manager — a snapshot cut between the edits, so shared states land in
+// the snapshot and in the WAL — crashes it, and copies the dir record
+// by record with editSnap applied to the decoded snapshot and editRec
+// to every decoded WAL record: the way data dirs written by earlier
+// versions are reproduced. It returns the copy and the session's
+// fingerprint before the crash.
+func legacyDataDir(t *testing.T, editSnap, editRec func(map[string]any)) (string, sessionFingerprint) {
+	t.Helper()
 	src := t.TempDir()
 	m1 := newDurableManager(t, src, Options{MaxSessions: 4})
 	if err := m1.Create("alpha", nil, 0); err != nil {
@@ -208,7 +212,6 @@ func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
 	want := fingerprint(t, m1, "alpha")
 	crash(t, m1)
 
-	// Copy the dir record by record, adding an explain to every state.
 	in, err := durable.Open(src, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -227,11 +230,6 @@ func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
 		}
 		return v
 	}
-	explained := 0
-	withExplain := func(st any) {
-		st.(map[string]any)["explain"] = "Seq Scan on photoobj  (cost=0.00..1.00 rows=1)\n"
-		explained++
-	}
 	encode := func(v any) []byte {
 		blob, err := json.Marshal(v)
 		if err != nil {
@@ -245,11 +243,7 @@ func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := decode(rec.Snapshot)
-	states, _ := snap["states"].([]any)
-	for _, st := range states {
-		withExplain(st)
-	}
-	inSnapshot := explained
+	editSnap(snap)
 	cut, err := out.Rotate()
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +253,7 @@ func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
 	}
 	for _, blob := range rec.Records {
 		r := decode(blob)
-		if r["t"] == walState {
-			withExplain(r["state"])
-		}
+		editRec(r)
 		if err := out.Append(encode(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -269,23 +261,79 @@ func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if inSnapshot == 0 || explained == inSnapshot {
-		t.Fatalf("explains injected into %d snapshot and %d WAL states; want both > 0", inSnapshot, explained-inSnapshot)
-	}
+	return dst, want
+}
 
-	m2 := newDurableManager(t, dst, Options{MaxSessions: 4})
-	defer m2.Close()
-	got := fingerprint(t, m2, "alpha")
+// assertBootsTo boots a manager on dir and checks that alpha comes
+// back with want's costs, design and depths, and zero plan calls.
+func assertBootsTo(t *testing.T, dir string, want sessionFingerprint) *Manager {
+	t.Helper()
+	m := newDurableManager(t, dir, Options{MaxSessions: 4})
+	t.Cleanup(func() { m.Close() })
+	got := fingerprint(t, m, "alpha")
 	if !bytes.Equal(got.costs, want.costs) || got.design != want.design || got.undo != want.undo || got.red != want.red {
-		t.Errorf("recovery from explain-carrying records differs:\n got %+v\nwant %+v", got, want)
+		t.Errorf("recovery differs:\n got %+v\nwant %+v", got, want)
 	}
-	if err := m2.Do("alpha", func(s *session.DesignSession) error {
+	if err := m.Do("alpha", func(s *session.DesignSession) error {
 		if pc := s.PlanCalls(); pc != 0 {
 			t.Errorf("recovery planned %d times, want 0", pc)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDurableRecoverIgnoresStoredExplains: data dirs written before
+// explains stopped being stored carry an "explain" in every shared
+// state, in the snapshot and in the WAL. Booting on such a dir must
+// bring back the same costs, signatures and depths with zero plan calls.
+func TestDurableRecoverIgnoresStoredExplains(t *testing.T) {
+	explained, inSnapshot := 0, 0
+	withExplain := func(st any) {
+		st.(map[string]any)["explain"] = "Seq Scan on photoobj  (cost=0.00..1.00 rows=1)\n"
+		explained++
+	}
+	dir, want := legacyDataDir(t, func(snap map[string]any) {
+		states, _ := snap["states"].([]any)
+		for _, st := range states {
+			withExplain(st)
+		}
+		inSnapshot = explained
+	}, func(r map[string]any) {
+		if r["t"] == walState {
+			withExplain(r["state"])
+		}
+	})
+	if inSnapshot == 0 || explained == inSnapshot {
+		t.Fatalf("explains injected into %d snapshot and %d WAL states; want both > 0", inSnapshot, explained-inSnapshot)
+	}
+	assertBootsTo(t, dir, want)
+}
+
+// TestDurableRecoverIgnoresStoredCosts: snapshots written while the
+// cost tier was persisted carry a "costs" section of (statement, whole
+// index-configuration key, cost) records. The section is dropped: a
+// boot decodes such a snapshot to the same costs and depths with zero
+// plan calls, and the cost tier starts empty — it warm-starts from the
+// restored states through its read-through instead.
+func TestDurableRecoverIgnoresStoredCosts(t *testing.T) {
+	var costs []any
+	dir, want := legacyDataDir(t, func(snap map[string]any) {
+		states, _ := snap["states"].([]any)
+		for _, st := range states {
+			st := st.(map[string]any)
+			costs = append(costs, map[string]any{"stmt": st["stmt"], "cfg": "photoobj(ra)", "cost": st["cost"]})
+		}
+		snap["costs"] = costs
+	}, func(map[string]any) {})
+	if len(costs) == 0 {
+		t.Fatal("the snapshot carried no states to derive a costs section from")
+	}
+	m := assertBootsTo(t, dir, want)
+	if st := m.shared.Costs().Stats(); st.Entries != 0 || st.InternedDesigns != 0 {
+		t.Errorf("the stored costs section reached the cost tier: %+v", st)
 	}
 }
 

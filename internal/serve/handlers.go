@@ -239,7 +239,6 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 			st := s.Stats()
 			sp.AddPlanCalls(st.PlanCalls)
 			sp.AddSharedHits(st.SharedHits)
-			sp.AddLocalHits(st.MemoHits - st.SharedHits)
 			sp.AddLed(st.MemoMisses)
 		}
 		return nil

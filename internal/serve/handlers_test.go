@@ -304,8 +304,8 @@ func TestAPIStatsConcurrencyCounters(t *testing.T) {
 
 	// Every distinct one-, two-, and three-column index over the
 	// gauntlet's columns: each round burns one, never repeating, so no
-	// tenant's session-local memo can absorb the edit — all four must
-	// go to the shared memo for the same cold states.
+	// state is in the shared memo yet — all four tenants must go to it
+	// for the same cold states.
 	cols := []string{"ra", "dec", "run", "camcol", "field", "htmid"}
 	var specs [][]string
 	for _, a := range cols {

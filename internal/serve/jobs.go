@@ -24,10 +24,11 @@ import (
 // context cancellation, and the anytime strategy still surfaces the
 // best design found before the cancel.
 //
-// Jobs snapshot the session's workload and shared cost memo at start
-// and then run independently: session edits, eviction, even dropping
-// the session do not disturb a running search, and every configuration
-// any tenant priced warm-starts the job through the shared memo.
+// Jobs snapshot the session's workload at start and then run
+// independently: session edits, eviction, even dropping the session do
+// not disturb a running search, and every (query, projected design)
+// any tenant priced warm-starts the job through the shared cost tier's
+// read-through.
 
 // maxRecommendJobs caps the job registry; finished jobs are evicted
 // oldest-first to make room.
@@ -172,9 +173,11 @@ func (m *Manager) StartRecommend(name string, req RecommendJobRequest, requestID
 		CompressQueries: req.CompressQueries,
 		MaxCandidates:   req.MaxCandidates,
 		Workers:         req.Workers,
-		// The shared memo holds full-optimizer costs, so the backend
-		// is forced to match — an INUM search would mix incomparable
-		// cost units on memo hits (same rule as session.Recommend).
+		// Memo keys carry their backend, so any backend could share the
+		// memo; the pin is the default search (same as
+		// session.Recommend) until INUM-scored searches are verified
+		// against the optimizer. Only full-optimizer misses read the
+		// tenants' states through.
 		Backend: costlab.BackendFull,
 		Memo:    m.shared.Costs(),
 		Budget: recommend.Budget{

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/design"
+	"repro/internal/inum"
 	"repro/internal/recommend"
+	"repro/internal/session"
 	"repro/internal/workload"
 )
 
@@ -369,5 +372,53 @@ func TestRecommendJobWarmStart(t *testing.T) {
 	if fmt.Sprint(second.Result.Indexes) != fmt.Sprint(first.Result.Indexes) {
 		t.Errorf("warm-started job diverged:\n first  %v\n second %v",
 			first.Result.Indexes, second.Result.Indexes)
+	}
+}
+
+// TestRecommendJobWarmStartsFromSessionStates: a recommend job on a
+// tenant reads every state the tenant priced interactively through the
+// cost tier — a partitioning, an index, and a design with nested loops
+// off — so it plans only what nobody priced yet. The count is exact; a
+// cost tier fed only by index-only, nested-loops-on designs, whose
+// partition trials also kept the dead indexes of the table they split,
+// paid 330 plan calls for the same script.
+func TestRecommendJobWarmStartsFromSessionStates(t *testing.T) {
+	ts, m := testServer(t, Options{})
+	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "dba"}, http.StatusCreated, nil)
+	queries, err := recommend.ParseWorkload(testWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := design.Partition{Table: "photoobj", Fragments: recommend.AtomicFragments(m.cat.Table("photoobj"), queries)}
+	if err := m.Do("dba", func(s *session.DesignSession) error {
+		for _, edit := range []func() (*session.InteractiveReport, error){
+			func() (*session.InteractiveReport, error) { return s.AddPartition(split) },
+			func() (*session.InteractiveReport, error) { return s.DropPartition("photoobj") },
+			func() (*session.InteractiveReport, error) {
+				return s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}})
+			},
+			func() (*session.InteractiveReport, error) { return s.SetNestLoop(false) },
+			func() (*session.InteractiveReport, error) {
+				return s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"dec"}})
+			},
+		} {
+			if _, err := edit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var started RecommendJobStatus
+	call(t, ts, "POST", "/sessions/dba/recommend",
+		RecommendJobRequest{Objects: "joint", Strategy: "greedy"}, http.StatusAccepted, &started)
+	done := pollJob(t, ts, "dba", started.ID)
+	if done.State != JobDone {
+		t.Fatalf("job: %q (%s)", done.State, done.Error)
+	}
+	if got, want := done.Result.PlanCalls, int64(294); got != want {
+		t.Errorf("warm-started job paid %d plan calls, want %d", got, want)
 	}
 }

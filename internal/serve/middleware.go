@@ -32,7 +32,7 @@ type metrics struct {
 
 	// Memo-outcome attribution aggregated from request spans: how the
 	// states each request needed were satisfied.
-	pricingLocal, pricingShared, pricingLed, pricingCoalesced *obs.Counter
+	pricingShared, pricingLed, pricingCoalesced *obs.Counter
 
 	ingestAccepted, ingestRejected *obs.Counter
 	tunerRetunes, tunerErrors      *obs.Counter
@@ -60,8 +60,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		httpSeconds:  reg.Histogram("parinda_http_request_seconds", "HTTP request latency."),
 		httpInflight: reg.Gauge("parinda_http_inflight_requests", "Requests currently being served."),
 		slowRequests: reg.Counter("parinda_http_slow_requests_total", "Requests slower than the -slow-ms threshold."),
-		pricingLocal: reg.Counter("parinda_pricing_states_total",
-			"Query states requests needed, by how each was satisfied.", "outcome", "local_hit"),
 		pricingShared: reg.Counter("parinda_pricing_states_total",
 			"Query states requests needed, by how each was satisfied.", "outcome", "shared_hit"),
 		pricingLed: reg.Counter("parinda_pricing_states_total",
@@ -105,7 +103,6 @@ func (mt *metrics) jobFinished(state string) {
 // recordSpan folds one finished request's span into the aggregate
 // memo-outcome and per-tenant counters.
 func (mt *metrics) recordSpan(sp *obs.Span) {
-	mt.pricingLocal.Add(sp.LocalHits())
 	mt.pricingShared.Add(sp.SharedHits())
 	mt.pricingLed.Add(sp.Led())
 	mt.pricingCoalesced.Add(sp.Coalesced())
@@ -231,7 +228,6 @@ func (m *Manager) instrument(next http.Handler) http.Handler {
 				"status", code,
 				"elapsedMs", float64(dur.Microseconds()) / 1e3,
 				"planCalls", sp.PlanCalls(),
-				"localHits", sp.LocalHits(),
 				"sharedHits", sp.SharedHits(),
 				"led", sp.Led(),
 				"coalesced", sp.Coalesced(),

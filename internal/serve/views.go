@@ -63,10 +63,10 @@ func (m *Manager) registerViews() {
 	// Shared memo, cost tier: the advisor warm-start pool.
 	costs := func() flight.Stats { return m.shared.Costs().Stats().Stats }
 	reg.GaugeFunc("parinda_shared_cost_entries",
-		"Recorded (query, configuration) costs in the shared cost tier.",
+		"Recorded (query, projected design) costs in the shared cost tier.",
 		func() float64 { return float64(costs().Entries) })
 	reg.CounterFunc("parinda_shared_cost_hits_total",
-		"Cost-tier lookups served from the memo.",
+		"Cost-tier lookups served from the memo or read through the state tier.",
 		func() float64 { return float64(costs().Hits) })
 	reg.CounterFunc("parinda_shared_cost_misses_total",
 		"Cost-tier lookups that found nothing.",

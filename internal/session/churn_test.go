@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/intern"
@@ -50,8 +51,8 @@ func TestSharedMemoChurnedSessionsDoNotLeak(t *testing.T) {
 		t.Errorf("statement interner grew %d -> %d over %d churned sessions",
 			base.Costs.InternedStmts, st.Costs.InternedStmts, rounds)
 	}
-	if st.Costs.InternedCfgs != base.Costs.InternedCfgs {
-		t.Errorf("config interner grew %d -> %d", base.Costs.InternedCfgs, st.Costs.InternedCfgs)
+	if st.Costs.InternedDesigns != base.Costs.InternedDesigns {
+		t.Errorf("design interner grew %d -> %d", base.Costs.InternedDesigns, st.Costs.InternedDesigns)
 	}
 	if st.States != base.States {
 		t.Errorf("state tier grew %d -> %d", base.States, st.States)
@@ -129,10 +130,28 @@ func TestSharedMemoCapBoundsChurn(t *testing.T) {
 
 	pass(false)
 	end := shared.Stats()
-	if end.Costs.InternedStmts != mid.Costs.InternedStmts || end.Costs.InternedCfgs != mid.Costs.InternedCfgs {
+	if end.Costs.InternedStmts != mid.Costs.InternedStmts || end.Costs.InternedDesigns != mid.Costs.InternedDesigns {
 		t.Errorf("cost-tier interners grew on a repeat pass: %+v -> %+v", mid.Costs, end.Costs)
 	}
 	if end.Evictions <= mid.Evictions {
 		t.Errorf("repeat pass over a saturated memo evicted nothing: %d -> %d", mid.Evictions, end.Evictions)
+	}
+
+	// A pass over designs nobody priced before — the edit.cold walk:
+	// sessions intern nothing into the cost tier, so under the cap
+	// nothing there grows with the designs they visit.
+	var fresh []inum.IndexSpec
+	for _, spec := range specs {
+		fresh = append(fresh, inum.IndexSpec{Table: "photoobj", Columns: append(slices.Clone(spec.Columns), "type")})
+	}
+	specs = fresh
+	pass(true)
+	novel := shared.Stats()
+	if novel.Costs.InternedStmts != end.Costs.InternedStmts || novel.Costs.InternedDesigns != end.Costs.InternedDesigns ||
+		novel.Costs.Entries != end.Costs.Entries {
+		t.Errorf("cost tier grew over never-seen designs: %+v -> %+v", end.Costs, novel.Costs)
+	}
+	if novel.States > capTotal {
+		t.Errorf("state tier holds %d states, cap is %d", novel.States, capTotal)
 	}
 }

@@ -20,15 +20,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
 	"repro/internal/design"
-	"repro/internal/flight"
 	"repro/internal/inum"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -97,9 +94,9 @@ func (r *InteractiveReport) Speedup() float64 {
 // Stats reports a session's incremental-pricing counters.
 type Stats struct {
 	MemoHits    int64 // repricings served from a memo, no optimizer call
-	SharedHits  int64 // of those, served from the cross-session SharedMemo
+	SharedHits  int64 // of those, served from the SharedMemo (all of them: it is the session's memo)
 	MemoMisses  int64 // repricings that planned with the optimizer
-	MemoEntries int   // memoized (query, design-signature) states
+	MemoEntries int   // (query, design-signature) states in the session's SharedMemo
 	PlanCalls   int64 // full optimizer invocations, session lifetime
 	Invalidated int   // queries invalidated by the last edit
 	Repriced    int   // of those, queries that needed an optimizer call
@@ -113,31 +110,25 @@ type Options struct {
 	Workers int
 
 	// Shared, when non-nil, plugs the session into a cross-session
-	// pricing memo: repricings missing the session's own memo are
-	// served from states other sessions over the same catalog already
-	// priced, and every state this session prices is published back.
+	// pricing memo: repricings are served from states any session over
+	// the same catalog already priced, and every state this session
+	// prices is published to it.
 	// The serve layer hands every tenant the same SharedMemo, so an
 	// edit one tenant priced costs every other tenant zero optimizer
-	// calls. The session's cost memo (Memo()) is the SharedMemo's
-	// cost tier instead of a private one.
+	// calls. Nil gives the session a private SharedMemo.
 	Shared *SharedMemo
 }
 
 // queryState is the memoized pricing of one query under one projected
 // design: everything the report needs, so a memo hit re-plans nothing.
-// States are retained for the session's (and, via SharedMemo, the
-// process's) lifetime, so they hold only flat strings — no ASTs — and
-// name indexes by design key, never by a session's what-if name: the
-// local memo and the shared tier hold the same pointer.
+// States live in the SharedMemo's state tier for the process's lifetime
+// (or until its cap evicts them), so they hold only flat strings — no
+// ASTs — and name indexes by design key, never by a session's what-if
+// name: every session reading a state shares its pointer.
 type queryState struct {
 	rewrittenSQL string
 	cost         float64
 	indexesUsed  []string // design-index keys, sorted
-}
-
-type memoKey struct {
-	qi  int
-	sig string
 }
 
 // snapshot captures everything an undo (or a failed edit's rollback)
@@ -168,16 +159,8 @@ type DesignSession struct {
 
 	states    []*queryState // current pricing, one per query
 	baseCosts []float64     // empty-design costs, fixed at creation
-	memo      map[memoKey]*queryState
-	shared    *costlab.Memo // cost-only mirror; advisors warm-start from it
-	stmtIDs   []uint32      // query identities interned in shared, for memo keys
-
-	// published records the design signatures this session has already
-	// mirrored into the shared cost memo. The memo is append-only and
-	// insert-once, so once a signature's (query, config) costs are in,
-	// revisiting that design (undo/redo, benchmark loops) can skip the
-	// whole publication — including rebuilding the config-key string.
-	published map[string]bool
+	shared    *SharedMemo   // opts.Shared, or the session's own: the session's one memo
+	stmtIDs   []uint32      // query identities interned in shared's cost tier, for state keys
 
 	memoHits, memoMisses, planCalls int64
 	sharedHits                      int64
@@ -212,9 +195,8 @@ type Workload struct {
 	queries  []recommend.Query
 	foot     []*sql.Footprint
 	stmtKeys []string // canonical printed identities, interned at session birth
-	// class is each query's footprint class: its sorted table set plus
-	// whether it names two or more relations — all of a footprint that
-	// design.ProjectedKey reads, so a class shares one key per design.
+	// class is each query's footprint class (design.Classes): a class
+	// shares one projected key per design.
 	class []int
 }
 
@@ -229,24 +211,12 @@ func ParseWorkload(workloadSQL []string) (*Workload, error) {
 		queries:  queries,
 		foot:     make([]*sql.Footprint, len(queries)),
 		stmtKeys: make([]string, len(queries)),
-		class:    make([]int, len(queries)),
 	}
-	classOf := map[string]int{}
 	for i, q := range queries {
-		fp := sql.FootprintOf(q.Stmt)
-		wl.foot[i] = fp
+		wl.foot[i] = sql.FootprintOf(q.Stmt)
 		wl.stmtKeys[i] = sql.PrintSelect(q.Stmt)
-		key := strings.Join(slices.Sorted(maps.Keys(fp.Tables)), ",")
-		if fp.Relations >= 2 {
-			key += ";join"
-		}
-		c, ok := classOf[key]
-		if !ok {
-			c = len(classOf)
-			classOf[key] = c
-		}
-		wl.class[i] = c
 	}
+	wl.class = design.Classes(wl.foot)
 	return wl, nil
 }
 
@@ -273,19 +243,17 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 		fragParent: map[string]string{},
 		rewrites:   make([]*rewritten, len(wl.queries)),
 		states:     make([]*queryState, len(wl.queries)),
-		memo:       map[memoKey]*queryState{},
-		shared:     costlab.NewMemo(),
-		published:  map[string]bool{},
+		shared:     opts.Shared,
 	}
-	if opts.Shared != nil {
-		s.shared = opts.Shared.costs
+	if s.shared == nil {
+		s.shared = NewSharedMemo()
 	}
-	// Intern the query identities once, at session birth; every memo
+	// Intern the query identities once, at session birth; every state
 	// probe afterwards is by dense id. Ids are memo-specific, so they
-	// are interned into whichever memo this session shares.
+	// are interned into the memo this session shares.
 	s.stmtIDs = make([]uint32, len(wl.stmtKeys))
 	for i, key := range wl.stmtKeys {
-		s.stmtIDs[i] = s.shared.InternStmtKey(key)
+		s.stmtIDs[i] = s.shared.costs.InternStmtKey(key)
 	}
 	// Price the empty design: every query is "invalidated" once.
 	all := make(map[int]bool, len(wl.queries))
@@ -299,7 +267,6 @@ func NewFromWorkload(cat *catalog.Catalog, wl *Workload, opts Options) (*DesignS
 	for qi, st := range s.states {
 		s.baseCosts[qi] = st.cost
 	}
-	s.publishShared()
 	return s, nil
 }
 
@@ -321,7 +288,7 @@ func (s *DesignSession) Stats() Stats {
 		MemoHits:    s.memoHits,
 		SharedHits:  s.sharedHits,
 		MemoMisses:  s.memoMisses,
-		MemoEntries: len(s.memo),
+		MemoEntries: s.shared.states.Len(),
 		PlanCalls:   s.planCalls,
 		Invalidated: s.lastInvalidated,
 		Repriced:    s.lastRepriced,
@@ -336,21 +303,22 @@ func (s *DesignSession) PlanCalls() int64 { return s.planCalls }
 // The caller owns the span; the session never outlives its use of it.
 func (s *DesignSession) SetSpan(sp *obs.Span) { s.span = sp }
 
-// Memo exposes the session's cost memo: full-optimizer costs keyed by
-// (query, index configuration), maintained whenever the design is
-// partition-free. Advisors warm-start from it.
-func (s *DesignSession) Memo() *costlab.Memo { return s.shared }
+// Memo exposes the session's cost memo, the SharedMemo's cost tier: it
+// reads every state this session (or any session sharing its memo)
+// priced through, so advisors warm-start from it.
+func (s *DesignSession) Memo() *costlab.Memo { return s.shared.costs }
 
 // Recommend runs the unified recommender over the session's workload,
-// warm-started from the session's cost memo: configurations the DBA
-// already priced interactively are never re-batched. It is the one
-// route behind the serve layer's /suggest and asynchronous recommend
-// jobs and the REPL's `suggest`. The memo holds full-optimizer costs,
-// so the backend is forced to "full". ctx cancels (or budget-bounds)
-// the search, which returns its best-so-far design.
+// warm-started from the session's cost memo: (query, projected design)
+// pairs the DBA already priced interactively are never re-planned. It
+// is the one route behind the serve layer's /suggest and asynchronous
+// recommend jobs and the REPL's `suggest`. The backend is forced to
+// "full": the default search is the full-optimizer one, and only its
+// misses read the session states through. ctx cancels (or
+// budget-bounds) the search, which returns its best-so-far design.
 func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (*recommend.Result, error) {
 	opts.Backend = costlab.BackendFull
-	opts.Memo = s.shared
+	opts.Memo = s.shared.costs
 	if opts.Workers == 0 {
 		opts.Workers = s.opts.Workers
 	}
@@ -667,7 +635,6 @@ func (s *DesignSession) edit(target design.Design, targetNL bool) (*InteractiveR
 		}
 		return nil, err
 	}
-	s.publishShared()
 	s.undo = append(s.undo, prev)
 	return s.Report(), nil
 }
@@ -761,10 +728,11 @@ const parallelRepriceThreshold = 4
 // parallel when the miss set is large). All-or-nothing — on error no
 // state or edit counter changes; the memo keeps only valid states.
 //
-// Under a SharedMemo the local misses resolve through its state tier
-// (flight.Cache.Resolve): states another session already published are
-// served, states another session is planning right now are waited on,
-// and this session plans only the states it leads.
+// Every invalidated query resolves through the SharedMemo's state tier
+// (flight.Cache.Resolve), the session's one memo: states any session
+// already published are served, states another session is planning
+// right now are waited on, and this session plans only the states it
+// leads.
 func (s *DesignSession) reprice(inval map[int]bool) error {
 	if len(inval) == 0 {
 		s.lastInvalidated, s.lastRepriced = 0, 0
@@ -787,69 +755,39 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 
 	// The memoized state carries its own rewritten form; only misses
 	// pay for a rewrite.
-	fresh := map[int]*queryState{}
-	var missing []int // queries the local memo misses
-	for _, qi := range idxs {
-		if st, ok := s.memo[memoKey{qi, sigs[s.wl.class[qi]]}]; ok {
-			fresh[qi] = st
-		} else {
-			missing = append(missing, qi)
+	price := func(led []int) ([]*queryState, error) {
+		misses := make([]pendingPrice, len(led))
+		for j, m := range led {
+			target, printed, err := s.target(idxs[m])
+			if err != nil {
+				return nil, err
+			}
+			misses[j] = pendingPrice{qi: idxs[m], target: target, sql: printed}
 		}
+		return s.plan(misses)
+	}
+	keys := make([]stateKey, len(idxs))
+	for j, qi := range idxs {
+		keys[j] = stateKey{s.stmtIDs[qi], sigs[s.wl.class[qi]]}
 	}
 	pc0 := s.planCalls
-	var b flight.Batch
-	if len(missing) > 0 {
-		price := func(led []int) ([]*queryState, error) {
-			misses := make([]pendingPrice, len(led))
-			for j, m := range led {
-				target, printed, err := s.target(missing[m])
-				if err != nil {
-					return nil, err
-				}
-				misses[j] = pendingPrice{qi: missing[m], target: target, sql: printed}
-			}
-			return s.plan(misses)
-		}
-		var got []*queryState
-		var err error
-		if sh := s.opts.Shared; sh != nil {
-			keys := make([]stateKey, len(missing))
-			for j, qi := range missing {
-				keys[j] = stateKey{s.stmtIDs[qi], sigs[s.wl.class[qi]]}
-			}
-			got, b, err = sh.states.Resolve(context.Background(), keys, price)
-		} else {
-			led := make([]int, len(missing))
-			for j := range led {
-				led[j] = j
-			}
-			got, err = price(led)
-			b.Led = len(led)
-		}
-		if err != nil {
-			return err
-		}
-		for j, qi := range missing {
-			fresh[qi] = got[j]
-			s.memo[memoKey{qi, sigs[s.wl.class[qi]]}] = got[j]
-		}
+	got, b, err := s.shared.states.Resolve(context.Background(), keys, price)
+	if err != nil {
+		return err
 	}
 	// Commit — nothing above this point mutated session state (the
-	// local memo and shared tier only ever gain valid priced states),
-	// so a failed edit leaves states and counters describing the last
-	// successful one.
-	for qi, st := range fresh {
-		s.states[qi] = st
+	// state tier only ever gains valid priced states), so a failed edit
+	// leaves states and counters describing the last successful one.
+	for j, qi := range idxs {
+		s.states[qi] = got[j]
 	}
-	hits := len(idxs) - len(missing)
-	sharedHits := b.Hits + b.Coalesced
-	s.memoHits += int64(hits + sharedHits)
-	s.sharedHits += int64(sharedHits)
+	hits := b.Hits + b.Coalesced
+	s.memoHits += int64(hits)
+	s.sharedHits += int64(hits)
 	s.memoMisses += int64(b.Led)
 	s.lastInvalidated = len(inval)
 	s.lastRepriced = b.Led
-	s.span.AddLocalHits(int64(hits))
-	s.span.AddSharedHits(int64(sharedHits))
+	s.span.AddSharedHits(int64(hits))
 	s.span.AddCoalesced(int64(b.Coalesced))
 	s.span.AddLed(int64(b.Led))
 	s.span.AddPlanCalls(s.planCalls - pc0)
@@ -904,35 +842,4 @@ func (s *DesignSession) plan(misses []pendingPrice) ([]*queryState, error) {
 		states[i] = &queryState{rewrittenSQL: p.sql, cost: costs[i], indexesUsed: used[i]}
 	}
 	return states, nil
-}
-
-// publishShared mirrors the current per-query costs into the shared
-// cost memo when the design is expressible as a plain index
-// configuration (no partitions, nested loops enabled) — exactly the
-// shape advisor pricing jobs have.
-func (s *DesignSession) publishShared() {
-	d := s.held.Design()
-	if len(d.Partitions) > 0 || !s.held.NestLoop() {
-		return
-	}
-	// A design this session already published needs nothing: the memo
-	// is append-only and insert-once, so every (query, config) cost is
-	// still there. The signature determines the config for the designs
-	// this path accepts (index-only, nested loops on), and it is
-	// already cached on the what-if session.
-	sig := s.Signature()
-	if s.published[sig] {
-		return
-	}
-	// If-absent: revisits racing other sessions must not read as
-	// duplicated pricing work in the memo's contention stats. The
-	// config is interned once per edit; the per-query stores are then
-	// lock-free uint32 probes whenever the (query, config) pair is
-	// already published — the steady state of tenants revisiting known
-	// designs.
-	cfgID := s.shared.InternConfig(costlab.Config(d.Indexes))
-	for qi := range s.wl.queries {
-		s.shared.StoreIDIfAbsent(costlab.Key{Stmt: s.stmtIDs[qi], Cfg: cfgID}, s.states[qi].cost)
-	}
-	s.published[sig] = true
 }

@@ -5,9 +5,11 @@ package session_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -498,5 +500,69 @@ func TestSessionFragmentNameCollision(t *testing.T) {
 	}
 	if s.Signature() != sig {
 		t.Error("rejected partition mutated the session")
+	}
+}
+
+// TestRecommendReadsStatesThroughUnderConcurrentEdits: advisors read
+// the cost tier through while tenants publish states into the same
+// SharedMemo. Every search lands on the design and cost a cold search
+// finds — a read-through answer is the optimizer's own cost — and the
+// race detector sees no unsynchronized access.
+func TestRecommendReadsStatesThroughUnderConcurrentEdits(t *testing.T) {
+	cat := seedCatalog(t, 50000)
+	wl := workload.Queries()[:8]
+	queries, err := recommend.ParseWorkload(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := recommend.Options{Objects: recommend.ObjectsIndexes, Strategy: recommend.StrategyGreedy, Backend: costlab.BackendFull}
+	cold, err := recommend.Recommend(context.Background(), cat, queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []inum.IndexSpec{
+		{Table: "photoobj", Columns: []string{"ra"}},
+		{Table: "photoobj", Columns: []string{"dec", "ra"}},
+		{Table: "photoobj", Columns: []string{"ra", "dec"}},
+		{Table: "photoobj", Columns: []string{"htmid"}},
+	}
+	shared := session.NewSharedMemo()
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs <- func() error {
+				s, err := session.New(cat, wl, session.Options{Shared: shared})
+				if err != nil {
+					return err
+				}
+				if g%2 == 0 {
+					for _, spec := range specs {
+						if _, err := s.AddIndex(spec); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				res, err := s.Recommend(context.Background(), opts)
+				if err != nil {
+					return err
+				}
+				if design.Key(res.Design) != design.Key(cold.Design) || res.NewCost != cold.NewCost {
+					return fmt.Errorf("search %d found %s at %v, a cold search %s at %v",
+						g, design.Key(res.Design), res.NewCost, design.Key(cold.Design), cold.NewCost)
+				}
+				return nil
+			}()
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -14,19 +14,23 @@ import (
 // every other tenant with zero optimizer calls — including the
 // workload-sized base pricing a fresh session performs at creation.
 //
-// It has two tiers. The state tier holds full query states (cost,
-// rewrite, indexes used — named by design key, so sessions whose
-// what-if name counters diverged still exchange states) keyed by
-// (statement id, projected design signature). The cost tier is a
-// costlab.Memo holding plain (query, index-configuration) costs; it
-// doubles as every attached session's Memo(), so advisor warm starts
-// see the union of all tenants' pricing work. Statement ids are
-// interned once, in the cost tier's interner, when a session is born,
-// so the per-edit probe path hashes an id and the signature string,
-// lock-free (the state tier is sharded, each shard an atomic-snapshot
-// map, see intern.Bounded), instead of taking an RWMutex over full
-// printed-SQL keys. Signatures are not interned: a key lives exactly as
-// long as its state, so an evicted state frees it.
+// It has two tiers, both keyed by the one pricing identity (statement,
+// projected design — design.ProjectedKey). The state tier holds full
+// query states (cost, rewrite, indexes used — named by design key, so
+// sessions whose what-if name counters diverged still exchange states)
+// that design sessions price. The cost tier is the costlab.Memo behind
+// every attached session's Memo() and the serve layer's recommend
+// jobs: it holds plain costs under (statement, backend-tagged projected
+// key) and reads the state tier through on a full-optimizer miss, so
+// an advisor warm-starts from every state any tenant priced —
+// partitioned and nested-loops-off designs included — without
+// sessions mirroring anything into it. Statement ids are interned
+// once, in the cost tier's interner, when a session is born, so the
+// per-edit probe path hashes an id and the signature string, lock-free
+// (the state tier is sharded, each shard an atomic-snapshot map, see
+// intern.Bounded), instead of taking an RWMutex over full printed-SQL
+// keys. Signatures are not interned in the state tier: a key lives
+// exactly as long as its state, so an evicted state frees it.
 //
 // The memo dedups in-flight work, not just completed work: both tiers
 // are flight.Caches, so a state one session is still planning is
@@ -46,8 +50,9 @@ import (
 // The cap trades the "revisit for free" contract down to "revisit the
 // states you keep warm for free": an evicted state is not an error,
 // it simply re-misses and re-prices (and re-publishes) on next use,
-// while the cost tier's interners — whose ids keep evicted states
-// re-publishable under stable keys — stay append-only in both modes.
+// while the cost tier's interners — whose ids keep evicted costs
+// re-priceable under stable keys — stay append-only in both modes and
+// grow only with what advisors price.
 // States hold only flat strings to keep entries small, and Stats
 // (per-shard sizes, evictions, in-flight counters) is the operator's
 // watch on all of it.
@@ -73,20 +78,28 @@ func NewSharedMemo() *SharedMemo { return NewSharedMemoBounded(0) }
 
 // NewSharedMemoBounded returns an empty shared memo whose state and
 // cost tiers are each capped at roughly capTotal entries (0 =
-// unbounded), spread over intern.DefaultShards CLOCK-evicting shards.
-// See the type comment for what the cap does to the revisit-for-free
-// contract.
+// unbounded), spread over intern.DefaultShards CLOCK-evicting shards,
+// with the cost tier reading the state tier through. See the type
+// comment for what the cap does to the revisit-for-free contract.
 func NewSharedMemoBounded(capTotal int) *SharedMemo {
 	seed := maphash.MakeSeed()
-	return &SharedMemo{
-		costs: costlab.NewMemoBounded(capTotal),
+	m := &SharedMemo{
 		states: flight.NewCache[stateKey, *queryState](capTotal, func(k stateKey) uint32 {
 			return intern.Mix32(k.stmt, uint32(maphash.String(seed, k.sig)))
 		}),
 	}
+	m.costs = costlab.NewMemoBounded(capTotal, func(stmt uint32, sig string) (float64, bool) {
+		// Peek: the cost tier counts this read, the state tier does not.
+		st, ok := m.states.Peek(stateKey{stmt, sig})
+		if !ok {
+			return 0, false
+		}
+		return st.cost, true
+	})
+	return m
 }
 
-// Costs exposes the memo's cost tier (full-optimizer costs only).
+// Costs exposes the memo's cost tier.
 func (m *SharedMemo) Costs() *costlab.Memo { return m.costs }
 
 // SharedStats reports a shared memo's lifetime counters.
