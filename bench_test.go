@@ -1,11 +1,13 @@
 package repro
 
-// The experiment harness: one benchmark per experiment in DESIGN.md's
-// index (E1–E8). PARINDA is a demo paper without numbered result
-// tables; its quantitative claims are reproduced here and the measured
-// numbers are recorded in EXPERIMENTS.md.
+// The experiment harness: one benchmark per paper claim E1–E8 (the
+// rows of REPRODUCTION.md), plus benchmarks that hold the engine's
+// own contracts (incremental edits, shared memo, recovery). PARINDA
+// is a demo paper without numbered result tables; each E-benchmark
+// reproduces one of its quantitative claims and fails (b.Fatalf) when
+// the claim's direction flips, so the CI benchmark step is the check.
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench='E[1-8]_' -benchtime=1x .
 //
 // Custom metrics reported via b.ReportMetric:
 //	speedup     workload cost(before) / cost(after)
@@ -30,13 +32,11 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/costlab"
 	"repro/internal/design"
 	"repro/internal/durable"
 	"repro/internal/ingest"
 	"repro/internal/inum"
-	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
 	"repro/internal/serve"
@@ -83,8 +83,10 @@ func BenchmarkE1_WhatIfVsBuild(b *testing.B) {
 	for _, scale := range []int64{20000, 60000} {
 		db := populated(nil2b(b), scale)
 		q := mustSelect(b, "SELECT objid FROM photoobj WHERE ra BETWEEN 100 AND 100.3")
+		var simulate, build time.Duration // per op; zero when filtered out
 
 		b.Run(fmt.Sprintf("Simulate/rows=%d", scale), func(b *testing.B) {
+			defer func() { simulate = b.Elapsed() / time.Duration(b.N) }()
 			session := whatif.NewSession(db.Catalog)
 			for i := 0; i < b.N; i++ {
 				ix, err := session.CreateIndex("photoobj", []string{"ra"})
@@ -100,6 +102,7 @@ func BenchmarkE1_WhatIfVsBuild(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("Build/rows=%d", scale), func(b *testing.B) {
+			defer func() { build = b.Elapsed() / time.Duration(b.N) }()
 			for i := 0; i < b.N; i++ {
 				name := fmt.Sprintf("bench_ix_%d_%d", scale, i)
 				ci := &sql.CreateIndex{Name: name, Table: "photoobj", Columns: []string{"ra"}}
@@ -115,6 +118,10 @@ func BenchmarkE1_WhatIfVsBuild(b *testing.B) {
 				}
 			}
 		})
+		if simulate > 0 && build > 0 && build < 100*simulate {
+			b.Fatalf("rows=%d: building took %v, simulating %v — want building >= 100x slower",
+				scale, build, simulate)
+		}
 	}
 }
 
@@ -127,7 +134,6 @@ func nil2b(b *testing.B) *testing.B { return b }
 
 func BenchmarkE2_InteractiveEvaluate(b *testing.B) {
 	cat := planCatalog(b, 500000)
-	p := core.New(cat)
 	queries := workload.Queries()
 	d := design.Design{
 		Indexes: []inum.IndexSpec{
@@ -136,17 +142,22 @@ func BenchmarkE2_InteractiveEvaluate(b *testing.B) {
 			{Table: "specobj", Columns: []string{"bestobjid"}},
 		},
 	}
-	var rep *core.InteractiveReport
+	var rep *session.InteractiveReport
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = p.EvaluateDesign(queries, d)
+		s, err := session.New(cat, queries, session.Options{})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if rep, err = s.ApplyDesign(d); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(rep.Speedup(), "speedup")
 	b.ReportMetric(100*rep.AvgBenefit(), "benefit_pct")
+	if rep.AvgBenefit() <= 0 {
+		b.Fatalf("manual design benefit %.1f%%, want > 0", 100*rep.AvgBenefit())
+	}
 }
 
 // --- E3: automatic partition suggestion (AutoPart) ------------------
@@ -174,11 +185,17 @@ func BenchmarkE3_AutoPart(b *testing.B) {
 	}
 	b.ReportMetric(res.Speedup(), "speedup")
 	b.ReportMetric(100*res.AvgBenefit(), "benefit_pct")
+	if res.Speedup() < 2 {
+		b.Fatalf("AutoPart speedup %.2fx, want >= 2x", res.Speedup())
+	}
 }
 
 // --- E4: ILP index advisor vs. greedy baseline ----------------------
 // Claim (§1, §3.4): the non-greedy (ILP) search yields 2x–10x
-// speedups and outperforms greedy pruning.
+// speedups and outperforms greedy pruning. Not reproduced: under this
+// 32 MiB budget the ILP measures 1.363x and greedy 1.384x (see
+// REPRODUCTION.md), so the benchmark records both and asserts no
+// direction; only its plan-call counters are gated.
 
 func BenchmarkE4_ILPvsGreedy(b *testing.B) {
 	cat := planCatalog(b, 300000)
@@ -262,6 +279,10 @@ func BenchmarkE5_INUMThroughput(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(cache.PlanerCalls), "plancalls")
+		if cache.PlanerCalls >= int64(len(cfgs)) {
+			b.Fatalf("INUM issued %d optimizer calls for %d configurations, want fewer",
+				cache.PlanerCalls, len(cfgs))
+		}
 	})
 	b.Run("FullOptimizer", func(b *testing.B) {
 		cache := inum.New(cat)
@@ -379,11 +400,14 @@ func BenchmarkSessionIncrementalEdit(b *testing.B) {
 		b.ReportMetric(float64(delta), "plancalls_total")
 	})
 	b.Run("FromScratch", func(b *testing.B) {
-		p := core.New(cat)
 		d := design.Design{Indexes: []inum.IndexSpec{spec}}
 		var calls int64
 		for i := 0; i < b.N; i++ {
-			rep, err := p.EvaluateDesign(wl, d)
+			s, err := session.New(cat, wl, session.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := s.ApplyDesign(d)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -391,63 +415,6 @@ func BenchmarkSessionIncrementalEdit(b *testing.B) {
 		}
 		b.ReportMetric(float64(calls), "plancalls_total")
 	})
-}
-
-// --- Obs: instrumentation overhead on the incremental-edit path -------
-// The observability layer's admission ticket: attaching a request span
-// plus a registry histogram to the SessionIncrementalEdit loop must
-// cost within noise of the uninstrumented loop (the acceptance bound
-// is <= 5% on ns/op, gated through the committed benchjson baseline).
-// The loop is memo-hot after the first iteration, so this measures the
-// overhead against the FASTEST path the span rides — the worst case
-// for relative cost.
-
-func BenchmarkObsOverhead(b *testing.B) {
-	cat := planCatalog(b, 500000)
-	wl := workload.Queries()
-	spec := inum.IndexSpec{Table: "field", Columns: []string{"run", "camcol"}}
-	run := func(b *testing.B, instrumented bool) {
-		s, err := session.New(cat, wl, session.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := s.PlanCalls()
-		reg := obs.NewRegistry()
-		hist := reg.Histogram("bench_edit_seconds", "Edit latency (benchmark-local).")
-		var spanCalls int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if instrumented {
-				sp := obs.NewSpan(obs.NewRequestID(), "bench", "POST /sessions/{name}/indexes")
-				s.SetSpan(sp)
-				start := time.Now()
-				if _, err := s.AddIndex(spec); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.DropIndex(spec); err != nil {
-					b.Fatal(err)
-				}
-				hist.Observe(time.Since(start))
-				s.SetSpan(nil)
-				spanCalls += sp.PlanCalls()
-			} else {
-				if _, err := s.AddIndex(spec); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.DropIndex(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		delta := s.PlanCalls() - base
-		if instrumented && spanCalls != delta {
-			b.Fatalf("span attributed %d plan calls, session consumed %d", spanCalls, delta)
-		}
-		b.ReportMetric(float64(delta), "plancalls_total")
-	}
-	b.Run("NoOp", func(b *testing.B) { run(b, false) })
-	b.Run("Instrumented", func(b *testing.B) { run(b, true) })
 }
 
 // --- Serve: multi-tenant sessions over one shared memo ---------------
@@ -778,47 +745,6 @@ func BenchmarkRecommendLazyGreedy(b *testing.B) {
 	b.ReportMetric(float64(lazy.JobsPruned), "jobs_pruned")
 }
 
-// --- Ingest: streaming workload-window throughput ---------------------
-// The continuous-tuning subsystem's front door: queries/sec into a HOT
-// window (every statement already resident, so each ingest is a parse
-// + one locked map update) under GOMAXPROCS concurrent writers. The
-// window must absorb millions of submissions with O(window) memory —
-// asserted via the distinct-entry count staying at the pool size.
-
-func BenchmarkIngestThroughput(b *testing.B) {
-	pool := workload.Queries()
-	win := ingest.NewWindow(ingest.Options{Capacity: len(pool)})
-	// Warm the window: every pool entry resident before timing starts.
-	for _, q := range pool {
-		if err := win.Ingest(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetParallelism(1) // exactly GOMAXPROCS writer goroutines
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if err := win.Ingest(pool[i%len(pool)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	st := win.Stats()
-	if st.Distinct != len(pool) {
-		b.Fatalf("window grew past the pool: %d distinct, want %d", st.Distinct, len(pool))
-	}
-	if want := int64(b.N + len(pool)); st.Submissions != want {
-		b.Fatalf("lost updates: %d submissions, want %d", st.Submissions, want)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "writers")
-	b.ReportMetric(float64(st.Distinct), "distinct")
-}
-
 // --- Ingest: continuous tuning beats the cold advisor ----------------
 // The continuous tuner's economic claim, asserted: when the streamed
 // workload drifts, the drift-triggered re-search — warm-started from
@@ -1073,7 +999,7 @@ func BenchmarkE6_WhatIfAccuracy(b *testing.B) {
 		"SELECT objid, ra, dec FROM photoobj WHERE dec BETWEEN 0 AND 1",
 		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3",
 	}
-	var rep *core.ComparisonReport
+	var rep *session.ComparisonReport
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db := populated(b, 20000)
@@ -1093,7 +1019,7 @@ func BenchmarkE6_WhatIfAccuracy(b *testing.B) {
 		}
 		b.StartTimer()
 		var err error
-		rep, err = core.MaterializeAndCompare(db, wl, d)
+		rep, err = session.MaterializeAndCompare(db, wl, d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1104,6 +1030,10 @@ func BenchmarkE6_WhatIfAccuracy(b *testing.B) {
 	}
 	b.ReportMetric(match, "shapes_match")
 	b.ReportMetric(100*rep.MaxRelCostError(), "relerr_pct")
+	if !rep.AllShapesMatch() || rep.MaxRelCostError() > 0.10 {
+		b.Fatalf("what-if vs materialized: shapes match %v, cost error %.1f%% — want all shapes and <= 10%%",
+			rep.AllShapesMatch(), 100*rep.MaxRelCostError())
+	}
 }
 
 // --- E7: Equation-1 sizing vs. the zero-size assumption -------------
@@ -1166,6 +1096,12 @@ func BenchmarkE7_ZeroSizeIndexAblation(b *testing.B) {
 	b.ReportMetric(overshoot, "zerosize_budget_overshoot_x")
 	b.ReportMetric(float64(built.Pages), "measured_pages")
 	b.ReportMetric(float64(eq1Pages), "eq1_pages")
+	if sizeErr > 0.10 {
+		b.Fatalf("Equation-1 pages %d vs built %d: error %.1f%%, want <= 10%%", eq1Pages, built.Pages, 100*sizeErr)
+	}
+	if overshoot <= 1 {
+		b.Fatalf("zero-size advisor used %.2fx the budget, want > 1x", overshoot)
+	}
 }
 
 func relErr(a, truth float64) float64 {
@@ -1194,6 +1130,7 @@ func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var multi, single float64 // speedups; zero when filtered out
 	b.Run("Multicolumn", func(b *testing.B) {
 		var res *recommend.Result
 		for i := 0; i < b.N; i++ {
@@ -1207,6 +1144,7 @@ func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 		}
 		b.ReportMetric(res.Speedup(), "speedup")
 		b.ReportMetric(100*res.AvgBenefit(), "benefit_pct")
+		multi = res.Speedup()
 	})
 	b.Run("SingleColumnOnly", func(b *testing.B) {
 		var res *recommend.Result
@@ -1222,5 +1160,9 @@ func BenchmarkE8_MulticolumnAblation(b *testing.B) {
 		}
 		b.ReportMetric(res.Speedup(), "speedup")
 		b.ReportMetric(100*res.AvgBenefit(), "benefit_pct")
+		single = res.Speedup()
 	})
+	if multi > 0 && single > 0 && multi <= single {
+		b.Fatalf("multicolumn speedup %.2fx, single-column %.2fx — want multicolumn higher", multi, single)
+	}
 }

@@ -6,9 +6,9 @@
 //	parinda interactive evaluate a manual what-if design (scenario 1)
 //	parinda session     interactive design REPL over a live session
 //	parinda serve       multi-tenant design-session HTTP service
-//	parinda partitions  suggest table partitions via AutoPart (scenario 2)
-//	parinda indexes     suggest indexes via ILP over INUM (scenario 3)
 //	parinda recommend   joint index+partition recommender (budgeted anytime)
+//	parinda indexes     recommend preset: indexes via ILP over INUM (scenario 3)
+//	parinda partitions  recommend preset: partitions via AutoPart (scenario 2)
 //	parinda ingest      stream a query log into a served session's window
 //	parinda explain     show the optimizer plan for one query
 //
@@ -42,7 +42,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -51,12 +50,11 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/costlab"
 	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
+	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/whatif"
 	"repro/internal/workload"
@@ -152,9 +150,9 @@ commands:
   interactive  evaluate a manual what-if design over a workload
   session      interactive design REPL (incremental re-pricing)
   serve        multi-tenant design-session HTTP service
-  partitions   suggest table partitions (AutoPart)
-  indexes      suggest indexes (ILP over INUM; -greedy for the baseline)
   recommend    joint index+partition recommender (budgeted anytime search)
+  indexes      recommend preset: indexes (ILP over INUM; -greedy for the baseline)
+  partitions   recommend preset: table partitions (AutoPart)
   ingest       stream a query log into a served session's workload window
   explain      print the plan of a single query
 
@@ -169,6 +167,17 @@ func benefitPct(base, new float64) float64 {
 		return 0
 	}
 	return 100 * (1 - new/base)
+}
+
+// printPerQuery lists each query's base and new cost, its benefit and
+// the design indexes its plan uses.
+func printPerQuery(out io.Writer, per []recommend.QueryBenefit) {
+	fmt.Fprintln(out, "  per-query benefits:")
+	for i, pq := range per {
+		fmt.Fprintf(out, "   Q%-3d base %12.1f  new %12.1f  benefit %6.1f%%  uses %s\n",
+			i+1, pq.BaseCost, pq.NewCost, benefitPct(pq.BaseCost, pq.NewCost),
+			strings.Join(pq.IndexesUsed, " "))
+	}
 }
 
 func loadQueries(path string) ([]string, error) {
@@ -262,14 +271,6 @@ func parseDesign(indexes, partitions []string) (design.Design, error) {
 	return d, nil
 }
 
-// printFragments lists a partitioning's generated fragment tables with
-// their columns, one per line.
-func printFragments(out io.Writer, p design.Partition) {
-	for i, cols := range p.Fragments {
-		fmt.Fprintf(out, "    %-24s (%s)\n", design.FragName(p.Table, i), strings.Join(cols, ", "))
-	}
-}
-
 type stringList []string
 
 func (s *stringList) String() string     { return strings.Join(*s, ";") }
@@ -297,135 +298,18 @@ func cmdInteractive(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.New(cat).EvaluateDesign(queries, d)
+	s, err := session.New(cat, queries, session.Options{})
+	if err != nil {
+		return err
+	}
+	rep, err := s.ApplyDesign(d)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "Interactive what-if evaluation (%d queries)\n", len(queries))
 	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx\n",
 		100*rep.AvgBenefit(), rep.Speedup())
-	fmt.Fprintln(stdout, "  per-query benefits:")
-	for i, pq := range rep.PerQuery {
-		fmt.Fprintf(stdout, "   Q%-3d base %12.1f  new %12.1f  benefit %6.1f%%  uses %s\n",
-			i+1, pq.BaseCost, pq.NewCost, benefitPct(pq.BaseCost, pq.NewCost),
-			strings.Join(pq.IndexesUsed, " "))
-	}
-	return nil
-}
-
-func cmdPartitions(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("partitions", flag.ContinueOnError)
-	wl := fs.String("workload", "", "workload file (default: built-in 30 queries)")
-	scale := fs.Int64("scale", 1000000, "photoobj row count of the synthetic catalog")
-	replication := fs.Int64("replication", 1<<30, "replication space budget in bytes")
-	saveRewritten := fs.String("save-rewritten", "", "write the rewritten workload to this file")
-	workers := fs.Int("workers", 0, "parallel cost-estimation workers (0 = GOMAXPROCS)")
-	if err := parseFlags(fs, args, stderr); err != nil {
-		return err
-	}
-	queries, err := loadQueries(*wl)
-	if err != nil {
-		return err
-	}
-	cat, err := buildCatalog(*scale)
-	if err != nil {
-		return err
-	}
-	res, err := core.New(cat).Recommend(context.Background(), queries, recommend.Options{
-		Objects:           recommend.ObjectsPartitions,
-		Strategy:          recommend.StrategyGreedy,
-		ReplicationBudget: *replication,
-		Workers:           *workers,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "Automatic partition suggestion (%d queries, %d iterations)\n",
-		len(queries), res.Rounds)
-	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx\n",
-		100*res.AvgBenefit(), res.Speedup())
-	for _, p := range res.Design.Partitions {
-		fmt.Fprintf(stdout, "  %s:\n", p.Table)
-		printFragments(stdout, p)
-	}
-	fmt.Fprintln(stdout, "  per-query benefits:")
-	for i, pq := range res.PerQuery {
-		fmt.Fprintf(stdout, "   Q%-3d base %12.1f  new %12.1f  benefit %6.1f%%\n",
-			i+1, pq.BaseCost, pq.NewCost, benefitPct(pq.BaseCost, pq.NewCost))
-	}
-	if *saveRewritten != "" {
-		if err := os.WriteFile(*saveRewritten, []byte(workload.FormatWorkloadFile(res.Rewritten)), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  rewritten workload saved to %s\n", *saveRewritten)
-	}
-	return nil
-}
-
-func cmdIndexes(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("indexes", flag.ContinueOnError)
-	wl := fs.String("workload", "", "workload file (default: built-in 30 queries)")
-	scale := fs.Int64("scale", 1000000, "photoobj row count of the synthetic catalog")
-	budget := fs.Int64("budget", 0, "total index size budget in bytes (0 = unlimited)")
-	greedy := fs.Bool("greedy", false, "use the greedy baseline instead of the ILP")
-	single := fs.Bool("single-column", false, "restrict candidates to single-column indexes")
-	compress := fs.Int("compress", 0, "compress the workload to at most N template queries (0 = off)")
-	backend := fs.String("backend", costlab.BackendINUM,
-		"candidate pricing backend: inum (cache-based) or full (full optimizer)")
-	workers := fs.Int("workers", 0, "parallel cost-estimation workers (0 = GOMAXPROCS)")
-	if err := parseFlags(fs, args, stderr); err != nil {
-		return err
-	}
-	queries, err := loadQueries(*wl)
-	if err != nil {
-		return err
-	}
-	cat, err := buildCatalog(*scale)
-	if err != nil {
-		return err
-	}
-	opts := recommend.Options{
-		Objects:          recommend.ObjectsIndexes,
-		Strategy:         recommend.StrategyILP,
-		StorageBudget:    *budget,
-		SingleColumnOnly: *single,
-		Backend:          *backend,
-		Workers:          *workers,
-	}
-	if *greedy {
-		opts.Strategy = recommend.StrategyGreedy
-	}
-	parsed, err := recommend.ParseWorkload(queries)
-	if err != nil {
-		return err
-	}
-	if *compress > 0 {
-		before := len(parsed)
-		parsed = recommend.CompressWorkload(cat, parsed, *compress)
-		fmt.Fprintf(stdout, "workload compressed: %d queries -> %d templates\n", before, len(parsed))
-	}
-	res, err := recommend.Recommend(context.Background(), cat, parsed, opts)
-	if err != nil {
-		return err
-	}
-	method := "ILP"
-	if *greedy {
-		method = "greedy"
-	}
-	fmt.Fprintf(stdout, "Automatic index suggestion (%s, %d queries, %d candidates)\n",
-		method, len(queries), res.Candidates)
-	fmt.Fprintf(stdout, "  average workload benefit: %5.1f%%   speedup: %.2fx   size: %.1f MB\n",
-		100*res.AvgBenefit(), res.Speedup(), float64(res.SizeBytes)/(1<<20))
-	fmt.Fprintln(stdout, "  suggested indexes:")
-	for _, stmt := range recommend.MaterializeStatements(res.Design.Indexes) {
-		fmt.Fprintf(stdout, "    %s;\n", stmt)
-	}
-	fmt.Fprintln(stdout, "  per-query benefits:")
-	for i, pq := range res.PerQuery {
-		fmt.Fprintf(stdout, "   Q%-3d base %12.1f  new %12.1f  benefit %6.1f%%  uses %s\n",
-			i+1, pq.BaseCost, pq.NewCost, benefitPct(pq.BaseCost, pq.NewCost),
-			strings.Join(pq.IndexesUsed, " "))
-	}
+	printPerQuery(stdout, rep.PerQuery)
 	return nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestParseIndexSpec(t *testing.T) {
@@ -215,6 +217,47 @@ func TestPartitionsOutputDeterministic(t *testing.T) {
 		if out != first {
 			t.Fatalf("run %d printed different output:\n--- first\n%s--- run %d\n%s", i, first, i, out)
 		}
+	}
+}
+
+// TestPresetsMatchRecommend: `indexes` and `partitions` are presets of
+// `recommend`, so each prints exactly what the equivalent
+// `recommend -objects … -strategy …` run prints.
+func TestPresetsMatchRecommend(t *testing.T) {
+	wl := filepath.Join(t.TempDir(), "seed8.sql")
+	if err := os.WriteFile(wl, []byte(workload.FormatWorkloadFile(workload.Queries()[:8])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-scale", "20000", "-workload", wl}
+	for _, tc := range []struct{ preset, recommend []string }{
+		{[]string{"indexes", "-budget", "1048576"},
+			[]string{"-objects", "indexes", "-strategy", "ilp", "-budget-mb", "1"}},
+		{[]string{"indexes", "-greedy", "-budget", "1048576"},
+			[]string{"-objects", "indexes", "-strategy", "greedy", "-budget-mb", "1"}},
+		{[]string{"partitions"},
+			[]string{"-objects", "partitions", "-strategy", "greedy", "-budget-mb", "1024"}},
+		{[]string{"partitions", "-replication", "0"},
+			[]string{"-objects", "partitions", "-strategy", "greedy"}},
+	} {
+		t.Run(strings.Join(tc.preset, " "), func(t *testing.T) {
+			runOut := func(args []string) string {
+				t.Helper()
+				var stdout, stderr bytes.Buffer
+				if got := run(args, strings.NewReader(""), &stdout, &stderr); got != 0 {
+					t.Fatalf("%v: exit = %d, stderr: %s", args, got, stderr.String())
+				}
+				return stdout.String()
+			}
+			preset := runOut(append(tc.preset, common...))
+			rec := runOut(append(append([]string{"recommend", "-quiet"}, tc.recommend...), common...))
+			if preset != rec {
+				t.Errorf("preset and recommend outputs differ:\n--- %v\n%s--- recommend %v\n%s",
+					tc.preset, preset, tc.recommend, rec)
+			}
+			if !strings.Contains(preset, "per-query benefits:") || !strings.Contains(preset, "  suggested ") {
+				t.Errorf("no design or per-query section:\n%s", preset)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,9 @@
 //	                    through one Resolve call per edit),
 //	                    explains planned on read (one optimizer call
 //	                    each, never stored) — the engine behind the
-//	                    `parinda session` REPL
+//	                    `parinda session` REPL — and the what-if vs.
+//	                    materialized accuracy check
+//	                    (MaterializeAndCompare)
 //	internal/serve      multi-tenant design-session service: N named
 //	                    sessions over one catalog + one shared memo,
 //	                    HTTP/JSON API, per-session serialization, LRU
@@ -104,10 +106,9 @@
 //	                    spans attributing plan calls and memo outcomes,
 //	                    log/slog construction helpers — behind GET
 //	                    /metrics and the serve middleware
-//	internal/core       PARINDA facade: one-shot EvaluateDesign, a
-//	                    workload-parsing Recommend, and the what-if vs.
-//	                    materialized accuracy check
 //
 // See README.md for the layout and the session REPL commands, and
-// bench_test.go for the experiment harness (E1–E9).
+// bench_test.go for the experiment harness: one benchmark per paper
+// claim E1–E8, each failing when its claim flips (REPRODUCTION.md is
+// the ledger).
 package repro

@@ -15,7 +15,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/session"
@@ -103,7 +102,7 @@ func main() {
 
 	// --- materialize and compare (the GUI's accuracy check) ---
 	t0 = time.Now()
-	cmp, err := core.MaterializeAndCompare(db, queriesSQL, s.Design())
+	cmp, err := session.MaterializeAndCompare(db, queriesSQL, s.Design())
 	if err != nil {
 		log.Fatal(err)
 	}

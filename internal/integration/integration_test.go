@@ -10,12 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
 	"repro/internal/rewrite"
+	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/whatif"
@@ -167,10 +167,10 @@ func TestAutoPartRewrittenWorkloadEquivalentOnRealData(t *testing.T) {
 		t.Skip("AutoPart kept the table whole at this scale")
 	}
 
-	// Materialize the fragments via the core facade. Fragments are named
+	// Materialize the fragments via the session's accuracy check. Fragments are named
 	// by design.FragName on both sides, so the rewritten workload runs
 	// against the same tables.
-	if _, err := core.MaterializeAndCompare(db, wl[:1], design.Design{Partitions: res.Design.Partitions}); err != nil {
+	if _, err := session.MaterializeAndCompare(db, wl[:1], design.Design{Partitions: res.Design.Partitions}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -245,12 +245,19 @@ func TestFullDemoPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(cat)
 	wl := workload.Queries()
 
-	inter, err := p.EvaluateDesign(wl[:6], design.Design{
+	s, err := session.New(cat, wl[:6], session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := s.ApplyDesign(design.Design{
 		Indexes: []inum.IndexSpec{{Table: "photoobj", Columns: []string{"ra"}}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := recommend.ParseWorkload(wl[:6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +265,7 @@ func TestFullDemoPipeline(t *testing.T) {
 		t.Error("interactive scenario found no benefit")
 	}
 
-	parts, err := p.Recommend(context.Background(), wl[:6], recommend.Options{
+	parts, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
 		Objects:           recommend.ObjectsPartitions,
 		Strategy:          recommend.StrategyGreedy,
 		ReplicationBudget: 1 << 30,
@@ -270,7 +277,7 @@ func TestFullDemoPipeline(t *testing.T) {
 		t.Error("partition scenario regressed")
 	}
 
-	idx, err := p.Recommend(context.Background(), wl[:6], recommend.Options{
+	idx, err := recommend.Recommend(context.Background(), cat, queries, recommend.Options{
 		Objects:  recommend.ObjectsIndexes,
 		Strategy: recommend.StrategyILP,
 	})

@@ -34,11 +34,15 @@ package serve
 // ingest hot path must not pay a journal write per query, and a
 // decayed sliding window losing its post-snapshot suffix is benign.
 //
-// Journaling failures (disk full, store closed) degrade, not fail:
-// the request that triggered the append still succeeds, the error is
-// counted (parinda_wal_errors_total) and logged. Under -fsync=always
-// the happy path is durable-before-ack: the session's onRecord hook
-// fires synchronously inside the edit, before the HTTP response.
+// Under -fsync=always the happy path is durable-before-ack: the
+// session's onRecord hook fires synchronously inside the edit, before
+// the HTTP response. A failed append there (disk full, store closed)
+// is never acknowledged: the request answers 503 and the node turns
+// read-only (degraded) until restart — every later mutation answers
+// 503 before touching its tenant, reads keep working, /healthz
+// answers 503 and parinda_wal_degraded reads 1. Under interval and
+// off, where an ack never promised durability, a failed append
+// degrades to a counter (parinda_wal_errors_total) and a log line.
 //
 // Lock order: Manager.mu, jobMu or a tenant's mu may be held when
 // taking durability.mu — never the reverse — and durability.mu is
@@ -161,6 +165,7 @@ type durability struct {
 	snapped        bool // a snapshot has been written this run
 
 	walErrors      atomic.Int64
+	degraded       atomic.Bool // a failed append under -fsync always
 	recoverRecords atomic.Int64
 	recoverSeconds float64 // written once during recovery, read-only after
 }
@@ -188,10 +193,11 @@ func (d *durability) hasDormant(name string) bool {
 }
 
 // walAppend marshals and appends one record. sync selects the
-// group-commit wait (policy permitting); errors degrade to a counter
-// and a warning — the acknowledged request must not fail because the
-// journal did.
-func (m *Manager) walAppend(rec *walRecord, sync bool) {
+// group-commit wait (policy permitting). A failure is counted and
+// logged; under -fsync always it also turns the node read-only and is
+// returned wrapped in ErrDegraded, so the request it belongs to is not
+// acknowledged. Under interval and off it returns nil.
+func (m *Manager) walAppend(rec *walRecord, sync bool) error {
 	blob, err := json.Marshal(rec)
 	if err == nil {
 		if sync {
@@ -200,10 +206,25 @@ func (m *Manager) walAppend(rec *walRecord, sync bool) {
 			err = m.dur.store.AppendNoSync(blob)
 		}
 	}
-	if err != nil {
-		m.dur.walErrors.Add(1)
-		m.log.Warn("wal append failed", "type", rec.T, "error", err.Error())
+	if err == nil {
+		return nil
 	}
+	m.dur.walErrors.Add(1)
+	m.log.Warn("wal append failed", "type", rec.T, "error", err.Error())
+	if m.opts.Fsync != durable.SyncAlways {
+		return nil
+	}
+	m.dur.degraded.Store(true)
+	return fmt.Errorf("%w: %v", ErrDegraded, err)
+}
+
+// writable answers ErrDegraded once a journal append has failed under
+// -fsync always.
+func (m *Manager) writable() error {
+	if m.dur != nil && m.dur.degraded.Load() {
+		return ErrDegraded
+	}
+	return nil
 }
 
 // journalCreateLocked registers a fresh durable session and returns
@@ -239,27 +260,28 @@ func (m *Manager) attachJournal(name string, ds *durSession, s *session.DesignSe
 		seq := ds.seq
 		ds.ops = append(ds.ops, rec)
 		d.mu.Unlock()
+		// A failure turns the node read-only; the edit's handler reads
+		// that back through writable before it answers.
 		m.walAppend(&walRecord{T: walEdit, G: g, Session: name, Inc: ds.inc, Seq: seq, Edit: &rec}, true)
 	})
 }
 
 // journalDrop removes name's durable state and journals the drop.
-// Reports whether a durable session existed.
-func (m *Manager) journalDrop(name string) bool {
+// Reports whether a durable session existed, and the append's error.
+func (m *Manager) journalDrop(name string) (bool, error) {
 	d := m.dur
 	d.mu.Lock()
 	ds := d.sessions[name]
 	if ds == nil {
 		d.mu.Unlock()
-		return false
+		return false, nil
 	}
 	delete(d.sessions, name)
 	d.walSeq++
 	g := d.walSeq
 	inc := ds.inc
 	d.mu.Unlock()
-	m.walAppend(&walRecord{T: walDrop, G: g, Session: name, Inc: inc}, true)
-	return true
+	return true, m.walAppend(&walRecord{T: walDrop, G: g, Session: name, Inc: inc}, true)
 }
 
 // noteEvictLocked marks name's durable session dormant, stashing its
@@ -820,6 +842,13 @@ func (m *Manager) registerDurabilityViews() {
 		func() float64 { return float64(d.store.Stats().AppendedBytes) })
 	reg.CounterFunc("parinda_wal_errors_total", "Journal appends that failed (degraded durability).",
 		func() float64 { return float64(d.walErrors.Load()) })
+	reg.GaugeFunc("parinda_wal_degraded", "1 once a journal append failed under -fsync always: mutations answer 503 until restart.",
+		func() float64 {
+			if d.degraded.Load() {
+				return 1
+			}
+			return 0
+		})
 	reg.GaugeFunc("parinda_wal_segments", "Resident WAL segment files.",
 		func() float64 { return float64(d.store.Stats().Segments) })
 	reg.CounterFunc("parinda_snapshots_total", "Snapshots written this run.",

@@ -9,6 +9,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -619,5 +621,58 @@ func TestDurableConcurrentJournal(t *testing.T) {
 		}); err != nil {
 			t.Errorf("recovered session %s: %v", name, err)
 		}
+	}
+}
+
+// TestFailedAppendIsNotAcked: with -fsync always, an edit whose
+// journal record cannot be written answers 503 and the node stays
+// read-only: the next edit is refused too, reads still answer,
+// /healthz reports not ok and the degraded gauge reads 1. Under
+// interval, where an ack never promised durability, the failure is
+// only counted and edits keep answering 200.
+func TestFailedAppendIsNotAcked(t *testing.T) {
+	for _, tc := range []struct {
+		policy         durable.Policy
+		edit, health   int
+		degradedMetric string
+	}{
+		{durable.SyncAlways, http.StatusServiceUnavailable, http.StatusServiceUnavailable, "\nparinda_wal_degraded 1\n"},
+		{durable.SyncInterval, http.StatusOK, http.StatusOK, "\nparinda_wal_degraded 0\n"},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			m := newDurableManager(t, t.TempDir(), Options{Fsync: tc.policy})
+			ts := httptest.NewServer(m.Handler())
+			t.Cleanup(ts.Close)
+			call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "a"}, http.StatusCreated, nil)
+			crash(t, m) // the store is closed under a live manager
+
+			call(t, ts, "POST", "/sessions/a/indexes", inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, tc.edit, nil)
+			call(t, ts, "POST", "/sessions/a/indexes", inum.IndexSpec{Table: "photoobj", Columns: []string{"dec"}}, tc.edit, nil)
+			call(t, ts, "GET", "/sessions/a/costs", nil, http.StatusOK, nil)
+			var health HealthResponse
+			call(t, ts, "GET", "/healthz", nil, tc.health, &health)
+			if health.OK != (tc.health == http.StatusOK) {
+				t.Errorf("/healthz ok = %v with status %d", health.OK, tc.health)
+			}
+			if metrics := string(call(t, ts, "GET", "/metrics", nil, http.StatusOK, nil)); !strings.Contains(metrics, tc.degradedMetric) {
+				t.Errorf("metrics lack %q", strings.TrimSpace(tc.degradedMetric))
+			}
+			if m.dur.walErrors.Load() == 0 {
+				t.Error("failed append was not counted")
+			}
+			// The refused second edit never reached the session.
+			wantIndexes := 2
+			if tc.edit != http.StatusOK {
+				wantIndexes = 1
+			}
+			if err := m.Do("a", func(s *session.DesignSession) error {
+				if n := len(s.Design().Indexes); n != wantIndexes {
+					t.Errorf("design holds %d indexes, want %d", n, wantIndexes)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

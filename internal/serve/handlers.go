@@ -50,36 +50,48 @@ import (
 //
 // Mutations respond with EditResponse. Errors are ErrorResponse with
 // 400 (malformed request), 404 (no such session/query), 409 (exists,
-// nothing to undo/redo, domain conflicts) or 503 (capacity).
+// nothing to undo/redo, domain conflicts) or 503 (capacity, or a
+// journal that failed under -fsync always).
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// A degraded node (see durability.go) refuses every mutation before
+	// it touches a tenant; reads are never wrapped.
+	mutation := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if err := m.writable(); err != nil {
+				writeError(w, err)
+				return
+			}
+			h(w, r)
+		}
+	}
 	mux.HandleFunc("GET /healthz", m.handleHealth)
 	mux.HandleFunc("GET /stats", m.handleStats)
 	if !m.opts.DisableMetrics {
 		mux.HandleFunc("GET /metrics", m.handleMetrics)
 	}
 	mux.HandleFunc("GET /sessions", m.handleList)
-	mux.HandleFunc("POST /sessions", m.handleCreate)
+	mux.HandleFunc("POST /sessions", mutation(m.handleCreate))
 	mux.HandleFunc("GET /sessions/{name}", m.handleInfo)
-	mux.HandleFunc("DELETE /sessions/{name}", m.handleDrop)
+	mux.HandleFunc("DELETE /sessions/{name}", mutation(m.handleDrop))
 	mux.HandleFunc("GET /sessions/{name}/costs", m.handleCosts)
 	mux.HandleFunc("GET /sessions/{name}/design", m.handleGetDesign)
-	mux.HandleFunc("POST /sessions/{name}/design", m.handleApplyDesign)
-	mux.HandleFunc("POST /sessions/{name}/indexes", m.handleAddIndex)
-	mux.HandleFunc("DELETE /sessions/{name}/indexes", m.handleDropIndex)
-	mux.HandleFunc("POST /sessions/{name}/partitions", m.handleAddPartition)
-	mux.HandleFunc("DELETE /sessions/{name}/partitions/{table}", m.handleDropPartition)
-	mux.HandleFunc("POST /sessions/{name}/nestloop", m.handleNestLoop)
-	mux.HandleFunc("POST /sessions/{name}/undo", m.handleUndo)
-	mux.HandleFunc("POST /sessions/{name}/redo", m.handleRedo)
+	mux.HandleFunc("POST /sessions/{name}/design", mutation(m.handleApplyDesign))
+	mux.HandleFunc("POST /sessions/{name}/indexes", mutation(m.handleAddIndex))
+	mux.HandleFunc("DELETE /sessions/{name}/indexes", mutation(m.handleDropIndex))
+	mux.HandleFunc("POST /sessions/{name}/partitions", mutation(m.handleAddPartition))
+	mux.HandleFunc("DELETE /sessions/{name}/partitions/{table}", mutation(m.handleDropPartition))
+	mux.HandleFunc("POST /sessions/{name}/nestloop", mutation(m.handleNestLoop))
+	mux.HandleFunc("POST /sessions/{name}/undo", mutation(m.handleUndo))
+	mux.HandleFunc("POST /sessions/{name}/redo", mutation(m.handleRedo))
 	mux.HandleFunc("GET /sessions/{name}/explain/{q}", m.handleExplain)
 	mux.HandleFunc("POST /sessions/{name}/suggest", m.handleSuggest)
-	mux.HandleFunc("POST /sessions/{name}/ingest", m.handleIngest)
+	mux.HandleFunc("POST /sessions/{name}/ingest", mutation(m.handleIngest))
 	mux.HandleFunc("GET /sessions/{name}/window", m.handleWindow)
-	mux.HandleFunc("POST /sessions/{name}/recommend", m.handleRecommendStart)
+	mux.HandleFunc("POST /sessions/{name}/recommend", mutation(m.handleRecommendStart))
 	mux.HandleFunc("GET /sessions/{name}/recommend", m.handleRecommendList)
 	mux.HandleFunc("GET /sessions/{name}/recommend/{job}", m.handleRecommendStatus)
-	mux.HandleFunc("DELETE /sessions/{name}/recommend/{job}", m.handleRecommendDelete)
+	mux.HandleFunc("DELETE /sessions/{name}/recommend/{job}", mutation(m.handleRecommendDelete))
 	mux.HandleFunc("GET /sessions/{name}/stats", m.handleSessionStats)
 	if m.opts.Pprof {
 		// Mounted explicitly (not via the package's DefaultServeMux
@@ -167,7 +179,7 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrExists):
 		status = http.StatusConflict
-	case errors.Is(err, ErrCapacity):
+	case errors.Is(err, ErrCapacity), errors.Is(err, ErrDegraded):
 		status = http.StatusServiceUnavailable
 	case strings.Contains(msg, "nothing to undo"), strings.Contains(msg, "nothing to redo"),
 		strings.Contains(msg, "already in the design"), strings.Contains(msg, "no design index"),
@@ -208,6 +220,10 @@ func decodeBody(r *http.Request, v any, allowEmpty bool) error {
 }
 
 func (m *Manager) handleHealth(w http.ResponseWriter, r *http.Request) {
+	if m.writable() != nil {
+		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{OK: false, Sessions: m.Len()})
+		return
+	}
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true, Sessions: m.Len()})
 }
 
@@ -288,7 +304,8 @@ func (m *Manager) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // edit runs a design mutation under the session lock (span-attributed
-// via doReq) and writes the EditResponse.
+// via doReq) and writes the EditResponse — unless journaling the edit
+// failed under -fsync always, which answers 503 instead.
 func (m *Manager) edit(w http.ResponseWriter, r *http.Request, name string, fn func(*session.DesignSession) (*session.InteractiveReport, error)) {
 	var resp *EditResponse
 	if err := m.doReq(r, name, func(s *session.DesignSession) error {
@@ -297,7 +314,7 @@ func (m *Manager) edit(w http.ResponseWriter, r *http.Request, name string, fn f
 			return err
 		}
 		resp = editResponse(s, rep)
-		return nil
+		return m.writable()
 	}); err != nil {
 		writeError(w, err)
 		return
@@ -445,20 +462,14 @@ func (m *Manager) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
+		rr := recommendResult(res)
 		resp = &SuggestResponse{
-			BenefitPct: 100 * res.AvgBenefit(),
-			Speedup:    res.Speedup(),
-			SizeBytes:  res.SizeBytes,
+			Indexes:    rr.Indexes,
+			BenefitPct: rr.BenefitPct,
+			Speedup:    rr.Speedup,
+			SizeBytes:  rr.SizeBytes,
 			Candidates: res.Candidates,
-			MemoHits:   res.MemoHits,
-		}
-		stmts := recommend.MaterializeStatements(res.Design.Indexes)
-		for i, spec := range res.Design.Indexes {
-			resp.Indexes = append(resp.Indexes, SuggestedIndex{
-				Table:   spec.Table,
-				Columns: spec.Columns,
-				SQL:     stmts[i],
-			})
+			MemoHits:   rr.MemoHits,
 		}
 		return nil
 	}); err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -402,6 +403,24 @@ func TestAPISuggestWarmStart(t *testing.T) {
 	}
 	// Empty body is fine too (all defaults).
 	call(t, ts, "POST", "/sessions/a/suggest", nil, http.StatusOK, &sug)
+}
+
+// TestAPISuggestBytesPinned: a scripted /suggest on the 30-query seed
+// workload answers exactly the recorded bytes — a budgeted call after
+// one index edit, then a default one.
+func TestAPISuggestBytesPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/suggest_seed.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := testServer(t, Options{})
+	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "seed", Workload: workload.Queries()}, http.StatusCreated, nil)
+	call(t, ts, "POST", "/sessions/seed/indexes", inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}}, http.StatusOK, nil)
+	got := call(t, ts, "POST", "/sessions/seed/suggest", SuggestRequest{BudgetMB: 16}, http.StatusOK, nil)
+	got = append(got, call(t, ts, "POST", "/sessions/seed/suggest", nil, http.StatusOK, nil)...)
+	if !bytes.Equal(got, want) {
+		t.Errorf("suggest responses changed:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestAPICapacityResponse(t *testing.T) {

@@ -562,6 +562,9 @@ func (m *Manager) handleRecommendStart(w http.ResponseWriter, r *http.Request) {
 		requestID = sp.ID
 	}
 	st, err := m.StartRecommend(r.PathValue("name"), req, requestID)
+	if err == nil {
+		err = m.writable() // journaling the start failed under -fsync always
+	}
 	if err != nil {
 		writeError(w, err)
 		return
@@ -595,6 +598,9 @@ func (m *Manager) handleRecommendStatus(w http.ResponseWriter, r *http.Request) 
 
 func (m *Manager) handleRecommendDelete(w http.ResponseWriter, r *http.Request) {
 	st, removed, err := m.DeleteRecommendJob(r.PathValue("name"), r.PathValue("job"))
+	if err == nil {
+		err = m.writable() // journaling the deletion failed under -fsync always
+	}
 	if err != nil {
 		writeError(w, err)
 		return

@@ -25,6 +25,9 @@ var (
 	// ErrCapacity means the manager is full and every resident
 	// session is currently serving a request, so none can be evicted.
 	ErrCapacity = errors.New("serve: session capacity exhausted")
+	// ErrDegraded means a journal append failed under -fsync always:
+	// the node refuses mutations until restart.
+	ErrDegraded = errors.New("serve: journal append failed; read-only until restart")
 )
 
 // Options configure a Manager.
@@ -335,9 +338,10 @@ func (m *Manager) Create(name string, workloadSQL []string, workers int) error {
 		}
 	}
 	m.mu.Unlock()
+	var appendErr error
 	if err == nil {
 		if createRec != nil {
-			m.walAppend(createRec, true)
+			appendErr = m.walAppend(createRec, true)
 			m.attachJournal(name, ds, s)
 		}
 		// Stats are safe to read here: t.mu is still held, so no other
@@ -354,7 +358,7 @@ func (m *Manager) Create(name string, workloadSQL []string, workers int) error {
 		m.log.Warn("session create failed", "session", name, "error", err.Error())
 		return fmt.Errorf("serve: create session %q: %w", name, err)
 	}
-	return nil
+	return appendErr
 }
 
 // validateSessionName rejects names that don't round-trip through a
@@ -552,7 +556,10 @@ func (m *Manager) Drop(name string) error {
 	if m.dur != nil {
 		// Journaled outside m.mu: the drop record's fsync must not
 		// serialize the whole manager.
-		persisted = m.journalDrop(name)
+		var err error
+		if persisted, err = m.journalDrop(name); err != nil {
+			return err
+		}
 	}
 	if !live && !persisted {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)

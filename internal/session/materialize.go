@@ -1,76 +1,18 @@
-// Package core is the PARINDA facade over a schema catalog: the three
-// components of Figure 1 behind one type.
-//
-//   - Interactive partitioning/indexing: EvaluateDesign simulates a
-//     DBA-supplied design with what-if features and reports average and
-//     per-query benefit (§4, scenario 1).
-//   - Automatic index and partition suggestion: Recommend runs the
-//     unified pipeline of internal/recommend — index-only (§3.4,
-//     scenario 3), partition-only AutoPart (§3.3, scenario 2), or
-//     joint — selected by its Options.
-//
-// MaterializeAndCompare builds a design for real in a storage.Database
-// and verifies the what-if plans against the materialized plans — the
-// accuracy check the demo GUI offers.
-package core
+package session
+
+// MaterializeAndCompare: scenario 1's accuracy check, the what-if
+// design built for real and re-planned.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/design"
 	"repro/internal/optimizer"
-	"repro/internal/recommend"
-	"repro/internal/session"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
-
-// PARINDA is one tool instance over a schema catalog.
-type PARINDA struct {
-	cat *catalog.Catalog
-}
-
-// New returns a PARINDA over cat.
-func New(cat *catalog.Catalog) *PARINDA { return &PARINDA{cat: cat} }
-
-// FromDatabase returns a PARINDA over a live database's catalog.
-func FromDatabase(db *storage.Database) *PARINDA { return &PARINDA{cat: db.Catalog} }
-
-// Catalog exposes the underlying catalog.
-func (p *PARINDA) Catalog() *catalog.Catalog { return p.cat }
-
-// InteractiveReport is the output of the interactive component: the
-// numbers Figure 3's right panel displays.
-type InteractiveReport = session.InteractiveReport
-
-// EvaluateDesign simulates the design over the workload: what-if
-// tables for every partition fragment, what-if indexes for every
-// index, automatic rewriting onto the fragments, and per-query
-// costing. It is a thin one-shot wrapper over a throwaway
-// session.DesignSession — long-lived interactive work (the
-// one-change-at-a-time loop of §4) should hold a DesignSession
-// instead, which re-prices only each edit's delta. Nothing is built;
-// the base catalog is untouched.
-func (p *PARINDA) EvaluateDesign(workloadSQL []string, d design.Design) (*InteractiveReport, error) {
-	s, err := session.New(p.cat, workloadSQL, session.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return s.ApplyDesign(d)
-}
-
-// Recommend parses the workload and runs the unified recommender:
-// indexes, partitions or both through one budgeted pipeline.
-func (p *PARINDA) Recommend(ctx context.Context, workloadSQL []string, opts recommend.Options) (*recommend.Result, error) {
-	queries, err := recommend.ParseWorkload(workloadSQL)
-	if err != nil {
-		return nil, err
-	}
-	return recommend.Recommend(ctx, p.cat, queries, opts)
-}
 
 // ComparisonEntry records the what-if vs. materialized check of one
 // query.
@@ -129,7 +71,7 @@ func (r *ComparisonReport) MaxRelCostError() float64 {
 func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.Design) (*ComparisonReport, error) {
 	// The what-if evaluation validates d against the catalog first. The
 	// session stays open: its explains are read before anything is built.
-	s, err := session.New(db.Catalog, workloadSQL, session.Options{})
+	s, err := New(db.Catalog, workloadSQL, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +138,7 @@ func MaterializeAndCompare(db *storage.Database, workloadSQL []string, d design.
 		}
 		matPlan, err := planner.Plan(target)
 		if err != nil {
-			return nil, fmt.Errorf("core: materialized plan of %q: %w", q.SQL, err)
+			return nil, fmt.Errorf("session: materialized plan of %q: %w", q.SQL, err)
 		}
 		entry := ComparisonEntry{
 			SQL:              q.SQL,

@@ -12,8 +12,10 @@
 // entirely from the memo. Plan explains are not memoized: Explain
 // plans one query on the session's own what-if session per read.
 //
-// core.EvaluateDesign is a thin one-shot wrapper over a throwaway
+// A one-shot evaluation is New(…).ApplyDesign(d) on a throwaway
 // DesignSession; `parinda session` drives a long-lived one.
+// MaterializeAndCompare checks a design's what-if plans against the
+// same design built in a storage.Database.
 package session
 
 import (
@@ -423,8 +425,8 @@ func (s *DesignSession) SetNestLoop(enabled bool) (*InteractiveReport, error) {
 }
 
 // ApplyDesign replaces the whole design in one edit — the one-shot
-// entry point core.EvaluateDesign uses, and a bulk "load design" for
-// the REPL. Only the diff against the current design is re-priced.
+// evaluation `parinda interactive` runs on a fresh session, and a bulk
+// "load design" for the REPL. Only the diff against the current design is re-priced.
 func (s *DesignSession) ApplyDesign(d design.Design) (*InteractiveReport, error) {
 	return s.userEdit(d.Clone(), s.held.NestLoop())
 }

@@ -1,6 +1,6 @@
-// Tests live in an external package so they can compare the
-// incremental session against core.EvaluateDesign (core imports
-// session; an internal test package would cycle).
+// Tests live in an external package: they drive the session through
+// its exported API only, the way the CLI, the serve tier and the demo
+// do.
 package session_test
 
 import (
@@ -13,10 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/costlab"
 	"repro/internal/design"
 	"repro/internal/inum"
+	"repro/internal/obs"
 	"repro/internal/recommend"
 	"repro/internal/session"
 	"repro/internal/sql"
@@ -101,6 +101,56 @@ func TestSessionEditRepricesOnlyTouchedQueries(t *testing.T) {
 		if rep.Rewritten[qi] != before.Rewritten[qi] {
 			t.Errorf("untouched query %d rewrite changed", qi)
 		}
+	}
+}
+
+// TestSpanAttributesEveryPlanCall: a request span attached to the
+// session for an edit records exactly the optimizer calls the session
+// consumed, so per-request and per-tenant plan-call metrics add up to
+// the session's own counter.
+func TestSpanAttributesEveryPlanCall(t *testing.T) {
+	cat := seedCatalog(t, 200000)
+	s, err := session.New(cat, workload.Queries(), session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.PlanCalls()
+	edits := []func() (*session.InteractiveReport, error){
+		func() (*session.InteractiveReport, error) {
+			return s.AddIndex(inum.IndexSpec{Table: "field", Columns: []string{"run", "camcol"}})
+		},
+		func() (*session.InteractiveReport, error) {
+			return s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}})
+		},
+		s.Undo,
+		s.Redo,
+		func() (*session.InteractiveReport, error) { return s.DropIndexKey("field(run,camcol)") },
+	}
+	var spanCalls int64
+	for round := 0; round < 2; round++ {
+		for i, edit := range edits {
+			sp := obs.NewSpan(obs.NewRequestID(), "t", "edit")
+			s.SetSpan(sp)
+			_, err := edit()
+			s.SetSpan(nil)
+			if err != nil {
+				t.Fatalf("round %d edit %d: %v", round, i, err)
+			}
+			spanCalls += sp.PlanCalls()
+		}
+		if round == 0 {
+			// Leave the design empty so round 1 replays the same edits.
+			if _, err := s.ApplyDesign(design.Design{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delta := s.PlanCalls() - base
+	if delta == 0 {
+		t.Fatal("edits planned nothing; test is vacuous")
+	}
+	if spanCalls != delta {
+		t.Errorf("spans attributed %d plan calls, session consumed %d", spanCalls, delta)
 	}
 }
 
@@ -206,6 +256,9 @@ func TestSessionErrorsLeaveStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := session.New(cat, []string{"SELECT nope FROM"}, session.Options{}); err == nil {
+		t.Error("unparsable workload accepted")
+	}
 	sig := s.Signature()
 	cases := []func() error{
 		func() error { _, e := s.AddIndex(inum.IndexSpec{Table: "nosuch", Columns: []string{"x"}}); return e },
@@ -263,7 +316,8 @@ func TestSessionErrorsLeaveStateIntact(t *testing.T) {
 // TestSessionMatchesFromScratchEvaluation is the property-style
 // equivalence check: after every edit of a random add/drop sequence,
 // the session's incremental costs must equal a from-scratch
-// EvaluateDesign of the same design, exactly.
+// evaluation of the same design — a fresh session.New(…).ApplyDesign —
+// exactly.
 func TestSessionMatchesFromScratchEvaluation(t *testing.T) {
 	cat := seedCatalog(t, 150000)
 	all := workload.Queries()
@@ -272,7 +326,13 @@ func TestSessionMatchesFromScratchEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(cat)
+	fromScratch := func(d design.Design) (*session.InteractiveReport, error) {
+		fresh, err := session.New(cat, wl, session.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return fresh.ApplyDesign(d)
+	}
 
 	specs := []inum.IndexSpec{
 		{Table: "photoobj", Columns: []string{"ra"}},
@@ -334,13 +394,13 @@ func TestSessionMatchesFromScratchEvaluation(t *testing.T) {
 		}
 		edits++
 
-		// The one-shot evaluation only covers nest-loop-on designs
-		// (EvaluateDesign has no join toggle); skip the comparison
-		// while the flag is off, but keep editing on top of it.
+		// A design carries no join toggle, so the one-shot evaluation
+		// only covers nest-loop-on designs; skip the comparison while
+		// the flag is off, but keep editing on top of it.
 		if !s.NestLoopEnabled() {
 			continue
 		}
-		want, err := p.EvaluateDesign(wl, s.Design())
+		want, err := fromScratch(s.Design())
 		if err != nil {
 			t.Fatalf("step %d: from-scratch evaluation: %v", step, err)
 		}
@@ -367,6 +427,30 @@ func TestSessionMatchesFromScratchEvaluation(t *testing.T) {
 		t.Error("random walk never hit the memo; incremental engine suspect")
 	}
 	t.Logf("random walk: %d edits, stats %+v", edits, st)
+
+	// The oracle itself: a one-shot evaluation speeds up every query it
+	// has an index for, names the index each one uses, and leaves the
+	// catalog untouched after all the evaluations above.
+	pair, err := session.New(cat, []string{
+		"SELECT objid FROM photoobj WHERE ra BETWEEN 179.9 AND 180.0",
+		"SELECT objid FROM photoobj WHERE run = 93 AND camcol = 3",
+	}, session.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pair.ApplyDesign(design.Design{Indexes: specs[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, pq := range rep.PerQuery {
+		if pq.NewCost >= pq.BaseCost || len(pq.IndexesUsed) == 0 {
+			t.Errorf("query %d: %v -> %v using %v, want a gain through a design index",
+				qi, pq.BaseCost, pq.NewCost, pq.IndexesUsed)
+		}
+	}
+	if n := len(cat.Indexes()); n != 0 {
+		t.Errorf("what-if evaluation leaked %d indexes into the catalog", n)
+	}
 }
 
 func TestSessionGreedyWarmStart(t *testing.T) {
