@@ -916,10 +916,11 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // --- Durable: boot recovery over a 30-session journal -----------------
 // The crash-recovery cost the serve tier pays on boot: rebuild 30
-// edited sessions (op-log replay through session.ApplyRecord) plus the
-// shared memo from one data dir. The replay must be served entirely by
-// the restored shared-memo states — zero optimizer plan calls across
-// all 30 rebuilds, asserted every iteration.
+// edited sessions (each a fresh session Restored to its snapshotted
+// history) plus the shared memo from one data dir. The rebuilds must be
+// served entirely by the restored shared-memo states — zero optimizer
+// plan calls across all 30 — and each must come back with both edits
+// undoable and nothing to redo, asserted every iteration.
 
 func BenchmarkRecover(b *testing.B) {
 	cat := planCatalog(b, 50000)
@@ -970,6 +971,9 @@ func BenchmarkRecover(b *testing.B) {
 		for _, name := range names {
 			if err := m.Do(name, func(s *session.DesignSession) error {
 				calls += s.PlanCalls()
+				if u, r := s.UndoDepth(), s.RedoDepth(); u != 2 || r != 0 {
+					return fmt.Errorf("%s rebuilt with undo/redo depth %d/%d, want 2/0", name, u, r)
+				}
 				return nil
 			}); err != nil {
 				b.Fatal(err)

@@ -179,8 +179,8 @@ func editScript(t *testing.T, p *serveProc, name string) {
 // TestCrashRecoverEquivalence is the idle-barrier crash: every edit is
 // acknowledged before the SIGKILL, so the restarted server must serve
 // costs byte-identical to a control that never crashed — same design,
-// same what-if names, same undo/redo depths — plus explains, the
-// recovery counter and the /stats durability block.
+// same signature, same undo/redo depths — plus explains, the recovery
+// counter and the /stats durability block.
 func TestCrashRecoverEquivalence(t *testing.T) {
 	bin := buildParinda(t)
 	dir := t.TempDir()

@@ -48,10 +48,11 @@ func TestIngestCommand(t *testing.T) {
 			t.Errorf("ingest output missing %q\n---\n%s", want, out)
 		}
 	}
-	win, err := mgr.Window("live")
+	win, release, err := mgr.WindowAcquire("live")
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	if st := win.Stats(); st.Submissions != 3 || st.Distinct != 2 || st.Rejected != 1 {
 		t.Fatalf("server window stats = %+v", st)
 	}

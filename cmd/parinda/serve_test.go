@@ -2,8 +2,7 @@ package main
 
 // End-to-end test of `parinda serve`: boot on an ephemeral port,
 // drive the HTTP API (create a session, add an index, read costs),
-// then deliver SIGINT and assert the graceful shutdown exits 0 — the
-// same sequence the CI smoke step runs against the built binary.
+// then deliver SIGINT and assert the graceful shutdown exits 0.
 
 import (
 	"bytes"
@@ -12,6 +11,7 @@ import (
 	"net/http"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -124,6 +124,18 @@ func TestServeEndToEnd(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	// The request counter moved, and smoke's plan calls are attributed.
+	requests := 0.0
+	for _, m := range regexp.MustCompile(`(?m)^parinda_http_requests_total\{.*\} (\S+)$`).FindAllStringSubmatch(metrics, -1) {
+		n, _ := strconv.ParseFloat(m[1], 64)
+		requests += n
+	}
+	if requests <= 0 {
+		t.Errorf("parinda_http_requests_total sums to %v after the session work", requests)
+	}
+	if m := regexp.MustCompile(`(?m)^parinda_tenant_plan_calls_total\{tenant="smoke"\} (\S+)$`).FindStringSubmatch(metrics); m == nil || m[1] == "0" {
+		t.Errorf("no plan calls attributed to smoke: %v", m)
 	}
 	// The debug access log (json) carries the request ids.
 	if !strings.Contains(stderr.String(), `"requestId"`) {

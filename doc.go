@@ -82,7 +82,7 @@
 //	                    per-session streaming ingest endpoints,
 //	                    read-header/idle connection timeouts,
 //	                    graceful shutdown, and opt-in snapshot + WAL
-//	                    durability with op-log replay on boot — the
+//	                    durability with history restore on boot — the
 //	                    `parinda serve` subcommand
 //	internal/durable    crash-safety kit under the serve tier: CRC32C-
 //	                    framed append-only WAL segments with batched

@@ -10,13 +10,14 @@ package serve
 // snapshot (on a timer and on graceful drain). Recovery loads the
 // newest valid snapshot and replays the WAL suffix on top of it.
 //
-// Sessions are persisted as op logs: the workload + worker count that
-// opened the session plus the ordered EditRecord sequence since. A
-// rebuild replays the ops through session.ApplyRecord over the same
-// workload, which reconstructs the design, the generated what-if index
-// names, the pricing and the undo/redo stacks exactly; with the shared
-// memo's states restored first, the replay is served entirely by memo
-// hits — zero optimizer plan calls for shared-memo-warm state.
+// Sessions are persisted as the workload + worker count that opened
+// them plus their session.History, which the journal hook keeps as the
+// session's own value (never changed once handed out, so a snapshot
+// marshals it as is) and WAL replay advances with History.Apply. A
+// rebuild Restores it into a fresh session — one move to the current
+// state, priced from the restored shared memo, so zero optimizer plan
+// calls when warm. Only explains may number the what-if indexes
+// differently than before the restart.
 //
 // Records are deduplicated on replay rather than strictly ordered on
 // disk: appends from different requests may land in the WAL out of
@@ -107,24 +108,29 @@ type walRecord struct {
 type snapshotFile struct {
 	Version  int                   `json:"version"`
 	WalSeq   uint64                `json:"walSeq"`
-	Sessions []durSessionRecord    `json:"sessions,omitempty"`
+	Sessions []durSession          `json:"sessions,omitempty"`
 	States   []session.SharedState `json:"states,omitempty"`
 	Jobs     []durJobRecord        `json:"jobs,omitempty"`
 	JobSeq   int64                 `json:"jobSeq,omitempty"`
 }
 
-const snapshotVersion = 1
+// snapshotVersion 2 stores each session's history; version 1 stored
+// the op log (Ops), which a boot folds into a history.
+const snapshotVersion = 2
 
-// durSessionRecord is one session's durable form: its opening
-// parameters plus the op log that rebuilds it.
-type durSessionRecord struct {
+// durSession is one session's durable state — its opening parameters
+// plus the history that rebuilds it — in memory and, copied, in a
+// snapshot. In memory Name, Inc, Workload and Workers are immutable
+// after construction and the rest is guarded by durability.mu.
+type durSession struct {
 	Name     string               `json:"name"`
 	Inc      uint64               `json:"inc"`
 	Seq      uint64               `json:"seq,omitempty"`
 	Workload []string             `json:"workload,omitempty"` // nil = the server default
 	Workers  int                  `json:"workers,omitempty"`
-	Ops      []session.EditRecord `json:"ops,omitempty"`
-	Window   []ingest.Entry       `json:"window,omitempty"`
+	Hist     session.History      `json:"history"`
+	Ops      []session.EditRecord `json:"ops,omitempty"`    // version 1 snapshots only; folded into Hist on boot
+	Window   []ingest.Entry       `json:"window,omitempty"` // stashed at eviction; nil while live
 	Dormant  bool                 `json:"dormant,omitempty"`
 }
 
@@ -134,20 +140,6 @@ type durJobRecord struct {
 	Status     *RecommendJobStatus `json:"status"`
 	StartedMs  int64               `json:"startedMs,omitempty"`
 	FinishedMs int64               `json:"finishedMs,omitempty"`
-}
-
-// durSession is the in-memory durable bookkeeping for one session.
-// inc and workload/workers are immutable after construction; the rest
-// is guarded by durability.mu.
-type durSession struct {
-	inc      uint64
-	workload []string
-	workers  int
-
-	seq     uint64
-	ops     []session.EditRecord
-	window  []ingest.Entry // stashed at eviction; nil while live
-	dormant bool
 }
 
 // durability is the Manager's persistence sidecar.
@@ -183,11 +175,24 @@ func (d *durability) nextG() uint64 {
 	return g
 }
 
+// dormantCount counts the durable sessions that are not resident.
+func (d *durability) dormantCount() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, ds := range d.sessions {
+		if ds.Dormant {
+			n++
+		}
+	}
+	return n
+}
+
 // hasDormant reports whether name exists durably but is not resident.
 func (d *durability) hasDormant(name string) bool {
 	d.mu.Lock()
 	ds := d.sessions[name]
-	ok := ds != nil && ds.dormant
+	ok := ds != nil && ds.Dormant
 	d.mu.Unlock()
 	return ok
 }
@@ -237,11 +242,7 @@ func (m *Manager) journalCreateLocked(name string, workload []string, workers in
 	d.mu.Lock()
 	d.walSeq++
 	g := d.walSeq
-	ds := &durSession{
-		inc:      g,
-		workload: append([]string(nil), workload...),
-		workers:  workers,
-	}
+	ds := &durSession{Name: name, Inc: g, Workload: append([]string(nil), workload...), Workers: workers}
 	d.sessions[name] = ds
 	d.mu.Unlock()
 	return ds, &walRecord{T: walCreate, G: g, Session: name, Inc: g, Workload: workload, Workers: workers}
@@ -256,13 +257,13 @@ func (m *Manager) attachJournal(name string, ds *durSession, s *session.DesignSe
 		d.mu.Lock()
 		d.walSeq++
 		g := d.walSeq
-		ds.seq++
-		seq := ds.seq
-		ds.ops = append(ds.ops, rec)
+		ds.Seq++
+		seq := ds.Seq
+		ds.Hist = s.History()
 		d.mu.Unlock()
 		// A failure turns the node read-only; the edit's handler reads
 		// that back through writable before it answers.
-		m.walAppend(&walRecord{T: walEdit, G: g, Session: name, Inc: ds.inc, Seq: seq, Edit: &rec}, true)
+		m.walAppend(&walRecord{T: walEdit, G: g, Session: name, Inc: ds.Inc, Seq: seq, Edit: &rec}, true)
 	})
 }
 
@@ -279,26 +280,25 @@ func (m *Manager) journalDrop(name string) (bool, error) {
 	delete(d.sessions, name)
 	d.walSeq++
 	g := d.walSeq
-	inc := ds.inc
+	inc := ds.Inc
 	d.mu.Unlock()
 	return true, m.walAppend(&walRecord{T: walDrop, G: g, Session: name, Inc: inc}, true)
 }
 
-// noteEvictLocked marks name's durable session dormant, stashing its
-// window so rehydration restores the streamed workload too. Requires
-// m.mu (called from the eviction paths); takes durability.mu inside.
-func (m *Manager) noteEvictLocked(t *tenant) {
-	if m.dur == nil {
-		return
+// evictLocked takes idle tenant t out of memory. Its durable session
+// turns dormant, stashing the window so a rehydrate restores the
+// streamed workload too. Requires m.mu; takes durability.mu inside.
+func (m *Manager) evictLocked(t *tenant, reason string) {
+	delete(m.tenants, t.name)
+	m.log.Info("session evicted", "session", t.name, "reason", reason)
+	if d := m.dur; d != nil {
+		entries := t.win.Snapshot()
+		d.mu.Lock()
+		if ds := d.sessions[t.name]; ds != nil {
+			ds.Dormant, ds.Window = true, entries
+		}
+		d.mu.Unlock()
 	}
-	entries := t.win.Snapshot()
-	d := m.dur
-	d.mu.Lock()
-	if ds := d.sessions[t.name]; ds != nil {
-		ds.dormant = true
-		ds.window = entries
-	}
-	d.mu.Unlock()
 }
 
 // journalJob journals a job's current status (start, terminal
@@ -349,23 +349,21 @@ func (m *Manager) buildSession(workloadSQL []string, workers int) (*session.Desi
 	return session.New(m.cat, workloadSQL, sopts)
 }
 
-// rehydrateIfDormant rebuilds name from its durable state when it is
-// resident on disk but not in memory. A nil error means the session
-// may now be live (the caller re-looks it up); ErrNotFound means there
-// is nothing durable to rebuild.
-func (m *Manager) rehydrateIfDormant(name string) error {
-	if m.dur == nil || !m.dur.hasDormant(name) {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+// fold advances a recovered history by rec, logging and skipping a
+// record that does not apply.
+func (m *Manager) fold(name string, h session.History, rec session.EditRecord) session.History {
+	next, err := h.Apply(rec)
+	if err != nil {
+		m.log.Warn("journaled edit does not apply; skipped", "session", name, "error", err.Error())
 	}
-	return m.rehydrate(name)
+	return next
 }
 
-// rehydrate rebuilds one durable session into a live tenant: replay
-// the op log over a fresh session (served by the restored shared memo,
-// so warm replays plan nothing), restore the stashed window, and
-// commit through the same placeholder + inflight handshake Create
-// uses, so concurrent requests queue on the tenant lock instead of
-// racing the rebuild.
+// rehydrate rebuilds one durable session into a live tenant: a fresh
+// session Restored to its history (served by the restored shared memo,
+// so a warm rebuild plans nothing) plus its stashed window, installed
+// the way Create installs, so concurrent requests queue on the tenant
+// lock instead of racing the rebuild.
 func (m *Manager) rehydrate(name string) error {
 	start := time.Now()
 	d := m.dur
@@ -375,9 +373,7 @@ func (m *Manager) rehydrate(name string) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	workload, workers := ds.workload, ds.workers
-	ops := append([]session.EditRecord(nil), ds.ops...)
-	window := append([]ingest.Entry(nil), ds.window...)
+	hist, window := ds.Hist, ds.Window
 	d.mu.Unlock()
 
 	m.mu.Lock()
@@ -386,71 +382,30 @@ func (m *Manager) rehydrate(name string) error {
 		m.mu.Unlock()
 		return nil
 	}
-	if len(m.tenants) >= m.maxSessions() && !m.evictLRULocked() {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (%d sessions, all busy)", ErrCapacity, len(m.tenants))
+	t, err := m.installLocked(name, "rehydrate", ds.Workload, ds.Workers, hist, func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.sessions[name] != ds {
+			// Dropped (or dropped and re-created) while we were rebuilding:
+			// this incarnation must not resurrect.
+			return fmt.Errorf("%w: %q", ErrNotFound, name)
+		}
+		ds.Dormant, ds.Window = false, nil
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	t := &tenant{
-		name:     name,
-		lastUsed: m.now(),
-		tick:     m.clock,
-		win: ingest.NewWindow(ingest.Options{
-			Capacity: m.opts.WindowCapacity,
-			HalfLife: m.opts.WindowHalfLife,
-			Symbols:  m.winSyms,
-		}),
-	}
-	m.clock++
-	t.inflight++
-	t.mu.Lock()
-	m.tenants[name] = t
-	m.mu.Unlock()
-
-	s, err := m.buildSession(workload, workers)
-	for i := 0; err == nil && i < len(ops); i++ {
-		_, err = s.ApplyRecord(ops[i])
-	}
-	if err == nil && len(window) > 0 {
+	defer t.mu.Unlock()
+	if len(window) > 0 {
 		t.win.Restore(window)
 	}
-
-	m.mu.Lock()
-	d.mu.Lock()
-	if err == nil && d.sessions[name] != ds {
-		// Dropped (or dropped and re-created) while we were replaying:
-		// this incarnation must not resurrect.
-		err = fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if err == nil {
-		ds.dormant = false
-		ds.window = nil
-	}
-	d.mu.Unlock()
-	t.inflight--
-	if err != nil {
-		if m.tenants[name] == t {
-			delete(m.tenants, name)
-		}
-	} else {
-		t.s = s
-		t.lastUsed = m.now()
-		t.tick = m.clock
-		m.clock++
-	}
-	m.mu.Unlock()
-	if err == nil {
-		m.attachJournal(name, ds, s)
-		st := s.Stats()
-		m.log.Info("session rehydrated",
-			"session", name, "ops", len(ops),
-			"elapsedMs", float64(time.Since(start).Microseconds())/1e3,
-			"planCalls", st.PlanCalls, "sharedHits", st.SharedHits)
-	}
-	t.mu.Unlock()
-	if err != nil {
-		m.log.Warn("session rehydrate failed", "session", name, "error", err.Error())
-		return fmt.Errorf("serve: rehydrate session %q: %w", name, err)
-	}
+	m.attachJournal(name, ds, t.s)
+	st := t.s.Stats()
+	m.log.Info("session rehydrated",
+		"session", name, "undoDepth", hist.UndoDepth(), "redoDepth", hist.RedoDepth(),
+		"elapsedMs", float64(time.Since(start).Microseconds())/1e3,
+		"planCalls", st.PlanCalls, "sharedHits", st.SharedHits)
 	return nil
 }
 
@@ -507,20 +462,13 @@ func (m *Manager) buildSnapshot() *snapshotFile {
 
 	d.mu.Lock()
 	snap.WalSeq = d.walSeq
-	sess := make(map[string]durSessionRecord, len(d.sessions))
-	for name, ds := range d.sessions {
-		sess[name] = durSessionRecord{
-			Name:     name,
-			Inc:      ds.inc,
-			Seq:      ds.seq,
-			Workload: ds.workload,
-			Workers:  ds.workers,
-			Ops:      append([]session.EditRecord(nil), ds.ops...),
-			Window:   append([]ingest.Entry(nil), ds.window...),
-			Dormant:  ds.dormant,
-		}
+	for _, ds := range d.sessions {
+		r := *ds
+		r.Window = append([]ingest.Entry(nil), ds.Window...)
+		snap.Sessions = append(snap.Sessions, r)
 	}
 	d.mu.Unlock()
+	sort.Slice(snap.Sessions, func(i, k int) bool { return snap.Sessions[i].Name < snap.Sessions[k].Name })
 
 	// Live sessions' windows are captured from the live object (dormant
 	// ones carry their eviction-time stash).
@@ -530,19 +478,10 @@ func (m *Manager) buildSnapshot() *snapshotFile {
 		wins[name] = t.win
 	}
 	m.mu.Unlock()
-	for name, w := range wins {
-		if r, ok := sess[name]; ok {
-			r.Window = w.Snapshot()
-			sess[name] = r
+	for i, r := range snap.Sessions {
+		if w, ok := wins[r.Name]; ok {
+			snap.Sessions[i].Window = w.Snapshot()
 		}
-	}
-	names := make([]string, 0, len(sess))
-	for name := range sess {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap.Sessions = append(snap.Sessions, sess[name])
 	}
 
 	snap.States = m.shared.ExportStates()
@@ -627,17 +566,14 @@ func (m *Manager) openDurable() error {
 		}
 	}
 	d.walSeq = snap.WalSeq
-	for _, sr := range snap.Sessions {
-		d.sessions[sr.Name] = &durSession{
-			inc:      sr.Inc,
-			workload: sr.Workload,
-			workers:  sr.Workers,
-			seq:      sr.Seq,
-			ops:      sr.Ops,
-			window:   sr.Window,
-			dormant:  true, // everything starts dormant; the eager pass below revives
+	for _, ds := range snap.Sessions {
+		for _, op := range ds.Ops {
+			ds.Hist = m.fold(ds.Name, ds.Hist, op)
 		}
-		records += 1 + int64(len(sr.Ops))
+		ds.Ops = nil
+		ds.Dormant = true // everything starts dormant; the eager pass below revives
+		d.sessions[ds.Name] = &ds
+		records += 1 + int64(ds.Hist.UndoDepth()+ds.Hist.RedoDepth())
 	}
 	for _, st := range snap.States {
 		m.shared.RestoreState(st)
@@ -669,24 +605,19 @@ func (m *Manager) openDurable() error {
 			if dropTomb[r.Session] >= r.Inc {
 				continue // this incarnation was dropped later
 			}
-			if ds := d.sessions[r.Session]; ds == nil || ds.inc < r.Inc {
-				d.sessions[r.Session] = &durSession{
-					inc:      r.Inc,
-					workload: r.Workload,
-					workers:  r.Workers,
-					dormant:  true,
-				}
+			if ds := d.sessions[r.Session]; ds == nil || ds.Inc < r.Inc {
+				d.sessions[r.Session] = &durSession{Name: r.Session, Inc: r.Inc, Workload: r.Workload, Workers: r.Workers, Dormant: true}
 			}
 		case walEdit:
-			if ds := d.sessions[r.Session]; ds != nil && ds.inc == r.Inc && r.Seq > ds.seq && r.Edit != nil {
-				ds.seq = r.Seq
-				ds.ops = append(ds.ops, *r.Edit)
+			if ds := d.sessions[r.Session]; ds != nil && ds.Inc == r.Inc && r.Seq > ds.Seq && r.Edit != nil {
+				ds.Seq = r.Seq
+				ds.Hist = m.fold(r.Session, ds.Hist, *r.Edit)
 			}
 		case walDrop:
 			if r.Inc > dropTomb[r.Session] {
 				dropTomb[r.Session] = r.Inc
 			}
-			if ds := d.sessions[r.Session]; ds != nil && ds.inc == r.Inc {
+			if ds := d.sessions[r.Session]; ds != nil && ds.Inc == r.Inc {
 				delete(d.sessions, r.Session)
 			}
 		case walState:
@@ -808,21 +739,14 @@ func (m *Manager) durabilityStats() *DurabilityStats {
 		return nil
 	}
 	d.mu.Lock()
-	walSeq := d.walSeq
-	total := len(d.sessions)
-	dormant := 0
-	for _, ds := range d.sessions {
-		if ds.dormant {
-			dormant++
-		}
-	}
+	walSeq, total := d.walSeq, len(d.sessions)
 	d.mu.Unlock()
 	return &DurabilityStats{
 		Dir:             m.opts.DataDir,
 		FsyncPolicy:     m.opts.Fsync.String(),
 		WalSeq:          walSeq,
 		DurableSessions: total,
-		DormantSessions: dormant,
+		DormantSessions: d.dormantCount(),
 		WalErrors:       d.walErrors.Load(),
 		RecoverRecords:  d.recoverRecords.Load(),
 		RecoverSeconds:  d.recoverSeconds,
@@ -858,15 +782,5 @@ func (m *Manager) registerDurabilityViews() {
 	reg.CounterFunc("parinda_recover_records_total", "Records restored by the boot recovery (snapshot entries + WAL replay).",
 		func() float64 { return float64(d.recoverRecords.Load()) })
 	reg.GaugeFunc("parinda_dormant_sessions", "Durable sessions resident on disk but not in memory.",
-		func() float64 {
-			d.mu.Lock()
-			n := 0
-			for _, ds := range d.sessions {
-				if ds.dormant {
-					n++
-				}
-			}
-			d.mu.Unlock()
-			return float64(n)
-		})
+		func() float64 { return float64(d.dormantCount()) })
 }

@@ -9,6 +9,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,7 +147,8 @@ func TestDurableRecoverEquivalence(t *testing.T) {
 
 // TestDurableSnapshotRecover is the snapshot-path variant: a graceful
 // Close writes a final snapshot, and the next boot restores from it
-// (WAL suffix empty) with the same fingerprints.
+// (WAL suffix empty) with the same fingerprints — and a redo after the
+// boot brings back the state undone before it.
 func TestDurableSnapshotRecover(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newDurableManager(t, dir, Options{MaxSessions: 4})
@@ -155,6 +157,13 @@ func TestDurableSnapshotRecover(t *testing.T) {
 	}
 	if err := m1.Do("a", func(s *session.DesignSession) error {
 		_, err := s.AddIndex(inum.IndexSpec{Table: "photoobj", Columns: []string{"ra"}})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	undone := fingerprint(t, m1, "a")
+	if err := m1.Do("a", func(s *session.DesignSession) error {
+		_, err := s.Undo()
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -173,6 +182,17 @@ func TestDurableSnapshotRecover(t *testing.T) {
 	if !bytes.Equal(got.costs, want.costs) || got.design != want.design ||
 		got.undo != want.undo || got.red != want.red {
 		t.Errorf("snapshot recovery fingerprint mismatch: got %+v want %+v", got, want)
+	}
+	if err := m2.Do("a", func(s *session.DesignSession) error {
+		_, err := s.Redo()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, m2, "a"); !bytes.Equal(got.costs, undone.costs) || got.design != undone.design ||
+		got.undo != undone.undo || got.red != undone.red {
+		t.Errorf("redo after snapshot recovery: design %q depths %d/%d, want %q %d/%d (costs equal: %v)",
+			got.design, got.undo, got.red, undone.design, undone.undo, undone.red, bytes.Equal(got.costs, undone.costs))
 	}
 }
 
@@ -337,6 +357,45 @@ func TestDurableRecoverIgnoresStoredCosts(t *testing.T) {
 	if st := m.shared.Costs().Stats(); st.Entries != 0 || st.InternedDesigns != 0 {
 		t.Errorf("the stored costs section reached the cost tier: %+v", st)
 	}
+}
+
+// TestDurableRecoverVersion1Snapshot: version-1 snapshots stored each
+// session's op log ("ops") instead of its history. A boot folds the ops
+// through History.Apply, then the WAL on top, to the same costs,
+// signatures and depths with zero plan calls.
+func TestDurableRecoverVersion1Snapshot(t *testing.T) {
+	ops := 0
+	dir, want := legacyDataDir(t, func(snap map[string]any) {
+		snap["version"] = json.Number("1")
+		for _, sr := range snap["sessions"].([]any) {
+			sr := sr.(map[string]any)
+			hist := sr["history"].(map[string]any)
+			delete(sr, "history")
+			states, _ := hist["states"].([]any)
+			var log []any
+			for _, st := range states {
+				st := st.(map[string]any)
+				log = append(log, map[string]any{"kind": "edit", "design": st["design"], "nestLoop": st["nestLoop"]})
+			}
+			cursor := len(states)
+			if c, ok := hist["cursor"].(json.Number); ok {
+				n, err := c.Int64()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursor = int(n)
+			}
+			for range len(states) - cursor {
+				log = append(log, map[string]any{"kind": "undo"})
+			}
+			sr["ops"] = log
+			ops += len(log)
+		}
+	}, func(map[string]any) {})
+	if ops == 0 {
+		t.Fatal("the snapshot carried no history to turn into ops")
+	}
+	assertBootsTo(t, dir, want)
 }
 
 // TestDropVsEvictDiverge pins the ISSUE's bugfix: eviction is a
@@ -534,9 +593,11 @@ func TestJobRecovery(t *testing.T) {
 }
 
 // TestDurableConcurrentJournal hammers a durable manager with
-// concurrent edits, evictions and snapshots, then crash-recovers and
-// checks every surviving session replays cleanly. Mostly a -race
-// exercise for the journaling hooks.
+// concurrent edits, undos, evictions and snapshots — adds and undos
+// alternate, so edits after an undo race snapshots — then
+// crash-recovers: under -fsync always every acked edit is journaled, so
+// each session comes back with the costs, design and depths it had.
+// Also a -race exercise for the journaling hooks.
 func TestDurableConcurrentJournal(t *testing.T) {
 	dir := t.TempDir()
 	m := newDurableManager(t, dir, Options{MaxSessions: 3})
@@ -577,27 +638,23 @@ func TestDurableConcurrentJournal(t *testing.T) {
 				// Create is rehydrate-or-new under eviction pressure; with 4
 				// tenants over 3 slots the LRU churns constantly.
 				if err := m.Create(name, nil, 0); err != nil &&
-					!strings.Contains(err.Error(), "already exists") &&
-					!strings.Contains(err.Error(), "capacity") {
+					!errors.Is(err, ErrExists) && !errors.Is(err, ErrCapacity) {
 					t.Errorf("create %s: %v", name, err)
 					return
 				}
 				err := m.Do(name, func(s *session.DesignSession) error {
+					var err error
 					if i%2 == 0 {
-						_, err := s.AddIndex(spec)
-						if err != nil && strings.Contains(err.Error(), "already in the design") {
-							err = nil
-						}
-						return err
+						_, err = s.AddIndex(spec)
+					} else {
+						_, err = s.Undo()
 					}
-					_, err := s.Undo()
-					if err != nil && strings.Contains(err.Error(), "nothing to undo") {
-						err = nil
+					if errors.Is(err, session.ErrConflict) {
+						err = nil // already in the design, nothing to undo
 					}
 					return err
 				})
-				if err != nil && !strings.Contains(err.Error(), "no such session") &&
-					!strings.Contains(err.Error(), "capacity") {
+				if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrCapacity) {
 					t.Errorf("do %s: %v", name, err)
 					return
 				}
@@ -607,6 +664,10 @@ func TestDurableConcurrentJournal(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	snapWG.Wait()
+	want := map[string]sessionFingerprint{}
+	for _, name := range []string{"w", "x", "y", "z"} {
+		want[name] = fingerprint(t, m, name)
+	}
 	crash(t, m)
 
 	m2 := newDurableManager(t, dir, Options{MaxSessions: 8})
@@ -614,12 +675,10 @@ func TestDurableConcurrentJournal(t *testing.T) {
 	if got := m2.durabilityStats().DurableSessions; got != 4 {
 		t.Errorf("recovered %d durable sessions, want 4", got)
 	}
-	for _, name := range []string{"w", "x", "y", "z"} {
-		if err := m2.Do(name, func(s *session.DesignSession) error {
-			s.Report() // must produce a coherent report without panicking
-			return nil
-		}); err != nil {
-			t.Errorf("recovered session %s: %v", name, err)
+	for name, w := range want {
+		if got := fingerprint(t, m2, name); !bytes.Equal(got.costs, w.costs) ||
+			got.design != w.design || got.undo != w.undo || got.red != w.red {
+			t.Errorf("%s: recovered %+v, want %+v", name, got, w)
 		}
 	}
 }

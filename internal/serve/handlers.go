@@ -164,29 +164,22 @@ func marshalBody(v any) ([]byte, error) {
 	return append(blob, '\n'), nil
 }
 
-// writeError maps err to a status code and an ErrorResponse body.
-// Session errors are plain fmt.Errorf text, so state conflicts are
-// recognized by the phrases below (kept in sync with internal/session
-// by the handler tests): all of them — an edit that is already
-// applied, one that targets a design object that is not there, or an
-// empty undo/redo stack — are 409s; every other session error is a
-// 400 (invalid design against the catalog).
+// writeError maps err to a status code and an ErrorResponse body. A
+// session.ErrConflict — an edit that is already applied, one that
+// targets a design object that is not there, or nothing to undo/redo —
+// is a 409; every other session error is a 400 (invalid design against
+// the catalog).
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	msg := err.Error()
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrExists):
+	case errors.Is(err, ErrExists), errors.Is(err, session.ErrConflict):
 		status = http.StatusConflict
 	case errors.Is(err, ErrCapacity), errors.Is(err, ErrDegraded):
 		status = http.StatusServiceUnavailable
-	case strings.Contains(msg, "nothing to undo"), strings.Contains(msg, "nothing to redo"),
-		strings.Contains(msg, "already in the design"), strings.Contains(msg, "no design index"),
-		strings.Contains(msg, "is not partitioned in the design"):
-		status = http.StatusConflict
 	}
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 // decodeBody strictly decodes the request body into v. An empty body

@@ -133,6 +133,9 @@ func TestAPISessionLifecycle(t *testing.T) {
 	// Unknown column → 400.
 	call(t, ts, "POST", "/sessions/dba1/indexes",
 		inum.IndexSpec{Table: "photoobj", Columns: []string{"no_such"}}, http.StatusBadRequest, nil)
+	// An unknown table is a 400 whatever its name says.
+	call(t, ts, "POST", "/sessions/dba1/indexes",
+		inum.IndexSpec{Table: "nothing to undo", Columns: []string{"ra"}}, http.StatusBadRequest, nil)
 
 	// Costs panel.
 	var costs CostsResponse

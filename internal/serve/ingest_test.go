@@ -159,6 +159,9 @@ func TestContinuousTuningEndToEnd(t *testing.T) {
 	// optimizer calls than the warm retune did.
 	var wr WindowResponse
 	call(t, ts, "GET", "/sessions/live/window", nil, http.StatusOK, &wr)
+	if wr.Drift < 0.25 {
+		t.Fatalf("window drift = %v, want the drift the retune fired on", wr.Drift)
+	}
 	var queries []recommend.Query
 	for _, e := range wr.Entries {
 		qs, err := recommend.ParseWorkload([]string{e.SQL})

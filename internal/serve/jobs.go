@@ -218,11 +218,12 @@ func (m *Manager) StartRecommend(name string, req RecommendJobRequest, requestID
 	if req.Continuous {
 		// The continuous variant needs the session's live window; grab
 		// it before registering so a bad request never occupies a slot.
-		win, err := m.Window(name)
+		win, release, err := m.WindowAcquire(name)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
+		release()
 		tuner := ingest.NewTuner(win, ingest.TunerOptions{
 			Catalog:        m.cat,
 			Baseline:       queries,

@@ -292,43 +292,9 @@ func (m *Manager) Create(name string, workloadSQL []string, workers int) error {
 		m.mu.Unlock()
 		return m.rehydrate(name)
 	}
-	if len(m.tenants) >= m.maxSessions() && !m.evictLRULocked() {
-		m.mu.Unlock()
-		return fmt.Errorf("%w (%d sessions, all busy)", ErrCapacity, len(m.tenants))
-	}
-	t := &tenant{
-		name:     name,
-		lastUsed: m.now(),
-		tick:     m.clock,
-		win: ingest.NewWindow(ingest.Options{
-			Capacity: m.opts.WindowCapacity,
-			HalfLife: m.opts.WindowHalfLife,
-			Symbols:  m.winSyms,
-		}),
-	}
-	m.clock++
-	t.inflight++ // the creation itself counts: uncreated sessions are unevictable
-	t.mu.Lock()
-	m.tenants[name] = t
-	m.mu.Unlock()
-
-	s, err := m.buildSession(workloadSQL, workers)
-
-	m.mu.Lock()
-	t.inflight--
 	var ds *durSession
 	var createRec *walRecord
-	if err != nil {
-		// Remove only OUR placeholder: a concurrent Drop + re-Create
-		// may have installed a different live session under this name.
-		if m.tenants[name] == t {
-			delete(m.tenants, name)
-		}
-	} else {
-		t.s = s
-		t.lastUsed = m.now()
-		t.tick = m.clock
-		m.clock++
+	t, err := m.installLocked(name, "create", workloadSQL, workers, session.History{}, func() error {
 		m.created++
 		if m.dur != nil {
 			// Register the durable session while m.mu is still held, so
@@ -336,29 +302,87 @@ func (m *Manager) Create(name string, workloadSQL []string, workers int) error {
 			// the record itself is appended outside the lock.
 			ds, createRec = m.journalCreateLocked(name, workloadSQL, workers)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	defer t.mu.Unlock()
+	var appendErr error
+	if createRec != nil {
+		appendErr = m.walAppend(createRec, true)
+		m.attachJournal(name, ds, t.s)
+	}
+	// Stats are safe to read here: t.mu is still held, so no other
+	// request has touched the fresh session. A create served wholly
+	// by the shared memo logs planCalls=0 — the pooled-pricing win.
+	st := t.s.Stats()
+	m.log.Info("session created",
+		"session", name, "queries", len(t.s.Queries()),
+		"elapsedMs", float64(time.Since(start).Microseconds())/1e3,
+		"planCalls", st.PlanCalls, "sharedHits", st.SharedHits)
+	return appendErr
+}
+
+// installLocked is the one way a tenant comes to life, for a create (of
+// the empty history) and a rehydrate alike. Called with m.mu held and
+// name absent, it makes room, registers a placeholder whose lock it
+// holds and whose inflight counts the build (requests queue on it;
+// eviction passes it by), and releases m.mu. The session is built and
+// Restored to hist outside the lock, then commit runs under it. On
+// success the tenant comes back with its session set and still locked,
+// so the caller journals before any queued request runs; on failure
+// only OUR placeholder goes, as a Drop + re-Create may own the name.
+func (m *Manager) installLocked(name, verb string, workloadSQL []string, workers int, hist session.History, commit func() error) (*tenant, error) {
+	if len(m.tenants) >= m.maxSessions() && !m.evictLRULocked() {
+		n := len(m.tenants)
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w (%d sessions, all busy)", ErrCapacity, n)
+	}
+	t := &tenant{
+		name: name,
+		win: ingest.NewWindow(ingest.Options{
+			Capacity: m.opts.WindowCapacity,
+			HalfLife: m.opts.WindowHalfLife,
+			Symbols:  m.winSyms,
+		}),
+	}
+	m.touchLocked(t)
+	t.inflight++
+	t.mu.Lock()
+	m.tenants[name] = t
+	m.mu.Unlock()
+
+	s, err := m.buildSession(workloadSQL, workers)
+	if err == nil {
+		err = s.Restore(hist)
+	}
+
+	m.mu.Lock()
+	t.inflight--
+	if err == nil {
+		err = commit()
+	}
+	if err == nil {
+		t.s = s
+		m.touchLocked(t)
+	} else if m.tenants[name] == t {
+		delete(m.tenants, name)
 	}
 	m.mu.Unlock()
-	var appendErr error
-	if err == nil {
-		if createRec != nil {
-			appendErr = m.walAppend(createRec, true)
-			m.attachJournal(name, ds, s)
-		}
-		// Stats are safe to read here: t.mu is still held, so no other
-		// request has touched the fresh session. A create served wholly
-		// by the shared memo logs planCalls=0 — the pooled-pricing win.
-		st := s.Stats()
-		m.log.Info("session created",
-			"session", name, "queries", len(s.Queries()),
-			"elapsedMs", float64(time.Since(start).Microseconds())/1e3,
-			"planCalls", st.PlanCalls, "sharedHits", st.SharedHits)
-	}
-	t.mu.Unlock()
 	if err != nil {
-		m.log.Warn("session create failed", "session", name, "error", err.Error())
-		return fmt.Errorf("serve: create session %q: %w", name, err)
+		t.mu.Unlock()
+		m.log.Warn("session "+verb+" failed", "session", name, "error", err.Error())
+		return nil, fmt.Errorf("serve: %s session %q: %w", verb, name, err)
 	}
-	return appendErr
+	return t, nil
+}
+
+// touchLocked stamps t as just used, for LRU and idle TTL. Requires m.mu.
+func (m *Manager) touchLocked(t *tenant) {
+	t.lastUsed = m.now()
+	t.tick = m.clock
+	m.clock++
 }
 
 // validateSessionName rejects names that don't round-trip through a
@@ -383,64 +407,48 @@ func validateSessionName(name string) error {
 	return nil
 }
 
-// Window returns session name's streaming-workload window. The window
-// is concurrency-safe, so callers ingest into it without holding the
-// session lock; the lookup counts as a touch for LRU/TTL purposes
-// (live traffic keeps a session resident).
-func (m *Manager) Window(name string) (*ingest.Window, error) {
+// enter registers a request on tenant name, the one lookup every
+// request path shares: until leave runs, inflight > 0 keeps the tenant
+// unevictable, and leave counts as a touch. A dormant durable session
+// (evicted, not dropped) is rehydrated once on the way in — eviction
+// reclaims memory, never state.
+func (m *Manager) enter(name string) (*tenant, func(), error) {
 	for retried := false; ; retried = true {
 		m.mu.Lock()
-		t, ok := m.tenants[name]
-		if ok {
-			t.lastUsed = m.now()
-			t.tick = m.clock
-			m.clock++
-			win := t.win
+		if t, ok := m.tenants[name]; ok {
+			t.inflight++
 			m.mu.Unlock()
-			return win, nil
+			return t, func() {
+				m.mu.Lock()
+				t.inflight--
+				m.touchLocked(t)
+				m.mu.Unlock()
+			}, nil
 		}
 		m.mu.Unlock()
-		if retried {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		if retried || m.dur == nil || !m.dur.hasDormant(name) {
+			return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		if err := m.rehydrateIfDormant(name); err != nil {
-			return nil, err
+		if err := m.rehydrate(name); err != nil {
+			return nil, nil, err
 		}
 	}
 }
 
-// WindowAcquire is Window plus the eviction handshake the HTTP ingest
-// path needs: until release is called, inflight > 0 keeps the tenant
-// unevictable, so a capacity or idle-TTL eviction can never detach the
-// window mid-batch and silently swallow acknowledged queries. The
-// session lock is NOT taken — ingest still runs concurrently with
-// pricing. (An explicit Drop mid-request orphans the window, exactly
-// as Do's contract orphans the session.)
+// WindowAcquire returns session name's streaming-workload window. The
+// window is concurrency-safe, so callers ingest into it without the
+// session lock — ingest runs concurrently with pricing. Until release
+// is called the tenant stays unevictable, so a capacity or idle-TTL
+// eviction can never detach the window mid-batch and silently swallow
+// acknowledged queries; release counts as a touch. (An explicit Drop
+// mid-request orphans the window, exactly as Do's contract orphans the
+// session.)
 func (m *Manager) WindowAcquire(name string) (win *ingest.Window, release func(), err error) {
-	for retried := false; ; retried = true {
-		m.mu.Lock()
-		t, ok := m.tenants[name]
-		if ok {
-			t.inflight++
-			m.mu.Unlock()
-			release := func() {
-				m.mu.Lock()
-				t.inflight--
-				t.lastUsed = m.now()
-				t.tick = m.clock
-				m.clock++
-				m.mu.Unlock()
-			}
-			return t.win, release, nil
-		}
-		m.mu.Unlock()
-		if retried {
-			return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		if err := m.rehydrateIfDormant(name); err != nil {
-			return nil, nil, err
-		}
+	t, release, err := m.enter(name)
+	if err != nil {
+		return nil, nil, err
 	}
+	return t.win, release, nil
 }
 
 // windowPeek returns session name's window WITHOUT counting as a
@@ -456,40 +464,21 @@ func (m *Manager) windowPeek(name string) (*ingest.Window, bool) {
 	return t.win, true
 }
 
-// acquire registers a request on tenant name and takes its session
-// lock. Registering under the manager lock is the eviction handshake:
-// from there until release, inflight > 0 keeps the tenant unevictable.
-// A dormant durable session (evicted, not dropped) is rehydrated on
-// the way in — eviction reclaims memory, never state.
+// acquire is enter plus the session lock, taken after registering. A
+// request that queued behind a failed build finds no session there.
 func (m *Manager) acquire(name string) (*tenant, func(), error) {
-	var t *tenant
-	for retried := false; ; retried = true {
-		m.mu.Lock()
-		var ok bool
-		t, ok = m.tenants[name]
-		if ok {
-			t.inflight++
-			m.mu.Unlock()
-			break
-		}
-		m.mu.Unlock()
-		if retried {
-			return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		if err := m.rehydrateIfDormant(name); err != nil {
-			return nil, nil, err
-		}
+	t, leave, err := m.enter(name)
+	if err != nil {
+		return nil, nil, err
 	}
-
 	t.mu.Lock()
 	release := func() {
 		t.mu.Unlock()
-		m.mu.Lock()
-		t.inflight--
-		t.lastUsed = m.now()
-		t.tick = m.clock
-		m.clock++
-		m.mu.Unlock()
+		leave()
+	}
+	if t.s == nil {
+		release()
+		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return t, release, nil
 }
@@ -504,10 +493,6 @@ func (m *Manager) Do(name string, fn func(*session.DesignSession) error) error {
 		return err
 	}
 	defer release()
-	if t.s == nil {
-		// The creation this call queued behind failed.
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	return fn(t.s)
 }
 
@@ -525,9 +510,6 @@ func (m *Manager) CostsJSON(name string) ([]byte, error) {
 		return nil, err
 	}
 	defer release()
-	if t.s == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	sig := t.s.Signature()
 	if t.costsJSON != nil && t.costsSig == sig {
 		m.costsCacheHits.Add(1)
@@ -583,10 +565,8 @@ func (m *Manager) evictLRULocked() bool {
 	if victim == nil {
 		return false
 	}
-	m.noteEvictLocked(victim)
-	delete(m.tenants, victim.name)
+	m.evictLocked(victim, "lru")
 	m.evictions++
-	m.log.Info("session evicted", "session", victim.name, "reason", "lru")
 	return true
 }
 
@@ -596,13 +576,11 @@ func (m *Manager) sweepLocked(now time.Time) int {
 		return 0
 	}
 	n := 0
-	for name, t := range m.tenants {
+	for _, t := range m.tenants {
 		if t.inflight == 0 && now.Sub(t.lastUsed) >= m.opts.IdleTTL {
-			m.noteEvictLocked(t)
-			delete(m.tenants, name)
+			m.evictLocked(t, "ttl")
 			m.expirations++
 			n++
-			m.log.Info("session evicted", "session", name, "reason", "ttl")
 		}
 	}
 	return n

@@ -99,7 +99,7 @@ type SessionInfo struct {
 	NestLoop  bool          `json:"nestLoop"`
 	CanUndo   bool          `json:"canUndo"`
 	CanRedo   bool          `json:"canRedo"`
-	// UndoDepth/RedoDepth are the history stack sizes — the durability
+	// UndoDepth/RedoDepth are the session history's depths — the durability
 	// crash tests assert they survive a restart bit-identically.
 	UndoDepth int          `json:"undoDepth"`
 	RedoDepth int          `json:"redoDepth"`

@@ -8,9 +8,10 @@
 // a memo keyed by (query identity, projected design key —
 // design.ProjectedKey). Every design transition reaches the
 // planner as one whatif.Session.ApplyDelta of design.Diff instead of a
-// full rebuild, and an undo stack replays earlier designs almost
-// entirely from the memo. Plan explains are not memoized: Explain
-// plans one query on the session's own what-if session per read.
+// full rebuild, and undo and redo move through the session's History
+// (history.go), revisiting earlier designs almost entirely from the
+// memo. Plan explains are not memoized: Explain plans one query on the
+// session's own what-if session per read.
 //
 // A one-shot evaluation is New(…).ApplyDesign(d) on a throwaway
 // DesignSession; `parinda session` drives a long-lived one.
@@ -35,29 +36,6 @@ import (
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 )
-
-// EditRecord kinds: a committed user edit, an undo, a redo.
-const (
-	RecordEdit = "edit"
-	RecordUndo = "undo"
-	RecordRedo = "redo"
-)
-
-// EditRecord is one committed session mutation in serializable form —
-// the unit the serve tier journals to its write-ahead log. An edit
-// record carries the full target state (design + nest-loop flag)
-// rather than a delta: replaying the sequence through ApplyRecord
-// re-derives each delta against the session's then-current design,
-// which reproduces the original transitions exactly — including the
-// what-if session's generated index names, the projected design
-// signatures (so shared-memo replays hit without planning), and the
-// undo/redo stacks. Undo and redo are recorded as markers, not
-// states: replay walks the same history the user did.
-type EditRecord struct {
-	Kind     string         `json:"kind"`
-	Design   *design.Design `json:"design,omitempty"`   // RecordEdit only
-	NestLoop bool           `json:"nestLoop,omitempty"` // RecordEdit only
-}
 
 // InteractiveReport is the interactive component's output — the
 // numbers Figure 3's right panel displays, plus the incremental
@@ -133,13 +111,6 @@ type queryState struct {
 	indexesUsed  []string // design-index keys, sorted
 }
 
-// snapshot captures everything an undo (or a failed edit's rollback)
-// must restore besides the memo, which only ever grows.
-type snapshot struct {
-	design   design.Design
-	nestLoop bool
-}
-
 // DesignSession is a stateful interactive design session over one
 // workload. It is not safe for concurrent use; batch pricing inside
 // an edit parallelizes internally.
@@ -173,17 +144,17 @@ type DesignSession struct {
 	// duration of one request; never owned by the session.
 	span *obs.Span
 
+	// hist is every state the session has been in; held holds its
+	// current one. Only commit and Restore replace it.
+	hist History
+
 	// onRecord, when non-nil, observes every committed mutation as an
 	// EditRecord — the serve tier's journaling hook. Fired after the
-	// mutation fully commits (design, pricing and history stacks all
-	// updated), synchronously on the caller's goroutine, so a journal
-	// that fsyncs before returning makes the edit durable before the
-	// request is acknowledged. ApplyRecord suppresses it: replay must
-	// not re-journal.
+	// mutation fully commits (design, pricing and history all updated),
+	// synchronously on the caller's goroutine, so a journal that fsyncs
+	// before returning makes the edit durable before the request is
+	// acknowledged.
 	onRecord func(EditRecord)
-
-	undo []snapshot
-	redo []snapshot
 }
 
 // Workload is a parsed, footprint-analyzed workload ready to open
@@ -332,11 +303,11 @@ func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (
 func (s *DesignSession) AddIndex(spec inum.IndexSpec) (*InteractiveReport, error) {
 	key := spec.Key()
 	if s.held.Name(key) != "" {
-		return nil, fmt.Errorf("session: index %s is already in the design", key)
+		return nil, conflict(fmt.Sprintf("session: index %s is already in the design", key))
 	}
 	target := s.Design()
-	// Copy the caller's column slice: the design (and its undo
-	// snapshots) must not alias caller-owned memory.
+	// Copy the caller's column slice: the design (and the history that
+	// keeps it) must not alias caller-owned memory.
 	spec.Columns = append([]string(nil), spec.Columns...)
 	target.Indexes = append(target.Indexes, spec)
 	return s.userEdit(target, s.held.NestLoop())
@@ -360,7 +331,7 @@ func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
 		kept = append(kept, have)
 	}
 	if !found {
-		return nil, fmt.Errorf("session: no design index %s", key)
+		return nil, conflict(fmt.Sprintf("session: no design index %s", key))
 	}
 	target.Indexes = kept
 	return s.userEdit(target, s.held.NestLoop())
@@ -371,8 +342,8 @@ func (s *DesignSession) DropIndexKey(key string) (*InteractiveReport, error) {
 // any design indexes on them.
 func (s *DesignSession) AddPartition(def design.Partition) (*InteractiveReport, error) {
 	target := removePartition(s.Design(), def.Table)
-	// Copy the caller's fragment slices: the design (and its undo
-	// snapshots) must not alias caller-owned memory.
+	// Copy the caller's fragment slices: the design (and the history
+	// that keeps it) must not alias caller-owned memory.
 	cp := design.Partition{Table: def.Table}
 	for _, cols := range def.Fragments {
 		cp.Fragments = append(cp.Fragments, append([]string(nil), cols...))
@@ -385,7 +356,7 @@ func (s *DesignSession) AddPartition(def design.Partition) (*InteractiveReport, 
 // indexes on its fragments.
 func (s *DesignSession) DropPartition(table string) (*InteractiveReport, error) {
 	if !slices.ContainsFunc(s.held.Design().Partitions, func(p design.Partition) bool { return p.Table == table }) {
-		return nil, fmt.Errorf("session: table %q is not partitioned in the design", table)
+		return nil, conflict(fmt.Sprintf("session: table %q is not partitioned in the design", table))
 	}
 	return s.userEdit(removePartition(s.Design(), table), s.held.NestLoop())
 }
@@ -418,9 +389,6 @@ func removePartition(d design.Design, table string) design.Design {
 // SetNestLoop toggles the What-If Join component and re-prices the
 // queries whose plans can contain a join.
 func (s *DesignSession) SetNestLoop(enabled bool) (*InteractiveReport, error) {
-	if enabled == s.held.NestLoop() {
-		return s.Report(), nil
-	}
 	return s.userEdit(s.Design(), enabled)
 }
 
@@ -435,87 +403,49 @@ func (s *DesignSession) ApplyDesign(d design.Design) (*InteractiveReport, error)
 // Redo. Re-pricing is served from the memo, so undoing costs no
 // optimizer calls.
 func (s *DesignSession) Undo() (*InteractiveReport, error) {
-	if len(s.undo) == 0 {
-		return nil, errors.New("session: nothing to undo")
-	}
-	prev := s.undo[len(s.undo)-1]
-	cur := snapshot{design: s.Design(), nestLoop: s.held.NestLoop()}
-	rep, err := s.edit(prev.design, prev.nestLoop)
-	if err != nil {
-		return nil, err
-	}
-	// edit pushed the pre-undo state; drop both frames so undo walks
-	// backwards instead of toggling, and park the undone state on the
-	// redo stack.
-	s.undo = s.undo[:len(s.undo)-2]
-	s.redo = append(s.redo, cur)
-	if s.onRecord != nil {
-		s.onRecord(EditRecord{Kind: RecordUndo})
-	}
-	return rep, nil
+	return s.commit(EditRecord{Kind: RecordUndo})
 }
 
 // Redo re-applies the most recently undone edit — the inverse of
 // Undo. The redone design's states are already memoized (Undo walked
 // away from them), so redoing costs no optimizer calls. Any fresh
-// edit clears the redo stack.
+// edit discards what was undone.
 func (s *DesignSession) Redo() (*InteractiveReport, error) {
-	if len(s.redo) == 0 {
-		return nil, errors.New("session: nothing to redo")
-	}
-	next := s.redo[len(s.redo)-1]
-	// edit pushes the pre-redo state onto the undo stack, which is
-	// exactly what lets a later Undo revert this Redo.
-	rep, err := s.edit(next.design, next.nestLoop)
-	if err != nil {
-		return nil, err
-	}
-	s.redo = s.redo[:len(s.redo)-1]
-	if s.onRecord != nil {
-		s.onRecord(EditRecord{Kind: RecordRedo})
-	}
-	return rep, nil
+	return s.commit(EditRecord{Kind: RecordRedo})
 }
 
 // CanUndo reports whether an edit is available to revert.
-func (s *DesignSession) CanUndo() bool { return len(s.undo) > 0 }
+func (s *DesignSession) CanUndo() bool { return s.hist.UndoDepth() > 0 }
 
 // CanRedo reports whether an undone edit is available to re-apply.
-func (s *DesignSession) CanRedo() bool { return len(s.redo) > 0 }
+func (s *DesignSession) CanRedo() bool { return s.hist.RedoDepth() > 0 }
 
 // UndoDepth reports how many edits are available to revert.
-func (s *DesignSession) UndoDepth() int { return len(s.undo) }
+func (s *DesignSession) UndoDepth() int { return s.hist.UndoDepth() }
 
 // RedoDepth reports how many undone edits are available to re-apply.
-func (s *DesignSession) RedoDepth() int { return len(s.redo) }
+func (s *DesignSession) RedoDepth() int { return s.hist.RedoDepth() }
+
+// History returns the session's history. The value never changes, so
+// the caller may keep it and read it from any goroutine.
+func (s *DesignSession) History() History { return s.hist }
+
+// Restore moves a fresh session to h's current state in one edit and
+// adopts h, so Undo and Redo walk h's states. Nothing is journaled: h
+// already is wherever it came from. On error the session is unchanged.
+func (s *DesignSession) Restore(h History) error {
+	cur := h.current()
+	if _, err := s.edit(cur.Design, cur.NestLoop); err != nil {
+		return err
+	}
+	s.hist = h
+	return nil
+}
 
 // SetOnRecord installs (or, with nil, removes) the committed-mutation
 // observer. Must be set before the session sees traffic; the session
 // is single-threaded, so there is no registration race beyond that.
 func (s *DesignSession) SetOnRecord(fn func(EditRecord)) { s.onRecord = fn }
-
-// ApplyRecord replays one journaled mutation. Replaying a session's
-// records in order against a fresh session over the same workload
-// reconstructs it exactly: design, pricing, generated what-if names,
-// and undo/redo depth. The onRecord hook is suppressed for the
-// duration — replay must never re-journal itself.
-func (s *DesignSession) ApplyRecord(rec EditRecord) (*InteractiveReport, error) {
-	saved := s.onRecord
-	s.onRecord = nil
-	defer func() { s.onRecord = saved }()
-	switch rec.Kind {
-	case RecordEdit:
-		if rec.Design == nil {
-			return nil, errors.New("session: edit record carries no design")
-		}
-		return s.userEdit(rec.Design.Clone(), rec.NestLoop)
-	case RecordUndo:
-		return s.Undo()
-	case RecordRedo:
-		return s.Redo()
-	}
-	return nil, fmt.Errorf("session: unknown edit-record kind %q", rec.Kind)
-}
 
 // Report assembles the interactive report for the current design.
 func (s *DesignSession) Report() *InteractiveReport {
@@ -589,56 +519,55 @@ func (s *DesignSession) Explain(qi int) (string, error) {
 // Edit machinery
 // ---------------------------------------------------------------------
 
-// userEdit is edit for user-initiated mutations: a successful one
-// forks history, so the redo stack is discarded. Structural no-ops
-// (re-applying the current design) push no frame and keep the redo
-// stack, detected by the undo depth. Undo and Redo call edit directly
-// to keep the stack they are walking.
+// userEdit commits a user edit to (target, targetNL).
 func (s *DesignSession) userEdit(target design.Design, targetNL bool) (*InteractiveReport, error) {
-	depth := len(s.undo)
-	rep, err := s.edit(target, targetNL)
+	return s.commit(EditRecord{Kind: RecordEdit, Design: &target, NestLoop: targetNL})
+}
+
+// commit is the one path every mutation takes: it applies rec to the
+// history, moves the session to the resulting state, then adopts the
+// new history and journals rec. A structural no-op edit (re-applying
+// the current design) records nothing and keeps the redo tail; a
+// failed move leaves the history untouched.
+func (s *DesignSession) commit(rec EditRecord) (*InteractiveReport, error) {
+	next, err := s.hist.Apply(rec)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.undo) != depth {
-		s.redo = s.redo[:0]
+	cur := next.current()
+	changed, err := s.edit(cur.Design, cur.NestLoop)
+	if err != nil {
+		return nil, err
+	}
+	if changed || rec.Kind != RecordEdit {
+		s.hist = next
 		if s.onRecord != nil {
-			// Only real edits (frame pushed) are journaled: a structural
-			// no-op changed nothing, so replaying without it is identical.
-			d := s.Design()
-			s.onRecord(EditRecord{Kind: RecordEdit, Design: &d, NestLoop: s.held.NestLoop()})
+			s.onRecord(rec)
 		}
 	}
-	return rep, nil
+	return s.Report(), nil
 }
 
 // edit transitions the session to (target, targetNL): it validates the
-// target, applies the diff to the what-if session, re-prices the
-// invalidated queries (memo first), and pushes an undo frame. On any
-// error the session is left exactly as it was.
-func (s *DesignSession) edit(target design.Design, targetNL bool) (*InteractiveReport, error) {
-	prev := snapshot{design: s.Design(), nestLoop: s.held.NestLoop()}
+// target, applies the diff to the what-if session and re-prices the
+// invalidated queries (memo first). It reports whether anything changed
+// structurally; on any error the session is left exactly as it was.
+func (s *DesignSession) edit(target design.Design, targetNL bool) (bool, error) {
+	prev, prevNL := s.held.Design(), s.held.NestLoop()
 	inval, changed, err := s.applyDesign(target, targetNL)
-	if err != nil {
-		return nil, err
-	}
-	if !changed {
-		// Structural no-op (e.g. re-applying the current design):
-		// nothing re-priced and no history frame, so an undo after this
-		// still reverts the last real edit.
-		return s.Report(), nil
+	if err != nil || !changed {
+		return false, err
 	}
 	if err := s.reprice(inval); err != nil {
 		// Re-pricing failed (e.g. a fragment set no query rewrite can
 		// cover): revert the design mutation. The target validated
 		// structurally, so the inverse transition cannot fail.
-		if _, _, rerr := s.applyDesign(prev.design, prev.nestLoop); rerr != nil {
-			return nil, fmt.Errorf("session: rollback after %v failed: %w", err, rerr)
+		if _, _, rerr := s.applyDesign(prev, prevNL); rerr != nil {
+			return false, fmt.Errorf("session: rollback after %v failed: %w", err, rerr)
 		}
-		return nil, err
+		return false, err
 	}
-	s.undo = append(s.undo, prev)
-	return s.Report(), nil
+	return true, nil
 }
 
 // applyDesign mutates the what-if session, rewriter and bookkeeping

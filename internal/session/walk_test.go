@@ -3,6 +3,7 @@ package session_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -23,7 +24,8 @@ import (
 // session must price every query exactly as a fresh session that
 // applies the same design in one step (cost, indexes used, rewritten
 // SQL), and each Explain must top out at the reported cost and name
-// exactly the live indexes behind IndexesUsed.
+// exactly the live indexes behind IndexesUsed. Every 25 steps a fresh
+// session Restored from the walk's history must match it too.
 func TestSessionWalkMatchesFreshSessions(t *testing.T) {
 	const steps = 200
 	cat := seedCatalog(t, 150000)
@@ -66,6 +68,9 @@ func TestSessionWalkMatchesFreshSessions(t *testing.T) {
 		for _, s := range pair {
 			checkAgainstFresh(t, fmt.Sprintf("step %d (%s)", step, kind), s, want)
 		}
+		if step%25 == 24 {
+			checkRestored(t, fmt.Sprintf("step %d: restored", step), cat, wl, shared, seq, want)
+		}
 	}
 	for _, kind := range []string{"add index", "drop index", "partition", "drop partition", "nestloop", "undo", "redo", "apply design"} {
 		if kinds[kind] == 0 {
@@ -75,6 +80,27 @@ func TestSessionWalkMatchesFreshSessions(t *testing.T) {
 	if st := shared.Stats(); st.Hits == 0 || st.DupStores != 0 {
 		t.Errorf("shared memo stats %+v: want hits and no duplicate stores", st)
 	}
+}
+
+// checkRestored opens a fresh session, Restores it from s's history and
+// checks that it holds s's design and depths and prices like want.
+func checkRestored(t *testing.T, at string, cat *catalog.Catalog, wl []string, shared *session.SharedMemo, s *session.DesignSession, want *session.InteractiveReport) {
+	t.Helper()
+	r, err := session.New(cat, wl, session.Options{Shared: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(s.History()); err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	if !reflect.DeepEqual(r.Design(), s.Design()) || r.NestLoopEnabled() != s.NestLoopEnabled() || r.Signature() != s.Signature() {
+		t.Fatalf("%s: holds %+v (nest loop %v), the walked session %+v (nest loop %v)",
+			at, r.Design(), r.NestLoopEnabled(), s.Design(), s.NestLoopEnabled())
+	}
+	if r.UndoDepth() != s.UndoDepth() || r.RedoDepth() != s.RedoDepth() {
+		t.Fatalf("%s: depths %d/%d, the walked session's %d/%d", at, r.UndoDepth(), r.RedoDepth(), s.UndoDepth(), s.RedoDepth())
+	}
+	checkAgainstFresh(t, at, r, want)
 }
 
 // walkPartitions draws two fixed fragmentations per partitionable
