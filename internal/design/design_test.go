@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/design"
+	"repro/internal/design/designtest"
 	"repro/internal/session"
 	"repro/internal/whatif"
 )
@@ -34,11 +35,11 @@ func installed(t *testing.T, cat *catalog.Catalog, d design.Design, nl bool) (*w
 // a fresh session given b, and Diff(a, a) is empty.
 func TestDiffMatchesFreshInstall(t *testing.T) {
 	cat := seedCatalog(t)
-	g := newGen(1, cat)
+	g := designtest.New(1, cat)
 	seen := map[string]int{} // transition shapes the pairs covered
 	for i := 0; i < 200; i++ {
-		a, nlA := g.design(), g.rng.Intn(2) == 0
-		b, nlB := g.mutate(a), g.rng.Intn(2) == 0
+		a, nlA := g.Design(), g.Rng.Intn(2) == 0
+		b, nlB := g.Mutate(a), g.Rng.Intn(2) == 0
 		classify(a, b, seen)
 		if nlA != nlB {
 			seen["nest-loop flip"]++
@@ -132,13 +133,13 @@ func TestSessionRejectsInvalidDesignUntouched(t *testing.T) {
 		}
 		return string(blob)
 	}
-	g := newGen(2, cat)
+	g := designtest.New(2, cat)
 	for i := 0; i < 200; i++ {
-		a, b := g.design(), g.design()
+		a, b := g.Design(), g.Design()
 		if _, err := s.ApplyDesign(a); err != nil {
 			t.Fatalf("step %d: valid design rejected: %v\n%+v", i, err, a)
 		}
-		bad := g.corrupt(b)
+		bad := g.Corrupt(b)
 		if _, err := design.Validate(cat, bad); err == nil {
 			t.Fatalf("step %d: Validate accepted %+v", i, bad)
 		}
@@ -149,7 +150,7 @@ func TestSessionRejectsInvalidDesignUntouched(t *testing.T) {
 		if after := state(); after != before {
 			t.Fatalf("step %d: rejected design changed the session:\n before %s\n after  %s", i, before, after)
 		}
-		nl := g.rng.Intn(2) == 0
+		nl := g.Rng.Intn(2) == 0
 		if _, err := s.ApplyDesign(b); err != nil {
 			t.Fatalf("step %d: valid design rejected: %v\n%+v", i, err, b)
 		}

@@ -1,4 +1,8 @@
-package design_test
+// Package designtest draws seeded random designs over a catalog for
+// property tests: every design Design and Mutate draw is valid, every
+// design Corrupt derives is one design.Validate must reject, and a seed
+// replays the same sequence.
+package designtest
 
 import (
 	"math/rand"
@@ -8,20 +12,18 @@ import (
 	"repro/internal/inum"
 )
 
-// The seeded design generator behind the design properties: Diff
-// against fresh installs, held sessions against fresh installs, and
-// footprint independence. Every design it draws is valid over the seed
-// catalog, and a seed replays the same sequence.
-
-// gen draws random valid designs over the seed catalog.
-type gen struct {
-	rng    *rand.Rand
+// Gen draws random valid designs over a catalog. Rng is the generator's
+// source, exposed so a test can draw its own choices (a nested-loop
+// flag, say) from the same seeded sequence.
+type Gen struct {
+	Rng    *rand.Rand
 	cat    *catalog.Catalog
 	tables []*catalog.Table
 }
 
-func newGen(seed int64, cat *catalog.Catalog) *gen {
-	return &gen{rng: rand.New(rand.NewSource(seed)), cat: cat, tables: cat.Tables()}
+// New returns a generator over cat seeded with seed.
+func New(seed int64, cat *catalog.Catalog) *Gen {
+	return &Gen{Rng: rand.New(rand.NewSource(seed)), cat: cat, tables: cat.Tables()}
 }
 
 // nonPK lists t's columns outside its primary key.
@@ -40,20 +42,20 @@ func nonPK(t *catalog.Table) []string {
 }
 
 // pick draws 1..max distinct entries of cols in random order.
-func (g *gen) pick(cols []string, max int) []string {
-	n := 1 + g.rng.Intn(max)
+func (g *Gen) pick(cols []string, max int) []string {
+	n := 1 + g.Rng.Intn(max)
 	if n > len(cols) {
 		n = len(cols)
 	}
 	var out []string
-	for _, i := range g.rng.Perm(len(cols))[:n] {
+	for _, i := range g.Rng.Perm(len(cols))[:n] {
 		out = append(out, cols[i])
 	}
 	return out
 }
 
 // partition draws a partitioning of t with k fragments.
-func (g *gen) partition(t *catalog.Table, k int) design.Partition {
+func (g *Gen) partition(t *catalog.Table, k int) design.Partition {
 	p := design.Partition{Table: t.Name}
 	for i := 0; i < k; i++ {
 		p.Fragments = append(p.Fragments, g.pick(nonPK(t), 4))
@@ -62,14 +64,14 @@ func (g *gen) partition(t *catalog.Table, k int) design.Partition {
 }
 
 // index draws an index on a base table or on one of d's fragments.
-func (g *gen) index(d design.Design) inum.IndexSpec {
-	if len(d.Partitions) > 0 && g.rng.Intn(2) == 0 {
-		p := d.Partitions[g.rng.Intn(len(d.Partitions))]
-		i := g.rng.Intn(len(p.Fragments))
+func (g *Gen) index(d design.Design) inum.IndexSpec {
+	if len(d.Partitions) > 0 && g.Rng.Intn(2) == 0 {
+		p := d.Partitions[g.Rng.Intn(len(d.Partitions))]
+		i := g.Rng.Intn(len(p.Fragments))
 		cols := append(append([]string(nil), g.cat.Table(p.Table).PrimaryKey...), p.Fragments[i]...)
 		return inum.IndexSpec{Table: design.FragName(p.Table, i), Columns: g.pick(cols, 2)}
 	}
-	t := g.tables[g.rng.Intn(len(g.tables))]
+	t := g.tables[g.Rng.Intn(len(g.tables))]
 	var cols []string
 	for _, c := range t.Columns {
 		cols = append(cols, c.Name)
@@ -78,7 +80,7 @@ func (g *gen) index(d design.Design) inum.IndexSpec {
 }
 
 // addIndexes appends n random indexes whose keys d does not hold yet.
-func (g *gen) addIndexes(d *design.Design, n int) {
+func (g *Gen) addIndexes(d *design.Design, n int) {
 	for i := 0; i < n; i++ {
 		spec := g.index(*d)
 		dup := false
@@ -91,26 +93,28 @@ func (g *gen) addIndexes(d *design.Design, n int) {
 	}
 }
 
-func (g *gen) design() design.Design {
+// Design draws a design: up to two partitioned tables and up to three
+// indexes on base tables or fragments.
+func (g *Gen) Design() design.Design {
 	var d design.Design
-	for _, i := range g.rng.Perm(len(g.tables))[:g.rng.Intn(3)] {
-		d.Partitions = append(d.Partitions, g.partition(g.tables[i], 1+g.rng.Intn(3)))
+	for _, i := range g.Rng.Perm(len(g.tables))[:g.Rng.Intn(3)] {
+		d.Partitions = append(d.Partitions, g.partition(g.tables[i], 1+g.Rng.Intn(3)))
 	}
-	g.addIndexes(&d, g.rng.Intn(4))
+	g.addIndexes(&d, g.Rng.Intn(4))
 	return d
 }
 
-// mutate derives a successor of a: repartitions with the same fragment
+// Mutate derives a successor of a: repartitions with the same fragment
 // count (so fragment names — and indexes riding on them — are
 // re-created), dropped partitionings (cascading to their fragment
 // indexes), new partitionings, and index churn. Fragment indexes the
 // new fragments cannot carry are dropped, so the result stays valid.
-func (g *gen) mutate(a design.Design) design.Design {
+func (g *Gen) Mutate(a design.Design) design.Design {
 	b := a.Clone()
 	partitioned := map[string]bool{}
 	kept := b.Partitions[:0]
 	for _, p := range b.Partitions {
-		switch g.rng.Intn(4) {
+		switch g.Rng.Intn(4) {
 		case 0: // repartition, same fragment count
 			p = g.partition(g.cat.Table(p.Table), len(p.Fragments))
 		case 1: // drop
@@ -120,8 +124,8 @@ func (g *gen) mutate(a design.Design) design.Design {
 		partitioned[p.Table] = true
 	}
 	b.Partitions = kept
-	if t := g.tables[g.rng.Intn(len(g.tables))]; !partitioned[t.Name] && g.rng.Intn(3) == 0 {
-		b.Partitions = append(b.Partitions, g.partition(t, 1+g.rng.Intn(3)))
+	if t := g.tables[g.Rng.Intn(len(g.tables))]; !partitioned[t.Name] && g.Rng.Intn(3) == 0 {
+		b.Partitions = append(b.Partitions, g.partition(t, 1+g.Rng.Intn(3)))
 	}
 	_, err := design.Validate(g.cat, design.Design{Partitions: b.Partitions})
 	if err != nil {
@@ -129,7 +133,7 @@ func (g *gen) mutate(a design.Design) design.Design {
 	}
 	ix := b.Indexes[:0]
 	for _, spec := range b.Indexes {
-		if g.rng.Intn(4) == 0 {
+		if g.Rng.Intn(4) == 0 {
 			continue
 		}
 		if _, err := design.Validate(g.cat, design.Design{Indexes: []inum.IndexSpec{spec}, Partitions: b.Partitions}); err == nil {
@@ -137,15 +141,15 @@ func (g *gen) mutate(a design.Design) design.Design {
 		}
 	}
 	b.Indexes = ix
-	g.addIndexes(&b, g.rng.Intn(3))
+	g.addIndexes(&b, g.Rng.Intn(3))
 	return b
 }
 
-// corrupt derives a design Validate must reject.
-func (g *gen) corrupt(d design.Design) design.Design {
+// Corrupt derives a design Validate must reject.
+func (g *Gen) Corrupt(d design.Design) design.Design {
 	bad := d.Clone()
-	t := g.tables[g.rng.Intn(len(g.tables))]
-	switch g.rng.Intn(6) {
+	t := g.tables[g.Rng.Intn(len(g.tables))]
+	switch g.Rng.Intn(6) {
 	case 0:
 		bad.Partitions = append(bad.Partitions, design.Partition{Table: t.Name, Fragments: [][]string{{"no_such_column"}}})
 	case 1:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/costlab"
 	"repro/internal/design"
+	"repro/internal/design/designtest"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/recommend"
@@ -104,14 +105,14 @@ func TestHeldPricerMatchesFreshInstall(t *testing.T) {
 	cat := seedCatalog(t)
 	queries := seedQueries(t)
 	full := costlab.NewFull(cat)
-	g := newGen(3, cat)
-	d := g.design()
+	g := designtest.New(3, cat)
+	d := g.Design()
 	compared, onFragments, nlOff := 0, 0, 0
 	for step := 0; step < 200; step++ {
 		if step > 0 {
-			d = g.mutate(d)
+			d = g.Mutate(d)
 		}
-		nl := g.rng.Intn(4) != 0
+		nl := g.Rng.Intn(4) != 0
 		stmts := targets(cat, d, queries)
 		var idx []int
 		var live []*sql.Select

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/costlab"
 	"repro/internal/design"
+	"repro/internal/design/designtest"
 	"repro/internal/session"
 	"repro/internal/sql"
 )
@@ -26,7 +27,7 @@ func TestFootprintIndependence(t *testing.T) {
 	cat := seedCatalog(t)
 	queries := seedQueries(t)
 	full := costlab.NewFull(cat)
-	g := newGen(seed, cat)
+	g := designtest.New(seed, cat)
 
 	type price struct {
 		cost       float64
@@ -65,12 +66,12 @@ func TestFootprintIndependence(t *testing.T) {
 		}
 	}
 
-	d := g.design()
+	d := g.Design()
 	for step := 0; step < 120; step++ {
 		if step > 0 {
-			d = g.mutate(d)
+			d = g.Mutate(d)
 		}
-		nl := g.rng.Intn(3) != 0
+		nl := g.Rng.Intn(3) != 0
 		parents, err := design.Validate(cat, d)
 		if err != nil {
 			t.Fatal(err)
