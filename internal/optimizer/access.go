@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/sql"
 )
@@ -21,31 +20,19 @@ type AccessPath struct {
 
 // AccessPathCost computes the cheapest access path for the relation
 // bound to alias in sel, considering only that relation's restriction
-// clauses. It costs O(indexes on the table) — no join enumeration —
-// which is what makes INUM's cache reconstruction fast.
+// clauses. It binds and classifies exactly as Plan does, and costs
+// O(indexes on the table) — no join enumeration — which is what makes
+// INUM's cache reconstruction fast.
 func (p *Planner) AccessPathCost(sel *sql.Select, alias string) (AccessPath, error) {
-	b, err := newBinder(p, sel)
+	b, _, err := p.bindPrepared(sel)
 	if err != nil {
 		return AccessPath{}, err
 	}
-	rel := b.byAlias[alias]
+	rel := b.relByAlias(alias)
 	if rel == nil {
 		return AccessPath{}, fmt.Errorf("optimizer: query has no relation %q", alias)
 	}
-	conjuncts := sql.ConjunctsOf(sel.Where)
-	for _, j := range sel.Joins {
-		conjuncts = append(conjuncts, sql.ConjunctsOf(j.Cond)...)
-	}
-	for _, c := range conjuncts {
-		mask, err := b.relsOf(c)
-		if err != nil {
-			return AccessPath{}, err
-		}
-		if mask == rel.id && bits.OnesCount64(mask) == 1 {
-			rel.restrict = append(rel.restrict, c)
-		}
-	}
-	p.makeAccessPaths(b, rel)
+	p.makeAccessPaths(rel)
 	ap := AccessPath{
 		Table: rel.info.Table.Name,
 		Alias: alias,

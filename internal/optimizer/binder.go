@@ -17,58 +17,82 @@ type RelationInfo struct {
 
 // RelationInfoHook intercepts relation lookup at plan time — the
 // analogue of PostgreSQL's get_relation_info_hook. It receives the
-// catalog's view and returns the view the planner should use. Hooks
-// must not mutate the input; they return modified copies.
+// catalog's view (nil for a table the catalog does not know) and
+// returns the view the planner should use. Hooks must not mutate the
+// input, and must not keep it past the call: the planner reuses it.
 type RelationInfoHook func(name string, info *RelationInfo) *RelationInfo
 
 // baseRel is one bound FROM-list entry during planning.
 type baseRel struct {
-	id       uint64 // singleton bitmask
-	ref      sql.TableRef
-	info     *RelationInfo
-	restrict []sql.Expr // single-relation conjuncts
-	rows     float64    // cardinality after restriction
-	path     *Plan      // cheapest access path
+	id    uint64 // singleton bitmask
+	ref   sql.TableRef
+	alias string
+	base  RelationInfo  // the catalog's view, handed to the hook
+	info  *RelationInfo // the view planned against
+	r     *restriction  // single-relation conjuncts, from the statement's prepared half
+	path  *Plan         // cheapest access path
 }
 
 // binder resolves column references to relations.
 type binder struct {
-	rels    []*baseRel
-	byAlias map[string]*baseRel
+	rels []*baseRel
 }
 
-func newBinder(p *Planner, sel *sql.Select) (*binder, error) {
-	refs := append([]sql.TableRef(nil), sel.From...)
-	for _, j := range sel.Joins {
-		refs = append(refs, j.Table)
-	}
-	if len(refs) == 0 {
+// bind resolves every relation of sel, in FROM-list order, through the
+// catalog and the hook. The binder and its relations live in the
+// planner's scratch space and are valid until the next bind.
+func (p *Planner) bind(sel *sql.Select) (*binder, error) {
+	n := len(sel.From) + len(sel.Joins)
+	if n == 0 {
 		return nil, fmt.Errorf("optimizer: query references no tables")
 	}
-	if len(refs) > 63 {
-		return nil, fmt.Errorf("optimizer: too many relations (%d)", len(refs))
+	if n > 63 {
+		return nil, fmt.Errorf("optimizer: too many relations (%d)", n)
 	}
-	b := &binder{byAlias: make(map[string]*baseRel, len(refs))}
-	for i, ref := range refs {
-		info, err := p.relationInfo(ref.Table)
+	s := &p.scratch
+	if cap(s.rels) < n {
+		s.rels, s.relPtrs = make([]baseRel, n), make([]*baseRel, n)
+	}
+	rels, ptrs := s.rels[:n], s.relPtrs[:n]
+	for i := range rels {
+		ref := sql.TableRef{}
+		if i < len(sel.From) {
+			ref = sel.From[i]
+		} else {
+			ref = sel.Joins[i-len(sel.From)].Table
+		}
+		rel := &rels[i]
+		*rel = baseRel{id: 1 << uint(i), ref: ref, alias: ref.EffectiveName()}
+		info, err := p.relationInfo(ref.Table, &rel.base)
 		if err != nil {
 			return nil, err
 		}
-		rel := &baseRel{id: 1 << uint(i), ref: ref, info: info}
-		alias := ref.EffectiveName()
-		if _, dup := b.byAlias[alias]; dup {
-			return nil, fmt.Errorf("optimizer: duplicate table alias %q", alias)
+		rel.info = info
+		for _, prev := range ptrs[:i] {
+			if prev.alias == rel.alias {
+				return nil, fmt.Errorf("optimizer: duplicate table alias %q", rel.alias)
+			}
 		}
-		b.byAlias[alias] = rel
-		b.rels = append(b.rels, rel)
+		ptrs[i] = rel
 	}
-	return b, nil
+	s.binder.rels = ptrs
+	return &s.binder, nil
+}
+
+// relByAlias returns the relation bound under alias, or nil.
+func (b *binder) relByAlias(alias string) *baseRel {
+	for _, rel := range b.rels {
+		if rel.alias == alias {
+			return rel
+		}
+	}
+	return nil
 }
 
 // resolveColumn finds the relation and column a reference denotes.
 func (b *binder) resolveColumn(ref *sql.ColumnRef) (*baseRel, *catalog.Column, error) {
 	if ref.Table != "" {
-		rel := b.byAlias[ref.Table]
+		rel := b.relByAlias(ref.Table)
 		if rel == nil {
 			return nil, nil, fmt.Errorf("optimizer: unknown table alias %q", ref.Table)
 		}
@@ -124,13 +148,4 @@ func (b *binder) relByMask(mask uint64) *baseRel {
 		}
 	}
 	return nil
-}
-
-// allMask is the bitmask covering every relation.
-func (b *binder) allMask() uint64 {
-	var m uint64
-	for _, rel := range b.rels {
-		m |= rel.id
-	}
-	return m
 }

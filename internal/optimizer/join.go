@@ -7,10 +7,36 @@ import (
 	"repro/internal/sql"
 )
 
-// joinClause is a conjunct referencing two or more relations.
+// joinClause is a conjunct referencing two or more relations, with its
+// selectivity and, when it has the col = col shape hash and merge joins
+// require, itself as equi.
 type joinClause struct {
 	expr sql.Expr
 	mask uint64
+	sel  float64
+	equi *sql.BinaryExpr
+}
+
+// simpleEquijoin returns c when it has the shape col = col.
+func simpleEquijoin(c sql.Expr) *sql.BinaryExpr {
+	if be, ok := c.(*sql.BinaryExpr); ok && be.Op == sql.OpEq {
+		_, lok := be.Left.(*sql.ColumnRef)
+		_, rok := be.Right.(*sql.ColumnRef)
+		if lok && rok {
+			return be
+		}
+	}
+	return nil
+}
+
+// joinCand is one costed join candidate, kept as a value until its
+// subset's winner is known: only the winner becomes a plan node.
+type joinCand struct {
+	typ            NodeType
+	outer, inner   *Plan
+	left           uint64 // one side's subset; the crossing clauses follow from it
+	startup, total float64
+	indexed        bool
 }
 
 // dpJoinOrder runs System-R dynamic programming over connected
@@ -19,52 +45,56 @@ type joinClause struct {
 // prune the candidate space greedily — and our workloads join at most
 // a handful of tables, so exhaustive stays interactive.
 func (p *Planner) dpJoinOrder(b *binder, clauses []joinClause) *Plan {
-	all := b.allMask()
-	dp := make(map[uint64]*Plan)
-	rows := make(map[uint64]float64)
+	n := len(b.rels)
+	if n == 1 {
+		return b.rels[0].path
+	}
+	all := uint64(1)<<uint(n) - 1
+	s := &p.scratch
+	if uint64(len(s.dp)) <= all {
+		s.dp, s.dpRows = make([]*Plan, all+1), make([]float64, all+1)
+	}
+	dp, rows := s.dp[:all+1], s.dpRows[:all+1]
+	defer clear(dp)
 	for _, rel := range b.rels {
 		dp[rel.id] = rel.path
-		rows[rel.id] = rel.rows
-	}
-	if bits.OnesCount64(all) == 1 {
-		return dp[all]
+		rows[rel.id] = rel.r.rows
 	}
 
 	// subsetRows computes the consistent cardinality of a subset:
 	// base rows times every internal join clause's selectivity.
-	subsetRows := func(s uint64) float64 {
+	subsetRows := func(set uint64) float64 {
 		r := 1.0
 		for _, rel := range b.rels {
-			if rel.id&s != 0 {
-				r *= rel.rows
+			if rel.id&set != 0 {
+				r *= rel.r.rows
 			}
 		}
 		for _, jc := range clauses {
-			if jc.mask&s == jc.mask {
-				r *= b.clauseSelectivity(jc.expr)
+			if jc.mask&set == jc.mask {
+				r *= jc.sel
 			}
 		}
 		return clampRows(r)
 	}
 
-	n := bits.OnesCount64(all)
 	// Enumerate subsets by increasing size.
-	subsetsBySize := make([][]uint64, n+1)
-	for s := uint64(1); s <= all; s++ {
-		if s&all != s {
-			continue
-		}
-		c := bits.OnesCount64(s)
-		subsetsBySize[c] = append(subsetsBySize[c], s)
-	}
-
 	for size := 2; size <= n; size++ {
-		for _, s := range subsetsBySize[size] {
-			rows[s] = subsetRows(s)
-			var best *Plan
+		for set := uint64(1); set <= all; set++ {
+			if bits.OnesCount64(set) != size {
+				continue
+			}
+			rows[set] = subsetRows(set)
+			var best joinCand
+			found := false
+			consider := func(c joinCand) {
+				if !found || c.total < best.total {
+					best, found = c, true
+				}
+			}
 			tryPairs := func(requireClause bool) {
-				for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
-					other := s ^ sub
+				for sub := (set - 1) & set; sub > 0; sub = (sub - 1) & set {
+					other := set ^ sub
 					if sub < other {
 						continue // each unordered pair once; orientations handled below
 					}
@@ -72,76 +102,82 @@ func (p *Planner) dpJoinOrder(b *binder, clauses []joinClause) *Plan {
 					if left == nil || right == nil {
 						continue
 					}
-					var crossing []sql.Expr
+					crossing := 0
+					var eq *sql.BinaryExpr // the first col = col crossing clause
 					for _, jc := range clauses {
-						if jc.mask&s == jc.mask && jc.mask&sub != 0 && jc.mask&other != 0 {
-							crossing = append(crossing, jc.expr)
+						if jc.mask&set == jc.mask && jc.mask&sub != 0 && jc.mask&other != 0 {
+							crossing++
+							if eq == nil {
+								eq = jc.equi
+							}
 						}
 					}
-					if requireClause && len(crossing) == 0 {
+					if requireClause && crossing == 0 {
 						continue
 					}
-					outRows := rows[s]
-					for _, pl := range p.joinPaths(b, left, right, crossing, outRows) {
-						if best == nil || pl.TotalCost < best.TotalCost {
-							best = pl
-						}
-					}
+					p.joinPaths(b, left, right, sub, crossing, eq, rows[set], consider)
 				}
 			}
 			tryPairs(true)
-			if best == nil {
+			if !found {
 				tryPairs(false) // cartesian fallback for disconnected queries
 			}
-			if best != nil {
-				dp[s] = best
+			if found {
+				dp[set] = best.plan(clauses, set, rows[set])
 			}
 		}
 	}
 	return dp[all]
 }
 
-// joinPaths builds candidate join plans for left ⋈ right with the
-// given crossing clauses, in both orientations.
-func (p *Planner) joinPaths(b *binder, left, right *Plan, clauses []sql.Expr, outRows float64) []*Plan {
-	var out []*Plan
-	eq := findSimpleEquijoin(clauses)
+// plan builds the candidate's node, with the clauses crossing its two
+// sides as the join condition.
+func (c *joinCand) plan(clauses []joinClause, set uint64, rows float64) *Plan {
+	var cond []sql.Expr
+	other := set ^ c.left
+	for _, jc := range clauses {
+		if jc.mask&set == jc.mask && jc.mask&c.left != 0 && jc.mask&other != 0 {
+			cond = append(cond, jc.expr)
+		}
+	}
+	return &Plan{
+		Type:         c.typ,
+		Outer:        c.outer,
+		Inner:        c.inner,
+		JoinCond:     cond,
+		Rows:         rows,
+		StartupCost:  c.startup,
+		TotalCost:    c.total,
+		InnerIndexed: c.indexed,
+	}
+}
+
+// joinPaths costs the candidate joins of left (the relations in sub) ⋈
+// right with the given number of crossing clauses, in both
+// orientations, handing each to consider: a nested loop, and a hash and
+// a merge join when eq is a col = col crossing clause.
+func (p *Planner) joinPaths(b *binder, left, right *Plan, sub uint64, crossing int, eq *sql.BinaryExpr, outRows float64, consider func(joinCand)) {
 	for _, orient := range [2][2]*Plan{{left, right}, {right, left}} {
 		outer, inner := orient[0], orient[1]
-		out = append(out, p.nestLoopPath(b, outer, inner, clauses, eq, outRows))
+		total, indexed := p.nestLoopCost(b, outer, inner, crossing, eq, outRows)
+		consider(joinCand{typ: NodeNestLoop, outer: outer, inner: inner, left: sub, total: total, indexed: indexed})
 		if eq != nil {
-			out = append(out, p.hashJoinPath(outer, inner, clauses, outRows))
-			out = append(out, p.mergeJoinPath(outer, inner, clauses, outRows))
+			startup, total := p.hashJoinCost(outer, inner, outRows)
+			consider(joinCand{typ: NodeHashJoin, outer: outer, inner: inner, left: sub, startup: startup, total: total})
+			consider(joinCand{typ: NodeMergeJoin, outer: outer, inner: inner, left: sub, total: p.mergeJoinCost(outer, inner, outRows)})
 		}
 	}
-	return out
 }
 
-// findSimpleEquijoin returns the first clause of shape col = col, the
-// shape hash and merge joins require.
-func findSimpleEquijoin(clauses []sql.Expr) *sql.BinaryExpr {
-	for _, c := range clauses {
-		if be, ok := c.(*sql.BinaryExpr); ok && be.Op == sql.OpEq {
-			_, lok := be.Left.(*sql.ColumnRef)
-			_, rok := be.Right.(*sql.ColumnRef)
-			if lok && rok {
-				return be
-			}
-		}
-	}
-	return nil
-}
-
-// nestLoopPath costs a nested loop; when the inner side is a base
+// nestLoopCost costs a nested loop; when the inner side is a base
 // relation scan with an index whose leading column appears in an
 // equijoin clause, it re-plans the inner as a parameterized index
 // probe (the plan INUM's nested-loop-enabled cache entry captures).
-func (p *Planner) nestLoopPath(b *binder, outer, inner *Plan, clauses []sql.Expr, eq *sql.BinaryExpr, outRows float64) *Plan {
-	indexed := false
+func (p *Planner) nestLoopCost(b *binder, outer, inner *Plan, clauses int, eq *sql.BinaryExpr, outRows float64) (total float64, indexed bool) {
 	innerCost := inner.TotalCost // rescan cost of the materialized inner
 
 	if eq != nil && (inner.Type == NodeSeqScan || inner.Type == NodeIndexScan) {
-		if rel := b.byAlias[inner.Alias]; rel != nil {
+		if rel := b.relByAlias(inner.Alias); rel != nil {
 			if probe, ok := p.indexProbeCost(rel, eq, outer, outRows); ok {
 				innerCost = probe
 				indexed = true
@@ -149,46 +185,36 @@ func (p *Planner) nestLoopPath(b *binder, outer, inner *Plan, clauses []sql.Expr
 		}
 	}
 
-	var total float64
 	if indexed {
 		total = outer.TotalCost + clampRows(outer.Rows)*innerCost
 	} else {
 		total = outer.TotalCost + clampRows(outer.Rows)*inner.TotalCost
 		// Per-pair qual evaluation.
-		total += outer.Rows * inner.Rows * float64(len(clauses)) * p.Params.CPUOperatorCost
+		total += outer.Rows * inner.Rows * float64(clauses) * p.Params.CPUOperatorCost
 	}
 	total += outRows * p.CPUTuple()
 	if !p.Flags.EnableNestLoop {
 		total += DisabledCost
 	}
-	return &Plan{
-		Type:         NodeNestLoop,
-		Outer:        outer,
-		Inner:        inner,
-		JoinCond:     clauses,
-		Rows:         outRows,
-		TotalCost:    total,
-		InnerIndexed: indexed,
-	}
+	return total, indexed
 }
 
 // indexProbeCost returns the cost of one parameterized index probe
 // into rel using the equijoin clause, when rel has a usable index.
 func (p *Planner) indexProbeCost(rel *baseRel, eq *sql.BinaryExpr, outer *Plan, outRows float64) (float64, bool) {
-	// Which side of the clause belongs to this relation?
-	var innerCol *sql.ColumnRef
-	for _, side := range []sql.Expr{eq.Left, eq.Right} {
-		if c, ok := side.(*sql.ColumnRef); ok {
-			if r, _, err := (&binder{rels: []*baseRel{rel}, byAlias: map[string]*baseRel{rel.ref.EffectiveName(): rel}}).resolveColumn(c); err == nil && r == rel {
-				innerCol = c
-			}
+	// Which side of the clause belongs to this relation? (The last
+	// one that does.)
+	innerCol := ""
+	for _, side := range [2]sql.Expr{eq.Left, eq.Right} {
+		if c, ok := side.(*sql.ColumnRef); ok && (c.Table == "" || c.Table == rel.alias) && rel.info.Table.Column(c.Column) != nil {
+			innerCol = c.Column
 		}
 	}
-	if innerCol == nil {
+	if innerCol == "" {
 		return 0, false
 	}
 	for _, ix := range rel.info.Indexes {
-		if len(ix.Columns) == 0 || ix.Columns[0] != innerCol.Column {
+		if len(ix.Columns) == 0 || ix.Columns[0] != innerCol {
 			continue
 		}
 		// Rows matched per probe: join output shared across outer rows.
@@ -203,32 +229,24 @@ func (p *Planner) indexProbeCost(rel *baseRel, eq *sql.BinaryExpr, outer *Plan, 
 	return 0, false
 }
 
-// hashJoinPath costs a hash join: build the inner table, probe with
+// hashJoinCost costs a hash join: build the inner table, probe with
 // the outer.
-func (p *Planner) hashJoinPath(outer, inner *Plan, clauses []sql.Expr, outRows float64) *Plan {
-	startup := inner.TotalCost + clampRows(inner.Rows)*p.Params.CPUOperatorCost
-	total := startup +
+func (p *Planner) hashJoinCost(outer, inner *Plan, outRows float64) (startup, total float64) {
+	startup = inner.TotalCost + clampRows(inner.Rows)*p.Params.CPUOperatorCost
+	total = startup +
 		outer.TotalCost +
 		clampRows(outer.Rows)*p.Params.CPUOperatorCost +
 		outRows*p.CPUTuple()
 	if !p.Flags.EnableHashJoin {
 		total += DisabledCost
 	}
-	return &Plan{
-		Type:        NodeHashJoin,
-		Outer:       outer,
-		Inner:       inner,
-		JoinCond:    clauses,
-		Rows:        outRows,
-		StartupCost: startup,
-		TotalCost:   total,
-	}
+	return startup, total
 }
 
-// mergeJoinPath costs a merge join with explicit sorts on both inputs
+// mergeJoinCost costs a merge join with explicit sorts on both inputs
 // (we do not track interesting orders through scans; the sort is
 // always charged, making merge competitive only for large inputs).
-func (p *Planner) mergeJoinPath(outer, inner *Plan, clauses []sql.Expr, outRows float64) *Plan {
+func (p *Planner) mergeJoinCost(outer, inner *Plan, outRows float64) float64 {
 	sortedOuter := p.sortCost(outer)
 	sortedInner := p.sortCost(inner)
 	total := sortedOuter + sortedInner +
@@ -237,14 +255,7 @@ func (p *Planner) mergeJoinPath(outer, inner *Plan, clauses []sql.Expr, outRows 
 	if !p.Flags.EnableMergeJoin {
 		total += DisabledCost
 	}
-	return &Plan{
-		Type:      NodeMergeJoin,
-		Outer:     outer,
-		Inner:     inner,
-		JoinCond:  clauses,
-		Rows:      outRows,
-		TotalCost: total,
-	}
+	return total
 }
 
 // sortCost is input cost plus n·log₂(n) comparison cost.

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/catalog"
 	"repro/internal/sql"
@@ -12,6 +11,8 @@ import (
 // Planner turns a parsed SELECT into a costed physical plan using only
 // catalog statistics. It is safe to reconfigure (hook, flags, params)
 // between Plan calls; a single Planner is not safe for concurrent use.
+// A statement must not be mutated once planned: the planner keeps its
+// design-independent half (see prepared) keyed by the statement.
 type Planner struct {
 	Catalog *catalog.Catalog
 	Params  CostParams
@@ -22,6 +23,19 @@ type Planner struct {
 	// PlanCalls counts optimizer invocations; INUM's speedup claim is
 	// measured against this.
 	PlanCalls int64
+
+	prepared preparedStore
+	scratch  scratch
+}
+
+// scratch is per-call working space, reused from one Plan to the next.
+type scratch struct {
+	binder  binder
+	rels    []baseRel
+	relPtrs []*baseRel
+	match   matcher
+	dp      []*Plan
+	dpRows  []float64
 }
 
 // New returns a planner over cat with default parameters and flags.
@@ -33,12 +47,13 @@ func New(cat *catalog.Catalog) *Planner {
 	}
 }
 
-// relationInfo assembles the planner's view of a table, applying the
-// hook when installed.
-func (p *Planner) relationInfo(name string) (*RelationInfo, error) {
+// relationInfo assembles the planner's view of a table into base and
+// applies the hook when installed.
+func (p *Planner) relationInfo(name string, base *RelationInfo) (*RelationInfo, error) {
 	var info *RelationInfo
 	if t := p.Catalog.Table(name); t != nil {
-		info = &RelationInfo{Table: t, Indexes: p.Catalog.IndexesOn(name)}
+		*base = RelationInfo{Table: t, Indexes: p.Catalog.IndexesOn(name)}
+		info = base
 	}
 	if p.RelationInfoHook != nil {
 		info = p.RelationInfoHook(name, info)
@@ -49,68 +64,39 @@ func (p *Planner) relationInfo(name string) (*RelationInfo, error) {
 	return info, nil
 }
 
-// Plan optimizes sel and returns the cheapest physical plan found.
+// Plan optimizes sel and returns the cheapest physical plan found. The
+// statement's design-independent half comes prepared (see prepared);
+// each call matches indexes, costs access paths and orders joins.
 func (p *Planner) Plan(sel *sql.Select) (*Plan, error) {
 	p.PlanCalls++
-	b, err := newBinder(p, sel)
+	b, e, err := p.bindPrepared(sel)
 	if err != nil {
 		return nil, err
 	}
-
-	// Gather and classify conjuncts from WHERE and JOIN ... ON.
-	conjuncts := sql.ConjunctsOf(sel.Where)
-	for _, j := range sel.Joins {
-		conjuncts = append(conjuncts, sql.ConjunctsOf(j.Cond)...)
-	}
-	var joins []joinClause
-	var constClauses []sql.Expr
-	for _, c := range conjuncts {
-		mask, err := b.relsOf(c)
-		if err != nil {
-			return nil, err
-		}
-		switch bits.OnesCount64(mask) {
-		case 0:
-			constClauses = append(constClauses, c)
-		case 1:
-			rel := b.relByMask(mask)
-			rel.restrict = append(rel.restrict, c)
-		default:
-			joins = append(joins, joinClause{expr: c, mask: mask})
-		}
-	}
-
-	// Validate projection / group / order column references up front
-	// so planning errors match execution errors.
-	if err := b.validateExprs(sel); err != nil {
-		return nil, err
-	}
-
 	for _, rel := range b.rels {
-		p.makeAccessPaths(b, rel)
+		p.makeAccessPaths(rel)
 	}
 
-	plan := p.dpJoinOrder(b, joins)
+	plan := p.dpJoinOrder(b, e.joins)
 	if plan == nil {
 		return nil, fmt.Errorf("optimizer: no plan produced")
 	}
 
 	// Constant clauses become a top filter; estimate half selectivity
 	// each (they are rare in our workloads).
-	if len(constClauses) > 0 {
+	if consts := e.consts; len(consts) > 0 {
 		filtered := *plan
-		filtered.Filter = append(append([]sql.Expr(nil), plan.Filter...), constClauses...)
-		filtered.Rows = clampRows(plan.Rows * math.Pow(0.5, float64(len(constClauses))))
-		filtered.TotalCost += plan.Rows * float64(len(constClauses)) * p.Params.CPUOperatorCost
+		filtered.Filter = append(append([]sql.Expr(nil), plan.Filter...), consts...)
+		filtered.Rows = clampRows(plan.Rows * math.Pow(0.5, float64(len(consts))))
+		filtered.TotalCost += plan.Rows * float64(len(consts)) * p.Params.CPUOperatorCost
 		plan = &filtered
 	}
 
 	// Aggregation.
-	if hasAggregate(sel) || len(sel.GroupBy) > 0 {
-		groups := b.groupCountEstimate(sel.GroupBy, plan.Rows)
-		aggCount := countAggregates(sel)
+	if e.aggs > 0 || len(sel.GroupBy) > 0 {
+		groups := e.groupCount(len(sel.GroupBy), plan.Rows)
 		total := plan.TotalCost +
-			plan.Rows*float64(aggCount+len(sel.GroupBy))*p.Params.CPUOperatorCost +
+			plan.Rows*float64(e.aggs+len(sel.GroupBy))*p.Params.CPUOperatorCost +
 			groups*p.CPUTuple()
 		rows := groups
 		if sel.Having != nil {
@@ -170,62 +156,4 @@ func (p *Planner) Cost(sel *sql.Select) (float64, error) {
 		return 0, err
 	}
 	return plan.TotalCost, nil
-}
-
-// validateExprs checks that every column reference in the projection,
-// grouping and ordering clauses resolves (ORDER BY may also reference
-// projection aliases).
-func (b *binder) validateExprs(sel *sql.Select) error {
-	aliases := map[string]bool{}
-	for _, it := range sel.Items {
-		if it.Alias != "" {
-			aliases[it.Alias] = true
-		}
-	}
-	var firstErr error
-	check := func(e sql.Expr, allowAlias bool) {
-		sql.WalkExprs(e, func(x sql.Expr) {
-			ref, ok := x.(*sql.ColumnRef)
-			if !ok || ref.Column == "*" || firstErr != nil {
-				return
-			}
-			if allowAlias && ref.Table == "" && aliases[ref.Column] {
-				return
-			}
-			if _, _, err := b.resolveColumn(ref); err != nil {
-				firstErr = err
-			}
-		})
-	}
-	for _, it := range sel.Items {
-		check(it.Expr, false)
-	}
-	for _, g := range sel.GroupBy {
-		check(g, false)
-	}
-	check(sel.Having, true)
-	for _, o := range sel.OrderBy {
-		check(o.Expr, true)
-	}
-	return firstErr
-}
-
-func hasAggregate(sel *sql.Select) bool {
-	found := false
-	sql.WalkSelect(sel, func(e sql.Expr) {
-		if f, ok := e.(*sql.FuncExpr); ok && f.IsAggregate() {
-			found = true
-		}
-	})
-	return found
-}
-
-func countAggregates(sel *sql.Select) int {
-	n := 0
-	sql.WalkSelect(sel, func(e sql.Expr) {
-		if f, ok := e.(*sql.FuncExpr); ok && f.IsAggregate() {
-			n++
-		}
-	})
-	return n
 }

@@ -7,154 +7,226 @@ import (
 	"repro/internal/sql"
 )
 
-// makeAccessPaths computes the cheapest access path for a base
-// relation: a sequential scan, and one index scan per applicable
-// index. Disabled path types survive with DisabledCost added, so a
-// path always exists.
-func (p *Planner) makeAccessPaths(b *binder, rel *baseRel) {
-	sel := b.restrictionSelectivity(rel.restrict)
-	rel.rows = clampRows(float64(rel.info.Table.RowCount) * sel)
+// clauseKind is the sargable shape of a restriction clause.
+type clauseKind uint8
 
-	best := p.seqScanPath(b, rel)
-	for _, ix := range rel.info.Indexes {
-		if ip := p.indexScanPath(b, rel, ix); ip != nil && ip.TotalCost < best.TotalCost {
-			best = ip
-		}
-	}
-	if bp := p.bitmapAndPath(b, rel); bp != nil && bp.TotalCost < best.TotalCost {
-		best = bp
-	}
-	rel.path = best
+const (
+	clauseNone  clauseKind = iota // not usable by an index
+	clauseEq                      // col = const, or col IN (consts): lets matching continue to the next column
+	clauseRange                   // col <op> const or col BETWEEN consts: ends the match
+)
+
+// clauseShape is a restriction clause's sargable shape: the column it
+// constrains against constants and how.
+type clauseShape struct {
+	col  string
+	kind clauseKind
 }
 
-// bitmapAndPath considers ANDing two single-index bitmaps, the
-// PostgreSQL BitmapAnd plan: each index contributes its own matched
-// clauses, the bitmaps intersect, and the heap is read once in
-// physical page order. Worth it when two moderately selective
-// predicates hit different indexes (the classic ra/dec box search).
-func (p *Planner) bitmapAndPath(b *binder, rel *baseRel) *Plan {
-	type arm struct {
-		ix      *catalog.Index
-		matched []sql.Expr
-		sel     float64
+// shapeOf classifies a restriction clause of the relation bound under
+// alias, following btree index path matching rules.
+func shapeOf(e sql.Expr, alias string) clauseShape {
+	col := func(x sql.Expr) (string, bool) {
+		c, ok := x.(*sql.ColumnRef)
+		if !ok || (c.Table != "" && c.Table != alias) {
+			return "", false
+		}
+		return c.Column, true
 	}
-	var arms []arm
-	for _, ix := range rel.info.Indexes {
-		matched, _ := matchIndexClauses(b, rel, ix)
-		if len(matched) == 0 {
+	isConst := func(x sql.Expr) bool {
+		_, ok := catalog.DatumFromLiteral(x)
+		return ok
+	}
+	switch v := e.(type) {
+	case *sql.BinaryExpr:
+		if !v.Op.IsComparison() || v.Op == sql.OpNe {
+			break
+		}
+		kind := clauseRange
+		if v.Op == sql.OpEq {
+			kind = clauseEq
+		}
+		if c, ok := col(v.Left); ok && isConst(v.Right) {
+			return clauseShape{c, kind}
+		}
+		if c, ok := col(v.Right); ok && isConst(v.Left) {
+			return clauseShape{c, kind}
+		}
+	case *sql.BetweenExpr:
+		if c, ok := col(v.Expr); ok && !v.Negated && isConst(v.Lo) && isConst(v.Hi) {
+			return clauseShape{c, clauseRange}
+		}
+	case *sql.InExpr:
+		// IN-lists are handled as an "equality-ish" match on the
+		// column (scanned as repeated probes).
+		c, ok := col(v.Expr)
+		if !ok || v.Negated {
+			break
+		}
+		for _, item := range v.List {
+			if !isConst(item) {
+				return clauseShape{}
+			}
+		}
+		return clauseShape{c, clauseEq}
+	}
+	return clauseShape{}
+}
+
+// matcher holds one relation's index matches while its access paths
+// are costed: for index k, pos[ends[k-1]:ends[k]] are the restriction
+// positions it satisfies, in match order, and sels[k] their combined
+// selectivity. taken is all false between matches.
+type matcher struct {
+	pos   []int
+	ends  []int
+	sels  []float64
+	taken []bool
+}
+
+func (m *matcher) reset(clauses int) {
+	m.pos, m.ends, m.sels = m.pos[:0], m.ends[:0], m.sels[:0]
+	if cap(m.taken) < clauses {
+		m.taken = make([]bool, clauses)
+	}
+	m.taken = m.taken[:clauses]
+}
+
+// run returns index k's matched restriction positions.
+func (m *matcher) run(k int) []int {
+	start := 0
+	if k > 0 {
+		start = m.ends[k-1]
+	}
+	return m.pos[start:m.ends[k]]
+}
+
+// match matches the next index against r: equalities on a prefix of the
+// index columns, then every range clause on the next column, each
+// clause used once. The combined selectivity multiplies in match order,
+// as restrictionSelectivity over the matched list would.
+func (m *matcher) match(r *restriction, ix *catalog.Index) int {
+	start := len(m.pos)
+	for _, col := range ix.Columns {
+		eq := -1
+		for i, s := range r.shapes {
+			if s.kind == clauseEq && s.col == col && !m.taken[i] {
+				eq = i
+				break
+			}
+		}
+		if eq >= 0 {
+			m.taken[eq] = true
+			m.pos = append(m.pos, eq)
 			continue
 		}
-		arms = append(arms, arm{ix, matched, b.restrictionSelectivity(matched)})
-	}
-	if len(arms) < 2 {
-		return nil
-	}
-	// Pick the two most selective arms over distinct leading columns.
-	bestPair := [2]int{-1, -1}
-	bestSel := 1.0
-	for i := 0; i < len(arms); i++ {
-		for j := i + 1; j < len(arms); j++ {
-			if arms[i].ix.Columns[0] == arms[j].ix.Columns[0] {
-				continue // same column: one index suffices
-			}
-			if s := arms[i].sel * arms[j].sel; s < bestSel {
-				bestSel, bestPair = s, [2]int{i, j}
+		for i, s := range r.shapes {
+			if s.kind == clauseRange && s.col == col && !m.taken[i] {
+				m.taken[i] = true
+				m.pos = append(m.pos, i)
 			}
 		}
+		break
 	}
-	if bestPair[0] < 0 {
-		return nil
+	sel := 1.0
+	for _, i := range m.pos[start:] {
+		m.taken[i] = false
+		sel *= r.sels[i]
 	}
-	a1, a2 := arms[bestPair[0]], arms[bestPair[1]]
-	t := rel.info.Table
-	tuples := clampRows(float64(t.RowCount) * bestSel)
+	m.ends = append(m.ends, len(m.pos))
+	m.sels = append(m.sels, clampSel(sel))
+	return len(m.pos) - start
+}
 
-	// Index I/O of both bitmap builds.
-	indexIO := 0.0
-	indexCPU := 0.0
-	for _, a := range []arm{a1, a2} {
-		indexIO += (math.Ceil(a.sel*float64(a.ix.Pages)) + float64(a.ix.Height)) * p.Params.RandomPageCost
-		indexCPU += clampRows(float64(t.RowCount)*a.sel) * p.Params.CPUIndexTuple
-	}
-	// Heap pages fetched: Mackert–Lohman-style saturation — tuples
-	// spread over T pages hit ~T(1-e^{-n/T}) distinct pages, read in
-	// page order (sequential-ish).
-	T := float64(t.Pages)
-	heapPages := T * (1 - math.Exp(-tuples/T))
-	heapIO := heapPages * (p.Params.SeqPageCost + p.Params.RandomPageCost) / 2
-	heapCPU := tuples * p.CPUTuple()
-	// Residual filter: clauses not matched by either arm.
-	matchedSet := map[sql.Expr]bool{}
-	for _, m := range append(append([]sql.Expr(nil), a1.matched...), a2.matched...) {
-		matchedSet[m] = true
-	}
-	var indexConds, residual []sql.Expr
-	for _, c := range rel.restrict {
-		if matchedSet[c] {
-			indexConds = append(indexConds, c)
-		} else {
-			residual = append(residual, c)
+// makeAccessPaths computes the cheapest access path for a base
+// relation: a sequential scan, one index scan per applicable index and
+// a bitmap AND of two. Each index is matched once; paths are costed as
+// values and only the winner becomes a plan node. Disabled path types
+// survive with DisabledCost added, so a path always exists.
+func (p *Planner) makeAccessPaths(rel *baseRel) {
+	t, r := rel.info.Table, rel.r
+	m := &p.scratch.match
+	m.reset(len(r.clauses))
+
+	best, bestCost := -1, p.seqScanCost(t, len(r.clauses)) // -1: sequential scan
+	arms := 0
+	for k, ix := range rel.info.Indexes {
+		n := m.match(r, ix)
+		if n == 0 {
+			continue
+		}
+		arms++
+		if cost := p.indexScanCost(t, ix, m.sels[k], len(r.clauses)-n); cost < bestCost {
+			best, bestCost = k, cost
 		}
 	}
-	filterCPU := tuples * float64(len(residual)) * p.Params.CPUOperatorCost
-
-	total := indexIO + indexCPU + heapIO + heapCPU + filterCPU
-	if !p.Flags.EnableBitmapScan {
-		total += DisabledCost
+	if arms >= 2 {
+		if a1, a2, cost, ok := p.bitmapAndCost(rel, m); ok && cost < bestCost {
+			rel.path = p.bitmapAndPlan(rel, m, a1, a2, cost)
+			return
+		}
 	}
-	return &Plan{
-		Type:          NodeBitmapHeapScan,
-		Table:         t.Name,
-		Alias:         rel.ref.EffectiveName(),
-		BitmapIndexes: []*catalog.Index{a1.ix, a2.ix},
-		IndexCond:     indexConds,
-		Filter:        residual,
-		Rows:          rel.rows,
-		TotalCost:     total,
+	switch {
+	case best < 0:
+		rel.path = &Plan{
+			Type:      NodeSeqScan,
+			Table:     t.Name,
+			Alias:     rel.alias,
+			Filter:    r.clauses,
+			Rows:      r.rows,
+			TotalCost: bestCost,
+		}
+	default:
+		matched := m.run(best)
+		cond := make([]sql.Expr, len(matched))
+		for j, i := range matched {
+			cond[j] = r.clauses[i]
+			m.taken[i] = true
+		}
+		rel.path = &Plan{
+			Type:      NodeIndexScan,
+			Table:     t.Name,
+			Alias:     rel.alias,
+			Index:     rel.info.Indexes[best],
+			IndexCond: cond,
+			Filter:    unmarked(r.clauses, m.taken),
+			Rows:      r.rows, // the full restriction, not just the indexed part
+			TotalCost: bestCost,
+		}
 	}
 }
 
-// seqScanPath costs a full heap scan with the restriction applied.
-func (p *Planner) seqScanPath(b *binder, rel *baseRel) *Plan {
-	t := rel.info.Table
+// unmarked returns the clauses whose position is not marked, in order,
+// and clears the marks.
+func unmarked(clauses []sql.Expr, marked []bool) []sql.Expr {
+	out := make([]sql.Expr, 0, len(clauses))
+	for i, c := range clauses {
+		if marked[i] {
+			marked[i] = false
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// seqScanCost costs a full heap scan applying n restriction clauses.
+func (p *Planner) seqScanCost(t *catalog.Table, n int) float64 {
 	ioCost := float64(t.Pages) * p.Params.SeqPageCost
 	cpuCost := float64(t.RowCount) * p.CPUTuple()
-	cpuCost += float64(t.RowCount) * float64(len(rel.restrict)) * p.Params.CPUOperatorCost
+	cpuCost += float64(t.RowCount) * float64(n) * p.Params.CPUOperatorCost
 	total := ioCost + cpuCost
 	if !p.Flags.EnableSeqScan {
 		total += DisabledCost
 	}
-	return &Plan{
-		Type:      NodeSeqScan,
-		Table:     t.Name,
-		Alias:     rel.ref.EffectiveName(),
-		Filter:    rel.restrict,
-		Rows:      rel.rows,
-		TotalCost: total,
-	}
+	return total
 }
 
-// indexScanPath matches restriction clauses to the index's column
-// prefix and costs the scan; nil when the index is unusable (no
-// sargable clause on the leading column).
-func (p *Planner) indexScanPath(b *binder, rel *baseRel, ix *catalog.Index) *Plan {
-	matched, residual := matchIndexClauses(b, rel, ix)
-	if len(matched) == 0 {
-		return nil
-	}
-	indexSel := b.restrictionSelectivity(matched)
-	plan := p.costIndexScan(b, rel, ix, matched, residual, indexSel)
-	return plan
-}
-
-// costIndexScan implements the PostgreSQL 8.3-style index scan cost:
+// indexScanCost implements the PostgreSQL 8.3-style index scan cost:
 // index I/O proportional to the selected fraction of leaf pages, heap
 // I/O interpolated between the perfectly-correlated and random cases
 // by the square of the column correlation.
-func (p *Planner) costIndexScan(b *binder, rel *baseRel, ix *catalog.Index,
-	matched, residual []sql.Expr, indexSel float64) *Plan {
-
-	t := rel.info.Table
+func (p *Planner) indexScanCost(t *catalog.Table, ix *catalog.Index, indexSel float64, residual int) float64 {
 	tuples := clampRows(float64(t.RowCount) * indexSel)
 
 	// Index I/O: fraction of leaf pages plus the descent.
@@ -180,24 +252,118 @@ func (p *Planner) costIndexScan(b *binder, rel *baseRel, ix *catalog.Index,
 	heapIO := maxIO + c2*(minIO-maxIO)
 
 	heapCPU := tuples * p.CPUTuple()
-	filterCPU := tuples * float64(len(residual)) * p.Params.CPUOperatorCost
+	filterCPU := tuples * float64(residual) * p.Params.CPUOperatorCost
 
 	total := indexIO + indexCPU + heapIO + heapCPU + filterCPU
 	if !p.Flags.EnableIndexScan {
 		total += DisabledCost
 	}
+	return total
+}
 
-	// Output rows apply the full restriction, not just the indexed
-	// part.
+// bitmapAndCost considers ANDing two single-index bitmaps, the
+// PostgreSQL BitmapAnd plan: each index contributes its own matched
+// clauses, the bitmaps intersect, and the heap is read once in
+// physical page order. Worth it when two moderately selective
+// predicates hit different indexes (the classic ra/dec box search). It
+// returns the two indexes' positions and the cost; ok is false when no
+// two matching indexes lead with distinct columns.
+func (p *Planner) bitmapAndCost(rel *baseRel, m *matcher) (a1, a2 int, total float64, ok bool) {
+	// Pick the two most selective arms over distinct leading columns.
+	ixs := rel.info.Indexes
+	a1, a2 = -1, -1
+	bestSel := 1.0
+	for i := range ixs {
+		if len(m.run(i)) == 0 {
+			continue
+		}
+		for j := i + 1; j < len(ixs); j++ {
+			if len(m.run(j)) == 0 || ixs[i].Columns[0] == ixs[j].Columns[0] {
+				continue // no match, or same column: one index suffices
+			}
+			if s := m.sels[i] * m.sels[j]; s < bestSel {
+				bestSel, a1, a2 = s, i, j
+			}
+		}
+	}
+	if a1 < 0 {
+		return 0, 0, 0, false
+	}
+	t := rel.info.Table
+	tuples := clampRows(float64(t.RowCount) * bestSel)
+
+	// Index I/O of both bitmap builds.
+	indexIO := 0.0
+	indexCPU := 0.0
+	for _, a := range [2]int{a1, a2} {
+		indexIO += (math.Ceil(m.sels[a]*float64(ixs[a].Pages)) + float64(ixs[a].Height)) * p.Params.RandomPageCost
+		indexCPU += clampRows(float64(t.RowCount)*m.sels[a]) * p.Params.CPUIndexTuple
+	}
+	// Heap pages fetched: Mackert–Lohman-style saturation — tuples
+	// spread over T pages hit ~T(1-e^{-n/T}) distinct pages, read in
+	// page order (sequential-ish).
+	T := float64(t.Pages)
+	heapPages := T * (1 - math.Exp(-tuples/T))
+	heapIO := heapPages * (p.Params.SeqPageCost + p.Params.RandomPageCost) / 2
+	heapCPU := tuples * p.CPUTuple()
+	// Residual filter: clauses not matched by either arm.
+	residual := len(rel.r.clauses) - markArms(m, a1, a2)
+	for _, i := range m.run(a1) {
+		m.taken[i] = false
+	}
+	for _, i := range m.run(a2) {
+		m.taken[i] = false
+	}
+	filterCPU := tuples * float64(residual) * p.Params.CPUOperatorCost
+
+	total = indexIO + indexCPU + heapIO + heapCPU + filterCPU
+	if !p.Flags.EnableBitmapScan {
+		total += DisabledCost
+	}
+	return a1, a2, total, true
+}
+
+// markArms marks the clauses either arm matched and returns how many.
+func markArms(m *matcher, a1, a2 int) int {
+	n := 0
+	for _, a := range [2]int{a1, a2} {
+		for _, i := range m.run(a) {
+			if !m.taken[i] {
+				m.taken[i] = true
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// bitmapAndPlan builds the winning bitmap AND of indexes a1 and a2.
+func (p *Planner) bitmapAndPlan(rel *baseRel, m *matcher, a1, a2 int, total float64) *Plan {
+	r := rel.r
+	var cond []sql.Expr
+	markArms(m, a1, a2)
+	for i, c := range r.clauses {
+		if m.taken[i] {
+			cond = append(cond, c)
+		}
+	}
+	var residual []sql.Expr
+	for i, c := range r.clauses {
+		if m.taken[i] {
+			m.taken[i] = false
+		} else {
+			residual = append(residual, c)
+		}
+	}
 	return &Plan{
-		Type:      NodeIndexScan,
-		Table:     t.Name,
-		Alias:     rel.ref.EffectiveName(),
-		Index:     ix,
-		IndexCond: matched,
-		Filter:    residual,
-		Rows:      rel.rows,
-		TotalCost: total,
+		Type:          NodeBitmapHeapScan,
+		Table:         rel.info.Table.Name,
+		Alias:         rel.alias,
+		BitmapIndexes: []*catalog.Index{rel.info.Indexes[a1], rel.info.Indexes[a2]},
+		IndexCond:     cond,
+		Filter:        residual,
+		Rows:          r.rows,
+		TotalCost:     total,
 	}
 }
 
@@ -212,105 +378,6 @@ func leadingCorrelation(t *catalog.Table, ix *catalog.Index) float64 {
 		return 0
 	}
 	return c.Stats.Correlation
-}
-
-// matchIndexClauses splits a relation's restriction into clauses the
-// index can satisfy (equalities on a prefix of the index columns,
-// then at most one range clause on the next column) and the residual
-// filter, following btree index path matching rules.
-func matchIndexClauses(b *binder, rel *baseRel, ix *catalog.Index) (matched, residual []sql.Expr) {
-	remaining := append([]sql.Expr(nil), rel.restrict...)
-	alias := rel.ref.EffectiveName()
-	for i, col := range ix.Columns {
-		// Equality first: it lets matching continue to the next
-		// column.
-		eqIdx := findClause(remaining, alias, col, clauseEq)
-		if eqIdx >= 0 {
-			matched = append(matched, remaining[eqIdx])
-			remaining = append(remaining[:eqIdx], remaining[eqIdx+1:]...)
-			continue
-		}
-		// Otherwise any range clauses on this column terminate the
-		// match (collect all of them: lo and hi bounds).
-		for {
-			rIdx := findClause(remaining, alias, col, clauseRange)
-			if rIdx < 0 {
-				break
-			}
-			matched = append(matched, remaining[rIdx])
-			remaining = append(remaining[:rIdx], remaining[rIdx+1:]...)
-		}
-		_ = i
-		break
-	}
-	return matched, remaining
-}
-
-type clauseKind int
-
-const (
-	clauseEq clauseKind = iota
-	clauseRange
-)
-
-// findClause locates a sargable clause of the given kind on
-// alias.col, returning its position in list or -1.
-func findClause(list []sql.Expr, alias, col string, kind clauseKind) int {
-	for i, e := range list {
-		if clauseMatches(e, alias, col, kind) {
-			return i
-		}
-	}
-	return -1
-}
-
-func clauseMatches(e sql.Expr, alias, col string, kind clauseKind) bool {
-	isCol := func(x sql.Expr) bool {
-		c, ok := x.(*sql.ColumnRef)
-		return ok && c.Column == col && (c.Table == "" || c.Table == alias)
-	}
-	isConst := func(x sql.Expr) bool {
-		_, ok := catalog.DatumFromLiteral(x)
-		return ok
-	}
-	switch v := e.(type) {
-	case *sql.BinaryExpr:
-		if !v.Op.IsComparison() || v.Op == sql.OpNe {
-			return false
-		}
-		colLeft := isCol(v.Left) && isConst(v.Right)
-		colRight := isCol(v.Right) && isConst(v.Left)
-		if !colLeft && !colRight {
-			return false
-		}
-		if kind == clauseEq {
-			return v.Op == sql.OpEq
-		}
-		return v.Op != sql.OpEq
-	case *sql.BetweenExpr:
-		if v.Negated || kind == clauseEq {
-			return false
-		}
-		_, okLo := catalog.DatumFromLiteral(v.Lo)
-		_, okHi := catalog.DatumFromLiteral(v.Hi)
-		return isCol(v.Expr) && okLo && okHi
-	case *sql.InExpr:
-		// IN-lists are handled as an "equality-ish" match on the
-		// column (scanned as repeated probes).
-		if v.Negated || kind != clauseEq {
-			return false
-		}
-		if !isCol(v.Expr) {
-			return false
-		}
-		for _, item := range v.List {
-			if !isConst(item) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // CPUTuple returns the per-tuple CPU cost.

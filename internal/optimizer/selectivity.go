@@ -268,24 +268,11 @@ func (b *binder) joinSelectivity(l *sql.ColumnRef, op sql.BinaryOp, r *sql.Colum
 	return clampSel(1 / max)
 }
 
-// restrictionSelectivity multiplies the selectivities of a conjunct
-// list (independence assumption, as PostgreSQL).
-func (b *binder) restrictionSelectivity(conjuncts []sql.Expr) float64 {
-	s := 1.0
-	for _, c := range conjuncts {
-		s *= b.clauseSelectivity(c)
-	}
-	return clampSel(s)
-}
-
-// groupCountEstimate estimates the number of distinct groups produced
-// by grouping inputRows rows on the given expressions: the product of
-// per-column distinct counts, clamped by the input cardinality
-// (PostgreSQL's estimate_num_groups, simplified).
-func (b *binder) groupCountEstimate(groupBy []sql.Expr, inputRows float64) float64 {
-	if len(groupBy) == 0 {
-		return 1
-	}
+// groupProduct is the design-independent part of estimate_num_groups
+// (simplified): the product of the grouping keys' distinct counts, 200
+// for a key that is not a column with statistics. groupCount clamps it
+// by the input cardinality.
+func (b *binder) groupProduct(groupBy []sql.Expr) float64 {
 	groups := 1.0
 	for _, g := range groupBy {
 		col, ok := g.(*sql.ColumnRef)
@@ -300,8 +287,5 @@ func (b *binder) groupCountEstimate(groupBy []sql.Expr, inputRows float64) float
 		}
 		groups *= c.Stats.DistinctCount(rel.info.Table.RowCount)
 	}
-	if groups > inputRows {
-		groups = inputRows
-	}
-	return clampRows(groups)
+	return groups
 }

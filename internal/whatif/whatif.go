@@ -53,11 +53,22 @@ type Session struct {
 	// the order relationInfoHook splices them in. Built on the first
 	// lookup after a structural edit; nil means stale.
 	byTable map[string][]*catalog.Index
+	// served caches, per table, the view relationInfoHook returned and
+	// the catalog view it was built from; stale with byTable.
+	served map[string]*servedInfo
 }
 
-// dirtySig invalidates the signature and per-table index caches after
-// a structural edit.
-func (s *Session) dirtySig() { s.sigOK, s.baseOK, s.byTable = false, false, nil }
+// servedInfo is one table's cached hook result: out, built from the
+// catalog's table and indexes in.
+type servedInfo struct {
+	inTable   *catalog.Table
+	inIndexes []*catalog.Index
+	out       *optimizer.RelationInfo
+}
+
+// dirtySig invalidates the signature and per-table caches after a
+// structural edit.
+func (s *Session) dirtySig() { s.sigOK, s.baseOK, s.byTable, s.served = false, false, nil, nil }
 
 // NewSession creates a session planning against cat.
 func NewSession(cat *catalog.Catalog) *Session {
@@ -77,14 +88,23 @@ func (s *Session) Planner() *optimizer.Planner { return s.planner }
 
 // relationInfoHook is the get_relation_info analogue: it serves
 // what-if tables the base catalog does not know, and splices what-if
-// indexes into the index lists of both real and what-if tables.
+// indexes into the index lists of both real and what-if tables. The
+// view served for a table is kept until the next structural edit, or
+// until the catalog's view of the table changes.
 func (s *Session) relationInfoHook(name string, info *optimizer.RelationInfo) *optimizer.RelationInfo {
-	if info == nil {
-		t := s.hypoTables[name]
-		if t == nil {
+	var inTable *catalog.Table
+	var inIndexes []*catalog.Index
+	if info != nil {
+		inTable, inIndexes = info.Table, info.Indexes
+	}
+	if c := s.served[name]; c != nil && c.inTable == inTable && slices.Equal(c.inIndexes, inIndexes) {
+		return c.out
+	}
+	table := inTable
+	if table == nil {
+		if table = s.hypoTables[name]; table == nil {
 			return nil
 		}
-		info = &optimizer.RelationInfo{Table: t}
 	}
 	if s.byTable == nil {
 		s.byTable = map[string][]*catalog.Index{}
@@ -92,14 +112,15 @@ func (s *Session) relationInfoHook(name string, info *optimizer.RelationInfo) *o
 			s.byTable[ix.Table] = append(s.byTable[ix.Table], ix)
 		}
 	}
-	extra := s.byTable[name]
-	if len(extra) == 0 {
-		return info
+	out := &optimizer.RelationInfo{
+		Table:   table,
+		Indexes: slices.Concat(inIndexes, s.byTable[name]),
 	}
-	return &optimizer.RelationInfo{
-		Table:   info.Table,
-		Indexes: append(append([]*catalog.Index(nil), info.Indexes...), extra...),
+	if s.served == nil {
+		s.served = map[string]*servedInfo{}
 	}
+	s.served[name] = &servedInfo{inTable: inTable, inIndexes: slices.Clone(inIndexes), out: out}
+	return out
 }
 
 // sortedHypoIndexes lists the hypothetical indexes by table, then
