@@ -677,12 +677,15 @@ func TestINUMPermutationInvariance(t *testing.T) {
 }
 
 // TestConcurrentDesignBatchesMatchSequential: 8 goroutines price
-// interleaved batches of different designs — index configurations, a
-// partitioned design, nested loops off — on one Full, half of them
-// through EvaluateDelta's design-grouped schedule. Every cost equals
-// the sequential answer, and every plan uses only indexes of its own
+// interleaved batches of different designs — index configurations, two
+// partitionings sharing fragment names over different columns, nested
+// loops off — on one Full, half of them through EvaluateDelta's
+// design-grouped schedule, all over shared statements that every
+// pooled session's planner prepares for itself. Every cost equals the
+// sequential answer, and every plan uses only indexes of its own
 // batch's design: no pooled session is planned while it holds another
-// batch's design. Run with -race.
+// batch's design. The two partitionings also alternate on one pooled
+// session first. Run with -race.
 func TestConcurrentDesignBatchesMatchSequential(t *testing.T) {
 	cat := seedCatalog(t, 50000)
 	queries := seedQueries(t)
@@ -693,13 +696,22 @@ func TestConcurrentDesignBatchesMatchSequential(t *testing.T) {
 			offPhoto = append(offPhoto, spec)
 		}
 	}
-	split := []design.Partition{{Table: "photoobj", Fragments: recommend.AtomicFragments(cat.Table("photoobj"), queries)}}
+	atomic := recommend.AtomicFragments(cat.Table("photoobj"), queries)
+	split := []design.Partition{{Table: "photoobj", Fragments: atomic}}
+	// The same fragment names over other column sets: the atomic
+	// fragments merged into two halves.
+	var halves [2][]string
+	for i, f := range atomic {
+		halves[i*2/len(atomic)] = append(halves[i*2/len(atomic)], f...)
+	}
+	merged := []design.Partition{{Table: "photoobj", Fragments: halves[:]}}
 	targets := []costlab.Target{
 		{NestLoop: true},
 		{Design: design.Design{Indexes: cands[:3]}, NestLoop: true},
 		{Design: design.Design{Indexes: cands[2:7]}, NestLoop: false},
 		{Design: design.Design{Partitions: split}, NestLoop: true},
 		{Design: design.Design{Indexes: offPhoto[:4], Partitions: split}, NestLoop: false},
+		{Design: design.Design{Partitions: merged}, NestLoop: true},
 	}
 	stmts := make([][]*sql.Select, len(targets))
 	want := make([][]float64, len(targets))
@@ -721,6 +733,26 @@ func TestConcurrentDesignBatchesMatchSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The two partitionings sharing fragment names, alternately on one
+	// pooled session.
+	alt := costlab.NewFull(cat)
+	for r := 0; r < 4; r++ {
+		i := []int{3, 5}[r%2]
+		costs, used, err := alt.PriceAll(context.Background(), targets[i], stmts[i], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range costs {
+			if costs[qi] != want[i][qi] || !slices.Equal(used[qi], wantUsed[i][qi]) {
+				t.Fatalf("alternation %d design %d Q%d: %v using %v, a fresh pricer %v using %v",
+					r, i, qi+1, costs[qi], used[qi], want[i][qi], wantUsed[i][qi])
+			}
+		}
+	}
+	if alt.Sessions() != 1 {
+		t.Fatalf("alternation used %d sessions, want one", alt.Sessions())
+	}
+
 	// The index-only designs again, as one cross-product job list.
 	var jobs []costlab.Job
 	var jobWant []float64

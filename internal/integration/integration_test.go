@@ -402,7 +402,10 @@ func TestCardinalityEstimatesWithinReason(t *testing.T) {
 
 // TestSampledAnalyzePlansLikeFullAnalyze runs the planner with full
 // and sampled statistics and verifies plan shapes agree across the
-// workload — sampling must not flip access-path decisions.
+// workload — sampling must not flip access-path decisions. Then a full
+// ANALYZE replaces the sampled statistics under the planner that
+// planned with them: it must plan exactly as a fresh planner does, not
+// from the statistics it prepared the statements with.
 func TestSampledAnalyzePlansLikeFullAnalyze(t *testing.T) {
 	full := populate(t, 12000)
 	sampled := populate(t, 12000)
@@ -413,6 +416,8 @@ func TestSampledAnalyzePlansLikeFullAnalyze(t *testing.T) {
 	}
 	pf := optimizerNew(full)
 	ps := optimizerNew(sampled)
+	var sels []*sql.Select
+	var before []float64
 	for i, q := range workload.Queries() {
 		sel := parse(t, q)
 		a, err := pf.Plan(sel)
@@ -428,6 +433,34 @@ func TestSampledAnalyzePlansLikeFullAnalyze(t *testing.T) {
 		if ratio < 0.2 || ratio > 5 {
 			t.Errorf("Q%d: full estimate %.0f vs sampled %.0f", i+1, a.Rows, b.Rows)
 		}
+		sels, before = append(sels, sel), append(before, b.TotalCost)
+	}
+
+	for _, tab := range sampled.Catalog.Tables() {
+		if err := sampled.AnalyzeTable(tab.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := 0
+	for i, sel := range sels {
+		got, err := ps.Plan(sel)
+		if err != nil {
+			t.Fatalf("Q%d re-analyzed: %v", i+1, err)
+		}
+		want, err := optimizerNew(sampled).Plan(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalCost != want.TotalCost || optimizer.Explain(got) != optimizer.Explain(want) {
+			t.Errorf("Q%d after ANALYZE: the planner that planned before plans\n%s\na fresh planner\n%s",
+				i+1, optimizer.Explain(got), optimizer.Explain(want))
+		}
+		if got.TotalCost != before[i] {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Error("re-analyzing changed no cost: the check above proves nothing")
 	}
 }
 

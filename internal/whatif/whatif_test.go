@@ -1,6 +1,8 @@
 package whatif
 
 import (
+	"fmt"
+	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
@@ -511,11 +513,15 @@ func TestSignatureCacheAgreesWithRebuild(t *testing.T) {
 	check("reset")
 }
 
-// TestPlanAfterEditMatchesFreshSession: the hook's per-table index
-// lists are cached between structural edits, so after every kind of
-// edit — each preceded by a plan that warms the cache — planning must
-// match a fresh session built with the same design. Generated names
-// differ in their counter only, which the comparison masks.
+// TestPlanAfterEditMatchesFreshSession: the hook's per-table views
+// and the planner's prepared statements are kept between plans, so
+// after every kind of edit — each preceded by a plan that warms the
+// caches — planning must match a fresh session built with the same
+// design. That includes a what-if table re-created under the same name
+// with other columns (which flips how an unqualified column resolves)
+// and a long random walk of index designs with nested loops toggled.
+// Generated names differ in their counter only, which the comparison
+// masks.
 func TestPlanAfterEditMatchesFreshSession(t *testing.T) {
 	cat := testCatalog(t)
 	s := NewSession(cat)
@@ -523,6 +529,11 @@ func TestPlanAfterEditMatchesFreshSession(t *testing.T) {
 		parse(t, "SELECT objid FROM photoobj WHERE ra BETWEEN 100 AND 100.5"),
 		parse(t, "SELECT objid FROM photoobj WHERE run = 5 AND type = 3"),
 		parse(t, "SELECT objid, ra FROM p1 WHERE ra BETWEEN 1 AND 1.1"),
+		parse(t, "SELECT objid FROM p1 WHERE dec > 80"),
+		parse(t, "SELECT p.objid FROM photoobj p, p1 f WHERE p.objid = f.objid AND run = 5 AND dec < -80"),
+		parse(t, "SELECT objid FROM photoobj WHERE ra BETWEEN 10 AND 12 AND dec BETWEEN 5 AND 7 AND r < 20"),
+		parse(t, "SELECT a.objid FROM photoobj a, photoobj b WHERE a.objid = b.objid AND a.ra < 1 AND b.dec > 89"),
+		parse(t, "SELECT run, COUNT(*) FROM photoobj WHERE type IN (1, 2) AND g > 25 GROUP BY run"),
 	}
 	counter := regexp.MustCompile(`ix[0-9]+_`)
 	plans := func(ws *Session) []string {
@@ -539,6 +550,7 @@ func TestPlanAfterEditMatchesFreshSession(t *testing.T) {
 	}
 	fresh := func() *Session {
 		r := NewSession(cat)
+		r.SetNestLoop(s.NestLoopEnabled())
 		for _, tab := range s.Tables() {
 			cols := make([]string, 0, len(tab.Columns))
 			for _, c := range tab.Columns {
@@ -595,6 +607,45 @@ func TestPlanAfterEditMatchesFreshSession(t *testing.T) {
 		t.Fatal("delta with a bad index accepted")
 	}
 	check("failed delta rollback")
+
+	// One fragment name, two column sets, alternately.
+	for i, cols := range [][]string{{"dec", "run"}, {"ra", "dec"}, {"dec", "run"}, {"ra", "dec", "u"}} {
+		d := Delta{CreateTables: []TableDef{{Name: "p1", Parent: "photoobj", Columns: cols}}}
+		if i > 0 {
+			d.DropTables = []string{"p1"}
+		}
+		if _, err := s.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("re-creating p1 over %v", cols))
+	}
+
+	// A long walk of index designs on one session.
+	rng := rand.New(rand.NewSource(1))
+	cols := []string{"objid", "ra", "dec", "run", "type", "u", "g", "r"}
+	for step := 0; step < 150; step++ {
+		var d Delta
+		if ixs := s.Indexes(); len(ixs) > 0 && rng.Intn(3) == 0 {
+			d.DropIndexes = []string{ixs[rng.Intn(len(ixs))].Name}
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			pick := []string{cols[rng.Intn(len(cols))]}
+			if rng.Intn(2) == 0 {
+				pick = append(pick, cols[rng.Intn(len(cols))])
+			}
+			table := "photoobj"
+			if rng.Intn(4) == 0 {
+				table = "p1"
+			}
+			d.CreateIndexes = append(d.CreateIndexes, IndexDef{Table: table, Columns: pick})
+		}
+		nl := rng.Intn(4) != 0
+		d.NestLoop = &nl
+		if _, err := s.ApplyDelta(d); err != nil {
+			continue // a column p1 lacks: rolled back
+		}
+		check(fmt.Sprintf("walk step %d", step))
+	}
 	s.Reset()
 	check("reset")
 }
