@@ -113,7 +113,7 @@ func (s *preparedStore) get(sel *sql.Select) *prepared {
 
 func (s *preparedStore) put(sel *sql.Select, e *prepared) {
 	if s.cur == nil || len(s.cur) >= preparedCap {
-		s.old, s.cur = s.cur, make(map[*sql.Select]*prepared, preparedCap)
+		s.old, s.cur = s.cur, map[*sql.Select]*prepared{}
 	}
 	s.cur[sel] = e
 }

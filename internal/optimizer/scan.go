@@ -103,8 +103,8 @@ func (m *matcher) run(k int) []int {
 
 // match matches the next index against r: equalities on a prefix of the
 // index columns, then every range clause on the next column, each
-// clause used once. The combined selectivity multiplies in match order,
-// as restrictionSelectivity over the matched list would.
+// clause used once. The combined selectivity multiplies the clauses'
+// selectivities in match order.
 func (m *matcher) match(r *restriction, ix *catalog.Index) int {
 	start := len(m.pos)
 	for _, col := range ix.Columns {
@@ -308,12 +308,7 @@ func (p *Planner) bitmapAndCost(rel *baseRel, m *matcher) (a1, a2 int, total flo
 	heapCPU := tuples * p.CPUTuple()
 	// Residual filter: clauses not matched by either arm.
 	residual := len(rel.r.clauses) - markArms(m, a1, a2)
-	for _, i := range m.run(a1) {
-		m.taken[i] = false
-	}
-	for _, i := range m.run(a2) {
-		m.taken[i] = false
-	}
+	clear(m.taken)
 	filterCPU := tuples * float64(residual) * p.Params.CPUOperatorCost
 
 	total = indexIO + indexCPU + heapIO + heapCPU + filterCPU
@@ -347,21 +342,13 @@ func (p *Planner) bitmapAndPlan(rel *baseRel, m *matcher, a1, a2 int, total floa
 			cond = append(cond, c)
 		}
 	}
-	var residual []sql.Expr
-	for i, c := range r.clauses {
-		if m.taken[i] {
-			m.taken[i] = false
-		} else {
-			residual = append(residual, c)
-		}
-	}
 	return &Plan{
 		Type:          NodeBitmapHeapScan,
 		Table:         rel.info.Table.Name,
 		Alias:         rel.alias,
 		BitmapIndexes: []*catalog.Index{rel.info.Indexes[a1], rel.info.Indexes[a2]},
 		IndexCond:     cond,
-		Filter:        residual,
+		Filter:        unmarked(r.clauses, m.taken),
 		Rows:          r.rows,
 		TotalCost:     total,
 	}
