@@ -84,11 +84,11 @@ func (p *Planner) Plan(sel *sql.Select) (*Plan, error) {
 
 	// Constant clauses become a top filter; estimate half selectivity
 	// each (they are rare in our workloads).
-	if consts := e.consts; len(consts) > 0 {
+	if constClauses := e.consts; len(constClauses) > 0 {
 		filtered := *plan
-		filtered.Filter = append(append([]sql.Expr(nil), plan.Filter...), consts...)
-		filtered.Rows = clampRows(plan.Rows * math.Pow(0.5, float64(len(consts))))
-		filtered.TotalCost += plan.Rows * float64(len(consts)) * p.Params.CPUOperatorCost
+		filtered.Filter = append(append([]sql.Expr(nil), plan.Filter...), constClauses...)
+		filtered.Rows = clampRows(plan.Rows * math.Pow(0.5, float64(len(constClauses))))
+		filtered.TotalCost += plan.Rows * float64(len(constClauses)) * p.Params.CPUOperatorCost
 		plan = &filtered
 	}
 

@@ -20,7 +20,7 @@ import (
 // immutable once built.
 type prepared struct {
 	tables []*catalog.Table // per relation, FROM-list order
-	stamps []statsStamp     // their statistics when prepared
+	stamps []*statsStamp    // their statistics when prepared (storable entries only)
 	rels   []restriction    // per relation
 	joins  []joinClause
 	consts []sql.Expr // clauses referencing no relation
@@ -45,21 +45,14 @@ type restriction struct {
 // statsStamp records what the prepared half read of a table's
 // statistics: the row count and each column's statistics object.
 // ANALYZE installs new ColumnStats rather than editing them, so pointer
-// equality detects a re-analyzed table.
+// equality detects a re-analyzed table. A planner's entries share one
+// stamp per table state.
 type statsStamp struct {
 	rows  int64
 	stats []*catalog.ColumnStats
 }
 
-func stampOf(t *catalog.Table) statsStamp {
-	s := statsStamp{rows: t.RowCount, stats: make([]*catalog.ColumnStats, len(t.Columns))}
-	for i := range t.Columns {
-		s.stats[i] = t.Columns[i].Stats
-	}
-	return s
-}
-
-func (s statsStamp) matches(t *catalog.Table) bool {
+func (s *statsStamp) matches(t *catalog.Table) bool {
 	if t.RowCount != s.rows || len(t.Columns) != len(s.stats) {
 		return false
 	}
@@ -95,8 +88,28 @@ const preparedCap = 256
 // hits the old generation promotes the entry, and a full current
 // generation becomes the old one, dropping what was not used since.
 // Holding the statement as key keeps its address from being reused.
+// stamps holds the latest stamp of each catalog table an entry was
+// prepared against.
 type preparedStore struct {
 	cur, old map[*sql.Select]*prepared
+	stamps   map[*catalog.Table]*statsStamp
+}
+
+// stamp returns t's current statistics stamp, shared with the entries
+// prepared since t last changed.
+func (s *preparedStore) stamp(t *catalog.Table) *statsStamp {
+	if st := s.stamps[t]; st != nil && st.matches(t) {
+		return st
+	}
+	st := &statsStamp{rows: t.RowCount, stats: make([]*catalog.ColumnStats, len(t.Columns))}
+	for i := range t.Columns {
+		st.stats[i] = t.Columns[i].Stats
+	}
+	if s.stamps == nil {
+		s.stamps = map[*catalog.Table]*statsStamp{}
+	}
+	s.stamps[t] = st
+	return st
 }
 
 func (s *preparedStore) get(sel *sql.Select) *prepared {
@@ -132,6 +145,10 @@ func (p *Planner) bindPrepared(sel *sql.Select) (*binder, *prepared, error) {
 			return nil, nil, err
 		}
 		if e.storable {
+			e.stamps = make([]*statsStamp, len(e.tables))
+			for i, t := range e.tables {
+				e.stamps[i] = p.prepared.stamp(t)
+			}
 			p.prepared.put(sel, e)
 		}
 	}
@@ -147,13 +164,12 @@ func prepare(sel *sql.Select, b *binder) (*prepared, error) {
 	n := len(b.rels)
 	e := &prepared{
 		tables:   make([]*catalog.Table, n),
-		stamps:   make([]statsStamp, n),
 		rels:     make([]restriction, n),
 		storable: true,
 	}
 	for i, rel := range b.rels {
 		t := rel.info.Table
-		e.tables[i], e.stamps[i] = t, stampOf(t)
+		e.tables[i] = t
 		e.storable = e.storable && t == rel.base.Table
 		rel.r = &e.rels[i]
 	}
