@@ -25,7 +25,6 @@ type RelationInfoHook func(name string, info *RelationInfo) *RelationInfo
 // baseRel is one bound FROM-list entry during planning.
 type baseRel struct {
 	id    uint64 // singleton bitmask
-	ref   sql.TableRef
 	alias string
 	base  RelationInfo  // the catalog's view, handed to the hook
 	info  *RelationInfo // the view planned against
@@ -55,14 +54,14 @@ func (p *Planner) bind(sel *sql.Select) (*binder, error) {
 	}
 	rels, ptrs := s.rels[:n], s.relPtrs[:n]
 	for i := range rels {
-		ref := sql.TableRef{}
+		var ref sql.TableRef
 		if i < len(sel.From) {
 			ref = sel.From[i]
 		} else {
 			ref = sel.Joins[i-len(sel.From)].Table
 		}
 		rel := &rels[i]
-		*rel = baseRel{id: 1 << uint(i), ref: ref, alias: ref.EffectiveName()}
+		*rel = baseRel{id: 1 << uint(i), alias: ref.EffectiveName()}
 		info, err := p.relationInfo(ref.Table, &rel.base)
 		if err != nil {
 			return nil, err

@@ -68,9 +68,6 @@ func (s *statsStamp) matches(t *catalog.Table) bool {
 // every relation bound to the table it was prepared against, with
 // unchanged statistics.
 func (e *prepared) valid(b *binder) bool {
-	if len(e.tables) != len(b.rels) {
-		return false
-	}
 	for i, rel := range b.rels {
 		if rel.info.Table != e.tables[i] || !e.stamps[i].matches(e.tables[i]) {
 			return false
