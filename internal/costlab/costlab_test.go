@@ -182,6 +182,10 @@ func TestEvaluateAllDeterministicOrdering(t *testing.T) {
 	cat := seedCatalog(t, 50000)
 	queries := seedQueries(t)[:12]
 	jobs := pricingJobs(t, cat, queries, 1)
+	// Repeat the batch until every worker count below is started.
+	for len(jobs) < 8*costlab.MinPerWorker {
+		jobs = append(jobs, jobs...)
+	}
 	est := costlab.NewINUM(cat)
 	ctx := context.Background()
 	want, err := costlab.EvaluateAll(ctx, est, jobs, 1)
@@ -235,7 +239,7 @@ func TestEvaluateAllFirstErrorCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]costlab.Job, 64)
+	jobs := make([]costlab.Job, 4*costlab.MinPerWorker) // enough for four workers
 	for i := range jobs {
 		jobs[i] = costlab.Job{Stmt: sel}
 	}
@@ -253,7 +257,7 @@ func TestEvaluateAllFirstErrorCancels(t *testing.T) {
 	est.mu.Lock()
 	calls := est.calls
 	est.mu.Unlock()
-	// Cancellation must stop the fleet long before all 64 jobs run;
+	// Cancellation must stop the fleet long before all the jobs run;
 	// at most the in-flight job per worker can slip through.
 	if calls >= len(jobs) {
 		t.Errorf("ran %d jobs after first error, cancellation failed", calls)
