@@ -27,7 +27,7 @@ func cmdSession(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	fs := flag.NewFlagSet("session", flag.ContinueOnError)
 	wl := fs.String("workload", "", "workload file (default: built-in 30 queries)")
 	scale := fs.Int64("scale", 1000000, "photoobj row count of the synthetic catalog")
-	workers := fs.Int("workers", 0, "parallel cost-estimation workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel cost-estimation workers for suggest (0 = GOMAXPROCS)")
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}

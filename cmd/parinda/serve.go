@@ -29,7 +29,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		"resident session cap; past it the LRU idle session is evicted")
 	idleTTL := fs.Duration("idle-ttl", 30*time.Minute, "evict sessions idle this long (0 = never)")
 	drain := fs.Duration("drain", serve.DefaultDrainTimeout, "graceful-shutdown drain timeout")
-	workers := fs.Int("workers", 0, "default per-session pricing workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "default per-session recommend pricing workers (0 = GOMAXPROCS)")
 	wl := fs.String("workload", "", "default workload file (default: built-in 30 queries)")
 	scale := fs.Int64("scale", 1000000, "photoobj row count of the synthetic catalog")
 	winCap := fs.Int("window-capacity", 0, "per-session ingest window: max distinct queries (0 = default)")

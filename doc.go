@@ -39,14 +39,15 @@
 //	                    Full, the one design-positioned pricer — pooled
 //	                    sessions that hold the design they last priced
 //	                    and move by diff, serving batches one design at
-//	                    a time (advisor index and partition trials,
-//	                    reports, a session's parallel re-pricing) —
-//	                    plus the EvaluateAll batch driver and the cost
-//	                    Memo behind EvaluateDelta and advisor warm
-//	                    starts: one pricing identity, (statement,
-//	                    projected design, backend), interned to two
-//	                    uint32s over a flight.Cache, reading session
-//	                    states through on a full-optimizer miss
+//	                    a time — plus EvaluateDelta, the one memoised
+//	                    batch entry for every design an advisor prices
+//	                    (jobs carry indexes and partitions; a
+//	                    partitioned job plans rewritten onto its
+//	                    fragments), and its cost Memo: one pricing
+//	                    identity, (statement, projected design,
+//	                    backend), interned to two uint32s over a
+//	                    flight.Cache, reading session states through on
+//	                    a full-optimizer miss
 //	internal/ilp        exact branch-and-bound ILP solver
 //	internal/recommend  the automatic components as one pipeline —
 //	                    index suggestion, AutoPart partition
@@ -68,7 +69,9 @@
 //	                    redo, cross-session SharedMemo (a state tier and
 //	                    the cost tier that reads it through, both keyed
 //	                    by projected design; local misses resolve
-//	                    through one Resolve call per edit),
+//	                    through one Resolve call per edit, and its
+//	                    misses plan in turn on the session's own
+//	                    what-if session, which holds the design),
 //	                    explains planned on read (one optimizer call
 //	                    each, never stored) — the engine behind the
 //	                    `parinda session` REPL — and the what-if vs.

@@ -13,10 +13,11 @@
 //     (Papadomanolakis, Dash & Ailamaki, VLDB 2007), sharded per
 //     worker so warm-cache costing scales across cores.
 //
-// Both backends are safe for concurrent use; EvaluateAll fans a batch
-// of (statement, configuration) pricing jobs out over a worker pool
-// sized by GOMAXPROCS with deterministic result ordering and
-// first-error cancellation. Because the backends satisfy one
+// Both backends are safe for concurrent use. EvaluateDelta is the one
+// memoised batch entry: its jobs carry whole designs (indexes and
+// partitions), it serves repeats from a Memo and fans the rest out over
+// a worker pool with deterministic result ordering and first-error
+// cancellation. Because the backends satisfy one
 // interface, their agreement can be tested directly — the
 // comparative-specification style of checking two implementations of
 // the same contract against each other.

@@ -7,22 +7,32 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/design"
 	"repro/internal/sql"
 )
 
-// Job is one pricing unit of work: a statement under a configuration.
+// Job is one pricing unit of work: a statement under a design, whose
+// indexes are Config and whose vertical partitionings are Partitions.
+// A partitioned job plans its statement rewritten onto the fragments,
+// which only the full optimizer can price.
 //
 // StmtID and DesignID, when nonzero, carry the memo-interned
-// identities of Stmt and of Config as Stmt sees it (see
+// identities of Stmt and of the design as Stmt sees it (see
 // Memo.InternStmt / Memo.InternDesign): EvaluateDelta then probes and
 // fills the memo without re-printing the SQL or re-projecting the
-// configuration. Interned ids are memo-specific — never stamp a job
-// with ids from a different memo.
+// design. Interned ids are memo-specific — never stamp a job with ids
+// from a different memo.
 type Job struct {
-	Stmt     *sql.Select
-	Config   Config
-	StmtID   uint32
-	DesignID uint32
+	Stmt       *sql.Select
+	Config     Config
+	Partitions []design.Partition
+	StmtID     uint32
+	DesignID   uint32
+}
+
+// design is the job's whole design.
+func (j Job) design() design.Design {
+	return design.Design{Indexes: j.Config, Partitions: j.Partitions}
 }
 
 // JobError reports which batch element failed. Callers unwrap it with

@@ -43,9 +43,8 @@ type Target struct {
 	Key      string
 }
 
-// configTarget is an index configuration's Target, nested loops on.
-func configTarget(cfg Config) *Target {
-	d := design.Design{Indexes: cfg}
+// designTarget is d's Target, nested loops on.
+func designTarget(d design.Design) *Target {
 	return &Target{Design: d, NestLoop: true, Key: design.Key(d)}
 }
 
@@ -56,7 +55,7 @@ func NewFull(cat *catalog.Catalog) *Full {
 
 // Cost prices stmt under cfg with one full optimizer invocation.
 func (f *Full) Cost(stmt *sql.Select, cfg Config) (float64, error) {
-	return f.cost(stmt, configTarget(cfg))
+	return f.cost(stmt, designTarget(design.Design{Indexes: cfg}))
 }
 
 func (f *Full) cost(stmt *sql.Select, t *Target) (cost float64, err error) {
@@ -68,7 +67,7 @@ func (f *Full) cost(stmt *sql.Select, t *Target) (cost float64, err error) {
 // planning session's live names of the cfg indexes, aligned with cfg,
 // through which callers map plan.IndexesUsed() back to specs.
 func (f *Full) Plan(stmt *sql.Select, cfg Config) (plan *optimizer.Plan, names []string, err error) {
-	err = f.planAt(stmt, configTarget(cfg), func(p *optimizer.Plan, h *held) {
+	err = f.planAt(stmt, designTarget(design.Design{Indexes: cfg}), func(p *optimizer.Plan, h *held) {
 		plan = p
 		for _, spec := range cfg {
 			names = append(names, h.Name(spec.Key()))
@@ -80,9 +79,9 @@ func (f *Full) Plan(stmt *sql.Select, cfg Config) (plan *optimizer.Plan, names [
 // PriceAll plans every statement under t on up to workers pooled
 // sessions (<= 0 means GOMAXPROCS) and returns, in statement order, the
 // costs and the sorted design keys of the what-if indexes each plan
-// uses — the batch behind partition trials, advisor reports and a
-// design session's parallel re-pricing. A failure is a JobError naming
-// the statement.
+// uses — the unmemoised batch behind advisor reports, which need the
+// indexes as well as the costs. Statements must already read t's
+// fragments. A failure is a JobError naming the statement.
 func (f *Full) PriceAll(ctx context.Context, t Target, stmts []*sql.Select, workers int) ([]float64, [][]string, error) {
 	if t.Key == "" {
 		t.Key = design.Key(t.Design)

@@ -83,15 +83,6 @@ func (e *INUM) Cost(stmt *sql.Select, cfg Config) (float64, error) {
 	return cost, err
 }
 
-// FullOptimizerCost prices stmt under cfg with the real optimizer (no
-// caching) — the accuracy baseline INUM is compared against.
-func (e *INUM) FullOptimizerCost(stmt *sql.Select, cfg Config) (float64, error) {
-	sh := e.shardFor(stmt)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cache.FullOptimizerCost(stmt, cfg)
-}
-
 // SpecSizeBytes returns the Equation-1 size of a candidate index.
 func (e *INUM) SpecSizeBytes(spec inum.IndexSpec) (int64, error) {
 	e.sizeMu.Lock()

@@ -2,6 +2,7 @@ package costlab
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/intern"
 	"repro/internal/inum"
 	"repro/internal/obs"
+	"repro/internal/rewrite"
 	"repro/internal/sql"
 )
 
@@ -92,10 +94,11 @@ func backendOf(est CostEstimator) string {
 	return BackendFull
 }
 
-// projectedKey is the projected design of a job carrying no ids: cfg
-// as stmt's footprint sees it, nested loops on.
-func projectedKey(stmt *sql.Select, cfg Config) string {
-	return design.ProjectedKey(design.Design{Indexes: cfg}, nil, sql.FootprintOf(stmt), true)
+// projectedKey is the projected design of a job carrying no ids: d as
+// stmt's footprint sees it, nested loops on — the key
+// recommend.Evaluator stamps for the same design.
+func projectedKey(stmt *sql.Select, d design.Design) string {
+	return design.ProjectedKey(d, design.FragmentParents(d), sql.FootprintOf(stmt), true)
 }
 
 // Lookup returns the memoized full-optimizer cost of (stmt, cfg) and
@@ -106,7 +109,7 @@ func projectedKey(stmt *sql.Select, cfg Config) string {
 // stored key holds, so they count as plain misses.
 func (mo *Memo) Lookup(stmt *sql.Select, cfg Config) (float64, bool) {
 	s, _ := mo.stmts.ID(sql.PrintSelect(stmt))
-	d, _ := mo.designs.ID(tagged(BackendFull, projectedKey(stmt, cfg)))
+	d, _ := mo.designs.ID(tagged(BackendFull, projectedKey(stmt, design.Design{Indexes: cfg})))
 	return mo.LookupID(Key{s, d})
 }
 
@@ -123,7 +126,7 @@ func (mo *Memo) jobKey(est CostEstimator, job Job) Key {
 		k.Stmt = mo.InternStmt(job.Stmt)
 	}
 	if k.Design == 0 {
-		k.Design = mo.InternDesign(est, projectedKey(job.Stmt, job.Config))
+		k.Design = mo.InternDesign(est, projectedKey(job.Stmt, job.design()))
 	}
 	return k
 }
@@ -232,9 +235,11 @@ type BatchStats struct {
 // grouped by their whole design — never by projected id, which two
 // statements may share under different designs — so each pooled
 // session moves to a design once and plans that design's statements
-// back to back. Other estimators claim the led jobs round-robin across
-// statements (InterleaveByStmt), so INUM's shard mutexes don't
-// serialize the pool.
+// back to back, a partitioned design's rewritten onto its fragments
+// with nested loops on. Other estimators claim the led jobs
+// round-robin across statements (InterleaveByStmt), so INUM's shard
+// mutexes don't serialize the pool; they price index configurations
+// only, and a partitioned job they lead fails.
 //
 // When ctx carries an obs.Span (the serve layer's request tracing),
 // the batch's outcome is added to it: memo hits as shared hits, led
@@ -282,41 +287,65 @@ func scheduleLed(est CostEstimator, jobs []Job, keys []Key, led []int) ([]int, f
 	f, ok := est.(*Full)
 	if !ok {
 		order := InterleaveByStmt(len(led), func(p int) int { return int(keys[led[p]].Stmt) })
-		return order, func(p int) (float64, error) { return est.Cost(jobs[led[p]].Stmt, jobs[led[p]].Config) }
+		return order, func(p int) (float64, error) {
+			job := jobs[led[p]]
+			if len(job.Partitions) > 0 {
+				return 0, fmt.Errorf("costlab: %T cannot price a partitioned design", est)
+			}
+			return est.Cost(job.Stmt, job.Config)
+		}
 	}
-	// Jobs sharing a configuration slice share its Target without
-	// re-keying it; distinct slices holding one design share by key.
-	type cfgRef struct {
-		first *inum.IndexSpec
+	// Jobs sharing a design's slices share its Target without re-keying
+	// it; distinct slices holding one design share by key.
+	type designRef struct {
+		index *inum.IndexSpec
 		n     int
+		part  *design.Partition
+		np    int
 	}
-	byRef, byKey := map[cfgRef]int{}, map[string]int{}
-	var targets []*Target
-	group := make([]int, len(led))
+	type group struct {
+		t  *Target
+		rw *rewrite.Rewriter // nil for an unpartitioned design
+	}
+	byRef, byKey := map[designRef]int{}, map[string]int{}
+	var groups []group
+	of := make([]int, len(led))
 	for p, j := range led {
-		cfg := jobs[j].Config
-		var ref cfgRef
-		if len(cfg) > 0 {
-			ref = cfgRef{&cfg[0], len(cfg)}
+		job := jobs[j]
+		var ref designRef
+		if len(job.Config) > 0 {
+			ref.index, ref.n = &job.Config[0], len(job.Config)
+		}
+		if len(job.Partitions) > 0 {
+			ref.part, ref.np = &job.Partitions[0], len(job.Partitions)
 		}
 		g, ok := byRef[ref]
 		if !ok {
-			t := configTarget(cfg)
+			t := designTarget(job.design())
 			if g, ok = byKey[t.Key]; !ok {
-				g = len(targets)
-				targets = append(targets, t)
+				g = len(groups)
+				groups = append(groups, group{t, design.Rewriter(f.pool.cat, t.Design)})
 				byKey[t.Key] = g
 			}
 			byRef[ref] = g
 		}
-		group[p] = g
+		of[p] = g
 	}
 	order := make([]int, len(led))
 	for p := range order {
 		order[p] = p
 	}
-	if len(targets) > 1 {
-		sort.SliceStable(order, func(a, b int) bool { return group[order[a]] < group[order[b]] })
+	if len(groups) > 1 {
+		sort.SliceStable(order, func(a, b int) bool { return of[order[a]] < of[order[b]] })
 	}
-	return order, func(p int) (float64, error) { return f.cost(jobs[led[p]].Stmt, targets[group[p]]) }
+	return order, func(p int) (float64, error) {
+		g, stmt := groups[of[p]], jobs[led[p]].Stmt
+		if g.rw != nil {
+			var err error
+			if stmt, err = g.rw.Rewrite(stmt); err != nil {
+				return 0, err
+			}
+		}
+		return f.cost(stmt, g.t)
+	}
 }

@@ -120,13 +120,13 @@ func (ev *Evaluator) keys(est costlab.CostEstimator, d design.Design, qs []int) 
 	return keys
 }
 
-// indexJobs returns the backend pricing jobs of the queries qs under
-// the index configuration cfg, stamped with their memo keys.
-func (ev *Evaluator) indexJobs(cfg costlab.Config, qs []int) []costlab.Job {
-	keys := ev.keys(ev.est, design.Design{Indexes: cfg}, qs)
+// jobs returns the pricing jobs of the queries qs under d priced by
+// est, stamped with their memo keys.
+func (ev *Evaluator) jobs(est costlab.CostEstimator, d design.Design, qs []int) []costlab.Job {
+	keys := ev.keys(est, d, qs)
 	jobs := make([]costlab.Job, len(qs))
 	for p, i := range qs {
-		jobs[p] = costlab.Job{Stmt: ev.stmts[i], Config: cfg, StmtID: keys[p].Stmt, DesignID: keys[p].Design}
+		jobs[p] = costlab.Job{Stmt: ev.stmts[i], Config: d.Indexes, Partitions: d.Partitions, StmtID: keys[p].Stmt, DesignID: keys[p].Design}
 	}
 	return jobs
 }
@@ -140,7 +140,7 @@ func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
 	if cached != nil {
 		return cached, nil
 	}
-	costs, err := ev.evaluateJobs(ctx, ev.indexJobs(nil, ev.all()))
+	costs, err := ev.evaluateJobs(ctx, ev.est, ev.jobs(ev.est, design.Design{}, ev.all()))
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +150,10 @@ func (ev *Evaluator) BaseCosts(ctx context.Context) ([]float64, error) {
 	return costs, nil
 }
 
-// evaluateJobs prices a batch of (statement, index configuration)
-// jobs through the backend, serving repeats from the memo.
-func (ev *Evaluator) evaluateJobs(ctx context.Context, jobs []costlab.Job) ([]float64, error) {
-	costs, stats, err := costlab.EvaluateDelta(ctx, ev.est, jobs, ev.memo, ev.workers)
+// evaluateJobs prices a batch of jobs through est, serving repeats from
+// the memo.
+func (ev *Evaluator) evaluateJobs(ctx context.Context, est costlab.CostEstimator, jobs []costlab.Job) ([]float64, error) {
+	costs, stats, err := costlab.EvaluateDelta(ctx, est, jobs, ev.memo, ev.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -173,14 +173,18 @@ func (ev *Evaluator) DesignCosts(ctx context.Context, d design.Design) ([]float6
 
 // DesignCostsAt prices design d for the query subset qs only (ascending
 // positions into the evaluator's workload) and returns unweighted costs
-// aligned with qs — the lazy scorer's partial re-pricing primitive. One
-// call counts as one design trial regardless of the subset size.
+// aligned with qs — the lazy scorer's partial re-pricing primitive. A
+// design carrying partitions prices on the full optimizer, which plans
+// each query rewritten onto the fragments. One call counts as one
+// design trial regardless of the subset size; a failure is a
+// costlab.JobError whose Index is a position in qs.
 func (ev *Evaluator) DesignCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
 	ev.trials.Add(1)
-	if len(d.Partitions) == 0 {
-		return ev.evaluateJobs(ctx, ev.indexJobs(d.Indexes, qs))
+	var est costlab.CostEstimator = ev.est
+	if len(d.Partitions) > 0 {
+		est = ev.full
 	}
-	return ev.partitionCostsAt(ctx, d, qs)
+	return ev.evaluateJobs(ctx, est, ev.jobs(est, d, qs))
 }
 
 // DesignCost is DesignCosts folded into the weighted workload total.
@@ -190,44 +194,6 @@ func (ev *Evaluator) DesignCost(ctx context.Context, d design.Design) (float64, 
 		return 0, err
 	}
 	return ev.WeightedTotal(per), nil
-}
-
-// partitionCostsAt prices a partition-carrying design for a query
-// subset (workload positions; the returned costs align with qs):
-// queries rewrite onto the fragments and plan with the full optimizer
-// against what-if fragment tables, memoized under their projected keys,
-// so a query reading no table the design changes is served by whatever
-// design priced its projection first. Concurrent callers pricing the
-// same design share the plan calls (costlab.Memo.Resolve).
-func (ev *Evaluator) partitionCostsAt(ctx context.Context, d design.Design, qs []int) ([]float64, error) {
-	keys := ev.keys(ev.full, d, qs)
-	costs, b, err := ev.memo.Resolve(ctx, keys, func(led []int) ([]float64, error) {
-		rw := design.Rewriter(ev.cat, d)
-		stmts := make([]*sql.Select, len(led))
-		missIdx := make([]int, len(led)) // workload positions
-		for j, p := range led {
-			missIdx[j] = qs[p]
-			rq, err := rw.Rewrite(ev.stmts[qs[p]])
-			if err != nil {
-				return nil, err
-			}
-			stmts[j] = rq
-		}
-		got, _, err := ev.full.PriceAll(ctx, costlab.Target{Design: d, NestLoop: true}, stmts, ev.workers)
-		return got, remapJobErr(err, missIdx)
-	})
-	ev.memoHits.Add(int64(b.Hits + b.Coalesced))
-	ev.memoMisses.Add(int64(b.Led))
-	return costs, err
-}
-
-// remapJobErr rewrites a JobError's index from a miss-batch position
-// back to the caller's query position.
-func remapJobErr(err error, missIdx []int) error {
-	if je, ok := err.(*costlab.JobError); ok && je.Index >= 0 && je.Index < len(missIdx) {
-		return &costlab.JobError{Index: missIdx[je.Index], Err: je.Err}
-	}
-	return err
 }
 
 // SpecSizeBytes returns the Equation-1 size of a candidate index.

@@ -50,7 +50,7 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 		q       int
 		members []int // candidate indexes of the configuration
 	}
-	jobs := ev.indexJobs(nil, ev.all())
+	jobs := ev.jobs(ev.est, design.Design{}, ev.all())
 	var sweep []priced
 	for qi, q := range queries {
 		// Candidates sargable for this query: leading column carries
@@ -61,7 +61,7 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 		sargable := sargableCandidates(p.Cat, q, candidates)
 		for ji, spec := range candidates {
 			sweep = append(sweep, priced{qi, []int{ji}})
-			jobs = append(jobs, ev.indexJobs(costlab.Config{spec}, []int{qi})...)
+			jobs = append(jobs, ev.jobs(ev.est, design.Design{Indexes: costlab.Config{spec}}, []int{qi})...)
 		}
 		for a := 0; a < len(sargable); a++ {
 			for b := a + 1; b < len(sargable); b++ {
@@ -71,11 +71,11 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 					continue
 				}
 				sweep = append(sweep, priced{qi, []int{ja, jb}})
-				jobs = append(jobs, ev.indexJobs(costlab.Config{sa, sb}, []int{qi})...)
+				jobs = append(jobs, ev.jobs(ev.est, design.Design{Indexes: costlab.Config{sa, sb}}, []int{qi})...)
 			}
 		}
 	}
-	costs, err := ev.evaluateJobs(ctx, jobs)
+	costs, err := ev.evaluateJobs(ctx, ev.est, jobs)
 	if err != nil {
 		return nil, err
 	}

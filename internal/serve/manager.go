@@ -40,9 +40,9 @@ type Options struct {
 	// IdleTTL evicts sessions idle this long (0 = never). The Server
 	// sweeps on a timer; Create also sweeps opportunistically.
 	IdleTTL time.Duration
-	// Workers is the default per-session pricing parallelism
-	// (session.Options.Workers) for sessions created without an
-	// explicit worker count.
+	// Workers is the default per-session recommend pricing
+	// parallelism (session.Options.Workers) for sessions created
+	// without an explicit worker count.
 	Workers int
 	// DrainTimeout bounds graceful shutdown: in-flight requests get
 	// this long to finish before the listener is torn down. 0 means

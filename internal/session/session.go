@@ -21,7 +21,6 @@ package session
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -84,9 +83,9 @@ type Stats struct {
 
 // Options configure a session.
 type Options struct {
-	// Workers caps the parallelism of batch pricing (initial base
-	// costs and large invalidation sets). 0 means GOMAXPROCS; 1
-	// forces sequential pricing through the session's own planner.
+	// Workers is the default Recommend pricing parallelism (0 means
+	// GOMAXPROCS). The session itself plans on its own what-if
+	// session, one query at a time.
 	Workers int
 
 	// Shared, when non-nil, plugs the session into a cross-session
@@ -122,9 +121,6 @@ type DesignSession struct {
 	held       *design.Held      // the current design and What-If Join flag, installed
 	fragParent map[string]string // fragment table → parent table
 	rw         *rewrite.Rewriter // nil when the design has no partitions
-	// pricer fans large re-pricings out over pooled sessions that keep
-	// the design they last priced; created on first use.
-	pricer *costlab.Full
 	// rewrites caches, per query touching a partitioned table, its
 	// rewrite under the current partitioning; applyDesign drops the
 	// cache whenever the partition set changes.
@@ -159,11 +155,11 @@ type DesignSession struct {
 
 // Workload is a parsed, footprint-analyzed workload ready to open
 // sessions over. Planning and rewriting never mutate the parsed ASTs
-// (costlab.EvaluateAll fans the same statements to concurrent
-// sessions, and the rewriter clones before editing), so one Workload
-// is safe to share across any number of concurrent sessions — the
-// serve layer parses its default workload once and opens every tenant
-// from it instead of re-parsing per create.
+// (concurrent sessions plan the same statements, and the rewriter
+// clones before editing), so one Workload is safe to share across any
+// number of concurrent sessions — the serve layer parses its default
+// workload once and opens every tenant from it instead of re-parsing
+// per create.
 type Workload struct {
 	queries  []recommend.Query
 	foot     []*sql.Footprint
@@ -194,7 +190,7 @@ func ParseWorkload(workloadSQL []string) (*Workload, error) {
 }
 
 // New opens a session: the workload is parsed once, base costs price
-// as one parallel batch, and the design starts empty.
+// as one batch, and the design starts empty.
 func New(cat *catalog.Catalog, workloadSQL []string, opts Options) (*DesignSession, error) {
 	wl, err := ParseWorkload(workloadSQL)
 	if err != nil {
@@ -649,15 +645,10 @@ func (s *DesignSession) target(qi int) (*sql.Select, string, error) {
 	return r.sel, r.sql, nil
 }
 
-// parallelRepriceThreshold is the invalidation-set size above which
-// re-pricing fans out over pooled sessions instead of planning
-// sequentially on the session's own planner.
-const parallelRepriceThreshold = 4
-
 // reprice refreshes the states of the invalidated queries: memo hits
-// restore the full state without planning; misses re-plan (in
-// parallel when the miss set is large). All-or-nothing — on error no
-// state or edit counter changes; the memo keeps only valid states.
+// restore the full state without planning; misses re-plan on the
+// session's own planner. All-or-nothing — on error no state or edit
+// counter changes; the memo keeps only valid states.
 //
 // Every invalidated query resolves through the SharedMemo's state tier
 // (flight.Cache.Resolve), the session's one memo: states any session
@@ -733,44 +724,18 @@ type pendingPrice struct {
 	sql    string
 }
 
-// plan prices the missed queries under the current design and returns
-// their states. Small miss sets (or Workers == 1) plan sequentially on
-// the session's own what-if session; larger ones fan out over the
-// session's pricer, whose pooled sessions move to the design by diff.
-// Either way a plan's what-if names map back to design-index keys
-// through the names of the session that planned it.
+// plan prices the missed queries in turn on the session's own what-if
+// session, which holds the current design, and returns their states; a
+// plan's what-if names map back to design-index keys through it.
 func (s *DesignSession) plan(misses []pendingPrice) ([]*queryState, error) {
 	states := make([]*queryState, len(misses))
-	if len(misses) < parallelRepriceThreshold || s.opts.Workers == 1 {
-		for i, p := range misses {
-			plan, err := s.held.Session().Plan(p.target)
-			s.planCalls++
-			if err != nil {
-				return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
-			}
-			states[i] = &queryState{rewrittenSQL: p.sql, cost: plan.TotalCost, indexesUsed: s.held.UsedKeys(plan)}
-		}
-		return states, nil
-	}
-	if s.pricer == nil {
-		s.pricer = costlab.NewFull(s.cat)
-	}
-	targets := make([]*sql.Select, len(misses))
 	for i, p := range misses {
-		targets[i] = p.target
-	}
-	calls := s.pricer.PlanCalls()
-	costs, used, err := s.pricer.PriceAll(context.Background(), costlab.Target{Design: s.held.Design(), NestLoop: s.held.NestLoop()}, targets, s.opts.Workers)
-	s.planCalls += s.pricer.PlanCalls() - calls
-	if err != nil {
-		var je *costlab.JobError
-		if errors.As(err, &je) && je.Index >= 0 && je.Index < len(misses) {
-			return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[misses[je.Index].qi].SQL, je.Err)
+		plan, err := s.held.Session().Plan(p.target)
+		s.planCalls++
+		if err != nil {
+			return nil, fmt.Errorf("session: what-if plan of %q: %w", s.wl.queries[p.qi].SQL, err)
 		}
-		return nil, fmt.Errorf("session: what-if plan: %w", err)
-	}
-	for i, p := range misses {
-		states[i] = &queryState{rewrittenSQL: p.sql, cost: costs[i], indexesUsed: used[i]}
+		states[i] = &queryState{rewrittenSQL: p.sql, cost: plan.TotalCost, indexesUsed: s.held.UsedKeys(plan)}
 	}
 	return states, nil
 }

@@ -103,6 +103,11 @@ func PrintExpr(e Expr) string {
 	case *IntLit:
 		return strconv.FormatInt(v.Value, 10)
 	case *FloatLit:
+		if v.Value == 0 {
+			// Negative zero compares equal to zero; "-0" would parse
+			// back as an integer and print as "0".
+			return "0"
+		}
 		return strconv.FormatFloat(v.Value, 'g', -1, 64)
 	case *StringLit:
 		return "'" + strings.ReplaceAll(v.Value, "'", "''") + "'"
