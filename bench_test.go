@@ -783,18 +783,17 @@ func BenchmarkContinuousTuning(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		tuner := ingest.NewTuner(win, ingest.TunerOptions{
+		tuner := ingest.NewTuner(ingest.TunerOptions{
 			Catalog:   cat,
 			Baseline:  baseline,
-			Recommend: searchOpts,
-			Memo:      memo,
+			Recommend: warm,
 		})
-		ret, err := tuner.Check(ctx)
+		ret, drift, err := tuner.Check(ctx, win.Queries())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if ret == nil {
-			b.Fatalf("drift %v did not trigger a retune", tuner.Stats().LastDrift)
+			b.Fatalf("drift %v did not trigger a retune", drift)
 		}
 		if ret.Result.NewCost > ret.StaleCost+1e-6 {
 			b.Fatalf("retuned design prices worse than stale on the window: %v > %v",
@@ -829,8 +828,9 @@ func BenchmarkContinuousTuning(b *testing.B) {
 // durable edit rate. fsync=always measures the full
 // durable-before-ack round trip (group commit: concurrent appenders
 // share one fsync); fsync=off isolates the framing + buffered-write
-// cost. Fsync latency percentiles ride the benchjson gate as p50-ns /
-// p99-ns.
+// cost. Fsync latency percentiles are reported as p50-ns / p99-ns for
+// information only: benchjson gates B/op, allocs/op and plan-call
+// counters, never timings.
 
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{'r'}, 256)

@@ -97,11 +97,10 @@
 //	                    concurrency-safe rolling window (dedup by
 //	                    canonical SQL, exponential time-decay weights,
 //	                    bounded entries), weighted-footprint drift
-//	                    detector, background tuner re-running the
-//	                    budgeted anytime search warm-started from the
-//	                    shared memo and publishing designs atomically —
-//	                    behind `parinda ingest` and the continuous
-//	                    recommend jobs
+//	                    detector, drift-gated tuner step re-running the
+//	                    search over the window — behind `parinda
+//	                    ingest` and the continuous recommend jobs, which
+//	                    own the loop and warm-start from the shared memo
 //	internal/obs        zero-dependency observability kit: metrics
 //	                    registry (atomic counters/gauges, lock-free
 //	                    sharded log-bucketed latency histograms),

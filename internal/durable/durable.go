@@ -134,6 +134,15 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// encodeFrame frames payload as [len][crc32c(payload)][payload].
+func encodeFrame(payload []byte) []byte {
+	frame := make([]byte, frameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	copy(frame[frameHeader:], payload)
+	return frame
+}
+
 // ErrClosed is returned by appends against a closed Store.
 var ErrClosed = errors.New("durable: store is closed")
 
@@ -294,10 +303,7 @@ func (s *Store) append(payload []byte, wait bool) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte frame bound", len(payload), maxFrame)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
+	frame := encodeFrame(payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -444,10 +450,7 @@ func (s *Store) Rotate() (uint64, error) {
 func (s *Store) WriteSnapshot(cut uint64, payload []byte) error {
 	final := s.snapPath(cut)
 	tmp := final + ".tmp"
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
+	frame := encodeFrame(payload)
 	if err := os.WriteFile(tmp, frame, 0o644); err != nil {
 		return err
 	}

@@ -21,14 +21,13 @@
 //     (which tables and columns the traffic touches, and how hard).
 //     0 means the same shape, 1 means disjoint footprints.
 //
-//   - Tuner is the continuous-tuning loop: every Check compares the
-//     window against its baseline, and when the drift crosses the
-//     threshold it re-runs the budgeted anytime joint search from
-//     internal/recommend over the window — warm-started from a shared
-//     cost memo, so work any session already priced is never repeated —
-//     and publishes the new best design atomically. Readers always see
-//     either the previous published design or the new one, never a
-//     partial state.
+//   - Tuner is one drift-gated retune step: every Check compares the
+//     queries it is given (a window's snapshot) against its baseline,
+//     and when the drift crosses the threshold it re-runs the search
+//     from internal/recommend over them, with the options the caller
+//     passes — serve's warm-start from the shared cost memo, so work
+//     any session already priced is never repeated — and returns the
+//     retune. The caller owns the loop.
 //
 // Degenerate-weight safety: a window whose decayed weights underflow to
 // zero (a long idle gap against a short half-life) falls back to raw
@@ -36,8 +35,9 @@
 // base costs, so weighted-window evaluation can never produce NaN.
 //
 // internal/serve exposes the window per session (POST
-// /sessions/{name}/ingest, GET /sessions/{name}/window) and runs the
-// tuner as a continuous recommendation job; `parinda ingest` streams a
+// /sessions/{name}/ingest, GET /sessions/{name}/window) and ticks the
+// tuner over the window in a continuous recommendation job, which
+// publishes each retune as the job's result; `parinda ingest` streams a
 // query log into a served session, and the session REPL grows
 // ingest/window commands.
 package ingest

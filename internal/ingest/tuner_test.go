@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
@@ -21,9 +20,16 @@ func testCatalog(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-// indexOnlyOpts keeps tuner searches cheap and deterministic in tests.
-func indexOnlyOpts() recommend.Options {
-	return recommend.Options{Objects: recommend.ObjectsIndexes}
+// indexOnlyOpts keeps tuner searches cheap and deterministic in tests:
+// the budgeted anytime index search on the full optimizer, warm-started
+// from memo (nil: a private memo per search).
+func indexOnlyOpts(memo *costlab.Memo) recommend.Options {
+	return recommend.Options{
+		Objects:  recommend.ObjectsIndexes,
+		Strategy: recommend.StrategyAnytime,
+		Backend:  costlab.BackendFull,
+		Memo:     memo,
+	}
 }
 
 // TestTunerSkipsBelowThreshold: a window matching the baseline's shape
@@ -38,16 +44,16 @@ func TestTunerSkipsBelowThreshold(t *testing.T) {
 	}
 	clk := newFakeClock()
 	win := NewWindow(Options{Now: clk.now})
-	tuner := NewTuner(win, TunerOptions{
+	tuner := NewTuner(TunerOptions{
 		Catalog:   cat,
 		Baseline:  baseline,
-		Recommend: indexOnlyOpts(),
+		Recommend: indexOnlyOpts(costlab.NewMemo()),
 	})
 	ctx := context.Background()
 
-	// Empty window: too small to tune.
-	if ret, err := tuner.Check(ctx); ret != nil || err != nil {
-		t.Fatalf("empty-window check = (%v, %v), want skip", ret, err)
+	// Empty window: nothing to tune.
+	if ret, drift, err := tuner.Check(ctx, win.Queries()); ret != nil || drift != 0 || err != nil {
+		t.Fatalf("empty-window check = (%v, %v, %v), want skip", ret, drift, err)
 	}
 	// Same shape as the baseline: no drift.
 	for _, q := range []string{all[0], all[1]} {
@@ -55,8 +61,8 @@ func TestTunerSkipsBelowThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ret, err := tuner.Check(ctx); ret != nil || err != nil {
-		t.Fatalf("no-drift check = (%v, %v), want skip", ret, err)
+	if ret, drift, err := tuner.Check(ctx, win.Queries()); ret != nil || err != nil {
+		t.Fatalf("no-drift check = (%v, %v, %v), want skip", ret, drift, err)
 	}
 	// Drift the window onto different tables: retune fires.
 	for _, q := range []string{all[15], all[17], all[15], all[17]} { // specobj traffic
@@ -64,27 +70,23 @@ func TestTunerSkipsBelowThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ret, err := tuner.Check(ctx)
+	ret, drift, err := tuner.Check(ctx, win.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ret == nil {
-		t.Fatalf("drifted check did not retune (drift %v)", tuner.Stats().LastDrift)
+		t.Fatalf("drifted check did not retune (drift %v)", drift)
 	}
-	if got := tuner.Published(); got != ret {
-		t.Fatalf("published %p != returned %p", got, ret)
+	if ret.Drift != drift || drift < DefaultDriftThreshold {
+		t.Fatalf("retune drift %v, measured %v, threshold %v", ret.Drift, drift, DefaultDriftThreshold)
 	}
 	if ret.Result.NewCost > ret.StaleCost+1e-6 {
 		t.Fatalf("retuned design prices worse than stale on the new window: %v > %v",
 			ret.Result.NewCost, ret.StaleCost)
 	}
 	// Baseline advanced to the window: an unchanged window is a skip.
-	if ret2, err := tuner.Check(ctx); ret2 != nil || err != nil {
-		t.Fatalf("post-retune check = (%v, %v), want skip", ret2, err)
-	}
-	st := tuner.Stats()
-	if st.Retunes != 1 || st.Checks != 4 || st.Skipped != 3 {
-		t.Fatalf("stats = %+v", st)
+	if ret2, drift2, err := tuner.Check(ctx, win.Queries()); ret2 != nil || err != nil {
+		t.Fatalf("post-retune check = (%v, %v, %v), want skip", ret2, drift2, err)
 	}
 }
 
@@ -104,11 +106,7 @@ func TestTunerWarmStartBeatsColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOpts := indexOnlyOpts()
-	warmOpts.Backend = costlab.BackendFull
-	warmOpts.Strategy = recommend.StrategyAnytime
-	warmOpts.Memo = memo
-	if _, err := recommend.Recommend(ctx, cat, baseline, warmOpts); err != nil {
+	if _, err := recommend.Recommend(ctx, cat, baseline, indexOnlyOpts(memo)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,14 +119,13 @@ func TestTunerWarmStartBeatsColdRun(t *testing.T) {
 		}
 	}
 
-	tuner := NewTuner(win, TunerOptions{
+	tuner := NewTuner(TunerOptions{
 		Catalog:        cat,
 		Baseline:       baseline,
 		DriftThreshold: -1, // always retune
-		Recommend:      indexOnlyOpts(),
-		Memo:           memo,
+		Recommend:      indexOnlyOpts(memo),
 	})
-	ret, err := tuner.Check(ctx)
+	ret, _, err := tuner.Check(ctx, win.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +136,7 @@ func TestTunerWarmStartBeatsColdRun(t *testing.T) {
 		t.Fatal("warm retune hit the memo zero times — the warm start is not wired")
 	}
 
-	coldOpts := indexOnlyOpts()
-	coldOpts.Backend = costlab.BackendFull
-	coldOpts.Strategy = recommend.StrategyAnytime
-	cold, err := recommend.Recommend(ctx, cat, win.Queries(), coldOpts)
+	cold, err := recommend.Recommend(ctx, cat, win.Queries(), indexOnlyOpts(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +162,12 @@ func TestTunerFiltersUnpricableQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tuner := NewTuner(win, TunerOptions{
+	tuner := NewTuner(TunerOptions{
 		Catalog:        cat,
 		DriftThreshold: -1,
-		Recommend:      indexOnlyOpts(),
+		Recommend:      indexOnlyOpts(nil),
 	})
-	ret, err := tuner.Check(context.Background())
+	ret, _, err := tuner.Check(context.Background(), win.Queries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +180,7 @@ func TestTunerFiltersUnpricableQueries(t *testing.T) {
 }
 
 // TestRetuneDegenerateGuards: zero or garbage stale costs must never
-// surface as NaN/Inf speedups or improvements.
+// surface as NaN/Inf speedups.
 func TestRetuneDegenerateGuards(t *testing.T) {
 	cases := []*Retune{
 		{StaleCost: 0, Result: &recommend.Result{NewCost: 10}},
@@ -199,47 +193,9 @@ func TestRetuneDegenerateGuards(t *testing.T) {
 		if v := r.Speedup(); math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("case %d: Speedup = %v", i, v)
 		}
-		if v := r.Improvement(); math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("case %d: Improvement = %v", i, v)
-		}
 	}
 	r := &Retune{StaleCost: 100, Result: &recommend.Result{NewCost: 50}}
-	if r.Speedup() != 2 || r.Improvement() != 0.5 {
-		t.Fatalf("healthy retune: speedup %v, improvement %v", r.Speedup(), r.Improvement())
-	}
-}
-
-// TestTunerRunLoop: the background loop retunes on its interval and
-// stops on cancellation.
-func TestTunerRunLoop(t *testing.T) {
-	cat := testCatalog(t)
-	win := NewWindow(Options{})
-	if err := win.Ingest(workload.Queries()[0]); err != nil {
-		t.Fatal(err)
-	}
-	opts := indexOnlyOpts()
-	opts.Budget = recommend.Budget{MaxEvaluations: 4}
-	tuner := NewTuner(win, TunerOptions{
-		Catalog:        cat,
-		DriftThreshold: -1,
-		Interval:       5 * time.Millisecond,
-		Recommend:      opts,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- tuner.Run(ctx) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for tuner.Stats().Retunes == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
-	}
-	if tuner.Stats().Retunes == 0 {
-		t.Fatal("background loop never retuned")
-	}
-	if tuner.Published() == nil {
-		t.Fatal("no design published")
+	if r.Speedup() != 2 {
+		t.Fatalf("healthy retune: speedup %v", r.Speedup())
 	}
 }

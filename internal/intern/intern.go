@@ -16,9 +16,8 @@
 //     hash: reads hit an immutable per-shard snapshot behind an
 //     atomic.Pointer without locking, writes go to a small
 //     mutex-guarded dirty tier that is merged into a fresh snapshot
-//     once it grows past a fraction of the snapshot (the same
-//     copy-on-write publication pattern ingest.Tuner uses for designs,
-//     generalized to a map). PutIfAbsent is the only write, so a
+//     once it grows past a fraction of the snapshot (copy-on-write
+//     publication). PutIfAbsent is the only write, so a
 //     present entry never changes and readers can never observe a torn
 //     or stale value. An optional entry cap is enforced by CLOCK
 //     (second-chance) eviction — the form the shared pricing memo runs

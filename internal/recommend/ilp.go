@@ -188,7 +188,7 @@ func searchILP(ctx context.Context, p *Problem) (*Outcome, error) {
 	// A 0.5% optimality gap keeps the exact search interactive on the
 	// larger programs; the solver still proves near-optimality rather
 	// than pruning candidates heuristically.
-	sol, err := ilp.Solve(prob, ilp.Options{MaxNodes: p.Opts.MaxSolverNodes, Gap: 0.005})
+	sol, err := ilp.Solve(prob, ilp.Options{Gap: 0.005})
 	if err != nil {
 		return nil, err
 	}

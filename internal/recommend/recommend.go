@@ -115,8 +115,7 @@ type Options struct {
 	// meaning no replication beyond the primary keys.
 	ReplicationBudget int64
 
-	// MaxIndexColumns / SingleColumnOnly bound index candidates.
-	MaxIndexColumns  int
+	// SingleColumnOnly restricts index candidates to one column.
 	SingleColumnOnly bool
 	// MaxCandidates caps the pruned index-candidate list (0 = no cap).
 	MaxCandidates int
@@ -149,9 +148,6 @@ type Options struct {
 	Budget Budget
 	// Progress, when set, receives a checkpoint after every round.
 	Progress func(Progress)
-
-	// MaxSolverNodes bounds the ILP branch-and-bound (0 = default).
-	MaxSolverNodes int
 }
 
 func (o Options) wantIndexes() bool    { return o.Objects != ObjectsPartitions }
@@ -381,10 +377,7 @@ func Recommend(ctx context.Context, cat *catalog.Catalog, queries []Query, opts 
 
 	// Candidate generators + pruning, part 2: index candidates.
 	if opts.wantIndexes() {
-		cands := IndexCandidates(cat, queries, CandidateOptions{
-			MaxIndexColumns:  opts.MaxIndexColumns,
-			SingleColumnOnly: opts.SingleColumnOnly,
-		})
+		cands := IndexCandidates(cat, queries, CandidateOptions{SingleColumnOnly: opts.SingleColumnOnly})
 		if opts.MaxCandidates > 0 && len(cands) > opts.MaxCandidates {
 			cands = capCandidates(cands, opts.MaxCandidates)
 		}

@@ -271,7 +271,7 @@ func sessionInfo(name string, s *session.DesignSession) *SessionInfo {
 		CanRedo:   s.CanRedo(),
 		UndoDepth: s.UndoDepth(),
 		RedoDepth: s.RedoDepth(),
-		Stats:     sessionStats(s.Stats()),
+		Stats:     s.Stats(),
 	}
 }
 
@@ -473,9 +473,9 @@ func (m *Manager) handleSuggest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	var st SessionStats
+	var st session.Stats
 	if err := m.doReq(r, r.PathValue("name"), func(s *session.DesignSession) error {
-		st = sessionStats(s.Stats())
+		st = s.Stats()
 		return nil
 	}); err != nil {
 		writeError(w, err)

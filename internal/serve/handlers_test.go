@@ -259,7 +259,7 @@ func TestAPISharedMemoAcrossTenants(t *testing.T) {
 	if !bytes.Equal(costsA, costsB) {
 		t.Errorf("costs responses differ:\n a: %s\n b: %s", costsA, costsB)
 	}
-	var st SessionStats
+	var st session.Stats
 	call(t, ts, "GET", "/sessions/b/stats", nil, http.StatusOK, &st)
 	if st.PlanCalls != 0 {
 		t.Errorf("tenant b consumed %d optimizer calls, want 0", st.PlanCalls)

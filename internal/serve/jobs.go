@@ -215,33 +215,27 @@ func (m *Manager) StartRecommend(name string, req RecommendJobRequest, requestID
 		job.mu.Unlock()
 	}
 
+	run := func(ctx context.Context) { m.runRecommendJob(ctx, job, queries, opts) }
 	if req.Continuous {
-		// The continuous variant needs the session's live window; grab
+		// The continuous variant needs the session's live window; check
 		// it before registering so a bad request never occupies a slot.
-		win, release, err := m.WindowAcquire(name)
+		_, release, err := m.WindowAcquire(name)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
 		release()
-		tuner := ingest.NewTuner(win, ingest.TunerOptions{
+		tuner := ingest.NewTuner(ingest.TunerOptions{
 			Catalog:        m.cat,
 			Baseline:       queries,
 			DriftThreshold: req.DriftThreshold,
 			Recommend:      opts,
-			Memo:           m.shared.Costs(),
 		})
 		interval := time.Duration(req.IntervalMillis) * time.Millisecond
 		if interval <= 0 {
 			interval = 500 * time.Millisecond
 		}
-		if err := m.registerJob(job); err != nil {
-			cancel()
-			return nil, err
-		}
-		m.jobStarted(job)
-		go m.runContinuousJob(ctx, job, tuner, interval, req.MaxRetunes)
-		return job.status(m.now()), nil
+		run = func(ctx context.Context) { m.runContinuousJob(ctx, job, tuner, interval, req.MaxRetunes) }
 	}
 
 	if err := m.registerJob(job); err != nil {
@@ -249,8 +243,11 @@ func (m *Manager) StartRecommend(name string, req RecommendJobRequest, requestID
 		return nil, err
 	}
 	m.jobStarted(job)
-	go m.runRecommendJob(ctx, job, queries, opts)
-	return job.status(m.now()), nil
+	// Snapshot before the search starts: a warm search can report
+	// progress before a later snapshot is taken.
+	st := job.status(m.now())
+	go run(ctx)
+	return st, nil
 }
 
 // jobStarted and jobEnded fold a job's lifecycle into the metrics
@@ -272,18 +269,21 @@ func (m *Manager) jobEnded(job *recommendJob, state string) {
 	m.journalJob(job)
 }
 
-// runContinuousJob is the continuous-tuner loop: on every tick it asks
-// the tuner to check drift against the session's streaming window and,
+// runContinuousJob is the continuous-tuning loop: on every tick it
+// has the tuner check the session's streaming window for drift and,
 // when a retune fires, publishes the new best design as the job's
 // result. The job stays running until cancelled (DELETE) or until
 // maxRetunes retunes have been published; a failed re-search is
 // recorded and the loop keeps watching — a transient pricing error
 // must not kill the tuner.
 func (m *Manager) runContinuousJob(ctx context.Context, job *recommendJob, tuner *ingest.Tuner, interval time.Duration, maxRetunes int) {
-	finish := func(state string) {
+	finish := func(state, errMsg string) {
 		job.mu.Lock()
 		job.state = state
 		job.finished = m.now()
+		if errMsg != "" {
+			job.errMsg = errMsg
+		}
 		job.mu.Unlock()
 		m.jobEnded(job, state)
 	}
@@ -292,46 +292,35 @@ func (m *Manager) runContinuousJob(ctx context.Context, job *recommendJob, tuner
 	for {
 		select {
 		case <-ctx.Done():
-			finish(JobCancelled)
+			finish(JobCancelled, "")
 			return
 		case <-tick.C:
 		}
 		// Re-resolve the session's window every tick: a dropped (or
 		// evicted) and re-created session gets a fresh window object,
-		// and a tuner left watching the detached one would report
-		// frozen drift forever. A session that is gone entirely ends
-		// the job — there is nothing left to tune. A dormant durable
-		// session is NOT gone: it only left memory, and a background
-		// poll must not force it resident (windowPeek deliberately
-		// skips rehydration) — skip the tick until traffic revives it.
+		// and checking the detached one would report frozen drift
+		// forever. A session that is gone entirely ends the job — there
+		// is nothing left to tune. A dormant durable session is NOT
+		// gone: it only left memory, and a background poll must not
+		// force it resident (windowPeek deliberately skips
+		// rehydration) — skip the tick until traffic revives it.
 		win, ok := m.windowPeek(job.session)
 		if !ok {
 			if m.dur != nil && m.dur.hasDormant(job.session) {
 				continue
 			}
-			job.mu.Lock()
-			job.errMsg = fmt.Sprintf("serve: session %q dropped or evicted; continuous tuner stopped", job.session)
-			job.state = JobCancelled
-			job.finished = m.now()
-			job.mu.Unlock()
-			m.jobEnded(job, JobCancelled)
+			finish(JobCancelled, fmt.Sprintf("serve: session %q dropped or evicted; continuous tuner stopped", job.session))
 			return
 		}
-		if win != tuner.Window() {
-			tuner.Retarget(win)
-		}
-		ret, err := tuner.Check(ctx)
-		drift := tuner.Stats().LastDrift
+		ret, drift, err := tuner.Check(ctx, win.Queries())
 		job.mu.Lock()
 		job.drift = drift
+		if err != nil && (job.cancelRequested || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			job.mu.Unlock()
+			finish(JobCancelled, "")
+			return
+		}
 		if err != nil {
-			if job.cancelRequested || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				job.state = JobCancelled
-				job.finished = m.now()
-				job.mu.Unlock()
-				m.jobEnded(job, JobCancelled)
-				return
-			}
 			job.errMsg = err.Error()
 			job.mu.Unlock()
 			m.met.tunerErrors.Inc()
@@ -339,41 +328,28 @@ func (m *Manager) runContinuousJob(ctx context.Context, job *recommendJob, tuner
 				"job", job.id, "session", job.session, "drift", drift, "error", err.Error())
 			continue
 		}
-		if ret != nil {
-			job.errMsg = ""
-			job.retunes++
-			m.met.tunerRetunes.Inc()
-			m.log.Info("tuner retuned",
-				"job", job.id, "session", job.session, "retunes", job.retunes,
-				"drift", ret.Drift, "planCalls", ret.Result.PlanCalls)
-			res := ret.Result
-			job.result = recommendResult(res)
-			job.result.Drift = ret.Drift
-			job.result.StaleCost = ret.StaleCost
-			job.progress = recommend.Progress{
-				Round:        res.Rounds,
-				Evaluations:  res.Evaluations,
-				PlanCalls:    res.PlanCalls,
-				EvalsSkipped: res.EvalsSkipped,
-				JobsPruned:   res.JobsPruned,
-				BaseCost:     ret.StaleCost,
-				BestCost:     res.NewCost,
-			}
-			m.foldSweepSavings(job, res.EvalsSkipped, res.JobsPruned)
-			if maxRetunes > 0 && job.retunes >= maxRetunes {
-				job.state = JobDone
-				job.finished = m.now()
-				job.mu.Unlock()
-				m.jobEnded(job, JobDone)
-				return
-			}
+		if ret == nil {
+			job.mu.Unlock()
+			continue
 		}
+		job.errMsg = ""
+		job.retunes++
+		retunes := job.retunes
+		m.publishLocked(job, ret.Result, ret.StaleCost)
+		job.result.Drift = ret.Drift
+		job.result.StaleCost = ret.StaleCost
 		job.mu.Unlock()
-		if ret != nil {
-			// Each published retune is journaled (jobEnded covers the
-			// terminal paths above), so a restart keeps the newest design.
-			m.journalJob(job)
+		m.met.tunerRetunes.Inc()
+		m.log.Info("tuner retuned",
+			"job", job.id, "session", job.session, "retunes", retunes,
+			"drift", ret.Drift, "planCalls", ret.Result.PlanCalls)
+		if maxRetunes > 0 && retunes >= maxRetunes {
+			finish(JobDone, "")
+			return
 		}
+		// Each published retune is journaled (jobEnded covers the
+		// terminal paths), so a restart keeps the newest design.
+		m.journalJob(job)
 	}
 }
 
@@ -427,19 +403,7 @@ func (m *Manager) runRecommendJob(ctx context.Context, job *recommendJob, querie
 			// best-so-far design.
 			job.state = JobCancelled
 		}
-		job.result = recommendResult(res)
-		job.progress = recommend.Progress{
-			Round:        res.Rounds,
-			Evaluations:  res.Evaluations,
-			PlanCalls:    res.PlanCalls,
-			EvalsSkipped: res.EvalsSkipped,
-			JobsPruned:   res.JobsPruned,
-			BaseCost:     res.BaseCost,
-			BestCost:     res.NewCost,
-		}
-		// The search's final (no-move) sweep lands after the last
-		// Progress callback; fold what it saved.
-		m.foldSweepSavings(job, res.EvalsSkipped, res.JobsPruned)
+		m.publishLocked(job, res, res.BaseCost)
 	case job.cancelRequested || errors.Is(err, context.Canceled):
 		job.state = JobCancelled
 		job.errMsg = err.Error()
@@ -447,6 +411,25 @@ func (m *Manager) runRecommendJob(ctx context.Context, job *recommendJob, querie
 		job.state = JobFailed
 		job.errMsg = err.Error()
 	}
+}
+
+// publishLocked records res as the job's result, with the job's
+// progress taken from it against base (the search's base cost, or a
+// retune's stale cost). The search's final (no-move) sweep lands after
+// its last Progress callback, so what it saved is folded here.
+// Requires job.mu held.
+func (m *Manager) publishLocked(job *recommendJob, res *recommend.Result, base float64) {
+	job.result = recommendResult(res)
+	job.progress = recommend.Progress{
+		Round:        res.Rounds,
+		Evaluations:  res.Evaluations,
+		PlanCalls:    res.PlanCalls,
+		EvalsSkipped: res.EvalsSkipped,
+		JobsPruned:   res.JobsPruned,
+		BaseCost:     base,
+		BestCost:     res.NewCost,
+	}
+	m.foldSweepSavings(job, res.EvalsSkipped, res.JobsPruned)
 }
 
 // recommendResult converts a pipeline result to wire form.

@@ -79,17 +79,6 @@ type CostsResponse struct {
 	Speedup    float64     `json:"speedup"`
 }
 
-// SessionStats is session.Stats in wire form.
-type SessionStats struct {
-	MemoHits    int64 `json:"memoHits"`
-	SharedHits  int64 `json:"sharedHits"`
-	MemoMisses  int64 `json:"memoMisses"`
-	MemoEntries int   `json:"memoEntries"`
-	PlanCalls   int64 `json:"planCalls"`
-	Invalidated int   `json:"invalidated"`
-	Repriced    int   `json:"repriced"`
-}
-
 // SessionInfo is one session's full description.
 type SessionInfo struct {
 	Name      string        `json:"name"`
@@ -101,9 +90,9 @@ type SessionInfo struct {
 	CanRedo   bool          `json:"canRedo"`
 	// UndoDepth/RedoDepth are the session history's depths — the durability
 	// crash tests assert they survive a restart bit-identically.
-	UndoDepth int          `json:"undoDepth"`
-	RedoDepth int          `json:"redoDepth"`
-	Stats     SessionStats `json:"stats"`
+	UndoDepth int           `json:"undoDepth"`
+	RedoDepth int           `json:"redoDepth"`
+	Stats     session.Stats `json:"stats"`
 }
 
 // SuggestedIndex is one advisor pick.
@@ -319,17 +308,4 @@ func costsResponse(s *session.DesignSession) *CostsResponse {
 		out.Queries = append(out.Queries, qc)
 	}
 	return out
-}
-
-// sessionStats converts session.Stats to wire form.
-func sessionStats(st session.Stats) SessionStats {
-	return SessionStats{
-		MemoHits:    st.MemoHits,
-		SharedHits:  st.SharedHits,
-		MemoMisses:  st.MemoMisses,
-		MemoEntries: st.MemoEntries,
-		PlanCalls:   st.PlanCalls,
-		Invalidated: st.Invalidated,
-		Repriced:    st.Repriced,
-	}
 }

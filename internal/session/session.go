@@ -70,15 +70,16 @@ func (r *InteractiveReport) Speedup() float64 {
 	return r.BaseCost / r.NewCost
 }
 
-// Stats reports a session's incremental-pricing counters.
+// Stats reports a session's incremental-pricing counters. Its JSON
+// form is the serve layer's wire form.
 type Stats struct {
-	MemoHits    int64 // repricings served from a memo, no optimizer call
-	SharedHits  int64 // of those, served from the SharedMemo (all of them: it is the session's memo)
-	MemoMisses  int64 // repricings that planned with the optimizer
-	MemoEntries int   // (query, design-signature) states in the session's SharedMemo
-	PlanCalls   int64 // full optimizer invocations, session lifetime
-	Invalidated int   // queries invalidated by the last edit
-	Repriced    int   // of those, queries that needed an optimizer call
+	MemoHits    int64 `json:"memoHits"`    // repricings served from a memo, no optimizer call
+	SharedHits  int64 `json:"sharedHits"`  // of those, served from the SharedMemo (all of them: it is the session's memo)
+	MemoMisses  int64 `json:"memoMisses"`  // repricings that planned with the optimizer
+	MemoEntries int   `json:"memoEntries"` // (query, design-signature) states in the session's SharedMemo
+	PlanCalls   int64 `json:"planCalls"`   // full optimizer invocations, session lifetime
+	Invalidated int   `json:"invalidated"` // queries invalidated by the last edit
+	Repriced    int   `json:"repriced"`    // of those, queries that needed an optimizer call
 }
 
 // Options configure a session.
@@ -132,7 +133,6 @@ type DesignSession struct {
 	stmtIDs   []uint32      // query identities interned in shared's cost tier, for state keys
 
 	memoHits, memoMisses, planCalls int64
-	sharedHits                      int64
 	lastInvalidated, lastRepriced   int
 
 	// span, when non-nil, receives per-edit attribution (plan calls and
@@ -255,7 +255,7 @@ func (s *DesignSession) Signature() string { return s.held.Session().Signature()
 func (s *DesignSession) Stats() Stats {
 	return Stats{
 		MemoHits:    s.memoHits,
-		SharedHits:  s.sharedHits,
+		SharedHits:  s.memoHits,
 		MemoMisses:  s.memoMisses,
 		MemoEntries: s.shared.states.Len(),
 		PlanCalls:   s.planCalls,
@@ -280,11 +280,11 @@ func (s *DesignSession) Memo() *costlab.Memo { return s.shared.costs }
 // Recommend runs the unified recommender over the session's workload,
 // warm-started from the session's cost memo: (query, projected design)
 // pairs the DBA already priced interactively are never re-planned. It
-// is the one route behind the serve layer's /suggest and asynchronous
-// recommend jobs and the REPL's `suggest`. The backend is forced to
-// "full": the default search is the full-optimizer one, and only its
-// misses read the session states through. ctx cancels (or
-// budget-bounds) the search, which returns its best-so-far design.
+// backs the serve layer's /suggest and the REPL's `suggest`. The
+// backend is forced to "full": the default search is the
+// full-optimizer one, and only its misses read the session states
+// through. ctx cancels (or budget-bounds) the search, which returns its
+// best-so-far design.
 func (s *DesignSession) Recommend(ctx context.Context, opts recommend.Options) (*recommend.Result, error) {
 	opts.Backend = costlab.BackendFull
 	opts.Memo = s.shared.costs
@@ -705,7 +705,6 @@ func (s *DesignSession) reprice(inval map[int]bool) error {
 	}
 	hits := b.Hits + b.Coalesced
 	s.memoHits += int64(hits)
-	s.sharedHits += int64(hits)
 	s.memoMisses += int64(b.Led)
 	s.lastInvalidated = len(inval)
 	s.lastRepriced = b.Led
