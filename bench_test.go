@@ -715,9 +715,10 @@ func BenchmarkRecommendAnytime(b *testing.B) {
 
 // --- Recommend: lazy greedy sweep -------------------------------------
 // The search-pruning counters of the index-only greedy on the 30-query
-// seed workload under the full optimizer: the lazy, footprint-pruned
-// sweep (gain cache + CELF-style stale-bound heap) issues 20 930 plan
-// calls where an exhaustive sweep issues 60 510. The counters are
+// seed workload under the full optimizer: the lazy sweep (a gain cache
+// over the queries naming each candidate's leading column, plus a
+// CELF-style stale-bound heap) issues 906 plan calls where the
+// exhaustive sweep, through the same memo, issues 20 944. The counters are
 // deterministic, so the benchjson gate holds them to the tight
 // tolerance. That the design is move-for-move identical to the
 // exhaustive sweep's is asserted against the test oracle in

@@ -25,6 +25,13 @@ func (t Tolerances) forMetric(metric string) float64 {
 	return t.Default
 }
 
+// twoSided reports whether a gated metric also fails when it falls: the
+// plan-call counters are exact, so a drop beyond tolerance means the
+// baseline is stale — left in place, it could not see a regression back
+// up to its old value. B/op and allocs/op stay one-sided; at
+// -benchtime=1x they are too noisy to pin from below.
+func twoSided(metric string) bool { return strings.Contains(metric, "plancalls") }
+
 // gated reports whether a metric is one where growth fails the gate:
 // allocations and the optimizer-call counters, the deterministic
 // numbers. Wall-clock numbers (ns/op, latency percentiles) are single
@@ -43,6 +50,9 @@ type DiffLine struct {
 	// always a regression, no tolerance applies).
 	Delta     float64
 	Regressed bool
+	// Stale marks a two-sided counter that fell beyond tolerance: it
+	// fails the gate too, naming the baseline as the thing to re-record.
+	Stale bool
 }
 
 // DiffResult is the full comparison of two reports.
@@ -107,10 +117,24 @@ func diffLine(bench, metric string, ov, nv float64, tol Tolerances) DiffLine {
 		if ov == 0 {
 			l.Regressed = nv > 0
 		} else {
-			l.Regressed = nv > ov*(1+tol.forMetric(metric))
+			bound := tol.forMetric(metric)
+			l.Stale = twoSided(metric) && nv < ov*(1-bound)
+			l.Regressed = nv > ov*(1+bound) || l.Stale
 		}
 	}
 	return l
+}
+
+// verdict renders a gated line's verdict; fail is how the output format
+// spells a failure.
+func (l DiffLine) verdict(fail string) string {
+	switch {
+	case l.Stale:
+		return fail + " (stale baseline: counter fell, re-record it)"
+	case l.Regressed:
+		return fail
+	}
+	return "ok"
 }
 
 // metricNames returns the union of the two results' metric names,
@@ -159,10 +183,7 @@ func (d *DiffResult) WriteTable(w io.Writer) {
 	for _, l := range d.Lines {
 		verdict := "-"
 		if gated(l.Metric) {
-			verdict = "ok"
-			if l.Regressed {
-				verdict = "FAIL"
-			}
+			verdict = l.verdict("FAIL")
 		}
 		delta := "-"
 		if !math.IsInf(l.Delta, 1) {
@@ -193,10 +214,7 @@ func (d *DiffResult) WriteMarkdown(w io.Writer) {
 	for _, l := range d.Lines {
 		verdict := "–"
 		if gated(l.Metric) {
-			verdict = "ok"
-			if l.Regressed {
-				verdict = "**FAIL**"
-			}
+			verdict = l.verdict("**FAIL**")
 		}
 		delta := "+inf"
 		if !math.IsInf(l.Delta, 1) {

@@ -64,6 +64,36 @@ func TestDiffBeyondToleranceFails(t *testing.T) {
 	}
 }
 
+// TestDiffPlanCallDropIsStaleBaseline: plan-call counters are gated
+// both ways — a drop beyond tolerance fails and is named a stale
+// baseline — while B/op and allocs/op may fall freely.
+func TestDiffPlanCallDropIsStaleBaseline(t *testing.T) {
+	old := report(map[string]Metrics{"BenchmarkA": {NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 100,
+		Metrics: map[string]float64{"plancalls": 100, "plancalls_cold": 100}}})
+	cur := report(map[string]Metrics{"BenchmarkA": {NsPerOp: 1000, BytesPerOp: 10, AllocsPerOp: 1,
+		Metrics: map[string]float64{"plancalls": 89, "plancalls_cold": 91}}})
+	res := Diff(old, cur, Tolerances{Default: 0.10, Alloc: -1})
+	if n := res.Regressions(); n != 1 {
+		t.Fatalf("regressions = %d, want 1: %+v", n, res.Lines)
+	}
+	if l, _ := line(res, "BenchmarkA", "plancalls"); !l.Regressed || !l.Stale {
+		t.Fatalf("plancalls line = %+v, want a stale-baseline failure", l)
+	}
+	if l, _ := line(res, "BenchmarkA", "plancalls_cold"); l.Regressed || l.Stale {
+		t.Fatalf("plancalls_cold line = %+v, want within tolerance", l)
+	}
+	for _, metric := range []string{"B/op", "allocs/op"} {
+		if l, _ := line(res, "BenchmarkA", metric); l.Regressed {
+			t.Fatalf("%s fell and failed the gate: %+v", metric, l)
+		}
+	}
+	var buf bytes.Buffer
+	res.WriteTable(&buf)
+	if want := "FAIL (stale baseline: counter fell, re-record it)"; !strings.Contains(buf.String(), want) {
+		t.Errorf("table does not name the stale baseline:\n%s", buf.String())
+	}
+}
+
 func TestDiffPerAxisToleranceOverrides(t *testing.T) {
 	old := report(map[string]Metrics{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, Metrics: map[string]float64{"plancalls": 5}}})
 	cur := report(map[string]Metrics{"BenchmarkA": {NsPerOp: 1400, AllocsPerOp: 14, Metrics: map[string]float64{"plancalls": 5}}})

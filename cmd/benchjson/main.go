@@ -13,8 +13,10 @@
 //	benchjson -diff BENCH_pr10.json bench_ci.json -tolerance 0.10
 //
 // Only deterministic numbers gate: the optimizer-call counters and
-// allocations (whose tolerance -alloc-tolerance loosens alone).
-// Wall-clock numbers are single samples and are reported, not gated.
+// allocations (whose tolerance -alloc-tolerance loosens alone). The
+// optimizer-call counters gate both ways: one that falls beyond
+// tolerance fails as a stale baseline, to be re-recorded. Wall-clock
+// numbers are single samples and are reported, not gated.
 // A benchmark present in old but missing from new is a regression (a
 // gate that can be passed by deleting the benchmark gates nothing);
 // a benchmark new to the artifact is informational.

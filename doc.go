@@ -59,9 +59,10 @@
 //	                    AutoPart's refinement loop, the exact ILP
 //	                    strategy, one evaluation core, and the lazy
 //	                    candidate scorer (lazy.go) — per-candidate
-//	                    gain caching with footprint invalidation plus
-//	                    a CELF-style stale-bound heap — that the loop's
-//	                    index sweep prices through
+//	                    gain caching over the queries that name the
+//	                    candidate's leading column, invalidated by the
+//	                    same rule, plus a CELF-style stale-bound heap —
+//	                    that the loop's index sweep prices through
 //	internal/rewrite    workload rewriting onto partition fragments
 //	internal/workload   SDSS-like schema, 30-query workload, generator
 //	internal/session    incremental design sessions: delta re-pricing,

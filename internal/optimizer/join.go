@@ -200,7 +200,10 @@ func (p *Planner) nestLoopCost(b *binder, outer, inner *Plan, clauses int, eq *s
 }
 
 // indexProbeCost returns the cost of one parameterized index probe
-// into rel using the equijoin clause, when rel has a usable index.
+// into rel using the equijoin clause, when rel has a usable index. Only
+// an index leading with the clause's column of rel is usable; any other
+// is inert for the probe, which the lazy advisor sweep relies on
+// (TestInertIndexInvariance, internal/integration).
 func (p *Planner) indexProbeCost(rel *baseRel, eq *sql.BinaryExpr, outer *Plan, outRows float64) (float64, bool) {
 	// Which side of the clause belongs to this relation? (The last
 	// one that does.)

@@ -105,6 +105,9 @@ func (m *matcher) run(k int) []int {
 // index columns, then every range clause on the next column, each
 // clause used once. The combined selectivity multiplies the clauses'
 // selectivities in match order.
+// An index whose leading column has no clause matches nothing, so it is
+// inert for the relation; the lazy advisor sweep relies on that
+// (TestInertIndexInvariance, internal/integration).
 func (m *matcher) match(r *restriction, ix *catalog.Index) int {
 	start := len(m.pos)
 	for _, col := range ix.Columns {

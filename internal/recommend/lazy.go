@@ -1,23 +1,27 @@
 package recommend
 
-// Lazy, footprint-pruned candidate scoring for the greedy loop.
+// Lazy, column-pruned candidate scoring for the greedy loop.
 //
 // An exhaustive sweep — the specification, kept as the test oracle in
 // oracle_test.go — prices len(candidates) × len(queries) jobs every
 // round even though applying a move changes the plans of only the
-// queries that touch the moved table. This file is the
-// search-side analogue of the design-session invariant ("re-price only
+// queries that can use the moved object. This file is the search-side
+// analogue of the design-session invariant ("re-price only
 // footprint-intersecting queries"): it keeps, per candidate, an exact
-// per-query trial-cost cache over the candidate's own footprint and
-// combines two pruning layers on top of it.
+// per-query trial-cost cache over the queries that can use the
+// candidate and combines two pruning layers on top of it.
 //
-//  1. Exact gain invariance. A query q that does not reference
-//     candidate c's table cannot use c, so cost_q(D ∪ {c}) =
+//  1. Exact gain invariance. This optimizer uses an index only through
+//     its leading column (see usableBy), so a query q that does not
+//     name candidate c's leading column on c's table prices the same
+//     plan, to the float bit, with or without c: cost_q(D ∪ {c}) =
 //     cost_q(D). The cache therefore only spans Q(c) — the queries
-//     touching c's table — and a cached entry stays exact until a
-//     chosen move lands on a table q references. After a move on table
-//     t, only the (candidate, query) pairs whose query touches t are
-//     marked stale; everything else is served from the cache verbatim.
+//     naming c's leading column — and a cached entry stays exact until
+//     a chosen move can change q's plan. Accepting an index a marks
+//     stale only the (candidate, query) pairs whose query is in Q(a);
+//     a partitioning move on table t, which rewrites every query
+//     reading t, marks the pairs whose query touches t. Everything else
+//     is served from the cache verbatim.
 //
 //  2. CELF-style lazy re-evaluation. Candidates enter a max-heap
 //     ordered by benefit-per-byte score. Fresh candidates carry their
@@ -35,7 +39,7 @@ package recommend
 // only on this search's own moves, never on what other searches or
 // design sessions left in a shared, possibly evicting, memo. Serving the
 // fresh entries from the memo instead would cost one key build and
-// probe each (34 008 on the benchmark's recommend.joint job).
+// probe per fresh entry per sweep.
 //
 // The sweep reproduces the exhaustive sweep's choices bit for bit:
 // exact scores are computed by patching the cached entries into the
@@ -65,7 +69,7 @@ type lazyCand struct {
 	size  int64
 	maint float64
 
-	qidx   []int     // workload queries touching spec.Table, ascending
+	qidx   []int     // workload queries spec is usable by (usableBy), ascending
 	per    []float64 // cached trial costs, aligned with qidx
 	stale  []bool    // per entry: true until priced under the current design
 	nStale int
@@ -99,7 +103,7 @@ func newLazyScorer(p *Problem) (*lazyScorer, error) {
 			maint: MaintenanceCost(spec, sz, p.Opts.UpdateRates),
 		}
 		for qi := range p.Queries {
-			if ls.foot[qi].TouchesTable(spec.Table) {
+			if usableBy(ls.foot[qi], spec) {
 				c.qidx = append(c.qidx, qi)
 			}
 		}
@@ -112,6 +116,21 @@ func newLazyScorer(p *Problem) (*lazyScorer, error) {
 		ls.cands = append(ls.cands, c)
 	}
 	return ls, nil
+}
+
+// usableBy reports whether a query with footprint fp can use an index
+// with spec's key at all: it must name spec's leading column on spec's
+// table. The optimizer reaches an index only through that column — a
+// restriction clause on it in matcher.match (internal/optimizer/scan.go)
+// or an equijoin clause on it in indexProbeCost (join.go) — and INUM's
+// interesting-order bit reads the same column, so for any other query
+// the index is inert: every backend prices the identical plan with or
+// without it. TestInertIndexInvariance (internal/integration) is the
+// property this rests on. Footprints over-approximate the columns a
+// query names, which keeps the rule safe. Candidates have at least one
+// column (IndexCandidates drops empty specs).
+func usableBy(fp *sql.Footprint, spec inum.IndexSpec) bool {
+	return fp.TouchesAnyColumn(spec.Table, spec.Columns[:1])
 }
 
 // setBase seeds the current-design cost state.
@@ -174,15 +193,17 @@ func (ls *lazyScorer) patched(c *lazyCand) []float64 {
 // applyIndex commits candidate c as the round's move: the current cost
 // vector absorbs c's cached entries (exact — see the invariance note
 // above), c leaves the pool, and every other candidate's cache entries
-// for queries touching c's table go stale. Returns the new current
-// weighted cost.
+// for queries c is usable by go stale. Returns the new current weighted
+// cost.
 func (ls *lazyScorer) applyIndex(c *lazyCand) float64 {
+	affected := make([]bool, len(ls.queries))
 	for k, q := range c.qidx {
 		ls.curPer[q] = c.per[k]
+		affected[q] = true
 	}
 	ls.current = ls.ev.WeightedTotal(ls.curPer)
 	c.gone = true
-	ls.staleTable(c.spec.Table)
+	ls.markStale(affected)
 	return ls.current
 }
 
@@ -194,23 +215,27 @@ func (ls *lazyScorer) applyIndex(c *lazyCand) float64 {
 func (ls *lazyScorer) applyExternal(t string, perNew []float64) {
 	copy(ls.curPer, perNew)
 	ls.current = ls.ev.WeightedTotal(ls.curPer)
+	affected := make([]bool, len(ls.queries))
+	for q, fp := range ls.foot {
+		affected[q] = fp.TouchesTable(t)
+	}
 	for _, c := range ls.cands {
 		if !c.gone && c.spec.Table == t {
 			c.gone = true
 		}
 	}
-	ls.staleTable(t)
+	ls.markStale(affected)
 }
 
-// staleTable marks, for every live candidate, the cache entries of
-// queries that reference t.
-func (ls *lazyScorer) staleTable(t string) {
+// markStale marks, for every live candidate, the cache entries of the
+// affected queries.
+func (ls *lazyScorer) markStale(affected []bool) {
 	for _, c := range ls.cands {
 		if c.gone {
 			continue
 		}
 		for k, q := range c.qidx {
-			if !c.stale[k] && ls.foot[q].TouchesTable(t) {
+			if !c.stale[k] && affected[q] {
 				c.stale[k] = true
 				c.nStale++
 			}

@@ -6,8 +6,8 @@ package recommend
 // calls. The exhaustive sweep is the test oracle (oracle_test.go). The
 // backend here is a stub so the pricing-call count is exact and the
 // cost model is fully controlled: deterministic, physical (an index
-// discounts only statements that reference its table — the invariance
-// the lazy cache relies on), and multiplicative (stacked indexes give
+// discounts only statements that name its leading column on its table —
+// the invariance the lazy cache relies on), and multiplicative (stacked indexes give
 // diminishing returns, so later rounds genuinely reshuffle scores).
 //
 // Like zerosize_test.go this file lives in the package: it wires the
@@ -25,12 +25,14 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/costlab"
+	"repro/internal/design"
 	"repro/internal/inum"
 	"repro/internal/sql"
 )
 
 // physicalStub prices cost = base(stmt) · Π factor(spec, stmt) over
-// the configuration's indexes whose table the statement references.
+// the configuration's indexes whose leading column the statement names
+// on the index's table.
 // base and factor are deterministic hashes, so every run prices
 // identically and no two candidates tie by accident.
 type physicalStub struct {
@@ -69,7 +71,7 @@ func (s *physicalStub) Cost(stmt *sql.Select, cfg costlab.Config) (float64, erro
 	text := sql.PrintSelect(stmt)
 	cost := 1000 + 500*hashUnit("base", text)
 	for _, spec := range cfg {
-		if fp.TouchesTable(spec.Table) {
+		if fp.TouchesAnyColumn(spec.Table, spec.Columns[:1]) {
 			cost *= 0.60 + 0.39*hashUnit("factor", spec.Key(), text)
 		}
 	}
@@ -234,5 +236,59 @@ func TestLazySkipCounters(t *testing.T) {
 	if op.Eval.EvalsSkipped() != 0 || op.Eval.JobsPruned() != 0 {
 		t.Errorf("oracle reported lazy savings: skipped %d, pruned %d",
 			op.Eval.EvalsSkipped(), op.Eval.JobsPruned())
+	}
+}
+
+// TestLazyInertMoveKeepsEntries: accepting an index stales another
+// candidate's cached entries only for the queries the accepted index is
+// usable by. t1(b) is inert for "SELECT a FROM t1 WHERE a > 0", so once
+// it is accepted t1(a)'s entry for that query stays fresh — and exact
+// under the new design — while the entry for the query naming both a
+// and b goes stale.
+func TestLazyInertMoveKeepsEntries(t *testing.T) {
+	ctx := context.Background()
+	p, _ := lazyProblem(t, Options{Objects: ObjectsIndexes, Strategy: StrategyGreedy})
+	ls, err := newLazyScorer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := p.Eval.BaseCosts(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.setBase(base)
+	byKey := map[string]*lazyCand{}
+	for _, c := range ls.cands {
+		byKey[c.spec.Key()] = c
+		per, err := p.Eval.DesignCostsAt(ctx, design.Design{Indexes: inum.Config{c.spec}}, c.qidx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(c.per, per)
+		clear(c.stale)
+		c.nStale = 0
+	}
+	a, b := byKey["t1(a)"], byKey["t1(b)"]
+	ls.applyIndex(b)
+
+	now, err := p.Eval.DesignCostsAt(ctx, design.Design{Indexes: inum.Config{b.spec, a.spec}}, a.qidx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for k, q := range a.qidx {
+		usable := usableBy(ls.foot[q], b.spec)
+		if a.stale[k] != usable {
+			t.Errorf("t1(a)'s entry for %q: stale=%v, want %v", p.Queries[q].SQL, a.stale[k], usable)
+		}
+		if !a.stale[k] {
+			kept++
+			if a.per[k] != now[k] {
+				t.Errorf("kept entry for %q is %v, the new design prices %v", p.Queries[q].SQL, a.per[k], now[k])
+			}
+		}
+	}
+	if kept == 0 || kept == len(a.qidx) {
+		t.Fatalf("t1(a) kept %d of %d entries: the case must keep some and stale some", kept, len(a.qidx))
 	}
 }

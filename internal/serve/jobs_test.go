@@ -381,7 +381,8 @@ func TestRecommendJobWarmStart(t *testing.T) {
 // off — so it plans only what nobody priced yet. The count is exact; a
 // cost tier fed only by index-only, nested-loops-on designs, whose
 // partition trials also kept the dead indexes of the table they split,
-// paid 330 plan calls for the same script.
+// paid 330 plan calls for the same script. The same job on a fresh
+// tenant of a fresh server, with no edits to read, pays more.
 func TestRecommendJobWarmStartsFromSessionStates(t *testing.T) {
 	ts, m := testServer(t, Options{})
 	call(t, ts, "POST", "/sessions", CreateSessionRequest{Name: "dba"}, http.StatusCreated, nil)
@@ -411,14 +412,25 @@ func TestRecommendJobWarmStartsFromSessionStates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var started RecommendJobStatus
-	call(t, ts, "POST", "/sessions/dba/recommend",
-		RecommendJobRequest{Objects: "joint", Strategy: "greedy"}, http.StatusAccepted, &started)
-	done := pollJob(t, ts, "dba", started.ID)
-	if done.State != JobDone {
-		t.Fatalf("job: %q (%s)", done.State, done.Error)
+	job := func(ts *httptest.Server, name string) int64 {
+		t.Helper()
+		var started RecommendJobStatus
+		call(t, ts, "POST", "/sessions/"+name+"/recommend",
+			RecommendJobRequest{Objects: "joint", Strategy: "greedy"}, http.StatusAccepted, &started)
+		done := pollJob(t, ts, name, started.ID)
+		if done.State != JobDone {
+			t.Fatalf("job: %q (%s)", done.State, done.Error)
+		}
+		return done.Result.PlanCalls
 	}
-	if got, want := done.Result.PlanCalls, int64(294); got != want {
-		t.Errorf("warm-started job paid %d plan calls, want %d", got, want)
+	warm := job(ts, "dba")
+	if want := int64(99); warm != want {
+		t.Errorf("warm-started job paid %d plan calls, want %d", warm, want)
+	}
+
+	cold, _ := testServer(t, Options{})
+	call(t, cold, "POST", "/sessions", CreateSessionRequest{Name: "fresh"}, http.StatusCreated, nil)
+	if got, want := job(cold, "fresh"), int64(117); got != want || got <= warm {
+		t.Errorf("the job on a fresh tenant paid %d plan calls, want %d (more than the warm-started %d)", got, want, warm)
 	}
 }

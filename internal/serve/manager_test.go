@@ -445,13 +445,18 @@ func TestManagerConcurrentTenantsLinearizable(t *testing.T) {
 			}()
 		}
 	}
-	// Let the workers finish, then stop the hammer.
+	// Let the workers finish, then stop the hammer once it has evicted:
+	// workers that finish first must not stop it before it fires.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	limit := time.Now().Add(2 * time.Minute)
 	select {
 	case <-done:
-	case <-time.After(2 * time.Minute):
+	case <-time.After(time.Until(limit)):
 		t.Fatal("concurrency gauntlet deadlocked")
+	}
+	for m.Stats().Evictions == 0 && time.Now().Before(limit) {
+		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	hammerWG.Wait()
