@@ -19,15 +19,16 @@
 //	                    as one atomic what-if delta — and Held, a what-if
 //	                    session that remembers its design and moves
 //	                    only by those deltas
-//	internal/intern     lock-free-read interning: canonical strings →
-//	                    dense uint32 ids (Table) and a sharded
-//	                    atomic-snapshot insert-once map, optionally
-//	                    capped with CLOCK eviction (Bounded) —
+//	internal/intern     interning: canonical strings → dense uint32
+//	                    ids behind lock-free reads (Table), and a
+//	                    sharded insert-once map, one mutex and one
+//	                    CLOCK ring per shard, optionally capped with
+//	                    in-place eviction (Bounded) —
 //	                    the hot-path keying under costlab's memo, the
 //	                    SharedMemo and the ingest window, so steady-state
 //	                    pricing hashes ids instead of printed SQL
 //	internal/flight     the memoised-singleflight pricing primitive:
-//	                    Cache = bounded lock-free-read table + per-key
+//	                    Cache = bounded CLOCK-sharded table + per-key
 //	                    leader election + one set of counters, and
 //	                    Resolve, the only copy of the two-phase batch
 //	                    protocol (price led keys, publish, then wait on

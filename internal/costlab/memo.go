@@ -31,7 +31,7 @@ import (
 // machine words: on the benchmark's recommend.joint job the cost tier
 // is most of the heap, and string keys measured 32 % more of it than
 // the interned pairs with their interners. Costs live in a flight.Cache
-// (lock-free reads, an optional CLOCK-evicting cap, in-flight dedup:
+// (sharded reads, an optional CLOCK-evicting cap, in-flight dedup:
 // concurrent batches missing one cost price it once). Probes for
 // identities nobody interned are misses that never grow the interners.
 type Memo struct {

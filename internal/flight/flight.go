@@ -1,11 +1,12 @@
 // Package flight is the memoised-singleflight pricing primitive behind
 // both pricing memos (costlab.Memo and session.SharedMemo). A Cache
-// stores priced values in a sharded, optionally capped table with
-// lock-free reads (intern.Bounded) and dedups pricing that is merely
-// *in progress*: when several callers need the same missing key at the
-// same time, exactly one of them, the leader, prices it while the
-// others wait for its value. Concurrent demand for one (query, design)
-// state therefore costs one optimizer invocation, not N.
+// stores priced values in a sharded, optionally capped table
+// (intern.Bounded, a mutex-per-shard CLOCK map) and dedups pricing
+// that is merely *in progress*: when several callers need the same
+// missing key at the same time, exactly one of them, the leader,
+// prices it while the others wait for its value. Concurrent demand for
+// one (query, design) state therefore costs one optimizer invocation,
+// not N.
 //
 // Cache.Resolve holds the package's only copy of the two-phase batch
 // protocol. A call looks every key up. For each missing key it either
@@ -121,8 +122,9 @@ type Cache[K comparable, V any] struct {
 }
 
 // NewCache returns an empty cache capped at roughly capTotal entries
-// (0 = unbounded), spread over intern.DefaultShards CLOCK-evicting
-// shards by hash. An evicted value simply misses and is priced again.
+// (0 = unbounded), spread by hash over intern.DefaultShards shards,
+// each a mutex-guarded CLOCK ring that evicts in place. An evicted
+// value simply misses and is priced again.
 func NewCache[K comparable, V any](capTotal int, hash func(K) uint32) *Cache[K, V] {
 	return &Cache[K, V]{table: intern.NewBounded[K, V](intern.DefaultShards, capTotal, hash)}
 }

@@ -6,25 +6,25 @@ import (
 )
 
 // DefaultShards is the shard count Bounded maps are normally built
-// with: enough to spread writer mutexes across cores, small enough
-// that per-shard snapshots stay dense.
+// with: enough to spread shard mutexes across cores, small enough that
+// a capped map's per-shard CLOCK rings stay a useful size.
 const DefaultShards = 16
 
 // Bounded is a sharded, optionally capped concurrent map: keys hash
-// onto a fixed power-of-two number of shards, each shard serves reads
-// lock-free from an immutable snapshot and takes writes in a
-// mutex-guarded dirty tier, and an optional per-map entry cap evicts
-// cold entries with a CLOCK (second-chance) sweep when a shard fills.
-// With cap 0 it is insert-once and never evicts.
+// onto a fixed power-of-two number of shards, each one mutex guarding
+// a key → slot index and a slot array. The slot array is the shard's
+// CLOCK ring: each slot holds a key, its value and a reference bit, and
+// an optional per-map entry cap evicts cold entries with a second-
+// chance sweep of the ring, in place, when a shard fills. With cap 0
+// it is insert-once and never evicts.
 //
-// Eviction relaxes the uncapped "published entries are forever"
-// contract to "a present entry never changes, but may disappear":
-// readers still never observe a torn or stale value, only a miss where there was
-// once a hit — callers must treat any miss as re-computable, which the
-// pricing memos this backs always could. Reads keep an entry warm by
-// setting its reference bit (one lock-free atomic store on the hit
-// path); the CLOCK sweep evicts only entries not read since the hand
-// last passed them.
+// Eviction relaxes the uncapped "stored entries are forever" contract
+// to "a present entry never changes, but may disappear": readers never
+// observe a torn or stale value, only a miss where there was once a
+// hit — callers must treat any miss as re-computable, which the pricing
+// memos this backs always could. Reads keep an entry warm by setting
+// its reference bit; the sweep evicts only entries not read since the
+// hand last passed them.
 type Bounded[K comparable, V any] struct {
 	shards []boundedShard[K, V]
 	mask   uint32
@@ -35,24 +35,23 @@ type Bounded[K comparable, V any] struct {
 }
 
 type boundedShard[K comparable, V any] struct {
-	snap   atomic.Pointer[map[K]*clockEntry[V]]
-	mu     sync.Mutex
-	dirty  map[K]*clockEntry[V]
-	dirtyN atomic.Int32
-	size   atomic.Int64
-	// ring holds the shard's live keys in insertion order — the CLOCK
-	// ring the eviction hand sweeps. Maintained under mu; always the
-	// exact key set of snap ∪ dirty.
-	ring []K
-	hand int
+	mu    sync.Mutex
+	index map[K]int32 // key → its slot in slots
+	// slots is the CLOCK ring the hand sweeps; evicted slots are dead
+	// and listed in free until an insert reuses them.
+	slots []slot[K, V]
+	free  []int32
+	hand  int
+	// churn counts evictions since index was last re-made: a map keeps
+	// the table size its churn grew it to, so it is copied at exact
+	// size once per capPerShard evictions (amortized O(1)).
+	churn int
 }
 
-// clockEntry boxes a value with its CLOCK reference bit. One pointer
-// per entry keeps Get's bit-set lock-free without making map values
-// mutable.
-type clockEntry[V any] struct {
-	val V
-	ref atomic.Bool
+type slot[K comparable, V any] struct {
+	key       K
+	val       V
+	ref, live bool
 }
 
 // NewBounded returns a map with the given shard count (a power of
@@ -93,182 +92,102 @@ func Mix32(a, b uint32) uint32 {
 }
 
 // Get returns the value stored for k, if any, marking the entry
-// recently used. Lock-free whenever k is in its shard's published
-// snapshot or that shard's dirty tier is empty.
+// recently used.
 func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	sh := &b.shards[b.hash(k)&b.mask]
-	snap := sh.snap.Load()
-	if snap != nil {
-		if e, ok := (*snap)[k]; ok {
-			e.ref.Store(true)
-			return e.val, true
-		}
-	}
-	// As in Table.ID: a promotion publishes the new snapshot before it
-	// empties the dirty tier, so only an empty dirty tier behind an
-	// unchanged snapshot is a true miss.
-	if sh.dirtyN.Load() == 0 && sh.snap.Load() == snap {
-		var zero V
-		return zero, false
-	}
 	sh.mu.Lock()
-	e, ok := sh.dirty[k]
-	if cur := sh.snap.Load(); !ok && cur != nil {
-		e, ok = (*cur)[k]
-	}
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	i, ok := sh.index[k]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	e.ref.Store(true)
-	return e.val, true
+	s := &sh.slots[i]
+	s.ref = true
+	return s.val, true
 }
 
 // PutIfAbsent stores v for k unless k is already present, reporting
-// whether it stored. First writer wins. When the insert pushes the
-// shard past its cap, cold entries are evicted before returning.
+// whether it stored. First writer wins. When the shard is full, cold
+// entries are evicted to make room first.
 func (b *Bounded[K, V]) PutIfAbsent(k K, v V) bool {
 	sh := &b.shards[b.hash(k)&b.mask]
-	if snap := sh.snap.Load(); snap != nil {
-		if _, ok := (*snap)[k]; ok {
-			return false
-		}
-	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.dirty[k]; ok {
+	if _, ok := sh.index[k]; ok {
 		return false
 	}
-	// Re-check the snapshot: a promotion may have moved k out of the
-	// dirty tier between the lock-free probe and acquiring the lock.
-	if snap := sh.snap.Load(); snap != nil {
-		if _, ok := (*snap)[k]; ok {
-			return false
-		}
+	if sh.index == nil {
+		sh.index = make(map[K]int32)
 	}
-	if sh.dirty == nil {
-		sh.dirty = make(map[K]*clockEntry[V])
-	}
-	sh.dirty[k] = &clockEntry[V]{val: v}
-	sh.dirtyN.Store(int32(len(sh.dirty)))
-	sh.size.Add(1)
-	sh.ring = append(sh.ring, k)
-	if b.capPerShard > 0 && int(sh.size.Load()) > b.capPerShard {
+	if b.capPerShard > 0 && len(sh.index) >= b.capPerShard {
 		b.evictLocked(sh)
-	} else {
-		sh.promoteLocked()
 	}
+	var i int32
+	if n := len(sh.free); n > 0 {
+		i, sh.free = sh.free[n-1], sh.free[:n-1]
+	} else {
+		i = int32(len(sh.slots))
+		sh.slots = append(sh.slots, slot[K, V]{})
+	}
+	sh.slots[i] = slot[K, V]{key: k, val: v, live: true}
+	sh.index[k] = i
 	return true
 }
 
-// evictLocked runs a CLOCK sweep bringing the shard down to a low-
-// water mark below the cap, then republishes the shard as one fresh
-// snapshot. Evicting a batch (⅛ of the cap) per overflow amortizes
-// the O(shard) rebuild to O(1) per insert at steady state. Callers
-// hold sh.mu.
+// evictLocked frees room in a full shard: the CLOCK hand sweeps the
+// ring in place until the shard holds cap − cap/8 − 1 entries, so that
+// with the insert that follows it sits at the low-water mark cap −
+// cap/8. Second chance: a set reference bit buys its entry one more
+// revolution (clear and pass); a clear bit evicts, and its slot goes on
+// the free list. Within two revolutions every bit is clear, so the
+// sweep ends. Freed slots lie just behind the hand, so the entries that
+// reuse them are swept last. Callers hold sh.mu.
 func (b *Bounded[K, V]) evictLocked(sh *boundedShard[K, V]) {
-	// Flatten both tiers: the sweep rebuilds the snapshot anyway.
-	live := make(map[K]*clockEntry[V], int(sh.size.Load()))
-	if snap := sh.snap.Load(); snap != nil {
-		for k, e := range *snap {
-			live[k] = e
+	target := b.capPerShard - b.capPerShard/8 - 1
+	evicted := 0
+	for len(sh.index) > target {
+		s := &sh.slots[sh.hand]
+		if s.live {
+			if s.ref {
+				s.ref = false
+			} else {
+				delete(sh.index, s.key)
+				*s = slot[K, V]{}
+				sh.free = append(sh.free, int32(sh.hand))
+				evicted++
+			}
 		}
+		sh.hand = (sh.hand + 1) % len(sh.slots)
 	}
-	for k, e := range sh.dirty {
-		live[k] = e
-	}
-
-	target := b.capPerShard - b.capPerShard/8
-	if target < 1 {
-		target = 1
-	}
-	need := len(live) - target
-	n := len(sh.ring)
-	evict := make(map[K]bool, need)
-	// Second chance from the hand: a set reference bit buys the entry
-	// one more revolution (clear and pass); a clear bit evicts. Two
-	// revolutions bound the sweep — after one, every bit is clear.
-	pos := sh.hand % n
-	for steps := 0; len(evict) < need && steps < 2*n; steps++ {
-		k := sh.ring[pos]
-		pos = (pos + 1) % n
-		if evict[k] {
-			continue
+	b.evictions.Add(int64(evicted))
+	if sh.churn += evicted; sh.churn >= b.capPerShard {
+		index := make(map[K]int32, len(sh.index))
+		for k, i := range sh.index {
+			index[k] = i
 		}
-		e := live[k]
-		if e.ref.Load() {
-			e.ref.Store(false)
-			continue
-		}
-		evict[k] = true
+		sh.index, sh.churn = index, 0
 	}
-
-	// Rebuild ring (preserving clock order, rotated so the hand
-	// restarts where the sweep stopped) and snapshot minus the evicted.
-	ring := make([]K, 0, len(live)-len(evict))
-	for i := 0; i < n; i++ {
-		if k := sh.ring[(pos+i)%n]; !evict[k] {
-			ring = append(ring, k)
-		}
-	}
-	next := make(map[K]*clockEntry[V], len(live)-len(evict))
-	for k, e := range live {
-		if !evict[k] {
-			next[k] = e
-		}
-	}
-	sh.ring, sh.hand = ring, 0
-	sh.snap.Store(&next)
-	sh.dirty = nil
-	sh.dirtyN.Store(0)
-	sh.size.Store(int64(len(next)))
-	b.evictions.Add(int64(len(evict)))
 }
 
-// promoteLocked merges the dirty tier into a fresh snapshot using the
-// same growth policy as Table.promoteLocked. Callers hold sh.mu.
-func (sh *boundedShard[K, V]) promoteLocked() {
-	var snapLen int
-	snap := sh.snap.Load()
-	if snap != nil {
-		snapLen = len(*snap)
-	}
-	if len(sh.dirty) < 16 && snapLen > 0 {
-		return
-	}
-	if 4*len(sh.dirty) < snapLen {
-		return
-	}
-	next := make(map[K]*clockEntry[V], snapLen+len(sh.dirty))
-	if snap != nil {
-		for k, e := range *snap {
-			next[k] = e
-		}
-	}
-	for k, e := range sh.dirty {
-		next[k] = e
-	}
-	sh.snap.Store(&next)
-	sh.dirty = nil
-	sh.dirtyN.Store(0)
-}
-
-// Len reports the number of entries across all shards. Lock-free.
+// Len reports the number of entries across all shards.
 func (b *Bounded[K, V]) Len() int {
 	total := 0
-	for i := range b.shards {
-		total += int(b.shards[i].size.Load())
+	for _, n := range b.ShardSizes() {
+		total += n
 	}
 	return total
 }
 
 // ShardSizes reports the entry count of every shard — the observability
-// hook behind the serve layer's per-shard stats. Lock-free.
+// hook behind the serve layer's per-shard stats.
 func (b *Bounded[K, V]) ShardSizes() []int {
 	sizes := make([]int, len(b.shards))
 	for i := range b.shards {
-		sizes[i] = int(b.shards[i].size.Load())
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		sizes[i] = len(sh.index)
+		sh.mu.Unlock()
 	}
 	return sizes
 }
@@ -281,11 +200,10 @@ func (b *Bounded[K, V]) CapPerShard() int { return b.capPerShard }
 
 // Range calls fn for every resident entry, stopping early if fn
 // returns false. Iteration is weakly consistent: each shard's live
-// set (published snapshot plus dirty tier, which are disjoint) is
-// copied under that shard's lock, so entries inserted or evicted
-// concurrently may or may not appear, but no entry is ever seen torn.
-// Reference bits are not touched — a full export must not look like a
-// read burst to the CLOCK hand.
+// entries are copied under that shard's lock, so entries inserted or
+// evicted concurrently may or may not appear, but no entry is ever
+// seen torn. Reference bits are not touched — a full export must not
+// look like a read burst to the CLOCK hand.
 func (b *Bounded[K, V]) Range(fn func(K, V) bool) {
 	type pair struct {
 		k K
@@ -294,14 +212,11 @@ func (b *Bounded[K, V]) Range(fn func(K, V) bool) {
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.Lock()
-		pairs := make([]pair, 0, int(sh.size.Load()))
-		if snap := sh.snap.Load(); snap != nil {
-			for k, e := range *snap {
-				pairs = append(pairs, pair{k, e.val})
+		pairs := make([]pair, 0, len(sh.index))
+		for _, s := range sh.slots {
+			if s.live {
+				pairs = append(pairs, pair{s.key, s.val})
 			}
-		}
-		for k, e := range sh.dirty {
-			pairs = append(pairs, pair{k, e.val})
 		}
 		sh.mu.Unlock()
 		for _, p := range pairs {

@@ -170,3 +170,103 @@ func TestBoundedShardCountValidation(t *testing.T) {
 	}()
 	NewBounded[uint32, int](3, 0, func(k uint32) uint32 { return k })
 }
+
+// Churning far past the cap must keep the books exact: every stored
+// entry is either resident or counted evicted, the shard sizes add up
+// to Len, Range yields exactly the resident entries with their stored
+// values, and keys re-read as the churn goes survive it.
+func TestBoundedChurnAccounting(t *testing.T) {
+	const (
+		capTotal = 1024
+		hot      = 16
+		n        = 50 * capTotal
+	)
+	b := NewBounded[[2]uint32, float64](DefaultShards, capTotal, func(k [2]uint32) uint32 {
+		return Mix32(k[0], k[1])
+	})
+	key := func(i int) [2]uint32 { return [2]uint32{uint32(i), uint32(i * 7)} }
+	val := func(k [2]uint32) float64 { return float64(k[0])*3 + 1 }
+	inserted := 0
+	for i := 0; i < n; i++ {
+		if i%16 == 0 {
+			for h := 0; h < hot && h < i; h++ {
+				b.Get(key(h))
+			}
+		}
+		if b.PutIfAbsent(key(i), val(key(i))) {
+			inserted++
+		}
+	}
+	if got, want := b.Evictions(), int64(inserted-b.Len()); got != want {
+		t.Fatalf("Evictions = %d, want inserted %d − Len %d = %d", got, inserted, b.Len(), want)
+	}
+	sum := 0
+	for s, size := range b.ShardSizes() {
+		if size > b.CapPerShard() {
+			t.Fatalf("shard %d holds %d entries, cap %d", s, size, b.CapPerShard())
+		}
+		sum += size
+	}
+	if sum != b.Len() {
+		t.Fatalf("ShardSizes sum = %d, Len = %d", sum, b.Len())
+	}
+	seen := map[[2]uint32]bool{}
+	b.Range(func(k [2]uint32, v float64) bool {
+		if seen[k] {
+			t.Fatalf("Range yielded %v twice", k)
+		}
+		seen[k] = true
+		if v != val(k) {
+			t.Fatalf("Range yielded %v = %v, stored %v", k, v, val(k))
+		}
+		if got, ok := b.Get(k); !ok || got != v {
+			t.Fatalf("Get(%v) = %v,%v after Range yielded %v", k, got, ok, v)
+		}
+		return true
+	})
+	if len(seen) != b.Len() {
+		t.Fatalf("Range yielded %d pairs, Len = %d", len(seen), b.Len())
+	}
+	for h := 0; h < hot; h++ {
+		if !seen[key(h)] {
+			t.Fatalf("hot key %d evicted despite re-reads every 16 inserts", h)
+		}
+	}
+}
+
+// BenchmarkBoundedChurn prices the capped insert path: each iteration
+// pushes 20 000 new (statement id, signature) keys — the shared state
+// memo's key shape — through a full 4 096-entry, 16-shard map, so
+// every insert takes an evicted entry's place. B/op is gated in CI: an
+// eviction that copies its shard shows up there.
+func BenchmarkBoundedChurn(b *testing.B) {
+	type key struct {
+		id  uint32
+		sig string
+	}
+	const (
+		capTotal = 4096
+		perOp    = 20000
+	)
+	sigs := make([]string, 64)
+	for i := range sigs {
+		sigs[i] = fmt.Sprintf("photoobj(ra)+specobj(bestobjid)#%02d", i)
+	}
+	m := NewBounded[key, float64](DefaultShards, capTotal, func(k key) uint32 {
+		return Mix32(k.id, uint32(len(k.sig)))
+	})
+	next := uint32(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			next++
+			m.PutIfAbsent(key{next, sigs[next%uint32(len(sigs))]}, float64(next))
+		}
+	}
+	push(capTotal)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push(perOp)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/insert")
+}

@@ -12,17 +12,15 @@
 //     makes "probe a memo with a key nobody ever stored" a guaranteed
 //     miss instead of interner pollution.
 //
-//   - Bounded is a read-optimized concurrent map, sharded by key
-//     hash: reads hit an immutable per-shard snapshot behind an
-//     atomic.Pointer without locking, writes go to a small
-//     mutex-guarded dirty tier that is merged into a fresh snapshot
-//     once it grows past a fraction of the snapshot (copy-on-write
-//     publication). PutIfAbsent is the only write, so a
-//     present entry never changes and readers can never observe a torn
-//     or stale value. An optional entry cap is enforced by CLOCK
-//     (second-chance) eviction — the form the shared pricing memo runs
-//     under `serve -memo-cap` — which relaxes insert-once to "an entry
-//     never changes while present, but a cold one may disappear".
+//   - Bounded is a concurrent map sharded by key hash: each shard is
+//     one mutex guarding a key → slot index and a slot array, which
+//     doubles as the shard's CLOCK ring. PutIfAbsent is the only
+//     write, so a present entry never changes and readers can never
+//     observe a torn or stale value. An optional entry cap is enforced
+//     by CLOCK (second-chance) eviction in place — the form the shared
+//     pricing memo runs under `serve -memo-cap` — which relaxes
+//     insert-once to "an entry never changes while present, but a
+//     cold one may disappear".
 //
 // All types are safe for concurrent use by any number of readers and
 // writers. Ids are table-specific: never mix ids across tables.

@@ -26,11 +26,11 @@ import (
 // partitioned and nested-loops-off designs included — without
 // sessions mirroring anything into it. Statement ids are interned
 // once, in the cost tier's interner, when a session is born, so the
-// per-edit probe path hashes an id and the signature string, lock-free
-// (the state tier is sharded, each shard an atomic-snapshot map, see
-// intern.Bounded), instead of taking an RWMutex over full printed-SQL
-// keys. Signatures are not interned in the state tier: a key lives
-// exactly as long as its state, so an evicted state frees it.
+// per-edit probe path hashes an id and the signature string and takes
+// one shard's mutex (the state tier is sharded, see intern.Bounded),
+// instead of taking an RWMutex over full printed-SQL keys. Signatures
+// are not interned in the state tier: a key lives exactly as long as
+// its state, so an evicted state frees it.
 //
 // The memo dedups in-flight work, not just completed work: both tiers
 // are flight.Caches, so a state one session is still planning is
